@@ -7,7 +7,7 @@ liquidated at the first tradeable opportunity when not in targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 
 from .errors import RebalanceError, StrategyError, ValidationError
@@ -176,14 +176,8 @@ def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig) 
 
         if d in rebalance_days:
             universe = eligible_universe(dataset, d, config.eligibility)
-            train_config = TrainConfig(
-                epochs=config.train_config.epochs,
-                batch_size=config.train_config.batch_size,
-                learning_rate=config.train_config.learning_rate,
-                beta1=config.train_config.beta1,
-                beta2=config.train_config.beta2,
-                seed=config.seed + action_index * SEED_STRIDE,
-            )
+            train_config = replace(config.train_config,
+                                   seed=config.seed + action_index * SEED_STRIDE)
             action_index += 1
             try:
                 ranking = rank_stocks(strategy, dataset, d, universe,
@@ -194,18 +188,18 @@ def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig) 
             targets = select_targets(ranking, config.holdings)
             prices = {}
             frozen = set()
-            for stock_id in set(portfolio.holdings) | set(targets.weights):
+            for stock_id in set(portfolio.holdings) | set(targets):
                 bar = dataset.bars.get(stock_id, {}).get(d)
                 if bar is not None and not bar.is_suspended:
                     prices[stock_id] = bar.close
                 elif stock_id in last_close:
                     prices[stock_id] = last_close[stock_id]
                     frozen.add(stock_id)
-            for stock_id in targets.weights:
+            for stock_id in targets:
                 bar = dataset.bars.get(stock_id, {}).get(d)
                 if bar is not None and not bar.is_suspended:
                     last_close[stock_id] = bar.close
-            trades.extend(rebalance(portfolio, targets.weights, prices,
+            trades.extend(rebalance(portfolio, targets, prices,
                                     config.costs, d, frozen))
 
         prices = {s: last_close[s] for s in portfolio.holdings}

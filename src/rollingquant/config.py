@@ -8,7 +8,7 @@ so a run is a pure function of (config bytes, input data bytes).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from datetime import datetime
 from pathlib import Path
@@ -54,14 +54,6 @@ class RunConfig:
     eligibility: EligibilityRules = field(default_factory=EligibilityRules)
 
     def scenario_config(self, strategy: str) -> ScenarioConfig:
-        train = TrainConfig(
-            epochs=self.train.epochs,
-            batch_size=self.train.batch_size,
-            learning_rate=self.train.learning_rate,
-            beta1=self.train.beta1,
-            beta2=self.train.beta2,
-            seed=self.seed + SEED_OFFSET_STRATEGY[strategy],
-        )
         return ScenarioConfig(
             start=self.start,
             end=self.end,
@@ -70,7 +62,7 @@ class RunConfig:
             initial_capital=self.initial_capital,
             costs=self.costs,
             eligibility=self.eligibility,
-            train_config=train,
+            train_config=replace(self.train),
             seed=self.seed + SEED_OFFSET_STRATEGY[strategy],
         )
 
@@ -168,7 +160,6 @@ def load_run_config(path, seed_override: int | None = None,
                 learning_rate=float(_get(train_section, "learning_rate", "0.001")),
                 beta1=float(_get(train_section, "beta1", "0.9")),
                 beta2=float(_get(train_section, "beta2", "0.999")),
-                seed=seed,
             ),
             costs=CostModel(
                 commission_rate=float(_get(costs_section, "commission_rate", "0")),

@@ -1,4 +1,4 @@
-"""Deterministic file writers for datasets, backtest results and panels.
+"""Deterministic file writers for datasets and backtest results.
 
 All floats are written with %.17g so files round-trip float64 exactly and
 identical runs produce byte-identical outputs.
@@ -96,13 +96,3 @@ def write_ranking_csv(rankings, path):
         for ranking in rankings:
             for rank, (stock_id, score) in enumerate(ranking.entries, start=1):
                 writer.writerow([ranking.date.isoformat(), str(rank), stock_id, _fmt(score)])
-
-
-def write_factors_csv(panel, path):
-    """stock_id,date,f01..f47 for a (usually normalized) panel."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stock_id", "date"] + [f"f{i + 1:02d}" for i in range(panel.matrix.shape[1])])
-        for i, stock_id in enumerate(panel.stocks):
-            writer.writerow([stock_id, panel.date.isoformat()]
-                            + [_fmt(v) for v in panel.matrix[i]])

@@ -204,7 +204,10 @@ class NormalizationStats:
     lower: np.ndarray
     upper: np.ndarray
     means: np.ndarray
-    stds: np.ndarray  # 0 marks a constant column (mapped to zeros)
+    # 0 marks a constant column, mapped to zeros: one whose clipped std is at
+    # most max(1e-12, 1e-8 * |mean|). Below that spread the float64 rounding
+    # of the stored mean, divided by the std, no longer centers the z-scores.
+    stds: np.ndarray
 
 
 @dataclass
@@ -247,7 +250,7 @@ def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> Normalizat
         clipped = np.clip(filled, lower[j], upper[j])
         means[j] = clipped.mean()
         sd = clipped.std()
-        stds[j] = sd if sd > 1e-12 else 0.0
+        stds[j] = sd if sd > max(1e-12, 1e-8 * abs(means[j])) else 0.0
     return NormalizationStats(medians, lower, upper, means, stds)
 
 

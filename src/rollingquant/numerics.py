@@ -9,6 +9,7 @@ float64 and deterministic given seeds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,41 +97,35 @@ class MlpModel:
     def parameters(self):
         return [slot[key] for slot, key in self._parameter_slots()]
 
-    def forward(self, batch):
-        batch = np.asarray(batch, dtype=float)
-        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
-            raise ValidationError(f"mlp_forward: expected batch of width {self.input_dim}")
-        h = batch
+    def _forward_pass(self, batch):
+        """Validate batch; return (each layer's input, pre-ReLU values, predictions)."""
+        h = np.asarray(batch, dtype=float)
+        if h.ndim != 2 or h.shape[1] != self.input_dim:
+            raise ValidationError(f"MlpModel.forward: expected batch of width {self.input_dim}")
+        activations = [h]
+        pre_relu = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
             if i != last:
+                pre_relu.append(h)
                 h = np.maximum(h, 0.0)
-        return h[..., 0]
+                activations.append(h)
+        return activations, pre_relu, h[..., 0]
+
+    def forward(self, batch):
+        return self._forward_pass(batch)[2]
 
     def loss_and_gradients(self, batch, labels):
         """(MSE loss, gradients aligned with parameters())."""
-        batch = np.asarray(batch, dtype=float)
+        activations, pre_relu, preds = self._forward_pass(batch)
         labels = np.asarray(labels, dtype=float)
-        activations = [batch]
-        pre_relu = []
-        h = batch
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            if i != last:
-                pre_relu.append(z)
-                h = np.maximum(z, 0.0)
-            else:
-                h = z
-            activations.append(h)
-        preds = h[:, 0]
         n = len(labels)
         loss = float(np.mean((preds - labels) ** 2))
 
         grads = [None] * (2 * len(self.weights))
         delta = (2.0 / n) * (preds - labels)[:, None]
-        for i in range(last, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             grads[2 * i] = activations[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:
@@ -266,31 +261,30 @@ class LstmModel:
     def parameters(self):
         return [slot[key] for slot, key in self._parameter_slots()]
 
-    def _check_batch(self, batch):
-        batch = np.asarray(batch, dtype=float)
-        if batch.ndim != 3 or batch.shape[1] != self.sequence_length \
-                or batch.shape[2] != self.input_dim:
+    def _forward_pass(self, batch):
+        """Validate batch; return (last layer's sequence, per-layer caches, predictions)."""
+        x_seq = np.asarray(batch, dtype=float)
+        if x_seq.ndim != 3 or x_seq.shape[1] != self.sequence_length \
+                or x_seq.shape[2] != self.input_dim:
             raise ValidationError(
-                f"lstm_forward: expected (batch, {self.sequence_length}, {self.input_dim}) input"
+                f"LstmModel.forward: expected (batch, {self.sequence_length}, "
+                f"{self.input_dim}) input"
             )
-        return np.transpose(batch, (1, 0, 2))  # (T, b, d)
-
-    def forward(self, batch):
-        """batch: (b, T, input_dim) -> predictions (b,)."""
-        x_seq = self._check_batch(batch)
-        for layer in self.layers:
-            x_seq, _ = layer.forward(x_seq)
-        return (x_seq[-1] @ self.readout_w + self.readout_b)[..., 0]
-
-    def loss_and_gradients(self, batch, labels):
-        x_seq = self._check_batch(batch)
-        labels = np.asarray(labels, dtype=float)
+        x_seq = np.transpose(x_seq, (1, 0, 2))  # (T, b, d)
         caches = []
         for layer in self.layers:
             x_seq, cache = layer.forward(x_seq)
             caches.append(cache)
+        return x_seq, caches, (x_seq[-1] @ self.readout_w + self.readout_b)[..., 0]
+
+    def forward(self, batch):
+        """batch: (b, T, input_dim) -> predictions (b,)."""
+        return self._forward_pass(batch)[2]
+
+    def loss_and_gradients(self, batch, labels):
+        x_seq, caches, preds = self._forward_pass(batch)
+        labels = np.asarray(labels, dtype=float)
         final = x_seq[-1]
-        preds = (final @ self.readout_w + self.readout_b)[:, 0]
         n = len(labels)
         loss = float(np.mean((preds - labels) ** 2))
 
@@ -308,14 +302,6 @@ class LstmModel:
             grads.extend(g)
         grads.extend((g_readout_w, g_readout_b))
         return loss, grads
-
-
-def mlp_forward(model: MlpModel, batch):
-    return model.forward(batch)
-
-
-def lstm_forward(model: LstmModel, batch):
-    return model.forward(batch)
 
 
 def train(model, samples, labels, config: TrainConfig):
@@ -366,7 +352,9 @@ def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float =
     n = (L(+step) - L(-step)) / (2 * step) is the central difference of the
     MSE loss L of model.forward(batch) against labels, with that one entry
     moved by +-step. Its error against the analytic entry a from
-    loss_and_gradients is |a - n| / max(1, |a| + |n|); the largest is returned.
+    loss_and_gradients is |a - n| / max(1, |a| + |n|); the largest is returned,
+    or math.inf if any error is NaN or infinite (an overflowed loss or
+    gradient), so that no tolerance passes it.
 
     Entries are evaluated a chunk of up to GRADCHECK_CHUNK at a time: a stack
     of 2k perturbed copies of the tensor (+step copies, then -step copies)
@@ -408,6 +396,8 @@ def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float =
             numeric = (losses[:k] - losses[k:]) / (2.0 * step)
             analytic = flat_g[idx]
             err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
+            if not np.isfinite(err).all():
+                return math.inf
             worst = max(worst, float(err.max()))
     return worst
 

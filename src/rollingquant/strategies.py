@@ -14,7 +14,7 @@ recent preceding action days, then rank the eligible cross-section:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
@@ -88,23 +88,13 @@ def _sorted_entries(scores: dict[str, float]) -> list[tuple[str, float]]:
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-@dataclass
-class TargetHoldings:
-    date: Date
-    weights: dict[str, float] = field(default_factory=dict)
-
-
-def select_targets(ranking: Ranking, k: int) -> TargetHoldings:
+def select_targets(ranking: Ranking, k: int) -> dict[str, float]:
     """Top min(k, |ranking|) stocks at weight 1/k each; remainder stays cash."""
     if k < 1:
         raise ValidationError("holdings count must be >= 1")
     if not ranking.entries:
         raise StrategyError(f"empty ranking on {ranking.date.isoformat()}")
-    chosen = ranking.entries[:k]
-    return TargetHoldings(
-        date=ranking.date,
-        weights={stock: 1.0 / k for stock, _ in chosen},
-    )
+    return {stock: 1.0 / k for stock, _ in ranking.entries[:k]}
 
 
 def _mcap_log(dataset, stock_id, d):
@@ -114,16 +104,30 @@ def _mcap_log(dataset, stock_id, d):
     return math.log(bar.market_cap)
 
 
+def _window_panels(dataset, universe, window: TrainingWindow):
+    """Raw panels for the training days then the action day, sparse rows dropped."""
+    days = window.training_days + [window.action_day]
+    return [drop_sparse_rows(build_panel(dataset, universe, day)) for day in days]
+
+
+def _pooled_stats(panels):
+    """Normalization stats pooled over the rows of all the given panels."""
+    matrix = np.vstack([p.matrix for p in panels])
+    if matrix.shape[0] == 0:
+        raise StrategyError("no training rows available")
+    return compute_normalization(matrix, np.vstack([p.missing for p in panels]))
+
+
 def rank_linear_regression(dataset: MarketDataset, action_day: Date, universe,
                            w: int = DEFAULT_WINDOW) -> Ranking:
     """Rank by valuation skew: fitted log market cap minus observed."""
     window = build_window(dataset.calendar, action_day, w)
+    *training, action = [normalize_panel(p) for p in _window_panels(dataset, universe, window)]
     rows = []
     labels = []
-    for day in window.training_days:
-        panel = normalize_panel(build_panel(dataset, universe, day))
+    for panel in training:
         for i, stock_id in enumerate(panel.stocks):
-            label = _mcap_log(dataset, stock_id, day)
+            label = _mcap_log(dataset, stock_id, panel.date)
             if label is None:
                 continue
             rows.append(panel.matrix[i, _NON_LABEL_COLUMNS])
@@ -133,31 +137,16 @@ def rank_linear_regression(dataset: MarketDataset, action_day: Date, universe,
     X = np.column_stack([np.ones(len(rows)), np.array(rows)])
     weights = least_squares_fit(X, np.array(labels))
 
-    panel = normalize_panel(build_panel(dataset, universe, action_day))
     scores = {}
-    for i, stock_id in enumerate(panel.stocks):
+    for i, stock_id in enumerate(action.stocks):
         actual = _mcap_log(dataset, stock_id, action_day)
         if actual is None:
             continue
-        features = np.concatenate(([1.0], panel.matrix[i, _NON_LABEL_COLUMNS]))
+        features = np.concatenate(([1.0], action.matrix[i, _NON_LABEL_COLUMNS]))
         scores[stock_id] = float(features @ weights) - actual
     if not scores:
         raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
     return Ranking(date=action_day, entries=_sorted_entries(scores))
-
-
-def _pooled_training_panels(dataset, universe, days):
-    """Raw panels for each day with sparse rows dropped, plus pooled stats."""
-    panels = [drop_sparse_rows(build_panel(dataset, universe, day)) for day in days]
-    matrix = np.vstack([p.matrix for p in panels])
-    missing = np.vstack([p.missing for p in panels])
-    if matrix.shape[0] == 0:
-        raise StrategyError("no training rows available")
-    return panels, compute_normalization(matrix, missing)
-
-
-def _next_day_map(days):
-    return {d0: d1 for d0, d1 in zip(days, days[1:])}
 
 
 def rank_fcnn(dataset: MarketDataset, action_day: Date, universe,
@@ -165,17 +154,14 @@ def rank_fcnn(dataset: MarketDataset, action_day: Date, universe,
     """Dense-network excess-return projector, one sample per (stock, day)."""
     train_config = train_config or TrainConfig()
     window = build_window(dataset.calendar, action_day, w)
-    all_days = window.training_days + [action_day]
-    next_day = _next_day_map(all_days)
-
-    panels, stats = _pooled_training_panels(dataset, universe, window.training_days)
+    panels = _window_panels(dataset, universe, window)
+    stats = _pooled_stats(panels[:-1])
     samples = []
     labels = []
-    for panel in panels:
+    for panel, horizon in zip(panels, panels[1:]):
         normalized = apply_normalization(panel.matrix, panel.missing, stats)
-        horizon_end = next_day[panel.date]
         for i, stock_id in enumerate(panel.stocks):
-            label = excess_return_label(dataset, stock_id, panel.date, horizon_end)
+            label = excess_return_label(dataset, stock_id, panel.date, horizon.date)
             if label is None:
                 continue
             samples.append(normalized[i])
@@ -186,7 +172,7 @@ def rank_fcnn(dataset: MarketDataset, action_day: Date, universe,
     model = MlpModel.create(seed=train_config.seed)
     model, _ = train(model, np.array(samples), np.array(labels), train_config)
 
-    panel = drop_sparse_rows(build_panel(dataset, universe, action_day))
+    panel = panels[-1]
     if not panel.stocks:
         raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
     normalized = apply_normalization(panel.matrix, panel.missing, stats)
@@ -195,20 +181,17 @@ def rank_fcnn(dataset: MarketDataset, action_day: Date, universe,
     return Ranking(date=action_day, entries=_sorted_entries(scores))
 
 
-def _sequence_inputs(dataset, universe, days, stats):
-    """Per-stock factor sequences over the given days, pooled-stats normalized.
+def _sequence_inputs(panels, normalized):
+    """Per-stock sequences of normalized rows over consecutive panels.
 
     Only stocks with a usable panel row on every day are kept.
     """
-    panels = [drop_sparse_rows(build_panel(dataset, universe, day)) for day in days]
-    normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
     index_maps = [{s: i for i, s in enumerate(p.stocks)} for p in panels]
     common = sorted(set.intersection(*(set(p.stocks) for p in panels)))
-    sequences = {
-        stock_id: np.stack([normalized[j][index_maps[j][stock_id]] for j in range(len(days))])
+    return {
+        stock_id: np.stack([rows[index[stock_id]] for rows, index in zip(normalized, index_maps)])
         for stock_id in common
     }
-    return sequences
 
 
 def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
@@ -217,9 +200,11 @@ def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
     right by one action day."""
     train_config = train_config or TrainConfig()
     window = build_window(dataset.calendar, action_day, w)
+    panels = _window_panels(dataset, universe, window)
+    stats = _pooled_stats(panels[:-1])
+    normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
 
-    _, stats = _pooled_training_panels(dataset, universe, window.training_days)
-    train_sequences = _sequence_inputs(dataset, universe, window.training_days, stats)
+    train_sequences = _sequence_inputs(panels[:-1], normalized[:-1])
     samples = []
     labels = []
     for stock_id in sorted(train_sequences):
@@ -234,8 +219,7 @@ def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
     model = LstmModel.create(seed=train_config.seed, sequence_length=w)
     model, _ = train(model, np.stack(samples), np.array(labels), train_config)
 
-    predict_days = window.training_days[1:] + [action_day]
-    predict_sequences = _sequence_inputs(dataset, universe, predict_days, stats)
+    predict_sequences = _sequence_inputs(panels[1:], normalized[1:])
     if not predict_sequences:
         raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
     stocks = sorted(predict_sequences)

@@ -25,7 +25,6 @@ from rollingquant.numerics import (
     TrainConfig,
     gradient_check,
     least_squares_fit,
-    lstm_forward,
     mse,
     train,
 )
@@ -224,7 +223,7 @@ def test_criterion_8_moderating_effect():
         model = LstmModel.create(seed=seed)
         model, _ = train(model, samples, labels,
                          TrainConfig(epochs=10, batch_size=10, seed=seed))
-        predictions = lstm_forward(model, samples)
+        predictions = model.forward(samples)
         if predictions.std() <= labels.std():
             passing += 1
     ok = passing >= 9

@@ -19,8 +19,6 @@ from rollingquant.numerics import (
     TrainConfig,
     gradient_check,
     least_squares_fit,
-    lstm_forward,
-    mlp_forward,
     model_from_json,
     model_to_json,
     mse,
@@ -118,26 +116,26 @@ class TestMlpForward:
         for w in model.weights:
             w[:] = 0.0
         batch = np.random.default_rng(0).normal(size=(4, 47))
-        assert np.array_equal(mlp_forward(model, batch), np.zeros(4))
+        assert np.array_equal(model.forward(batch), np.zeros(4))
 
     def test_relu_clamps_negative_preactivation(self):
         model = MlpModel(weights=[np.array([[1.0]]), np.array([[1.0]])],
                          biases=[np.zeros(1), np.zeros(1)], input_dim=1)
-        assert mlp_forward(model, np.array([[-3.0]]))[0] == 0.0
-        assert mlp_forward(model, np.array([[3.0]]))[0] == 3.0
+        assert model.forward(np.array([[-3.0]]))[0] == 0.0
+        assert model.forward(np.array([[3.0]]))[0] == 3.0
 
     def test_matches_scalar_oracle(self):
         model = MlpModel.create(seed=11)
         rng = np.random.default_rng(2)
         batch = rng.normal(size=(3, 47))
-        got = mlp_forward(model, batch)
+        got = model.forward(batch)
         for i in range(3):
             assert got[i] == pytest.approx(scalar_mlp_oracle(model, batch[i]), abs=1e-12)
 
     def test_wrong_width_rejected(self):
         model = MlpModel.create(seed=0)
         with pytest.raises(ValidationError):
-            mlp_forward(model, np.zeros((2, 46)))
+            model.forward(np.zeros((2, 46)))
 
 
 def zeroed_lstm(seed=0):
@@ -156,7 +154,7 @@ class TestLstmForward:
         model = zeroed_lstm()
         model.readout_b[0] = 0.75
         batch = np.random.default_rng(0).normal(size=(5, 3, 47))
-        assert np.allclose(lstm_forward(model, batch), 0.75, atol=1e-15)
+        assert np.allclose(model.forward(batch), 0.75, atol=1e-15)
 
     def test_gate_saturation(self):
         # update gate pinned open, forget gate pinned shut: c_1 = c-tilde_1
@@ -177,14 +175,14 @@ class TestLstmForward:
         model = LstmModel.create(seed=9)
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(2, 3, 47))
-        got = lstm_forward(model, batch)
+        got = model.forward(batch)
         for i in range(2):
             assert got[i] == pytest.approx(scalar_lstm_oracle(model, batch[i]), abs=1e-12)
 
     def test_wrong_shape_rejected(self):
         model = LstmModel.create(seed=0)
         with pytest.raises(ValidationError):
-            lstm_forward(model, np.zeros((2, 4, 47)))
+            model.forward(np.zeros((2, 4, 47)))
 
 
 class TestTrain:
@@ -277,6 +275,16 @@ class TestGradientCheck:
         _, losses = train(model, samples, labels, config)
         _, fresh_losses = train(create(), samples, labels, config)
         assert losses == fresh_losses
+
+    def test_non_finite_error_fails(self):
+        # weights of 1e200 overflow the loss; a NaN error must not pass as 0.0
+        model = MlpModel.create(seed=14, input_dim=3, hidden_sizes=(2,))
+        for w in model.weights:
+            w[...] = 1e200
+        rng = np.random.default_rng(14)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = gradient_check(model, rng.normal(size=(4, 3)), rng.normal(size=4))
+        assert err == math.inf
 
     def test_single_weight_closed_form(self):
         # loss (wx - y)^2 has derivative 2wx^2 - 2xy

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_market, make_bar
+from rollingquant import strategies
 from rollingquant.errors import StrategyError, ValidationError
 from rollingquant.marketdata import eligible_universe
 from rollingquant.numerics import TrainConfig
@@ -93,15 +94,14 @@ class TestSelectTargets:
         ranking = Ranking(date=Date(2015, 6, 30),
                           entries=[("A", 3.0), ("B", 2.0), ("C", 1.0),
                                    ("D", 0.5), ("E", 0.1)])
-        targets = select_targets(ranking, 2)
-        assert targets.weights == {"A": 0.5, "B": 0.5}
+        assert select_targets(ranking, 2) == {"A": 0.5, "B": 0.5}
 
     def test_shallow_ranking_leaves_cash(self):
         ranking = Ranking(date=Date(2015, 6, 30),
                           entries=[(s, 1.0 - i) for i, s in enumerate("ABCD")])
         targets = select_targets(ranking, 10)
-        assert targets.weights == {s: 0.1 for s in "ABCD"}
-        assert sum(targets.weights.values()) == pytest.approx(0.4)
+        assert targets == {s: 0.1 for s in "ABCD"}
+        assert sum(targets.values()) == pytest.approx(0.4)
 
     def test_k_must_be_positive(self):
         ranking = Ranking(date=Date(2015, 6, 30), entries=[("A", 1.0)])
@@ -183,6 +183,28 @@ class TestProjectionStrategies:
         market = fresh_market()
         with pytest.raises(ValidationError):
             rank_stocks("cnn", market, Date(2015, 9, 30), {"S0000"})
+
+
+class TestWindowPanels:
+    @pytest.mark.parametrize("rank,kwargs", [
+        (rank_linear_regression, {}),
+        (rank_fcnn, {"train_config": TrainConfig(epochs=1)}),
+        (rank_lstm, {"train_config": TrainConfig(epochs=1)}),
+    ], ids=["linreg", "fcnn", "lstm"])
+    def test_one_panel_per_window_date(self, rank, kwargs, monkeypatch):
+        d = Date(2015, 9, 30)
+        market = fresh_market()
+        universe = eligible_universe(market, d)
+        built = []
+        build_panel = strategies.build_panel
+
+        def counting_build_panel(dataset, universe, day):
+            built.append(day)
+            return build_panel(dataset, universe, day)
+
+        monkeypatch.setattr(strategies, "build_panel", counting_build_panel)
+        rank(market, d, universe, w=3, **kwargs)
+        assert built == build_window(market.calendar, d, 3).training_days + [d]
 
 
 class TestNoLookahead:
