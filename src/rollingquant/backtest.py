@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date as Date
 
 from .errors import RebalanceError, StrategyError, ValidationError
+from .factors import MarketStore
 from .marketdata import EligibilityRules, MarketDataset, action_days, eligible_universe
 from .numerics import TrainConfig
 from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, rank_stocks, select_targets
@@ -150,10 +151,18 @@ class BacktestResult:
     rankings: list  # per-action-day Ranking
 
 
-def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig) -> BacktestResult:
+def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig,
+                 store: MarketStore | None = None) -> BacktestResult:
+    """Simulate one strategy over the scenario range.
+
+    store shares factor rows with other scenarios on the same dataset; without
+    one, the rows are shared only among this scenario's action days.
+    """
     days = dataset.calendar.days_between(config.start, config.end)
     if not days:
         raise ValidationError("scenario range contains no trading days")
+    if store is None:
+        store = MarketStore(dataset)
     rebalance_days = set(action_days(dataset.calendar, config.start, config.end))
 
     portfolio = Portfolio(cash=config.initial_capital)
@@ -181,7 +190,7 @@ def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig) 
             action_index += 1
             try:
                 ranking = rank_stocks(strategy, dataset, d, universe,
-                                      config.window, train_config)
+                                      config.window, train_config, store=store)
             except StrategyError as exc:
                 raise StrategyError(f"{d.isoformat()}: {exc}") from exc
             rankings.append(ranking)

@@ -7,9 +7,7 @@ Subcommands: gen-data, backtest, gradcheck, report. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +15,15 @@ import numpy as np
 from .backtest import run_scenario
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
-from .exports import write_dataset, write_ranking_csv, write_series_csv, write_trades_csv
-from .marketdata import load_dataset
+from .exports import (
+    SERIES_COLUMNS,
+    write_dataset,
+    write_ranking_csv,
+    write_series_csv,
+    write_trades_csv,
+)
+from .factors import MarketStore
+from .marketdata import _parse_date, _parse_float, _read_rows, load_dataset
 from .metrics import ReturnSeries, build_report, result_series
 from .numerics import LstmModel, MlpModel, gradient_check
 from .synthetic import generate_synthetic_market
@@ -53,8 +58,10 @@ def cmd_gen_data(config, out=None):
 def cmd_backtest(config, out=None):
     out = out if out is not None else sys.stdout
     dataset = _load_or_generate(config)
+    # one store for all strategies, so each factor row is computed once
+    store = MarketStore(dataset)
     for strategy in config.strategies:
-        result = run_scenario(dataset, strategy, config.scenario_config(strategy))
+        result = run_scenario(dataset, strategy, config.scenario_config(strategy), store)
         strategy_dir = Path(config.out_dir) / strategy
         strategy_dir.mkdir(parents=True, exist_ok=True)
         series, benchmark = result_series(result)
@@ -93,14 +100,14 @@ def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
     dates = []
     portfolio_returns = []
     benchmark_returns = []
-    with open(series_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if row["portfolio_daily_return"] == "":
-                continue
-            dates.append(datetime.strptime(row["date"], "%Y-%m-%d").date())
-            portfolio_returns.append(float(row["portfolio_daily_return"]))
-            benchmark_returns.append(float(row["benchmark_daily_return"]))
+    for line_no, (day, _, portfolio, bench) in _read_rows(series_path, SERIES_COLUMNS):
+        if portfolio == "":
+            continue  # the first row has no previous valuation
+        dates.append(_parse_date(day, series_path, line_no, "date"))
+        portfolio_returns.append(
+            _parse_float(portfolio, series_path, line_no, "portfolio_daily_return"))
+        benchmark_returns.append(
+            _parse_float(bench, series_path, line_no, "benchmark_daily_return"))
     if not dates:
         raise DataError(f"{series_path}: no return rows")
     series = ReturnSeries(dates=dates, returns=np.array(portfolio_returns))

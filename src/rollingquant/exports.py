@@ -12,6 +12,9 @@ from pathlib import Path
 from .marketdata import BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset
 
 
+SERIES_COLUMNS = ["date", "portfolio_value", "portfolio_daily_return", "benchmark_daily_return"]
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -65,8 +68,7 @@ def write_series_csv(result, path):
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "portfolio_value",
-                         "portfolio_daily_return", "benchmark_daily_return"])
+        writer.writerow(SERIES_COLUMNS)
         for i, d in enumerate(result.dates):
             if i == 0:
                 writer.writerow([d.isoformat(), _fmt(result.values[i]), "", ""])

@@ -4,11 +4,15 @@
 windows: 1/3/6/12 months = 21/63/126/252 days; the 2-year turnover baseline
 uses up to 504 days (at least 252 required). Missing or non-computable
 values are masked and later imputed with the cross-sectional median.
+
+A MarketStore holds each stock's bars as dense arrays and computes each
+(stock, date) factor row once, so the strategies of one run share their rows.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -39,6 +43,7 @@ MONTH_COUNTS = (1, 3, 6, 12)
 TWO_YEAR_DAYS = 504
 WINSOR_SIGMAS = 5.0
 MAX_MISSING_FRACTION = 0.5
+MACD_MIN_OBSERVATIONS = 35
 
 
 def ema(series, n: int):
@@ -55,15 +60,21 @@ def ema(series, n: int):
     return out
 
 
+def macd_series(closes):
+    """(dif, dea, macd) series over the close series; each value depends only
+    on the closes up to its date."""
+    closes = np.asarray(closes, dtype=float)
+    dif = ema(closes, 12) - ema(closes, 26)
+    dea = ema(dif, 9)
+    return dif, dea, 2.0 * (dif - dea)
+
+
 def macd_indicators(closes):
     """(dif, dea, macd) at the final date of the close series."""
-    if len(closes) < 35:
-        raise ValidationError("macd_indicators requires at least 35 observations")
-    closes = np.asarray(closes, dtype=float)
-    dif_series = ema(closes, 12) - ema(closes, 26)
-    dif = float(dif_series[-1])
-    dea = float(ema(dif_series, 9)[-1])
-    return dif, dea, 2.0 * (dif - dea)
+    if len(closes) < MACD_MIN_OBSERVATIONS:
+        raise ValidationError(
+            f"macd_indicators requires at least {MACD_MIN_OBSERVATIONS} observations")
+    return tuple(float(series[-1]) for series in macd_series(closes))
 
 
 def rolling_beta(stock_returns, benchmark_returns) -> float:
@@ -96,7 +107,42 @@ def _safe_ratio(numerator, denominator):
     return value if math.isfinite(value) else None
 
 
-def compute_raw_factors(dataset: MarketDataset, stock_id: str, d: Date) -> FactorVector:
+class _StockColumns:
+    """One stock's bars as dense arrays along its own bar sequence.
+
+    The benchmark is aligned to the stock's bar dates (NaN where it has no
+    close), and the MACD series are computed once over the whole history:
+    each value depends only on the prefix up to its date.
+    """
+
+    def __init__(self, dataset: MarketDataset, stock_id: str):
+        self.stock_id = stock_id
+        by_date = dataset.bars.get(stock_id, {})
+        self.dates = dates = sorted(by_date)
+        bars = [by_date[d] for d in dates]
+        self.close = np.array([b.close for b in bars], dtype=float)
+        self.turnover = np.array([b.turnover_ratio for b in bars], dtype=float)
+        self.market_cap = np.array([b.market_cap for b in bars], dtype=float)
+        self.benchmark = np.array([dataset.benchmark.get(d, np.nan) for d in dates],
+                                  dtype=float)
+        # returns[j] belongs to dates[j+1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.returns = self.close[1:] / self.close[:-1] - 1.0
+            self.benchmark_returns = self.benchmark[1:] / self.benchmark[:-1] - 1.0
+        self.macd = macd_series(self.close) if len(dates) >= MACD_MIN_OBSERVATIONS else None
+        # stable sort: among snapshots of one date the first listed wins
+        self.snapshots = sorted(dataset.fundamentals.get(stock_id, ()), key=lambda s: s.date)
+        self.snapshot_dates = [s.date for s in self.snapshots]
+
+    def fundamental_asof(self, d: Date):
+        """Latest snapshot dated at or before d, or None."""
+        end = bisect_right(self.snapshot_dates, d)
+        if end == 0:
+            return None
+        return self.snapshots[bisect_left(self.snapshot_dates, self.snapshot_dates[end - 1])]
+
+
+def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
     """All 47 raw factors from data at or before d; missing values masked."""
     values = np.zeros(N_FACTORS)
     mask = np.ones(N_FACTORS, dtype=bool)
@@ -106,22 +152,19 @@ def compute_raw_factors(dataset: MarketDataset, stock_id: str, d: Date) -> Facto
             values[FACTOR_INDEX[name]] = value
             mask[FACTOR_INDEX[name]] = False
 
-    by_date = dataset.bars.get(stock_id, {})
-    dates = sorted(bd for bd in by_date if bd <= d)
-    if not dates or dates[-1] != d:
-        return FactorVector(stock_id, d, values, mask)
-    closes = np.array([by_date[bd].close for bd in dates])
-    turnover = np.array([by_date[bd].turnover_ratio for bd in dates])
-    bar = by_date[d]
-    mcap = bar.market_cap
-    idx = len(dates) - 1
+    idx = bisect_left(columns.dates, d)
+    if idx == len(columns.dates) or columns.dates[idx] != d:
+        return FactorVector(columns.stock_id, d, values, mask)
+    closes, turnover, returns = columns.close, columns.turnover, columns.returns
+    close = float(closes[idx])
+    mcap = float(columns.market_cap[idx])
 
-    if bar.close > 0:
-        put("LN_PRICE", math.log(bar.close))
+    if close > 0:
+        put("LN_PRICE", math.log(close))
     if mcap > 0:
         put("LN_MCAP", math.log(mcap))
 
-    snap = dataset.fundamental_asof(stock_id, d)
+    snap = columns.fundamental_asof(d)
     if snap is not None and mcap > 0:
         put("EP", _safe_ratio(snap.net_profit, mcap))
         put("EP_CUT", _safe_ratio(snap.net_profit - snap.non_recurring_gain_loss, mcap))
@@ -141,11 +184,6 @@ def compute_raw_factors(dataset: MarketDataset, stock_id: str, d: Date) -> Facto
         put("DEBT_EQUITY", _safe_ratio(snap.long_term_debt, snap.net_assets))
         put("CASH_RATIO", _safe_ratio(snap.cash, snap.current_liabilities))
         put("CURRENT_RATIO", _safe_ratio(snap.current_assets, snap.current_liabilities))
-
-    # Daily returns over the stock's own bar sequence; returns[j] belongs to
-    # dates[j+1].
-    with np.errstate(divide="ignore", invalid="ignore"):
-        returns = closes[1:] / closes[:-1] - 1.0
 
     for w, n_months, rname, mname, dname, sname, tname, relname in zip(
         MONTH_DAYS, MONTH_COUNTS,
@@ -177,24 +215,50 @@ def compute_raw_factors(dataset: MarketDataset, stock_id: str, d: Date) -> Facto
                 if base > 0:
                     put(relname, float(trailing.mean()) / base - 1.0)
 
-    if idx >= 252:
-        win_dates = dates[idx - 252:idx + 1]
-        bench = [dataset.benchmark.get(bd) for bd in win_dates]
-        if all(b is not None and b > 0 for b in bench):
-            bench = np.asarray(bench, dtype=float)
-            bench_returns = bench[1:] / bench[:-1] - 1.0
-            try:
-                put("BETA", rolling_beta(returns[idx - 252:idx], bench_returns))
-            except ValidationError:
-                pass
+    if idx >= 252 and (columns.benchmark[idx - 252:idx + 1] > 0).all():
+        try:
+            put("BETA", rolling_beta(returns[idx - 252:idx],
+                                     columns.benchmark_returns[idx - 252:idx]))
+        except ValidationError:
+            pass
 
-    if len(closes) >= 35:
-        dif, dea, macd = macd_indicators(closes)
-        put("DIF", dif)
-        put("DEA", dea)
-        put("MACD", macd)
+    if idx + 1 >= MACD_MIN_OBSERVATIONS:
+        dif, dea, macd = columns.macd
+        put("DIF", dif[idx])
+        put("DEA", dea[idx])
+        put("MACD", macd[idx])
 
-    return FactorVector(stock_id, d, values, mask)
+    return FactorVector(columns.stock_id, d, values, mask)
+
+
+class MarketStore:
+    """Point-in-time columnar view of one MarketDataset, shared by the
+    strategies of a run.
+
+    A stock's columns are read from the dataset the first time it is asked
+    for, and each (stock, date) factor row is computed once. The dataset must
+    therefore not change while the store is in use: build one per run or per
+    call, and never keep one on the dataset.
+    """
+
+    def __init__(self, dataset: MarketDataset):
+        self.dataset = dataset
+        self._columns: dict[str, _StockColumns] = {}
+        self._rows: dict[tuple[str, Date], FactorVector] = {}
+
+    def row(self, stock_id: str, d: Date) -> FactorVector:
+        """The stock's raw factors on d, from data at or before d."""
+        key = (stock_id, d)
+        if key not in self._rows:
+            if stock_id not in self._columns:
+                self._columns[stock_id] = _StockColumns(self.dataset, stock_id)
+            self._rows[key] = _factor_row(self._columns[stock_id], d)
+        return self._rows[key]
+
+
+def compute_raw_factors(dataset: MarketDataset, stock_id: str, d: Date) -> FactorVector:
+    """All 47 raw factors from data at or before d; missing values masked."""
+    return MarketStore(dataset).row(stock_id, d)
 
 
 @dataclass
@@ -216,17 +280,20 @@ class FactorPanel:
     stocks: list[str]
     matrix: np.ndarray        # |stocks| x 47
     missing: np.ndarray       # bool, same shape
-    normalized: bool = False
-    stats: NormalizationStats | None = None
 
 
-def build_panel(dataset: MarketDataset, universe, d: Date) -> FactorPanel:
-    """Raw factor panel, one row per universe stock, ascending stock_id."""
+def build_panel(source: MarketStore | MarketDataset, universe, d: Date) -> FactorPanel:
+    """Raw factor panel, one row per universe stock, ascending stock_id.
+
+    source is a MarketStore, or a MarketDataset to read through a store
+    scoped to this call.
+    """
+    store = source if isinstance(source, MarketStore) else MarketStore(source)
     stocks = sorted(universe)
     matrix = np.zeros((len(stocks), N_FACTORS))
     missing = np.ones((len(stocks), N_FACTORS), dtype=bool)
     for i, stock_id in enumerate(stocks):
-        fv = compute_raw_factors(dataset, stock_id, d)
+        fv = store.row(stock_id, d)
         matrix[i] = fv.values
         missing[i] = fv.missing_mask
     return FactorPanel(date=d, stocks=stocks, matrix=matrix, missing=missing)
@@ -274,15 +341,11 @@ def drop_sparse_rows(panel: FactorPanel) -> FactorPanel:
         stocks=[s for s, k in zip(panel.stocks, keep) if k],
         matrix=panel.matrix[keep],
         missing=panel.missing[keep],
-        normalized=panel.normalized,
-        stats=panel.stats,
     )
 
 
 def normalize_panel(panel: FactorPanel) -> FactorPanel:
     """Normalized copy of a raw panel (sparse rows dropped first)."""
-    if panel.normalized:
-        raise ValidationError("panel is already normalized")
     panel = drop_sparse_rows(panel)
     stats = compute_normalization(panel.matrix, panel.missing)
     matrix = apply_normalization(panel.matrix, panel.missing, stats)
@@ -291,6 +354,4 @@ def normalize_panel(panel: FactorPanel) -> FactorPanel:
         stocks=list(panel.stocks),
         matrix=matrix,
         missing=np.zeros_like(panel.missing),
-        normalized=True,
-        stats=stats,
     )

@@ -1,8 +1,9 @@
 """Daily bars, fundamentals, benchmark and trading-calendar handling.
 
 The dataset is a plain in-memory structure keyed by (stock_id, date).
-Everything downstream (factors, strategies, backtest) re-reads it on each
-call, so tests may mutate rows freely to probe lookahead behaviour.
+Everything downstream (factors, strategies, backtest) reads it afresh on each
+call; the factor store lives for one run or one call and is never kept on the
+dataset, so tests may mutate rows between calls to probe lookahead behaviour.
 """
 
 from __future__ import annotations
@@ -245,7 +246,11 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
             raise ValidationError(
                 f"bar for {stock_id} on {d.isoformat()}: volume/turnover must be >= 0"
             )
-        bars.setdefault(stock_id, {})[d] = bar
+        by_date = bars.setdefault(stock_id, {})
+        if d in by_date:
+            raise ParseError(
+                f"{bars_path}:{line_no}: duplicate bar for ({stock_id}, {d.isoformat()})")
+        by_date[d] = bar
 
     fundamentals: dict[str, list[FundamentalSnapshot]] = {}
     for line_no, row in _read_rows(fundamentals_path, FUNDAMENTALS_COLUMNS):
@@ -272,6 +277,9 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
         close = _parse_float(row[1], benchmark_path, line_no, "close")
         if close <= 0:
             raise ValidationError(f"benchmark close on {d.isoformat()} must be > 0")
+        if d in benchmark:
+            raise ParseError(
+                f"{benchmark_path}:{line_no}: duplicate benchmark date {d.isoformat()}")
         benchmark[d] = close
 
     all_dates = set(benchmark)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import StrategyError, ValidationError
 from .factors import (
     LN_MCAP_INDEX,
+    MarketStore,
     apply_normalization,
     build_panel,
     compute_normalization,
@@ -104,10 +105,17 @@ def _mcap_log(dataset, stock_id, d):
     return math.log(bar.market_cap)
 
 
-def _window_panels(dataset, universe, window: TrainingWindow):
-    """Raw panels for the training days then the action day, sparse rows dropped."""
+def _window_panels(dataset, universe, window: TrainingWindow, store: MarketStore | None):
+    """Raw panels for the training days then the action day, sparse rows dropped.
+
+    Rows come from store, or from a store scoped to this call when it is None.
+    """
+    if store is None:
+        store = MarketStore(dataset)
+    elif store.dataset is not dataset:
+        raise ValidationError("market store was built on another dataset")
     days = window.training_days + [window.action_day]
-    return [drop_sparse_rows(build_panel(dataset, universe, day)) for day in days]
+    return [drop_sparse_rows(build_panel(store, universe, day)) for day in days]
 
 
 def _pooled_stats(panels):
@@ -119,10 +127,11 @@ def _pooled_stats(panels):
 
 
 def rank_linear_regression(dataset: MarketDataset, action_day: Date, universe,
-                           w: int = DEFAULT_WINDOW) -> Ranking:
+                           w: int = DEFAULT_WINDOW, store: MarketStore | None = None) -> Ranking:
     """Rank by valuation skew: fitted log market cap minus observed."""
     window = build_window(dataset.calendar, action_day, w)
-    *training, action = [normalize_panel(p) for p in _window_panels(dataset, universe, window)]
+    *training, action = [normalize_panel(p)
+                         for p in _window_panels(dataset, universe, window, store)]
     rows = []
     labels = []
     for panel in training:
@@ -150,11 +159,12 @@ def rank_linear_regression(dataset: MarketDataset, action_day: Date, universe,
 
 
 def rank_fcnn(dataset: MarketDataset, action_day: Date, universe,
-              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
+              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None,
+              store: MarketStore | None = None) -> Ranking:
     """Dense-network excess-return projector, one sample per (stock, day)."""
     train_config = train_config or TrainConfig()
     window = build_window(dataset.calendar, action_day, w)
-    panels = _window_panels(dataset, universe, window)
+    panels = _window_panels(dataset, universe, window, store)
     stats = _pooled_stats(panels[:-1])
     samples = []
     labels = []
@@ -195,12 +205,13 @@ def _sequence_inputs(panels, normalized):
 
 
 def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
-              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
+              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None,
+              store: MarketStore | None = None) -> Ranking:
     """Sequence projector; prediction window is the training window shifted
     right by one action day."""
     train_config = train_config or TrainConfig()
     window = build_window(dataset.calendar, action_day, w)
-    panels = _window_panels(dataset, universe, window)
+    panels = _window_panels(dataset, universe, window, store)
     stats = _pooled_stats(panels[:-1])
     normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
 
@@ -229,11 +240,13 @@ def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
 
 
 def rank_stocks(kind: str, dataset: MarketDataset, action_day: Date, universe,
-                w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
+                w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None,
+                store: MarketStore | None = None) -> Ranking:
+    """Rank with the named strategy; store, if given, must be built on dataset."""
     if kind == "linreg":
-        return rank_linear_regression(dataset, action_day, universe, w)
+        return rank_linear_regression(dataset, action_day, universe, w, store)
     if kind == "fcnn":
-        return rank_fcnn(dataset, action_day, universe, w, train_config)
+        return rank_fcnn(dataset, action_day, universe, w, train_config, store)
     if kind == "lstm":
-        return rank_lstm(dataset, action_day, universe, w, train_config)
+        return rank_lstm(dataset, action_day, universe, w, train_config, store)
     raise ValidationError(f"unknown strategy kind {kind!r}")

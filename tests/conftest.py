@@ -1,5 +1,6 @@
-"""Shared fixtures: hand-built micro markets and one mid-size generated one."""
+"""Shared fixtures: hand-built micro markets and generated ones."""
 
+from dataclasses import replace
 from datetime import date as Date
 from datetime import timedelta
 
@@ -104,3 +105,34 @@ def crash_market():
 @pytest.fixture(scope="session")
 def calendar_2015():
     return TradingCalendar(weekdays(Date(2015, 1, 1), Date(2015, 12, 31)))
+
+
+@pytest.fixture
+def gapped_market():
+    """A 10-stock generated market changed in place to carry frictions:
+
+    * S0000 misses every fifth bar;
+    * S0001 is suspended for 40 bars from its 300th, carried at its last close
+      with no turnover;
+    * S0002 lists late, with no bar and no snapshot before its 280th bar;
+    * S0003's bars stop 90 bars before the end of the data.
+    """
+    market = generate_synthetic_market(SyntheticMarketConfig(
+        seed=3, n_stocks=10, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
+        regime="crash", planted_signal_strength=0.5,
+    ))
+    bars = market.bars
+    for d in sorted(bars["S0000"])[::5]:
+        del bars["S0000"][d]
+    dates = sorted(bars["S0001"])
+    last = bars["S0001"][dates[299]]
+    for d in dates[300:340]:
+        bars["S0001"][d] = replace(last, date=d, prev_close=last.close, volume=0.0,
+                                   turnover_ratio=0.0, is_suspended=True)
+    listing = sorted(bars["S0002"])[280]
+    bars["S0002"] = {d: bar for d, bar in bars["S0002"].items() if d >= listing}
+    market.fundamentals["S0002"] = [s for s in market.fundamentals["S0002"]
+                                    if s.date >= listing]
+    for d in sorted(bars["S0003"])[-90:]:
+        del bars["S0003"][d]
+    return market

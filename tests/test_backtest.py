@@ -14,6 +14,7 @@ from rollingquant.backtest import (
     run_scenario,
 )
 from rollingquant.errors import RebalanceError, ValidationError
+from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 D0 = Date(2015, 6, 30)
 
@@ -178,6 +179,28 @@ class TestRunScenario:
         config = ScenarioConfig(start=Date(2015, 6, 6), end=Date(2015, 6, 7))
         with pytest.raises(ValidationError):
             run_scenario(crash_market, "linreg", config)
+
+    def test_each_call_sees_the_dataset_as_it_is(self):
+        def market():
+            return generate_synthetic_market(SyntheticMarketConfig(
+                seed=2, n_stocks=30, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
+                regime="crash", planted_signal_strength=0.5))
+
+        def inflate_turnover(dataset):
+            for bar in dataset.bars["S0000"].values():
+                bar.turnover_ratio *= 3.0
+
+        config = ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 10, 31),
+                                holdings=5, seed=1)
+        dataset = market()
+        first = run_scenario(dataset, "linreg", config)
+        inflate_turnover(dataset)
+        second = run_scenario(dataset, "linreg", config)
+        fresh = market()
+        inflate_turnover(fresh)
+        expected = run_scenario(fresh, "linreg", config)
+        assert [r.entries for r in second.rankings] != [r.entries for r in first.rankings]
+        assert [r.entries for r in second.rankings] == [r.entries for r in expected.rankings]
 
     def test_suspended_holding_carries_last_close(self):
         market = flat_market({f"S{i}": 50.0 + i for i in range(12)})

@@ -1,10 +1,12 @@
 """End-to-end CLI runs through main(): exit codes, outputs, determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from rollingquant import factors
 from rollingquant.cli import main
 
 BASE_INI = """\
@@ -93,6 +95,22 @@ class TestBacktest:
         main(["backtest", "--config", str(config)])
         assert tree_bytes(out_dir) == first
 
+    def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
+        computed = Counter()
+        factor_row = factors._factor_row
+
+        def counting_factor_row(columns, d):
+            computed[columns.stock_id, d] += 1
+            return factor_row(columns, d)
+
+        monkeypatch.setattr(factors, "_factor_row", counting_factor_row)
+        config, _ = write_config(tmp_path, strategies="linreg,fcnn,lstm",
+                                 train={"epochs": 1})
+        assert main(["backtest", "--config", str(config)]) == 0
+        # 4 action days with 3-day windows reach 7 month ends
+        assert len({d for _, d in computed}) == 7
+        assert set(computed.values()) == {1}
+
     def test_unknown_strategy_is_config_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, strategies="cnn")
         assert main(["backtest", "--config", str(config)]) == 1
@@ -145,3 +163,20 @@ class TestReport:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "no return rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("date,value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n",
+         "data error: {path}:1: expected header"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n2015-09-02,1000100,oops,0.001\n",
+         "data error: {path}:3: column 'portfolio_daily_return': bad number 'oops'"),
+        (None, "data error: cannot read {path}"),
+    ], ids=["wrong_header", "bad_number", "missing_file"])
+    def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
+        series = tmp_path / "series.csv"
+        if text is not None:
+            series.write_text(text)
+        code = main(["report", "--series", str(series), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message.format(path=series))

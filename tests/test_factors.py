@@ -13,6 +13,7 @@ from rollingquant.factors import (
     FACTOR_INDEX,
     FACTOR_NAMES,
     FactorPanel,
+    MarketStore,
     apply_normalization,
     build_panel,
     compute_normalization,
@@ -20,7 +21,6 @@ from rollingquant.factors import (
     drop_sparse_rows,
     ema,
     macd_indicators,
-    normalize_panel,
     rolling_beta,
 )
 
@@ -174,6 +174,46 @@ class TestRawFactors:
         assert np.array_equal(before.missing_mask, after.missing_mask)
 
 
+def truncated(market, cutoff):
+    """The market as it stood on cutoff: nothing dated after it."""
+    bars = {s: {d: bar for d, bar in by_date.items() if d <= cutoff}
+            for s, by_date in market.bars.items()}
+    fundamentals = {s: [snap for snap in snaps if snap.date <= cutoff]
+                    for s, snaps in market.fundamentals.items()}
+    benchmark = {d: close for d, close in market.benchmark.items() if d <= cutoff}
+    return build_market(bars, benchmark, fundamentals)
+
+
+class TestMarketStore:
+    def test_rows_see_no_data_after_their_date(self, gapped_market):
+        full = MarketStore(gapped_market)
+        for d in gapped_market.calendar.month_last_days():
+            asof = MarketStore(truncated(gapped_market, d))
+            for stock_id in gapped_market.stock_ids():
+                got, want = full.row(stock_id, d), asof.row(stock_id, d)
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.missing_mask, want.missing_mask)
+
+    def test_macd_matches_recomputation_on_the_prefix(self, gapped_market):
+        store = MarketStore(gapped_market)
+        columns = [FACTOR_INDEX["DIF"], FACTOR_INDEX["DEA"]]
+        for stock_id in gapped_market.stock_ids():
+            dates = gapped_market.bar_dates(stock_id)
+            closes = [gapped_market.bars[stock_id][bd].close for bd in dates]
+            for d in gapped_market.calendar.month_last_days():
+                row = store.row(stock_id, d)
+                if d not in gapped_market.bars[stock_id]:
+                    assert row.missing_mask.all()
+                    continue
+                i = dates.index(d)
+                if i + 1 < 35:
+                    assert row.missing_mask[columns].all()
+                    continue
+                dif, dea, _ = macd_indicators(closes[:i + 1])
+                assert np.array_equal(row.values[columns], [dif, dea])
+                assert not row.missing_mask[columns].any()
+
+
 class TestPanels:
     def test_shape_and_order(self, crash_market):
         d = Date(2015, 6, 30)
@@ -228,12 +268,6 @@ class TestNormalization:
         out = apply_normalization(col, missing, stats)
         # the outlier enters the z-score at the clip bound, not at 1e9
         assert out[-1, 0] == pytest.approx((stats.upper[0] - stats.means[0]) / stats.stds[0])
-
-    def test_normalize_panel_guards_double_application(self, crash_market):
-        panel = build_panel(crash_market, ["S0000", "S0001", "S0002"], Date(2015, 6, 30))
-        normalized = normalize_panel(panel)
-        with pytest.raises(ValidationError):
-            normalize_panel(normalized)
 
     def test_drop_sparse_rows(self):
         matrix = np.zeros((2, 47))

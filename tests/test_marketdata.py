@@ -193,3 +193,26 @@ class TestCsvRoundTrip:
         paths[0].write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="header"):
             load_dataset(*paths)
+
+    def test_duplicate_bar_rejected(self, tmp_path):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        market = build_market(bars, {d: 3000.0 for d in dates},
+                              {"A": [make_snapshot("A", dates[0])]})
+        paths = self._write(tmp_path, market)
+        with open(paths[0], "a") as fh:
+            fh.write("A,2015-06-02,999,10,0.2,0.02,9990,0\n")
+        with pytest.raises(ParseError, match=r"bars\.csv:7: duplicate bar for \(A, 2015-06-02\)"):
+            load_dataset(*paths)
+
+    def test_duplicate_benchmark_date_rejected(self, tmp_path):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        market = build_market(bars, {d: 3000.0 for d in dates},
+                              {"A": [make_snapshot("A", dates[0])]})
+        paths = self._write(tmp_path, market)
+        with open(paths[2], "a") as fh:
+            fh.write("2015-06-03,3100\n")
+        with pytest.raises(ParseError,
+                           match=r"benchmark\.csv:7: duplicate benchmark date 2015-06-03"):
+            load_dataset(*paths)

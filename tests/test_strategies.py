@@ -9,6 +9,7 @@ import pytest
 from conftest import flat_market, make_bar
 from rollingquant import strategies
 from rollingquant.errors import StrategyError, ValidationError
+from rollingquant.factors import MarketStore
 from rollingquant.marketdata import eligible_universe
 from rollingquant.numerics import TrainConfig
 from rollingquant.strategies import (
@@ -205,6 +206,13 @@ class TestWindowPanels:
         monkeypatch.setattr(strategies, "build_panel", counting_build_panel)
         rank(market, d, universe, w=3, **kwargs)
         assert built == build_window(market.calendar, d, 3).training_days + [d]
+
+    def test_store_of_another_dataset_rejected(self):
+        d = Date(2015, 9, 30)
+        market = fresh_market()
+        with pytest.raises(ValidationError, match="another dataset"):
+            rank_linear_regression(market, d, eligible_universe(market, d),
+                                   store=MarketStore(fresh_market()))
 
 
 class TestNoLookahead:
