@@ -196,7 +196,9 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
     ):
         if idx >= w and closes[idx - w] > 0:
             put(rname, closes[idx] / closes[idx - w] - 1.0)
-        if idx >= w:
+        # the return after a close of 0 is inf and one within a spell of them
+        # NaN; every statistic of a window holding one would be masked
+        if idx >= w and np.isfinite(returns[idx - w:idx]).all():
             win_returns = returns[idx - w:idx]           # dates idx-w+1 .. idx
             win_turnover = turnover[idx - w + 1:idx + 1]
             product = win_returns * win_turnover
@@ -215,7 +217,8 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
                 if base > 0:
                     put(relname, float(trailing.mean()) / base - 1.0)
 
-    if idx >= 252 and (columns.benchmark[idx - 252:idx + 1] > 0).all():
+    if idx >= 252 and (columns.benchmark[idx - 252:idx + 1] > 0).all() \
+            and np.isfinite(returns[idx - 252:idx]).all():
         try:
             put("BETA", rolling_beta(returns[idx - 252:idx],
                                      columns.benchmark_returns[idx - 252:idx]))

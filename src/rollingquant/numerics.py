@@ -4,6 +4,14 @@ Hand-written dense feedforward network and stacked LSTM with full analytic
 backpropagation, a normal-equations least-squares solver, mini-batch Adam
 training, and a central-finite-difference gradient checker. Everything is
 float64 and deterministic given seeds.
+
+Each model keeps all its parameters in one flat float64 vector (`vector`),
+and every array parameters() returns is a reshaped view into it, so Adam
+updates the whole model with one set of elementwise operations per step.
+An LSTM layer fuses its four gates: W_a (hidden, 4 hidden), W_x (input,
+4 hidden) and B (4 hidden,) hold the gates' columns in c, u, f, o order, so
+a time step takes two matmuls forward and three backward, plus one matmul
+per layer for the gradient its inputs get.
 """
 
 from __future__ import annotations
@@ -49,13 +57,30 @@ def least_squares_fit(X, y):
     return np.linalg.solve(gram, X.T @ y)
 
 
-def _glorot_uniform(rng, fan_in, fan_out):
+def _glorot_uniform(rng, fan_in, fan_out, copies=()):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=copies + (fan_in, fan_out))
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), computed in one buffer."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def _flatten(model):
+    """Copy the model's parameters into one flat float64 vector, put a
+    reshaped view of it in each parameter slot, and return the vector."""
+    slots = list(model._parameter_slots())
+    vector = np.concatenate([slot[key] for slot, key in slots], axis=None, dtype=float)
+    offset = 0
+    for slot, key in slots:
+        p = slot[key]
+        slot[key] = vector[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+    return vector
 
 
 @dataclass
@@ -76,9 +101,10 @@ class MlpModel:
     """Dense network, ReLU hidden layers, linear scalar output."""
 
     def __init__(self, weights, biases, input_dim):
-        self.weights = weights  # list of (d_in, d_out) arrays
-        self.biases = biases    # list of (d_out,) arrays
+        self.weights = list(weights)  # (d_in, d_out) views into vector
+        self.biases = list(biases)    # (d_out,) views into vector
         self.input_dim = input_dim
+        self.vector = _flatten(self)
 
     @classmethod
     def create(cls, seed: int, input_dim: int = 47, hidden_sizes=MLP_HIDDEN_SIZES):
@@ -134,30 +160,56 @@ class MlpModel:
 
 
 class LstmLayer:
-    """One recurrent layer: candidate + update/forget/output gates."""
+    """One recurrent layer: candidate + update/forget/output gates.
+
+    The gates are fused: W_a (hidden, 4 hidden), W_x (input, 4 hidden) and
+    B (4 hidden,) hold gate g's columns from GATE_NAMES.index(g) * hidden on,
+    and w_a[g], w_x[g] and b[g] are writable views of those columns.
+    """
 
     GATE_NAMES = ("c", "u", "f", "o")
 
-    def __init__(self, w_a, w_x, b, input_dim, hidden_dim):
-        self.w_a = w_a  # dict gate -> (hidden, hidden)
-        self.w_x = w_x  # dict gate -> (input, hidden)
-        self.b = b      # dict gate -> (hidden,)
+    def __init__(self, W_a, W_x, B, input_dim, hidden_dim):
+        self.W_a = W_a
+        self.W_x = W_x
+        self.B = B
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
 
     @classmethod
     def create(cls, rng, input_dim, hidden_dim):
-        w_a = {g: _glorot_uniform(rng, hidden_dim, hidden_dim) for g in cls.GATE_NAMES}
-        w_x = {g: _glorot_uniform(rng, input_dim, hidden_dim) for g in cls.GATE_NAMES}
-        b = {g: np.zeros(hidden_dim) for g in cls.GATE_NAMES}
-        return cls(w_a, w_x, b, input_dim, hidden_dim)
+        # the gates' draws leave the stream in GATE_NAMES order, as separate
+        # per-gate draws did, so a seed still gives the same weights
+        def fused(fan_in):
+            draws = _glorot_uniform(rng, fan_in, hidden_dim, (len(cls.GATE_NAMES),))
+            return draws.transpose(1, 0, 2).reshape(fan_in, -1)
+
+        W_a = fused(hidden_dim)  # drawn first, as the per-gate arrays were
+        W_x = fused(input_dim)
+        return cls(W_a, W_x, np.zeros(4 * hidden_dim), input_dim, hidden_dim)
+
+    def _gate_columns(self, fused):
+        """Gate name -> writable view of that gate's columns of fused."""
+        h = self.hidden_dim
+        return {g: fused[..., i * h:(i + 1) * h] for i, g in enumerate(self.GATE_NAMES)}
+
+    @property
+    def w_a(self):
+        return self._gate_columns(self.W_a)
+
+    @property
+    def w_x(self):
+        return self._gate_columns(self.W_x)
+
+    @property
+    def b(self):
+        return self._gate_columns(self.B)
 
     def _parameter_slots(self):
         """(container, key) holding each parameter, in parameters() order."""
-        for g in self.GATE_NAMES:
-            yield self.w_a, g
-            yield self.w_x, g
-            yield self.b, g
+        yield vars(self), "W_a"
+        yield vars(self), "W_x"
+        yield vars(self), "B"
 
     def parameters(self):
         return [slot[key] for slot, key in self._parameter_slots()]
@@ -168,16 +220,17 @@ class LstmLayer:
         Leading axes of stacked parameters broadcast and land between T and b,
         and a later layer accepts such a (T, ..., b, input_dim) sequence.
         """
-        state_shape = x_seq.shape[1:-1] + (self.hidden_dim,)
+        h = self.hidden_dim
+        state_shape = x_seq.shape[1:-1] + (h,)
         a = np.zeros(state_shape)
         c = np.zeros(state_shape)
         cache = []
         a_steps = []
         for x in x_seq:
-            c_tilde = np.tanh(a @ self.w_a["c"] + x @ self.w_x["c"] + self.b["c"])
-            g_u = _sigmoid(a @ self.w_a["u"] + x @ self.w_x["u"] + self.b["u"])
-            g_f = _sigmoid(a @ self.w_a["f"] + x @ self.w_x["f"] + self.b["f"])
-            g_o = _sigmoid(a @ self.w_a["o"] + x @ self.w_x["o"] + self.b["o"])
+            z = a @ self.W_a + x @ self.W_x + self.B
+            c_tilde = np.tanh(z[..., :h])
+            gates = _sigmoid(z[..., h:])
+            g_u, g_f, g_o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
             c_new = g_u * c_tilde + g_f * c
             tanh_c = np.tanh(c_new)
             a_new = g_o * tanh_c
@@ -189,39 +242,33 @@ class LstmLayer:
     def backward(self, da_seq, cache):
         """da_seq: gradient w.r.t. each step's output a_t.
 
-        Returns (dx_seq, grads aligned with parameters()).
+        Returns (dz_seq, grads aligned with parameters()): dz_seq[t] is the
+        gradient w.r.t. step t's fused pre-activations, so the gradient
+        w.r.t. the layer's inputs is dz_seq @ W_x.T.
         """
-        T = len(cache)
-        gw_a = {g: np.zeros_like(self.w_a[g]) for g in self.GATE_NAMES}
-        gw_x = {g: np.zeros_like(self.w_x[g]) for g in self.GATE_NAMES}
-        gb = {g: np.zeros_like(self.b[g]) for g in self.GATE_NAMES}
-        dx_seq = np.empty((T,) + cache[0][0].shape)
+        h = self.hidden_dim
+        gW_a = np.zeros_like(self.W_a)
+        gW_x = np.zeros_like(self.W_x)
+        gB = np.zeros_like(self.B)
+        dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
         da_next = np.zeros_like(da_seq[0])
         dc_next = np.zeros_like(da_seq[0])
-        for t in range(T - 1, -1, -1):
+        for t in range(len(cache) - 1, -1, -1):
             x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
             da = da_seq[t] + da_next
             dc = da * g_o * (1.0 - tanh_c * tanh_c) + dc_next
-            dz = {
-                "o": da * tanh_c * g_o * (1.0 - g_o),
-                "c": dc * g_u * (1.0 - c_tilde * c_tilde),
-                "u": dc * c_tilde * g_u * (1.0 - g_u),
-                "f": dc * c_prev * g_f * (1.0 - g_f),
-            }
+            dz = dz_seq[t]
+            dz[:, :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
+            dz[:, h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
+            dz[:, 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
+            dz[:, 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
             dc_next = dc * g_f
-            da_next = np.zeros_like(da)
-            dx = np.zeros_like(x)
-            for g in self.GATE_NAMES:
-                gw_a[g] += a_prev.T @ dz[g]
-                gw_x[g] += x.T @ dz[g]
-                gb[g] += dz[g].sum(axis=0)
-                da_next += dz[g] @ self.w_a[g].T
-                dx += dz[g] @ self.w_x[g].T
-            dx_seq[t] = dx
-        grads = []
-        for g in self.GATE_NAMES:
-            grads.extend((gw_a[g], gw_x[g], gb[g]))
-        return dx_seq, grads
+            gW_a += a_prev.T @ dz
+            gW_x += x.T @ dz
+            gB += dz.sum(axis=0)
+            if t:  # step 0's previous output is the zero initial state
+                da_next = dz @ self.W_a.T
+        return dz_seq, [gW_a, gW_x, gB]
 
 
 class LstmModel:
@@ -237,6 +284,7 @@ class LstmModel:
         self.readout_b = readout_b  # (1,)
         self.input_dim = input_dim
         self.sequence_length = sequence_length
+        self.vector = _flatten(self)
 
     @classmethod
     def create(cls, seed: int, input_dim: int = 47,
@@ -294,9 +342,12 @@ class LstmModel:
         da_seq = np.zeros_like(x_seq)
         da_seq[-1] = dpred @ self.readout_w.T
         layer_grads = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            da_seq, grads = layer.backward(da_seq, cache)
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[i]
+            dz_seq, grads = layer.backward(da_seq, caches[i])
             layer_grads.append(grads)
+            if i:  # the model's input needs no gradient
+                da_seq = dz_seq @ layer.W_x.T
         grads = []
         for g in reversed(layer_grads):
             grads.extend(g)
@@ -314,9 +365,11 @@ def train(model, samples, labels, config: TrainConfig):
     if not np.isfinite(labels).all():
         raise ValidationError("train: non-finite labels")
 
-    params = model.parameters()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    # Adam is elementwise, so one update of the flat vector gives the same
+    # bits as one update per parameter array
+    vector = model.vector
+    m = np.zeros_like(vector)
+    v = np.zeros_like(vector)
     rng = np.random.default_rng(config.seed)
     eps = 1e-8
     step = 0
@@ -332,12 +385,12 @@ def train(model, samples, labels, config: TrainConfig):
             step += 1
             bc1 = 1.0 - config.beta1 ** step
             bc2 = 1.0 - config.beta2 ** step
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi *= config.beta1
-                mi += (1.0 - config.beta1) * g
-                vi *= config.beta2
-                vi += (1.0 - config.beta2) * g * g
-                p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+            g = np.concatenate(grads, axis=None)
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            v *= config.beta2
+            v += (1.0 - config.beta2) * g * g
+            vector -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
         epoch_loss = mse(model.forward(samples), labels)
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"training diverged at epoch {epoch + 1}")
@@ -359,8 +412,9 @@ def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float =
     Entries are evaluated a chunk of up to GRADCHECK_CHUNK at a time: a stack
     of 2k perturbed copies of the tensor (+step copies, then -step copies)
     takes the tensor's place for one forward pass, which broadcasts over the
-    leading copy axis. The original array object is then put back, so every
-    parameter is restored exactly: same objects, same contents.
+    leading copy axis. The original array object, a view of the model's flat
+    vector, is then put back, so every parameter is restored exactly: same
+    objects, same contents.
 
     corruption is a test hook: it is added to the first analytic gradient
     entry to verify the check detects a broken backward pass.
@@ -453,11 +507,15 @@ def model_from_json(text: str):
             input_dim=doc["input_dim"],
         )
     if doc["kind"] == "lstm":
+        def fused(per_gate, axis):
+            return np.concatenate([np.array(per_gate[g], dtype=float)
+                                   for g in LstmLayer.GATE_NAMES], axis=axis)
+
         layers = [
             LstmLayer(
-                w_a={g: np.array(ld["w_a"][g], dtype=float) for g in LstmLayer.GATE_NAMES},
-                w_x={g: np.array(ld["w_x"][g], dtype=float) for g in LstmLayer.GATE_NAMES},
-                b={g: np.array(ld["b"][g], dtype=float) for g in LstmLayer.GATE_NAMES},
+                W_a=fused(ld["w_a"], 1),
+                W_x=fused(ld["w_x"], 1),
+                B=fused(ld["b"], 0),
                 input_dim=ld["input_dim"],
                 hidden_dim=ld["hidden_dim"],
             )

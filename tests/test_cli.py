@@ -1,13 +1,17 @@
 """End-to-end CLI runs through main(): exit codes, outputs, determinism."""
 
 import json
+import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rollingquant import factors
-from rollingquant.cli import main
+from rollingquant.cli import cmd_backtest, main
+from rollingquant.config import load_run_config
+from rollingquant.exports import write_dataset
 
 BASE_INI = """\
 [run]
@@ -110,6 +114,30 @@ class TestBacktest:
         # 4 action days with 3-day windows reach 7 month ends
         assert len({d for _, d in computed}) == 7
         assert set(computed.values()) == {1}
+
+    def test_close_zero_suspension_raises_no_warning(self, tmp_path, gapped_market):
+        # a bar at close 0 makes the next daily return inf; the return
+        # statistics and the beta of every window holding it are masked, and
+        # computing them printed numpy's "invalid value" warnings
+        bars = gapped_market.bars["S0004"]
+        d = sorted(bars)[400]
+        bars[d] = replace(bars[d], close=0.0, prev_close=0.0, market_cap=0.0,
+                          volume=0.0, turnover_ratio=0.0, is_suspended=True)
+        write_dataset(gapped_market, tmp_path)
+        trees = []
+        for action in ("ignore", "error"):
+            config, out_dir = write_config(tmp_path, strategies="linreg,fcnn,lstm",
+                                           out_name=action, train={"epochs": 1})
+            config.write_text(config.read_text().replace(
+                "source = synthetic",
+                "source = csv\nbars = bars.csv\nfundamentals = fundamentals.csv\n"
+                "benchmark = benchmark.csv"))
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert cmd_backtest(load_run_config(config)) == 0
+            trees.append(tree_bytes(out_dir))
+        assert len(trees[1]) == 12
+        assert trees[1] == trees[0]
 
     def test_unknown_strategy_is_config_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, strategies="cnn")

@@ -1,11 +1,14 @@
 """Solvers, networks, training loop and gradient checking.
 
 Oracles here are deliberately independent implementations: a pseudo-inverse
-solver for the least squares fit and scalar-loop evaluators for both network
-forward passes.
+solver for the least squares fit, scalar-loop evaluators for both network
+forward passes, the per-gate LSTM backpropagation the fused gates replaced,
+and Adam run per parameter array.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +188,210 @@ class TestLstmForward:
             model.forward(np.zeros((2, 4, 47)))
 
 
+GATES = LstmLayer.GATE_NAMES
+
+
+def per_gate_loss_and_gradients(model, batch, labels):
+    """The LSTM pass with one matmul per gate, as before the gates were fused.
+
+    Returns (predictions, loss, grads): grads per layer as w_a[g], w_x[g] and
+    b[g] for each gate in GATE_NAMES order, then the read-out's two.
+    """
+    x_seq = np.transpose(np.asarray(batch, dtype=float), (1, 0, 2))
+    params, caches = [], []
+    for layer in model.layers:
+        w_a = {g: np.ascontiguousarray(layer.w_a[g]) for g in GATES}
+        w_x = {g: np.ascontiguousarray(layer.w_x[g]) for g in GATES}
+        b = {g: layer.b[g].copy() for g in GATES}
+        params.append((w_a, w_x, b))
+        a = np.zeros(x_seq.shape[1:-1] + (layer.hidden_dim,))
+        c = np.zeros_like(a)
+        cache, a_steps = [], []
+        for x in x_seq:
+            c_tilde = np.tanh(a @ w_a["c"] + x @ w_x["c"] + b["c"])
+            g_u = 1.0 / (1.0 + np.exp(-(a @ w_a["u"] + x @ w_x["u"] + b["u"])))
+            g_f = 1.0 / (1.0 + np.exp(-(a @ w_a["f"] + x @ w_x["f"] + b["f"])))
+            g_o = 1.0 / (1.0 + np.exp(-(a @ w_a["o"] + x @ w_x["o"] + b["o"])))
+            c_new = g_u * c_tilde + g_f * c
+            tanh_c = np.tanh(c_new)
+            cache.append((x, a, c, c_tilde, g_u, g_f, g_o, tanh_c))
+            a, c = g_o * tanh_c, c_new
+            a_steps.append(a)
+        caches.append(cache)
+        x_seq = np.stack(a_steps)
+    final = x_seq[-1]
+    preds = (final @ model.readout_w + model.readout_b)[:, 0]
+    labels = np.asarray(labels, dtype=float)
+    loss = float(np.mean((preds - labels) ** 2))
+
+    dpred = (2.0 / len(labels)) * (preds - labels)[:, None]
+    da_seq = np.zeros_like(x_seq)
+    da_seq[-1] = dpred @ model.readout_w.T
+    layer_grads = []
+    for (w_a, w_x, b), cache in zip(reversed(params), reversed(caches)):
+        gw_a = {g: np.zeros_like(w_a[g]) for g in GATES}
+        gw_x = {g: np.zeros_like(w_x[g]) for g in GATES}
+        gb = {g: np.zeros_like(b[g]) for g in GATES}
+        dx_seq = np.empty((len(cache),) + cache[0][0].shape)
+        da_next = np.zeros_like(da_seq[0])
+        dc_next = np.zeros_like(da_seq[0])
+        for t in range(len(cache) - 1, -1, -1):
+            x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, tanh_c = cache[t]
+            da = da_seq[t] + da_next
+            dc = da * g_o * (1.0 - tanh_c * tanh_c) + dc_next
+            dz = {
+                "o": da * tanh_c * g_o * (1.0 - g_o),
+                "c": dc * g_u * (1.0 - c_tilde * c_tilde),
+                "u": dc * c_tilde * g_u * (1.0 - g_u),
+                "f": dc * c_prev * g_f * (1.0 - g_f),
+            }
+            dc_next = dc * g_f
+            da_next = np.zeros_like(da)
+            dx = np.zeros_like(x)
+            for g in GATES:
+                gw_a[g] += a_prev.T @ dz[g]
+                gw_x[g] += x.T @ dz[g]
+                gb[g] += dz[g].sum(axis=0)
+                da_next += dz[g] @ w_a[g].T
+                dx += dz[g] @ w_x[g].T
+            dx_seq[t] = dx
+        layer_grads.append([t for g in GATES for t in (gw_a[g], gw_x[g], gb[g])])
+        da_seq = dx_seq
+    grads = [t for layer in reversed(layer_grads) for t in layer]
+    return preds, loss, grads + [final.T @ dpred, dpred.sum(axis=0)]
+
+
+def per_gate_split(model, grads):
+    """Fused gradients re-cut into per_gate_loss_and_gradients' order."""
+    out = []
+    for i, layer in enumerate(model.layers):
+        h = layer.hidden_dim
+        gW_a, gW_x, gB = grads[3 * i:3 * i + 3]
+        for j in range(len(GATES)):
+            cols = slice(j * h, (j + 1) * h)
+            out.extend((gW_a[:, cols], gW_x[:, cols], gB[cols]))
+    return out + list(grads[3 * len(model.layers):])
+
+
+def randomized_lstm(seed):
+    """A default-size LSTM whose biases are not zero."""
+    model = LstmModel.create(seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        layer.B[:] = rng.normal(0.0, 0.3, size=layer.B.shape)
+    model.readout_b[:] = 0.1
+    return model
+
+
+class TestFusedGates:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_gate_oracle(self, seed):
+        # Only the sums over gates in the backward pass changed order, so
+        # the loss and the predictions are the oracle's bits and every
+        # gradient tensor agrees to 1e-12 of its largest entry.
+        model = randomized_lstm(seed)
+        rng = np.random.default_rng(100 + seed)
+        batch, labels = rng.normal(size=(10, 3, 47)), rng.normal(size=10) * 0.1
+        want_preds, want_loss, want_grads = per_gate_loss_and_gradients(model, batch, labels)
+        assert np.array_equal(model.forward(batch), want_preds)
+        loss, grads = model.loss_and_gradients(batch, labels)
+        assert loss == want_loss
+        got = per_gate_split(model, grads)
+        assert len(got) == len(want_grads) == 12 * len(model.layers) + 2
+        for g, w in zip(got, want_grads):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 300])
+    def test_forward_bits_match_per_gate_oracle(self, b):
+        model = randomized_lstm(3)
+        batch = np.random.default_rng(b).normal(size=(b, 3, 47))
+        assert np.array_equal(model.forward(batch),
+                              per_gate_loss_and_gradients(model, batch, np.zeros(b))[0])
+
+
+def per_tensor_adam(model, samples, labels, config):
+    """train's loop before the flat vector: Adam state per parameter array."""
+    params = model.parameters()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(config.seed)
+    eps = 1e-8
+    step = 0
+    losses = []
+    n = len(samples)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch_idx = order[start:start + config.batch_size]
+            _, grads = model.loss_and_gradients(samples[batch_idx], labels[batch_idx])
+            step += 1
+            bc1 = 1.0 - config.beta1 ** step
+            bc2 = 1.0 - config.beta2 ** step
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= config.beta1
+                mi += (1.0 - config.beta1) * g
+                vi *= config.beta2
+                vi += (1.0 - config.beta2) * g * g
+                p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+        losses.append(mse(model.forward(samples), labels))
+    return losses
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("create,shape", [
+        (lambda: MlpModel.create(seed=15), (60, 47)),
+        (lambda: LstmModel.create(seed=15, hidden_sizes=(6, 5, 4)), (60, 3, 47)),
+    ], ids=["mlp", "lstm"])
+    def test_bits_equal_per_tensor_adam(self, create, shape):
+        # Adam is elementwise: one update of the flat vector is the same
+        # arithmetic, entry by entry, as one update per parameter array
+        rng = np.random.default_rng(15)
+        samples, labels = rng.normal(size=shape), rng.normal(size=shape[0]) * 0.1
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2, seed=4)
+        model, losses = train(create(), samples, labels, config)
+        oracle = create()
+        assert losses == per_tensor_adam(oracle, samples, labels, config)
+        for p, q in zip(model.parameters(), oracle.parameters()):
+            assert np.array_equal(p, q)
+
+
+def views_of_vector(model):
+    """True if every parameter array and gate view shares the flat vector."""
+    arrays = list(model.parameters())
+    for layer in getattr(model, "layers", ()):
+        for g in GATES:
+            arrays += [layer.w_a[g], layer.w_x[g], layer.b[g]]
+    return (sum(p.size for p in model.parameters()) == model.vector.size
+            and all(np.shares_memory(p, model.vector) for p in arrays))
+
+
+class TestFlatVector:
+    @pytest.mark.parametrize("create,shape", [
+        (lambda: MlpModel.create(seed=16), (20, 47)),
+        (lambda: LstmModel.create(seed=16, hidden_sizes=(6, 5, 4)), (20, 3, 47)),
+    ], ids=["mlp", "lstm"])
+    def test_parameters_stay_views(self, create, shape):
+        rng = np.random.default_rng(16)
+        samples, labels = rng.normal(size=shape), rng.normal(size=20)
+        model = create()
+        assert views_of_vector(model)
+        assert views_of_vector(model_from_json(model_to_json(model)))
+        train(model, samples, labels, TrainConfig(epochs=1, batch_size=5))
+        assert views_of_vector(model)
+        gradient_check(model, samples[:5], labels[:5])
+        assert views_of_vector(model)
+
+    def test_gate_view_writes_reach_forward(self):
+        model = LstmModel.create(seed=17, hidden_sizes=(6, 5, 4))
+        batch = np.random.default_rng(17).normal(size=(4, 3, 47))
+        before = model.forward(batch)
+        vector = model.vector.copy()
+        model.layers[0].w_a["u"][:] += 0.5
+        assert not np.array_equal(model.forward(batch), before)
+        assert (model.vector != vector).sum() == 6 * 6
+
+
 class TestTrain:
     def test_already_at_minimum(self):
         model = MlpModel.create(seed=0)
@@ -258,9 +465,9 @@ class TestGradientCheck:
         (lambda: LstmModel.create(seed=13, hidden_sizes=(6, 5, 4)), (20, 3, 47)),
     ], ids=["mlp", "lstm"])
     def test_restores_parameter_objects(self, create, shape):
-        # train's Adam state and in-place writes such as zeroed_lstm's hold
-        # the parameter arrays themselves, so the check must put back the
-        # same objects with the same bytes
+        # train's Adam updates the flat vector, and in-place writes such as
+        # zeroed_lstm's go through the parameter arrays, so the check must put
+        # back the same objects, still views of the vector, with the same bytes
         rng = np.random.default_rng(13)
         samples, labels = rng.normal(size=shape), rng.normal(size=20)
         model = create()
@@ -270,6 +477,7 @@ class TestGradientCheck:
         after = model.parameters()
         assert len(after) == len(before)
         assert all(a is b for a, b in zip(after, before))
+        assert all(np.shares_memory(a, model.vector) for a in after)
         assert all(a.tobytes() == s.tobytes() for a, s in zip(after, saved))
         config = TrainConfig(epochs=2, batch_size=5, seed=3)
         _, losses = train(model, samples, labels, config)
@@ -294,6 +502,9 @@ class TestGradientCheck:
         assert grads[0][0, 0] == pytest.approx(2 * w * x * x - 2 * x * y, abs=1e-15)
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
 class TestSerialization:
     def test_mlp_round_trip(self):
         model = MlpModel.create(seed=20)
@@ -306,6 +517,16 @@ class TestSerialization:
         clone = model_from_json(model_to_json(model))
         batch = np.random.default_rng(1).normal(size=(4, 3, 47))
         assert np.array_equal(model.forward(batch), clone.forward(batch))
+
+    def test_per_gate_document_loads_bit_identically(self):
+        # written by the per-gate layout (input 8, hidden (6, 5, 4), trained
+        # 3 epochs), with the predictions it then made on a fixed batch
+        text = (FIXTURES / "lstm_per_gate.json").read_text(encoding="utf-8")
+        expected = json.loads((FIXTURES / "lstm_per_gate_forward.json").read_text())
+        model = model_from_json(text)
+        assert np.array_equal(model.forward(np.array(expected["batch"])),
+                              np.array(expected["predictions"]))
+        assert model_to_json(model) == text
 
     def test_json_is_deterministic(self):
         assert model_to_json(MlpModel.create(seed=5)) == model_to_json(MlpModel.create(seed=5))
