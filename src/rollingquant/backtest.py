@@ -176,12 +176,10 @@ def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig,
 
     for d in days:
         # Carry forward the last tradeable close for every held stock.
-        tradeable = set()
         for stock_id in portfolio.holdings:
-            bar = dataset.bars.get(stock_id, {}).get(d)
-            if bar is not None and not bar.is_suspended:
-                last_close[stock_id] = bar.close
-                tradeable.add(stock_id)
+            close = dataset.tradeable_close(stock_id, d)
+            if close is not None:
+                last_close[stock_id] = close
 
         if d in rebalance_days:
             universe = eligible_universe(dataset, d, config.eligibility)
@@ -198,16 +196,12 @@ def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig,
             prices = {}
             frozen = set()
             for stock_id in set(portfolio.holdings) | set(targets):
-                bar = dataset.bars.get(stock_id, {}).get(d)
-                if bar is not None and not bar.is_suspended:
-                    prices[stock_id] = bar.close
+                close = dataset.tradeable_close(stock_id, d)
+                if close is not None:
+                    prices[stock_id] = last_close[stock_id] = close
                 elif stock_id in last_close:
                     prices[stock_id] = last_close[stock_id]
                     frozen.add(stock_id)
-            for stock_id in targets:
-                bar = dataset.bars.get(stock_id, {}).get(d)
-                if bar is not None and not bar.is_suspended:
-                    last_close[stock_id] = bar.close
             trades.extend(rebalance(portfolio, targets, prices,
                                     config.costs, d, frozen))
 

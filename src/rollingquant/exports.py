@@ -27,14 +27,9 @@ def write_dataset(dataset: MarketDataset, out_dir):
     with open(out_dir / "bars.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BARS_COLUMNS)
-        for stock_id in dataset.stock_ids():
-            for d in dataset.bar_dates(stock_id):
-                bar = dataset.bars[stock_id][d]
-                writer.writerow([
-                    bar.stock_id, d.isoformat(), _fmt(bar.close), _fmt(bar.prev_close),
-                    _fmt(bar.volume), _fmt(bar.turnover_ratio), _fmt(bar.market_cap),
-                    "1" if bar.is_suspended else "0",
-                ])
+        for stock_id, d, *values, suspended in dataset.bar_rows():
+            writer.writerow([stock_id, d.isoformat(), *map(_fmt, values),
+                             "1" if suspended else "0"])
 
     with open(out_dir / "fundamentals.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -43,14 +38,7 @@ def write_dataset(dataset: MarketDataset, out_dir):
             for snap in dataset.fundamentals[stock_id]:
                 writer.writerow([
                     snap.stock_id, snap.date.isoformat(),
-                    _fmt(snap.net_profit), _fmt(snap.non_recurring_gain_loss),
-                    _fmt(snap.net_assets), _fmt(snap.total_assets),
-                    _fmt(snap.avg_total_assets), _fmt(snap.long_term_debt),
-                    _fmt(snap.operating_revenue), _fmt(snap.operate_income),
-                    _fmt(snap.gross_profit), _fmt(snap.net_cash_flow),
-                    _fmt(snap.net_operate_cash_flow), _fmt(snap.net_profit_growth),
-                    _fmt(snap.cash), _fmt(snap.current_assets),
-                    _fmt(snap.current_liabilities), _fmt(snap.equity),
+                    *(_fmt(getattr(snap, name)) for name in FUNDAMENTALS_COLUMNS[2:18]),
                     str(snap.industry_code),
                 ])
 

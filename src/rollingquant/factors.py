@@ -5,14 +5,14 @@ windows: 1/3/6/12 months = 21/63/126/252 days; the 2-year turnover baseline
 uses up to 504 days (at least 252 required). Missing or non-computable
 values are masked and later imputed with the cross-sectional median.
 
-A MarketStore holds each stock's bars as dense arrays and computes each
-(stock, date) factor row once, so the strategies of one run share their rows.
+A MarketStore derives each stock's return, benchmark and MACD series from
+its bar columns once and computes each (stock, date) factor row once, so the
+strategies of one run share their rows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -108,7 +108,7 @@ def _safe_ratio(numerator, denominator):
 
 
 class _StockColumns:
-    """One stock's bars as dense arrays along its own bar sequence.
+    """Series derived from one stock's bars, along its own bar dates.
 
     The benchmark is aligned to the stock's bar dates (NaN where it has no
     close), and the MACD series are computed once over the whole history:
@@ -117,29 +117,17 @@ class _StockColumns:
 
     def __init__(self, dataset: MarketDataset, stock_id: str):
         self.stock_id = stock_id
-        by_date = dataset.bars.get(stock_id, {})
-        self.dates = dates = sorted(by_date)
-        bars = [by_date[d] for d in dates]
-        self.close = np.array([b.close for b in bars], dtype=float)
-        self.turnover = np.array([b.turnover_ratio for b in bars], dtype=float)
-        self.market_cap = np.array([b.market_cap for b in bars], dtype=float)
-        self.benchmark = np.array([dataset.benchmark.get(d, np.nan) for d in dates],
+        self.dataset = dataset
+        self.bars = bars = dataset.bars.get(stock_id)
+        if bars is None:
+            return
+        self.benchmark = np.array([dataset.benchmark.get(d, np.nan) for d in bars.dates],
                                   dtype=float)
         # returns[j] belongs to dates[j+1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.returns = self.close[1:] / self.close[:-1] - 1.0
+            self.returns = bars.close[1:] / bars.close[:-1] - 1.0
             self.benchmark_returns = self.benchmark[1:] / self.benchmark[:-1] - 1.0
-        self.macd = macd_series(self.close) if len(dates) >= MACD_MIN_OBSERVATIONS else None
-        # stable sort: among snapshots of one date the first listed wins
-        self.snapshots = sorted(dataset.fundamentals.get(stock_id, ()), key=lambda s: s.date)
-        self.snapshot_dates = [s.date for s in self.snapshots]
-
-    def fundamental_asof(self, d: Date):
-        """Latest snapshot dated at or before d, or None."""
-        end = bisect_right(self.snapshot_dates, d)
-        if end == 0:
-            return None
-        return self.snapshots[bisect_left(self.snapshot_dates, self.snapshot_dates[end - 1])]
+        self.macd = macd_series(bars.close) if len(bars) >= MACD_MIN_OBSERVATIONS else None
 
 
 def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
@@ -152,19 +140,20 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
             values[FACTOR_INDEX[name]] = value
             mask[FACTOR_INDEX[name]] = False
 
-    idx = bisect_left(columns.dates, d)
-    if idx == len(columns.dates) or columns.dates[idx] != d:
+    bars = columns.bars
+    idx = None if bars is None else bars.position(d)
+    if idx is None:
         return FactorVector(columns.stock_id, d, values, mask)
-    closes, turnover, returns = columns.close, columns.turnover, columns.returns
+    closes, turnover, returns = bars.close, bars.turnover, columns.returns
     close = float(closes[idx])
-    mcap = float(columns.market_cap[idx])
+    mcap = float(bars.market_cap[idx])
 
     if close > 0:
         put("LN_PRICE", math.log(close))
     if mcap > 0:
         put("LN_MCAP", math.log(mcap))
 
-    snap = columns.fundamental_asof(d)
+    snap = columns.dataset.fundamental_asof(columns.stock_id, d)
     if snap is not None and mcap > 0:
         put("EP", _safe_ratio(snap.net_profit, mcap))
         put("EP_CUT", _safe_ratio(snap.net_profit - snap.non_recurring_gain_loss, mcap))
@@ -238,8 +227,8 @@ class MarketStore:
     """Point-in-time columnar view of one MarketDataset, shared by the
     strategies of a run.
 
-    A stock's columns are read from the dataset the first time it is asked
-    for, and each (stock, date) factor row is computed once. The dataset must
+    A stock's derived series are computed the first time it is asked for,
+    and each (stock, date) factor row is computed once. The dataset must
     therefore not change while the store is in use: build one per run or per
     call, and never keep one on the dataset.
     """
@@ -257,11 +246,6 @@ class MarketStore:
                 self._columns[stock_id] = _StockColumns(self.dataset, stock_id)
             self._rows[key] = _factor_row(self._columns[stock_id], d)
         return self._rows[key]
-
-
-def compute_raw_factors(dataset: MarketDataset, stock_id: str, d: Date) -> FactorVector:
-    """All 47 raw factors from data at or before d; missing values masked."""
-    return MarketStore(dataset).row(stock_id, d)
 
 
 @dataclass
@@ -285,13 +269,8 @@ class FactorPanel:
     missing: np.ndarray       # bool, same shape
 
 
-def build_panel(source: MarketStore | MarketDataset, universe, d: Date) -> FactorPanel:
-    """Raw factor panel, one row per universe stock, ascending stock_id.
-
-    source is a MarketStore, or a MarketDataset to read through a store
-    scoped to this call.
-    """
-    store = source if isinstance(source, MarketStore) else MarketStore(source)
+def build_panel(store: MarketStore, universe, d: Date) -> FactorPanel:
+    """Raw factor panel, one row per universe stock, ascending stock_id."""
     stocks = sorted(universe)
     matrix = np.zeros((len(stocks), N_FACTORS))
     missing = np.ones((len(stocks), N_FACTORS), dtype=bool)

@@ -1,9 +1,10 @@
 """Daily bars, fundamentals, benchmark and trading-calendar handling.
 
-The dataset is a plain in-memory structure keyed by (stock_id, date).
-Everything downstream (factors, strategies, backtest) reads it afresh on each
-call; the factor store lives for one run or one call and is never kept on the
-dataset, so tests may mutate rows between calls to probe lookahead behaviour.
+The dataset holds each stock's bars as columns along its own bar dates, its
+fundamental snapshots sorted by date, and the benchmark as a date -> close
+mapping. Everything downstream (factors, strategies, backtest) reads it
+afresh on each call; the factor store lives for one run or one call and is
+never kept on the dataset.
 """
 
 from __future__ import annotations
@@ -15,19 +16,32 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import datetime
 
+import numpy as np
+
 from .errors import DataError, ParseError, ValidationError
 
 
-@dataclass
-class TradeBar:
-    stock_id: str
-    date: Date
-    close: float
-    prev_close: float
-    volume: float
-    turnover_ratio: float
-    market_cap: float
-    is_suspended: bool
+class StockBars:
+    """One stock's bars as columns along its strictly increasing dates."""
+
+    def __init__(self, dates, close, prev_close, volume, turnover, market_cap, suspended):
+        self.dates = list(dates)
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+            raise ValidationError("bar dates must be strictly increasing")
+        self.close = np.asarray(close, dtype=float)
+        self.prev_close = np.asarray(prev_close, dtype=float)
+        self.volume = np.asarray(volume, dtype=float)
+        self.turnover = np.asarray(turnover, dtype=float)
+        self.market_cap = np.asarray(market_cap, dtype=float)
+        self.suspended = np.asarray(suspended, dtype=bool)
+
+    def __len__(self):
+        return len(self.dates)
+
+    def position(self, d: Date):
+        """Index of the bar dated d, or None; it equals the bars before d."""
+        i = bisect_left(self.dates, d)
+        return i if i < len(self.dates) and self.dates[i] == d else None
 
 
 @dataclass
@@ -95,28 +109,66 @@ def action_days(calendar: TradingCalendar, start: Date, end: Date):
 
 @dataclass
 class MarketDataset:
-    """Immutable-by-convention container; bars[stock][date] -> TradeBar."""
+    """bars[stock_id] -> StockBars; fundamentals[stock_id] -> snapshots,
+    sorted by date at construction, at most one per date."""
 
-    bars: dict[str, dict[Date, TradeBar]]
+    bars: dict[str, StockBars]
     fundamentals: dict[str, list[FundamentalSnapshot]]
     benchmark: dict[Date, float]
     calendar: TradingCalendar
     latent_quality: dict[str, float] | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        for stock_id, snaps in self.fundamentals.items():
+            snaps.sort(key=lambda snap: snap.date)
+            for a, b in zip(snaps, snaps[1:]):
+                if a.date == b.date:
+                    raise ValidationError(
+                        f"duplicate snapshot for ({stock_id}, {b.date.isoformat()})")
+
+    @classmethod
+    def from_rows(cls, bar_rows, snapshots, benchmark):
+        """Dataset from bar rows in BARS_COLUMNS order, fundamental snapshots
+        and a date -> close benchmark; the calendar is the union of the bar
+        and benchmark dates."""
+        by_stock: dict[str, list] = {}
+        for row in bar_rows:
+            by_stock.setdefault(row[0], []).append(row)
+        bars = {}
+        for stock_id, rows in by_stock.items():
+            rows.sort(key=lambda row: row[1])
+            bars[stock_id] = StockBars(*list(zip(*rows))[1:])
+        fundamentals: dict[str, list[FundamentalSnapshot]] = {}
+        for snap in snapshots:
+            fundamentals.setdefault(snap.stock_id, []).append(snap)
+        calendar = TradingCalendar(set(benchmark).union(*(b.dates for b in bars.values())))
+        return cls(bars, fundamentals, dict(benchmark), calendar)
+
+    def bar_rows(self):
+        """Bar rows in BARS_COLUMNS order by stock and date; from_rows' input."""
+        for stock_id in self.stock_ids():
+            b = self.bars[stock_id]
+            for row in zip(b.dates, b.close.tolist(), b.prev_close.tolist(),
+                           b.volume.tolist(), b.turnover.tolist(),
+                           b.market_cap.tolist(), b.suspended.tolist()):
+                yield (stock_id, *row)
+
     def stock_ids(self):
         return sorted(self.bars)
 
-    def bar_dates(self, stock_id: str):
-        """Sorted trading dates on which the stock has a bar."""
-        return sorted(self.bars.get(stock_id, ()))
+    def tradeable_close(self, stock_id: str, d: Date):
+        """The stock's close on d, or None without a bar on d or while suspended."""
+        bars = self.bars.get(stock_id)
+        i = None if bars is None else bars.position(d)
+        if i is None or bars.suspended[i]:
+            return None
+        return float(bars.close[i])
 
     def fundamental_asof(self, stock_id: str, d: Date):
         """Latest snapshot dated at or before d, or None."""
-        best = None
-        for snap in self.fundamentals.get(stock_id, ()):
-            if snap.date <= d and (best is None or snap.date > best.date):
-                best = snap
-        return best
+        snaps = self.fundamentals.get(stock_id, ())
+        i = bisect_right(snaps, d, key=lambda snap: snap.date)
+        return snaps[i - 1] if i else None
 
 
 @dataclass
@@ -132,21 +184,18 @@ def eligible_universe(dataset: MarketDataset, d: Date, rules: EligibilityRules |
     """Stocks tradeable and fully factor-computable on d."""
     rules = rules or EligibilityRules()
     out = set()
-    for stock_id, by_date in dataset.bars.items():
-        bar = by_date.get(d)
-        if bar is None:
+    for stock_id, bars in dataset.bars.items():
+        # the position of the day's bar counts the history before it
+        i = bars.position(d)
+        if i is None or i < rules.min_history_days:
             continue
-        if rules.exclude_suspended and bar.is_suspended:
-            continue
-        history = sum(1 for bd in by_date if bd < d)
-        if history < rules.min_history_days:
+        if rules.exclude_suspended and bars.suspended[i]:
             continue
         if rules.require_fundamentals and dataset.fundamental_asof(stock_id, d) is None:
             continue
-        if rules.exclude_limit_locked and bar.prev_close > 0:
-            move = abs(bar.close / bar.prev_close - 1.0)
-            if move >= rules.limit_fraction - 1e-12:
-                continue
+        if rules.exclude_limit_locked and bars.prev_close[i] > 0 and abs(
+                bars.close[i] / bars.prev_close[i] - 1.0) >= rules.limit_fraction - 1e-12:
+            continue
         out.add(stock_id)
     return out
 
@@ -219,43 +268,47 @@ def _read_rows(path, columns):
             yield line_no, row
 
 
+def _date_parser(path):
+    """_parse_date for one file's 'date' column, each distinct string parsed once."""
+    parsed: dict[str, Date] = {}
+    return lambda text, line: parsed.get(text) or parsed.setdefault(
+        text, _parse_date(text, path, line, "date"))
+
+
 def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
     """Load and validate the three-CSV dataset described in the README."""
-    bars: dict[str, dict[Date, TradeBar]] = {}
+    bar_rows = []
+    seen = set()
+    parse_date = _date_parser(bars_path)
     for line_no, row in _read_rows(bars_path, BARS_COLUMNS):
         stock_id = row[0]
-        d = _parse_date(row[1], bars_path, line_no, "date")
+        d = parse_date(row[1], line_no)
         suspended_raw = row[7].strip()
         if suspended_raw not in ("0", "1"):
             raise ParseError(f"{bars_path}:{line_no}: column 'is_suspended': expected 0 or 1")
-        bar = TradeBar(
-            stock_id=stock_id,
-            date=d,
-            close=_parse_float(row[2], bars_path, line_no, "close"),
-            prev_close=_parse_float(row[3], bars_path, line_no, "prev_close"),
-            volume=_parse_float(row[4], bars_path, line_no, "volume"),
-            turnover_ratio=_parse_float(row[5], bars_path, line_no, "turnover_ratio"),
-            market_cap=_parse_float(row[6], bars_path, line_no, "market_cap"),
-            is_suspended=suspended_raw == "1",
-        )
-        if not bar.is_suspended and (bar.close <= 0 or bar.market_cap <= 0):
-            raise ValidationError(
-                f"bar for {stock_id} on {d.isoformat()}: close and market_cap must be > 0"
-            )
-        if bar.volume < 0 or bar.turnover_ratio < 0:
-            raise ValidationError(
-                f"bar for {stock_id} on {d.isoformat()}: volume/turnover must be >= 0"
-            )
-        by_date = bars.setdefault(stock_id, {})
-        if d in by_date:
+        close, prev_close, volume, turnover, market_cap = [
+            _parse_float(row[i], bars_path, line_no, BARS_COLUMNS[i]) for i in range(2, 7)]
+        suspended = suspended_raw == "1"
+        if not suspended and (close <= 0 or market_cap <= 0) or volume < 0 or turnover < 0:
+            column = ("close" if not suspended and close <= 0
+                      else "market_cap" if not suspended and market_cap <= 0
+                      else "volume" if volume < 0 else "turnover_ratio")
+            bound = ">= 0" if column in ("volume", "turnover_ratio") else "> 0"
+            raise ValidationError(f"{bars_path}:{line_no}: column '{column}': bar for "
+                                  f"{stock_id} on {d.isoformat()} must be {bound}")
+        key = (stock_id, d)
+        if key in seen:
             raise ParseError(
                 f"{bars_path}:{line_no}: duplicate bar for ({stock_id}, {d.isoformat()})")
-        by_date[d] = bar
+        seen.add(key)
+        bar_rows.append((stock_id, d, close, prev_close, volume, turnover, market_cap, suspended))
 
-    fundamentals: dict[str, list[FundamentalSnapshot]] = {}
+    snapshots = []
+    seen.clear()
+    parse_date = _date_parser(fundamentals_path)
     for line_no, row in _read_rows(fundamentals_path, FUNDAMENTALS_COLUMNS):
         stock_id = row[0]
-        d = _parse_date(row[1], fundamentals_path, line_no, "date")
+        d = parse_date(row[1], line_no)
         values = [
             _parse_float(row[i], fundamentals_path, line_no, FUNDAMENTALS_COLUMNS[i])
             for i in range(2, 18)
@@ -266,28 +319,28 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
             raise ParseError(
                 f"{fundamentals_path}:{line_no}: column 'industry_code': bad integer {row[18]!r}"
             ) from None
-        snap = FundamentalSnapshot(stock_id, d, *values, industry_code)
-        fundamentals.setdefault(stock_id, []).append(snap)
-    for snaps in fundamentals.values():
-        snaps.sort(key=lambda s: s.date)
+        key = (stock_id, d)
+        if key in seen:
+            raise ParseError(f"{fundamentals_path}:{line_no}: duplicate snapshot for "
+                             f"({stock_id}, {d.isoformat()})")
+        seen.add(key)
+        snapshots.append(FundamentalSnapshot(stock_id, d, *values, industry_code))
 
     benchmark: dict[Date, float] = {}
+    parse_date = _date_parser(benchmark_path)
     for line_no, row in _read_rows(benchmark_path, BENCHMARK_COLUMNS):
-        d = _parse_date(row[0], benchmark_path, line_no, "date")
+        d = parse_date(row[0], line_no)
         close = _parse_float(row[1], benchmark_path, line_no, "close")
         if close <= 0:
-            raise ValidationError(f"benchmark close on {d.isoformat()} must be > 0")
+            raise ValidationError(f"{benchmark_path}:{line_no}: column 'close': "
+                                  f"benchmark close on {d.isoformat()} must be > 0")
         if d in benchmark:
             raise ParseError(
                 f"{benchmark_path}:{line_no}: duplicate benchmark date {d.isoformat()}")
         benchmark[d] = close
 
-    all_dates = set(benchmark)
-    for by_date in bars.values():
-        all_dates.update(by_date)
-    calendar = TradingCalendar(all_dates)
-    for d in calendar.dates:
+    dataset = MarketDataset.from_rows(bar_rows, snapshots, benchmark)
+    for d in dataset.calendar.dates:
         if d not in benchmark:
-            raise ValidationError(f"benchmark missing calendar date {d.isoformat()}")
-
-    return MarketDataset(bars=bars, fundamentals=fundamentals, benchmark=benchmark, calendar=calendar)
+            raise ValidationError(f"{benchmark_path}: missing calendar date {d.isoformat()}")
+    return dataset

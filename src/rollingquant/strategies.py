@@ -63,17 +63,15 @@ def build_window(calendar: TradingCalendar, action_day: Date, w: int) -> Trainin
 
 def excess_return_label(dataset: MarketDataset, stock_id: str, t0: Date, t1: Date):
     """Stock return minus benchmark return over [t0, t1]; None if unavailable."""
-    by_date = dataset.bars.get(stock_id, {})
-    b0, b1 = by_date.get(t0), by_date.get(t1)
-    if b0 is None or b1 is None or b0.is_suspended or b1.is_suspended:
-        return None
-    if b0.close <= 0 or b1.close <= 0:
+    c0 = dataset.tradeable_close(stock_id, t0)
+    c1 = dataset.tradeable_close(stock_id, t1)
+    if c0 is None or c1 is None or c0 <= 0 or c1 <= 0:
         return None
     bench0 = dataset.benchmark.get(t0)
     bench1 = dataset.benchmark.get(t1)
     if bench0 is None or bench1 is None or bench0 <= 0:
         return None
-    return (b1.close / b0.close - 1.0) - (bench1 / bench0 - 1.0)
+    return (c1 / c0 - 1.0) - (bench1 / bench0 - 1.0)
 
 
 @dataclass
@@ -99,10 +97,11 @@ def select_targets(ranking: Ranking, k: int) -> dict[str, float]:
 
 
 def _mcap_log(dataset, stock_id, d):
-    bar = dataset.bars.get(stock_id, {}).get(d)
-    if bar is None or bar.is_suspended or bar.market_cap <= 0:
+    bars = dataset.bars.get(stock_id)
+    i = None if bars is None else bars.position(d)
+    if i is None or bars.suspended[i] or bars.market_cap[i] <= 0:
         return None
-    return math.log(bar.market_cap)
+    return math.log(bars.market_cap[i])
 
 
 def _window_panels(dataset, universe, window: TrainingWindow, store: MarketStore | None):

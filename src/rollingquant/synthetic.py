@@ -29,12 +29,7 @@ from datetime import timedelta
 import numpy as np
 
 from .errors import ConfigError
-from .marketdata import (
-    FundamentalSnapshot,
-    MarketDataset,
-    TradeBar,
-    TradingCalendar,
-)
+from .marketdata import FundamentalSnapshot, MarketDataset, StockBars, TradingCalendar
 
 REGIMES = ("inflection", "fluctuating-decline", "crash")
 
@@ -153,24 +148,15 @@ def generate_synthetic_market(config: SyntheticMarketConfig) -> MarketDataset:
     turnover = base_turnover[:, None] * np.exp(rng.normal(0.0, 0.25, size=(n, len(dates))))
 
     stock_ids = [f"S{i:04d}" for i in range(n)]
-    bars: dict[str, dict[Date, TradeBar]] = {}
-    for i, stock_id in enumerate(stock_ids):
-        by_date: dict[Date, TradeBar] = {}
-        prev = close0[i]
-        for j, d in enumerate(dates):
-            c = float(closes[i, j])
-            by_date[d] = TradeBar(
-                stock_id=stock_id,
-                date=d,
-                close=c,
-                prev_close=float(prev),
-                volume=float(turnover[i, j] * shares[i]),
-                turnover_ratio=float(turnover[i, j]),
-                market_cap=c * float(shares[i]),
-                is_suspended=False,
-            )
-            prev = c
-        bars[stock_id] = by_date
+    prev_close = np.hstack([close0[:, None], closes[:, :-1]])
+    volume = turnover * shares[:, None]
+    market_cap = closes * shares[:, None]
+    suspended = np.zeros((n, len(dates)), dtype=bool)
+    bars = {
+        stock_id: StockBars(dates, closes[i], prev_close[i], volume[i], turnover[i],
+                            market_cap[i], suspended[i])
+        for i, stock_id in enumerate(stock_ids)
+    }
 
     # Quarterly fundamentals at month-end trading days. Profitability ratios
     # carry the quality signal; every line item gets its own observation

@@ -1,17 +1,11 @@
 """Shared fixtures: hand-built micro markets and generated ones."""
 
-from dataclasses import replace
 from datetime import date as Date
 from datetime import timedelta
 
 import pytest
 
-from rollingquant.marketdata import (
-    FundamentalSnapshot,
-    MarketDataset,
-    TradeBar,
-    TradingCalendar,
-)
+from rollingquant.marketdata import FundamentalSnapshot, MarketDataset, TradingCalendar
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 
@@ -28,16 +22,9 @@ def weekdays(start: Date, end: Date):
 
 def make_bar(stock_id, d, close, prev_close=None, shares=10.0,
              turnover=0.02, suspended=False):
-    return TradeBar(
-        stock_id=stock_id,
-        date=d,
-        close=close,
-        prev_close=close if prev_close is None else prev_close,
-        volume=turnover * shares,
-        turnover_ratio=turnover,
-        market_cap=close * shares,
-        is_suspended=suspended,
-    )
+    """A bar row in BARS_COLUMNS order."""
+    return (stock_id, d, close, close if prev_close is None else prev_close,
+            turnover * shares, turnover, close * shares, suspended)
 
 
 def make_snapshot(stock_id, d, **overrides):
@@ -64,31 +51,27 @@ def make_snapshot(stock_id, d, **overrides):
     return FundamentalSnapshot(stock_id=stock_id, date=d, **fields)
 
 
-def build_market(bars, benchmark, fundamentals=None):
-    """Dataset from explicit pieces; calendar = union of bar/benchmark dates."""
-    dates = set(benchmark)
-    for by_date in bars.values():
-        dates.update(by_date)
-    return MarketDataset(
-        bars=bars,
-        fundamentals=fundamentals or {},
-        benchmark=dict(benchmark),
-        calendar=TradingCalendar(sorted(dates)),
-    )
+def build_market(bars, benchmark, fundamentals=()):
+    """Dataset from bar rows, a date -> close benchmark and snapshots;
+    calendar = union of bar/benchmark dates."""
+    return MarketDataset.from_rows(bars, fundamentals, benchmark)
+
+
+def snapshots(market):
+    """Every fundamental snapshot of the market, by stock and date."""
+    return [snap for stock_id in sorted(market.fundamentals)
+            for snap in market.fundamentals[stock_id]]
 
 
 def flat_market(stock_prices, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
                 shares=10.0, bench_level=3000.0, with_fundamentals=True):
     """Constant-price weekday market, one quarterly snapshot stream per stock."""
     dates = weekdays(start, end)
-    bars = {}
-    fundamentals = {}
-    for stock_id, price in stock_prices.items():
-        bars[stock_id] = {d: make_bar(stock_id, d, price, shares=shares) for d in dates}
-        if with_fundamentals:
-            fundamentals[stock_id] = [
-                make_snapshot(stock_id, d) for d in dates[::63]
-            ]
+    bars = [make_bar(stock_id, d, price, shares=shares)
+            for stock_id, price in stock_prices.items() for d in dates]
+    fundamentals = [make_snapshot(stock_id, d)
+                    for stock_id in stock_prices if with_fundamentals
+                    for d in dates[::63]]
     benchmark = {d: bench_level for d in dates}
     return build_market(bars, benchmark, fundamentals)
 
@@ -109,7 +92,7 @@ def calendar_2015():
 
 @pytest.fixture
 def gapped_market():
-    """A 10-stock generated market changed in place to carry frictions:
+    """A 10-stock generated market rebuilt from its rows to carry frictions:
 
     * S0000 misses every fifth bar;
     * S0001 is suspended for 40 bars from its 300th, carried at its last close
@@ -121,18 +104,21 @@ def gapped_market():
         seed=3, n_stocks=10, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
         regime="crash", planted_signal_strength=0.5,
     ))
-    bars = market.bars
-    for d in sorted(bars["S0000"])[::5]:
-        del bars["S0000"][d]
-    dates = sorted(bars["S0001"])
-    last = bars["S0001"][dates[299]]
-    for d in dates[300:340]:
-        bars["S0001"][d] = replace(last, date=d, prev_close=last.close, volume=0.0,
-                                   turnover_ratio=0.0, is_suspended=True)
-    listing = sorted(bars["S0002"])[280]
-    bars["S0002"] = {d: bar for d, bar in bars["S0002"].items() if d >= listing}
-    market.fundamentals["S0002"] = [s for s in market.fundamentals["S0002"]
-                                    if s.date >= listing]
-    for d in sorted(bars["S0003"])[-90:]:
-        del bars["S0003"][d]
-    return market
+    dates = market.calendar.dates
+    index = {d: i for i, d in enumerate(dates)}
+    listing = dates[280]
+    last = market.bars["S0001"]
+    close, mcap = float(last.close[299]), float(last.market_cap[299])
+    rows = []
+    for row in market.bar_rows():
+        stock_id, d = row[:2]
+        i = index[d]
+        if stock_id == "S0000" and i % 5 == 0 or stock_id == "S0002" and d < listing \
+                or stock_id == "S0003" and i >= len(dates) - 90:
+            continue
+        if stock_id == "S0001" and 300 <= i < 340:
+            row = (stock_id, d, close, close, 0.0, 0.0, mcap, True)
+        rows.append(row)
+    fundamentals = [s for s in snapshots(market)
+                    if s.stock_id != "S0002" or s.date >= listing]
+    return build_market(rows, market.benchmark, fundamentals)

@@ -16,7 +16,7 @@ from conftest import build_market, make_bar, make_snapshot, weekdays
 from rollingquant.backtest import CostModel, ScenarioConfig, run_scenario
 from rollingquant.cli import cmd_backtest
 from rollingquant.config import load_run_config
-from rollingquant.factors import FACTOR_INDEX, build_panel, compute_raw_factors, normalize_panel
+from rollingquant.factors import FACTOR_INDEX, MarketStore, build_panel, normalize_panel
 from rollingquant.marketdata import action_days, eligible_universe
 from rollingquant.metrics import ReturnSeries, build_report, result_series, similarity_to_benchmark
 from rollingquant.numerics import (
@@ -129,14 +129,14 @@ def test_criterion_5_no_lookahead_end_to_end():
     for strategy in ("linreg", "fcnn", "lstm"):
         before[strategy] = _strategy_artifacts(generate_synthetic_market(synth),
                                                strategy, config)
+    # a second market, written into before any store reads it
     mutated = generate_synthetic_market(synth)
-    for by_date in mutated.bars.values():
-        for d, bar in by_date.items():
-            if d > config.end:
-                bar.close *= 7.0
-                bar.prev_close *= 7.0
-                bar.market_cap *= 7.0
-                bar.is_suspended = True
+    for bars in mutated.bars.values():
+        after = np.array(bars.dates) > config.end
+        bars.close[after] *= 7.0
+        bars.prev_close[after] *= 7.0
+        bars.market_cap[after] *= 7.0
+        bars.suspended[after] = True
     for snaps in mutated.fundamentals.values():
         for snap in snaps:
             if snap.date > config.end:
@@ -166,9 +166,9 @@ def test_criterion_6_accounting_identities(crash_market):
     worst_rebalance = 0.0
     for d in result.dates:
         for stock_id in list(holdings) + [t.stock_id for t in by_day.get(d, [])]:
-            bar = crash_market.bars.get(stock_id, {}).get(d)
-            if bar is not None and not bar.is_suspended:
-                last_close[stock_id] = bar.close
+            close = crash_market.tradeable_close(stock_id, d)
+            if close is not None:
+                last_close[stock_id] = close
         if d in by_day:
             value_before = cash + sum(sh * last_close[s] for s, sh in holdings.items())
             total_cost = 0.0
@@ -267,7 +267,7 @@ def test_criterion_10_factor_totality(crash_market):
     checked = 0
     for d in action_days(crash_market.calendar, Date(2015, 1, 1), Date(2015, 12, 31)):
         universe = eligible_universe(crash_market, d)
-        panel = normalize_panel(build_panel(crash_market, universe, d))
+        panel = normalize_panel(build_panel(MarketStore(crash_market), universe, d))
         checked += panel.matrix.size
         all_finite = all_finite and bool(np.isfinite(panel.matrix).all())
 
@@ -275,16 +275,16 @@ def test_criterion_10_factor_totality(crash_market):
     rng = np.random.default_rng(10)
     dates = weekdays(Date(2014, 1, 1), Date(2015, 12, 31))
     closes = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=len(dates))))
-    bars = {"A": {}}
+    bars = []
     prev = closes[0]
     for d, c in zip(dates, closes):
-        bars["A"][d] = make_bar("A", d, float(c), prev_close=float(prev))
+        bars.append(make_bar("A", d, float(c), prev_close=float(prev)))
         prev = c
     market = build_market(bars, {d: 3000.0 for d in dates},
-                          {"A": [make_snapshot("A", dates[0])]})
+                          [make_snapshot("A", dates[0])])
     d = Date(2015, 6, 30)
     i = dates.index(d)
-    fv = compute_raw_factors(market, "A", d)
+    fv = MarketStore(market).row("A", d)
     segments = np.prod([closes[i - k * 21] / closes[i - (k + 1) * 21]
                         for k in range(3)])
     window_error = abs(fv.values[FACTOR_INDEX["RET_3M"]] - (segments - 1.0))

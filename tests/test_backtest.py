@@ -4,7 +4,7 @@ from datetime import date as Date
 
 import pytest
 
-from conftest import flat_market, make_bar, build_market
+from conftest import flat_market
 from rollingquant.backtest import (
     CostModel,
     Portfolio,
@@ -156,12 +156,11 @@ class TestRunScenario:
                                                 sell_tax_rate=0.001))
         result = run_scenario(crash_market, "linreg", config)
         final_prices = {}
-        end = result.dates[-1]
-        for stock_id, by_date in crash_market.bars.items():
+        for stock_id in crash_market.stock_ids():
             for d in reversed(result.dates):
-                bar = by_date.get(d)
-                if bar is not None and not bar.is_suspended:
-                    final_prices[stock_id] = bar.close
+                close = crash_market.tradeable_close(stock_id, d)
+                if close is not None:
+                    final_prices[stock_id] = close
                     break
         replayed = _replay_value(result, config.initial_capital, final_prices)
         assert replayed == pytest.approx(result.values[-1], rel=1e-9)
@@ -187,8 +186,7 @@ class TestRunScenario:
                 regime="crash", planted_signal_strength=0.5))
 
         def inflate_turnover(dataset):
-            for bar in dataset.bars["S0000"].values():
-                bar.turnover_ratio *= 3.0
+            dataset.bars["S0000"].turnover *= 3.0
 
         config = ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 10, 31),
                                 holdings=5, seed=1)
@@ -205,9 +203,8 @@ class TestRunScenario:
     def test_suspended_holding_carries_last_close(self):
         market = flat_market({f"S{i}": 50.0 + i for i in range(12)})
         # suspend S0 from the July action day onward
-        for d, bar in market.bars["S0"].items():
-            if d >= Date(2015, 7, 31):
-                bar.is_suspended = True
+        bars = market.bars["S0"]
+        bars.suspended[bars.position(Date(2015, 7, 31)):] = True
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 8, 31),
                                 holdings=12, seed=0)
         result = run_scenario(market, "linreg", config)

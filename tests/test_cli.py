@@ -3,7 +3,6 @@
 import json
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -120,9 +119,10 @@ class TestBacktest:
         # statistics and the beta of every window holding it are masked, and
         # computing them printed numpy's "invalid value" warnings
         bars = gapped_market.bars["S0004"]
-        d = sorted(bars)[400]
-        bars[d] = replace(bars[d], close=0.0, prev_close=0.0, market_cap=0.0,
-                          volume=0.0, turnover_ratio=0.0, is_suspended=True)
+        for column in (bars.close, bars.prev_close, bars.market_cap, bars.volume,
+                       bars.turnover):
+            column[400] = 0.0
+        bars.suspended[400] = True
         write_dataset(gapped_market, tmp_path)
         trees = []
         for action in ("ignore", "error"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import build_market, flat_market, make_bar, make_snapshot, weekdays
+from conftest import build_market, flat_market, make_bar, make_snapshot, snapshots, weekdays
 from rollingquant.errors import ValidationError
 from rollingquant.factors import (
     FACTOR_INDEX,
@@ -17,7 +17,6 @@ from rollingquant.factors import (
     apply_normalization,
     build_panel,
     compute_normalization,
-    compute_raw_factors,
     drop_sparse_rows,
     ema,
     macd_indicators,
@@ -89,42 +88,41 @@ class TestRollingBeta:
 def geometric_market(daily_return=0.001, turnover=0.02, price0=100.0,
                      shares=10.0):
     dates = weekdays(Date(2014, 1, 1), Date(2015, 12, 31))
-    bars = {"A": {}}
+    bars = []
     price = price0
     for d in dates:
         prev = price
         price = price * (1.0 + daily_return) if d != dates[0] else price
-        bars["A"][d] = make_bar("A", d, price, prev_close=prev,
-                                shares=shares, turnover=turnover)
+        bars.append(make_bar("A", d, price, prev_close=prev,
+                             shares=shares, turnover=turnover))
     benchmark = {d: 3000.0 * (1.0 + 0.0005) ** i for i, d in enumerate(dates)}
-    fundamentals = {"A": [make_snapshot("A", dates[0])]}
-    return build_market(bars, benchmark, fundamentals)
+    return build_market(bars, benchmark, [make_snapshot("A", dates[0])])
 
 
 class TestRawFactors:
     def test_earnings_yield_arithmetic(self):
         market = flat_market({"A": 100.0}, shares=10.0)  # market cap 1000
-        fv = compute_raw_factors(market, "A", Date(2015, 6, 30))
+        fv = MarketStore(market).row("A", Date(2015, 6, 30))
         assert fv.values[FACTOR_INDEX["EP"]] == pytest.approx(0.1)
         assert not fv.missing_mask[FACTOR_INDEX["EP"]]
 
     def test_log_price(self):
         market = flat_market({"A": 100.0})
-        fv = compute_raw_factors(market, "A", Date(2015, 6, 30))
+        fv = MarketStore(market).row("A", Date(2015, 6, 30))
         assert fv.values[FACTOR_INDEX["LN_PRICE"]] == pytest.approx(math.log(100.0))
         assert fv.values[FACTOR_INDEX["LN_MCAP"]] == pytest.approx(math.log(1000.0))
 
     def test_return_turnover_mean_closed_form(self):
         r, u = 0.001, 0.02
         market = geometric_market(daily_return=r, turnover=u)
-        fv = compute_raw_factors(market, "A", Date(2015, 6, 30))
+        fv = MarketStore(market).row("A", Date(2015, 6, 30))
         for name in ("RETTO_MEAN_1M", "RETTO_MEAN_3M", "RETTO_MEAN_6M", "RETTO_MEAN_12M"):
             assert fv.values[FACTOR_INDEX[name]] == pytest.approx(r * u, rel=1e-9)
 
     def test_window_return_compounds_daily(self):
         r = 0.001
         market = geometric_market(daily_return=r)
-        fv = compute_raw_factors(market, "A", Date(2015, 6, 30))
+        fv = MarketStore(market).row("A", Date(2015, 6, 30))
         assert fv.values[FACTOR_INDEX["RET_1M"]] == pytest.approx((1 + r) ** 21 - 1)
         assert fv.values[FACTOR_INDEX["RET_12M"]] == pytest.approx((1 + r) ** 252 - 1)
 
@@ -133,15 +131,15 @@ class TestRawFactors:
         rng = np.random.default_rng(7)
         dates = weekdays(Date(2014, 1, 1), Date(2015, 12, 31))
         closes = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=len(dates))))
-        bars = {"A": {}}
+        bars = []
         prev = closes[0]
         for d, c in zip(dates, closes):
-            bars["A"][d] = make_bar("A", d, float(c), prev_close=float(prev))
+            bars.append(make_bar("A", d, float(c), prev_close=float(prev)))
             prev = c
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         d = Date(2015, 6, 30)
-        fv = compute_raw_factors(market, "A", d)
+        fv = MarketStore(market).row("A", d)
         i = dates.index(d)
         segments = [closes[i - k * 21] / closes[i - (k + 1) * 21] for k in range(3)]
         want = float(np.prod(segments)) - 1.0
@@ -149,12 +147,12 @@ class TestRawFactors:
 
     def test_missing_without_bar_on_day(self):
         market = flat_market({"A": 100.0})
-        fv = compute_raw_factors(market, "A", Date(2015, 6, 28))  # a Sunday
+        fv = MarketStore(market).row("A", Date(2015, 6, 28))  # a Sunday
         assert fv.missing_mask.all()
 
     def test_constant_price_degenerates_cleanly(self):
         market = flat_market({"A": 100.0})
-        fv = compute_raw_factors(market, "A", Date(2015, 6, 30))
+        fv = MarketStore(market).row("A", Date(2015, 6, 30))
         assert fv.values[FACTOR_INDEX["RET_1M"]] == 0.0
         assert fv.values[FACTOR_INDEX["MACD"]] == 0.0
         # constant benchmark leaves beta undefined
@@ -163,23 +161,24 @@ class TestRawFactors:
     def test_no_lookahead(self):
         market = geometric_market()
         d = Date(2015, 6, 30)
-        before = compute_raw_factors(market, "A", d)
-        for bd in list(market.bars["A"]):
-            if bd > d:
-                market.bars["A"][bd] = make_bar("A", bd, 9999.0, turnover=0.9)
-        market.fundamentals["A"].append(make_snapshot("A", Date(2015, 7, 10),
-                                                      net_profit=-5000.0))
-        after = compute_raw_factors(market, "A", d)
+        before = MarketStore(market).row("A", d)
+        rows = [row if row[1] <= d else make_bar("A", row[1], 9999.0, turnover=0.9)
+                for row in market.bar_rows()]
+        future = make_snapshot("A", Date(2015, 7, 10), net_profit=-5000.0)
+        mutated = build_market(rows, market.benchmark, [*snapshots(market), future])
+        after = MarketStore(mutated).row("A", d)
         assert np.array_equal(before.values, after.values)
         assert np.array_equal(before.missing_mask, after.missing_mask)
+        # the mutation shows from the next month end on
+        later = Date(2015, 7, 31)
+        assert not np.array_equal(MarketStore(mutated).row("A", later).values,
+                                  MarketStore(market).row("A", later).values)
 
 
 def truncated(market, cutoff):
     """The market as it stood on cutoff: nothing dated after it."""
-    bars = {s: {d: bar for d, bar in by_date.items() if d <= cutoff}
-            for s, by_date in market.bars.items()}
-    fundamentals = {s: [snap for snap in snaps if snap.date <= cutoff]
-                    for s, snaps in market.fundamentals.items()}
+    bars = [row for row in market.bar_rows() if row[1] <= cutoff]
+    fundamentals = [snap for snap in snapshots(market) if snap.date <= cutoff]
     benchmark = {d: close for d, close in market.benchmark.items() if d <= cutoff}
     return build_market(bars, benchmark, fundamentals)
 
@@ -198,14 +197,14 @@ class TestMarketStore:
         store = MarketStore(gapped_market)
         columns = [FACTOR_INDEX["DIF"], FACTOR_INDEX["DEA"]]
         for stock_id in gapped_market.stock_ids():
-            dates = gapped_market.bar_dates(stock_id)
-            closes = [gapped_market.bars[stock_id][bd].close for bd in dates]
+            bars = gapped_market.bars[stock_id]
+            closes = bars.close.tolist()
             for d in gapped_market.calendar.month_last_days():
                 row = store.row(stock_id, d)
-                if d not in gapped_market.bars[stock_id]:
+                if d not in bars.dates:
                     assert row.missing_mask.all()
                     continue
-                i = dates.index(d)
+                i = bars.dates.index(d)
                 if i + 1 < 35:
                     assert row.missing_mask[columns].all()
                     continue
@@ -217,18 +216,18 @@ class TestMarketStore:
 class TestPanels:
     def test_shape_and_order(self, crash_market):
         d = Date(2015, 6, 30)
-        panel = build_panel(crash_market, ["S0002", "S0000", "S0001"], d)
+        panel = build_panel(MarketStore(crash_market), ["S0002", "S0000", "S0001"], d)
         assert panel.matrix.shape == (3, 47)
         assert panel.stocks == ["S0000", "S0001", "S0002"]
 
     def test_single_stock(self, crash_market):
-        panel = build_panel(crash_market, ["S0005"], Date(2015, 6, 30))
+        panel = build_panel(MarketStore(crash_market), ["S0005"], Date(2015, 6, 30))
         assert panel.matrix.shape == (1, 47)
 
     def test_deterministic(self, crash_market):
         d = Date(2015, 6, 30)
-        a = build_panel(crash_market, ["S0000", "S0001"], d)
-        b = build_panel(crash_market, ["S0000", "S0001"], d)
+        a = build_panel(MarketStore(crash_market), ["S0000", "S0001"], d)
+        b = build_panel(MarketStore(crash_market), ["S0000", "S0001"], d)
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.missing, b.missing)
 

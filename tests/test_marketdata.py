@@ -3,9 +3,10 @@
 import math
 from datetime import date as Date
 
+import numpy as np
 import pytest
 
-from conftest import build_market, flat_market, make_bar, make_snapshot, weekdays
+from conftest import build_market, flat_market, make_bar, make_snapshot, snapshots, weekdays
 from rollingquant.errors import ParseError, ValidationError
 from rollingquant.exports import write_dataset
 from rollingquant.marketdata import (
@@ -58,24 +59,22 @@ class TestEligibility:
     def test_suspended_excluded(self):
         market = flat_market({"A": 50.0, "B": 50.0})
         d = Date(2015, 6, 30)
-        market.bars["B"][d] = make_bar("B", d, 50.0, suspended=True)
+        bars = market.bars["B"]
+        bars.suspended[bars.position(d)] = True
         assert eligible_universe(market, d) == {"A"}
 
     def test_short_history_excluded(self):
-        market = flat_market({"A": 50.0})
+        flat = flat_market({"A": 50.0})
         first = weekdays(Date(2015, 1, 1), Date(2015, 12, 31))[0]
-        market.bars["B"] = {
-            d: make_bar("B", d, 20.0)
-            for d in weekdays(first, Date(2015, 12, 31))
-        }
-        market.fundamentals["B"] = [make_snapshot("B", first)]
+        rows = [make_bar("B", d, 20.0) for d in weekdays(first, Date(2015, 12, 31))]
+        market = build_market([*flat.bar_rows(), *rows], flat.benchmark,
+                              [*snapshots(flat), make_snapshot("B", first)])
         # ~126 trading days of history by the end of June: too short
         assert "B" not in eligible_universe(market, Date(2015, 6, 30))
         assert "A" in eligible_universe(market, Date(2015, 6, 30))
 
     def test_missing_fundamentals_excluded(self):
-        market = flat_market({"A": 50.0})
-        market.fundamentals["A"] = []
+        market = flat_market({"A": 50.0}, with_fundamentals=False)
         assert eligible_universe(market, Date(2015, 6, 30)) == set()
         relaxed = EligibilityRules(require_fundamentals=False)
         assert eligible_universe(market, Date(2015, 6, 30), relaxed) == {"A"}
@@ -83,10 +82,79 @@ class TestEligibility:
     def test_limit_locked_excluded_when_enabled(self):
         market = flat_market({"A": 50.0})
         d = Date(2015, 6, 30)
-        market.bars["A"][d] = make_bar("A", d, 55.0, prev_close=50.0)
+        bars = market.bars["A"]
+        bars.close[bars.position(d)] = 55.0
         rules = EligibilityRules(exclude_limit_locked=True)
         assert eligible_universe(market, d, rules) == set()
         assert eligible_universe(market, d) == {"A"}
+
+
+def brute_force_universe(market, by_stock, d, rules):
+    """eligible_universe as it was on per-date bars: history counted bar by
+    bar, fundamentals found by a linear scan."""
+    out = set()
+    for stock_id, by_date in by_stock.items():
+        bar = by_date.get(d)
+        if bar is None:
+            continue
+        _, _, close, prev_close, _, _, _, suspended = bar
+        if rules.exclude_suspended and suspended:
+            continue
+        if sum(1 for bd in by_date if bd < d) < rules.min_history_days:
+            continue
+        if rules.require_fundamentals and linear_asof(market, stock_id, d) is None:
+            continue
+        if rules.exclude_limit_locked and prev_close > 0 \
+                and abs(close / prev_close - 1.0) >= rules.limit_fraction - 1e-12:
+            continue
+        out.add(stock_id)
+    return out
+
+
+def linear_asof(market, stock_id, d):
+    best = None
+    for snap in market.fundamentals.get(stock_id, ()):
+        if snap.date <= d and (best is None or snap.date > best.date):
+            best = snap
+    return best
+
+
+def rows_by_stock(market):
+    by_stock = {}
+    for row in market.bar_rows():
+        by_stock.setdefault(row[0], {})[row[1]] = row
+    return by_stock
+
+
+class TestEligibilityOracle:
+    @pytest.mark.parametrize("rules", [
+        EligibilityRules(),
+        EligibilityRules(min_history_days=300, exclude_limit_locked=True, limit_fraction=0.01),
+        EligibilityRules(exclude_suspended=False, require_fundamentals=False),
+    ], ids=["default", "limit-locked", "relaxed"])
+    def test_every_month_end_matches_brute_force(self, gapped_market, rules):
+        by_stock = rows_by_stock(gapped_market)
+        sizes = set()
+        for d in gapped_market.calendar.month_last_days():
+            universe = eligible_universe(gapped_market, d, rules)
+            assert universe == brute_force_universe(gapped_market, by_stock, d, rules)
+            sizes.add(len(universe))
+            for stock_id in gapped_market.stock_ids():
+                assert gapped_market.fundamental_asof(stock_id, d) \
+                    is linear_asof(gapped_market, stock_id, d)
+        assert len(sizes) > 2
+
+    def test_history_threshold_at_a_stocks_exact_history(self, gapped_market):
+        by_stock = rows_by_stock(gapped_market)
+        late = by_stock["S0002"]
+        for d in gapped_market.calendar.month_last_days():
+            if d not in late:
+                continue
+            history = sum(1 for bd in late if bd < d)
+            for rules in (EligibilityRules(min_history_days=history),
+                          EligibilityRules(min_history_days=history + 1)):
+                assert eligible_universe(gapped_market, d, rules) \
+                    == brute_force_universe(gapped_market, by_stock, d, rules)
 
 
 class TestFundamentalAsof:
@@ -137,22 +205,21 @@ class TestCsvRoundTrip:
 
     def test_two_stocks_five_days(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {s: {d: make_bar(s, d, 10.0 + i) for d in dates}
-                for i, s in enumerate(["A", "B"])}
+        bars = [make_bar(s, d, 10.0 + i) for i, s in enumerate(["A", "B"]) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {s: [make_snapshot(s, dates[0])] for s in ["A", "B"]})
+                              [make_snapshot(s, dates[0]) for s in ["A", "B"]])
         loaded = load_dataset(*self._write(tmp_path, market))
         assert sum(len(v) for v in loaded.bars.values()) == 10
         assert len(loaded.calendar) == 5
-        assert loaded.bars["B"][dates[2]].close == 11.0
+        assert loaded.tradeable_close("B", dates[2]) == 11.0
         assert loaded.benchmark[dates[0]] == 3000.0
         assert loaded.fundamentals["A"][0].net_profit == 100.0
 
     def test_negative_close_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        bars = [make_bar("A", d, 10.0) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         paths = self._write(tmp_path, market)
         text = paths[0].read_text().replace("A,2015-06-03,10,", "A,2015-06-03,-1,")
         paths[0].write_text(text)
@@ -161,9 +228,9 @@ class TestCsvRoundTrip:
 
     def test_benchmark_gap_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        bars = [make_bar("A", d, 10.0) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         paths = self._write(tmp_path, market)
         lines = paths[2].read_text().splitlines()
         del lines[3]  # drop 2015-06-03
@@ -173,9 +240,9 @@ class TestCsvRoundTrip:
 
     def test_bad_float_names_location(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        bars = [make_bar("A", d, 10.0) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         paths = self._write(tmp_path, market)
         text = paths[0].read_text().replace("A,2015-06-02,10,", "A,2015-06-02,oops,")
         paths[0].write_text(text)
@@ -184,9 +251,9 @@ class TestCsvRoundTrip:
 
     def test_wrong_header_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        bars = [make_bar("A", d, 10.0) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         paths = self._write(tmp_path, market)
         lines = paths[0].read_text().splitlines()
         lines[0] = lines[0].replace("close", "klose")
@@ -196,20 +263,92 @@ class TestCsvRoundTrip:
 
     def test_duplicate_bar_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        bars = [make_bar("A", d, 10.0) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         paths = self._write(tmp_path, market)
         with open(paths[0], "a") as fh:
             fh.write("A,2015-06-02,999,10,0.2,0.02,9990,0\n")
         with pytest.raises(ParseError, match=r"bars\.csv:7: duplicate bar for \(A, 2015-06-02\)"):
             load_dataset(*paths)
 
+    def test_duplicate_snapshot_rejected(self, tmp_path):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        bars = [make_bar("A", d, 10.0) for d in dates]
+        market = build_market(bars, {d: 3000.0 for d in dates},
+                              [make_snapshot("A", dates[0])])
+        paths = self._write(tmp_path, market)
+        lines = paths[1].read_text().splitlines()
+        with open(paths[1], "a") as fh:
+            fh.write(lines[1].replace(",100,", ",999,", 1) + "\n")
+        with pytest.raises(ParseError, match=r"fundamentals\.csv:3: duplicate snapshot for "
+                                             r"\(A, 2015-06-01\)"):
+            load_dataset(*paths)
+
+    def test_constructor_rejects_duplicates(self):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        bars = [make_bar("A", d, 10.0) for d in dates]
+        benchmark = {d: 3000.0 for d in dates}
+        snaps = [make_snapshot("A", dates[1]), make_snapshot("A", dates[1], net_profit=1.0)]
+        with pytest.raises(ValidationError, match=r"duplicate snapshot for \(A, 2015-06-02\)"):
+            build_market(bars, benchmark, snaps)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            build_market(bars + [make_bar("A", dates[2], 11.0)], benchmark)
+
+    @pytest.mark.parametrize("file,column,value,message", [
+        (0, "close", "-1", r"bars\.csv:4: column 'close': bar for A on 2015-06-03 must be > 0"),
+        (0, "market_cap", "0",
+         r"bars\.csv:4: column 'market_cap': bar for A on 2015-06-03 must be > 0"),
+        (0, "volume", "-0.5",
+         r"bars\.csv:4: column 'volume': bar for A on 2015-06-03 must be >= 0"),
+        (0, "turnover_ratio", "-0.01",
+         r"bars\.csv:4: column 'turnover_ratio': bar for A on 2015-06-03 must be >= 0"),
+        (2, "close", "0",
+         r"benchmark\.csv:4: column 'close': benchmark close on 2015-06-03 must be > 0"),
+        (2, None, None, r"benchmark\.csv: missing calendar date 2015-06-03"),
+    ], ids=["close", "market_cap", "volume", "turnover_ratio", "benchmark_close",
+            "benchmark_gap"])
+    def test_value_error_names_file_line_and_column(self, tmp_path, file, column, value,
+                                                    message):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        bars = [make_bar("A", d, 10.0) for d in dates]
+        market = build_market(bars, {d: 3000.0 for d in dates},
+                              [make_snapshot("A", dates[0])])
+        paths = self._write(tmp_path, market)
+        lines = paths[file].read_text().splitlines()
+        if column is None:
+            del lines[3]
+        else:
+            fields = lines[3].split(",")
+            fields[lines[0].split(",").index(column)] = value
+            lines[3] = ",".join(fields)
+        paths[file].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=message):
+            load_dataset(*paths)
+
+    def test_gapped_market_round_trips(self, tmp_path, gapped_market):
+        names = ("bars.csv", "fundamentals.csv", "benchmark.csv")
+        write_dataset(gapped_market, tmp_path / "a")
+        loaded = load_dataset(*(tmp_path / "a" / name for name in names))
+        write_dataset(loaded, tmp_path / "b")
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert loaded.stock_ids() == gapped_market.stock_ids()
+        for stock_id in loaded.stock_ids():
+            got, want = loaded.bars[stock_id], gapped_market.bars[stock_id]
+            assert got.dates == want.dates
+            for column in ("close", "prev_close", "volume", "turnover", "market_cap",
+                           "suspended"):
+                assert np.array_equal(getattr(got, column), getattr(want, column))
+        assert loaded.fundamentals == gapped_market.fundamentals
+        assert loaded.benchmark == gapped_market.benchmark
+        assert loaded.calendar.dates == gapped_market.calendar.dates
+
     def test_duplicate_benchmark_date_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
-        bars = {"A": {d: make_bar("A", d, 10.0) for d in dates}}
+        bars = [make_bar("A", d, 10.0) for d in dates]
         market = build_market(bars, {d: 3000.0 for d in dates},
-                              {"A": [make_snapshot("A", dates[0])]})
+                              [make_snapshot("A", dates[0])])
         paths = self._write(tmp_path, market)
         with open(paths[2], "a") as fh:
             fh.write("2015-06-03,3100\n")

@@ -1,12 +1,13 @@
 """Window protocol, labels, the three ranking strategies, target selection."""
 
 import math
+from bisect import bisect_right
 from datetime import date as Date
 
 import numpy as np
 import pytest
 
-from conftest import flat_market, make_bar
+from conftest import build_market, flat_market, snapshots
 from rollingquant import strategies
 from rollingquant.errors import StrategyError, ValidationError
 from rollingquant.factors import MarketStore
@@ -62,7 +63,8 @@ class TestExcessReturnLabel:
     def _market(self, stock_end, bench_end):
         market = flat_market({"A": 100.0})
         t1 = Date(2015, 7, 31)
-        market.bars["A"][t1] = make_bar("A", t1, stock_end)
+        bars = market.bars["A"]
+        bars.close[bars.position(t1)] = stock_end
         for d in list(market.benchmark):
             if d >= t1:
                 market.benchmark[d] = bench_end
@@ -81,13 +83,16 @@ class TestExcessReturnLabel:
     def test_suspended_at_horizon_dropped(self):
         market = self._market(105.0, 2910.0)
         t1 = Date(2015, 7, 31)
-        market.bars["A"][t1] = make_bar("A", t1, 105.0, suspended=True)
+        bars = market.bars["A"]
+        bars.suspended[bars.position(t1)] = True
         assert excess_return_label(market, "A", Date(2015, 6, 30), t1) is None
 
     def test_missing_bar_dropped(self):
         market = self._market(105.0, 2910.0)
-        del market.bars["A"][Date(2015, 7, 31)]
-        assert excess_return_label(market, "A", Date(2015, 6, 30), Date(2015, 7, 31)) is None
+        t1 = Date(2015, 7, 31)
+        market = build_market([row for row in market.bar_rows() if row[1] != t1],
+                              market.benchmark, snapshots(market))
+        assert excess_return_label(market, "A", Date(2015, 6, 30), t1) is None
 
 
 class TestSelectTargets:
@@ -136,8 +141,8 @@ class TestRankLinearRegression:
         victim = sorted(universe)[7]
         delta = 1.0
         discount = math.exp(-delta)
-        for bar in market.bars[victim].values():
-            bar.market_cap *= discount
+        market = fresh_market()
+        market.bars[victim].market_cap *= discount
         for snap in market.fundamentals[victim]:
             for name in self._LEVEL_FIELDS:
                 setattr(snap, name, getattr(snap, name) * discount)
@@ -216,18 +221,24 @@ class TestWindowPanels:
 
 
 class TestNoLookahead:
-    def _mutate_after(self, market, cutoff):
-        for stock_id, by_date in market.bars.items():
-            for d in by_date:
-                if d > cutoff:
-                    by_date[d] = make_bar(stock_id, d, 1.0, turnover=0.99)
+    def _mutated_after(self, cutoff):
+        """A fresh market whose bars, benchmark and snapshots after cutoff
+        are replaced."""
+        market = fresh_market()
+        for bars in market.bars.values():
+            i = bisect_right(bars.dates, cutoff)
+            bars.close[i:] = bars.prev_close[i:] = 1.0
+            bars.turnover[i:] = 0.99
+            bars.volume[i:] = 9.9
+            bars.market_cap[i:] = 10.0
         for d in market.benchmark:
             if d > cutoff:
                 market.benchmark[d] = 1.0
         for snaps in market.fundamentals.values():
-            for i, snap in enumerate(snaps):
+            for snap in snaps:
                 if snap.date > cutoff:
-                    snaps[i] = type(snap)(**{**snap.__dict__, "net_profit": -1e9})
+                    snap.net_profit = -1e9
+        return market
 
     @pytest.mark.parametrize("kind", ["linreg", "fcnn", "lstm"])
     def test_future_mutation_leaves_ranking_unchanged(self, kind):
@@ -236,7 +247,6 @@ class TestNoLookahead:
         universe = eligible_universe(market, d)
         before = rank_stocks(kind, market, d, universe,
                              train_config=TrainConfig(seed=2))
-        self._mutate_after(market, d)
-        after = rank_stocks(kind, market, d, universe,
+        after = rank_stocks(kind, self._mutated_after(d), d, universe,
                             train_config=TrainConfig(seed=2))
         assert before.entries == after.entries

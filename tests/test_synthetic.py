@@ -50,9 +50,7 @@ class TestDeterminism:
         a = generate_synthetic_market(_config())
         b = generate_synthetic_market(_config())
         assert a.benchmark == b.benchmark
-        assert a.bars.keys() == b.bars.keys()
-        for stock_id in a.bars:
-            assert a.bars[stock_id] == b.bars[stock_id]
+        assert list(a.bar_rows()) == list(b.bar_rows())
         assert a.fundamentals == b.fundamentals
 
     def test_different_seed_differs(self):
@@ -94,7 +92,7 @@ class TestPlantedSignal:
         bench = period_return(market.benchmark, t0, t1)
         latents, excesses = [], []
         for stock_id, latent in market.latent_quality.items():
-            prices = {d: market.bars[stock_id][d].close for d in (t0, t1)}
+            prices = {d: market.tradeable_close(stock_id, d) for d in (t0, t1)}
             latents.append(latent)
             excesses.append(period_return(prices, t0, t1) - bench)
         return float(np.corrcoef(latents, excesses)[0, 1])
