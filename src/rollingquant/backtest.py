@@ -12,7 +12,7 @@ from datetime import date as Date
 
 from .errors import RebalanceError, StrategyError, ValidationError
 from .factors import MarketStore
-from .marketdata import EligibilityRules, MarketDataset, action_days, eligible_universe
+from .marketdata import EligibilityRules, action_days, eligible_universe
 from .numerics import TrainConfig
 from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, rank_stocks, select_targets
 
@@ -136,8 +136,8 @@ class ScenarioConfig:
     initial_capital: float = DEFAULT_INITIAL_CAPITAL
     costs: CostModel = field(default_factory=CostModel)
     eligibility: EligibilityRules = field(default_factory=EligibilityRules)
+    # action day i trains with train_config.seed + i * SEED_STRIDE
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
 
 
 @dataclass
@@ -151,18 +151,15 @@ class BacktestResult:
     rankings: list  # per-action-day Ranking
 
 
-def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig,
-                 store: MarketStore | None = None) -> BacktestResult:
-    """Simulate one strategy over the scenario range.
+def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> BacktestResult:
+    """Simulate one strategy over the scenario range on the run's store.
 
-    store shares factor rows with other scenarios on the same dataset; without
-    one, the rows are shared only among this scenario's action days.
+    The store shares factor rows with the run's other scenarios.
     """
+    dataset = store.dataset
     days = dataset.calendar.days_between(config.start, config.end)
     if not days:
         raise ValidationError("scenario range contains no trading days")
-    if store is None:
-        store = MarketStore(dataset)
     rebalance_days = set(action_days(dataset.calendar, config.start, config.end))
 
     portfolio = Portfolio(cash=config.initial_capital)
@@ -183,12 +180,11 @@ def run_scenario(dataset: MarketDataset, strategy: str, config: ScenarioConfig,
 
         if d in rebalance_days:
             universe = eligible_universe(dataset, d, config.eligibility)
-            train_config = replace(config.train_config,
-                                   seed=config.seed + action_index * SEED_STRIDE)
+            seed = config.train_config.seed + action_index * SEED_STRIDE
             action_index += 1
             try:
-                ranking = rank_stocks(strategy, dataset, d, universe,
-                                      config.window, train_config, store=store)
+                ranking = rank_stocks(strategy, store, d, universe, config.window,
+                                      replace(config.train_config, seed=seed))
             except StrategyError as exc:
                 raise StrategyError(f"{d.isoformat()}: {exc}") from exc
             rankings.append(ranking)

@@ -24,7 +24,7 @@ from .exports import (
 )
 from .factors import MarketStore
 from .marketdata import _parse_date, _parse_float, _read_rows, load_dataset
-from .metrics import ReturnSeries, build_report, result_series
+from .metrics import DEFAULT_RISK_FREE_ANNUAL, ReturnSeries, build_report, result_series
 from .numerics import LstmModel, MlpModel, gradient_check
 from .synthetic import generate_synthetic_market
 
@@ -57,11 +57,10 @@ def cmd_gen_data(config, out=None):
 
 def cmd_backtest(config, out=None):
     out = out if out is not None else sys.stdout
-    dataset = _load_or_generate(config)
     # one store for all strategies, so each factor row is computed once
-    store = MarketStore(dataset)
+    store = MarketStore(_load_or_generate(config))
     for strategy in config.strategies:
-        result = run_scenario(dataset, strategy, config.scenario_config(strategy), store)
+        result = run_scenario(store, strategy, config.scenario_config(strategy))
         strategy_dir = Path(config.out_dir) / strategy
         strategy_dir.mkdir(parents=True, exist_ok=True)
         series, benchmark = result_series(result)
@@ -144,7 +143,7 @@ def _build_parser():
     rep.add_argument("--series", required=True)
     rep.add_argument("--out", required=True, help="path of the report.json to write")
     rep.add_argument("--strategy", default="unknown")
-    rep.add_argument("--risk-free", type=float, default=0.03)
+    rep.add_argument("--risk-free", type=float, default=DEFAULT_RISK_FREE_ANNUAL)
     return parser
 
 

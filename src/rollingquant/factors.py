@@ -229,8 +229,8 @@ class MarketStore:
 
     A stock's derived series are computed the first time it is asked for,
     and each (stock, date) factor row is computed once. The dataset must
-    therefore not change while the store is in use: build one per run or per
-    call, and never keep one on the dataset.
+    therefore not change while the store is in use: build one per run, and
+    never keep one on the dataset.
     """
 
     def __init__(self, dataset: MarketDataset):

@@ -83,9 +83,6 @@ class TradingCalendar:
     def __len__(self):
         return len(self.dates)
 
-    def __contains__(self, d):
-        return d in self._index
-
     def index(self, d: Date) -> int:
         try:
             return self._index[d]

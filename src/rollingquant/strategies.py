@@ -79,9 +79,6 @@ class Ranking:
     date: Date
     entries: list[tuple[str, float]]  # (stock_id, score), descending score
 
-    def stocks(self):
-        return [s for s, _ in self.entries]
-
 
 def _sorted_entries(scores: dict[str, float]) -> list[tuple[str, float]]:
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -104,15 +101,8 @@ def _mcap_log(dataset, stock_id, d):
     return math.log(bars.market_cap[i])
 
 
-def _window_panels(dataset, universe, window: TrainingWindow, store: MarketStore | None):
-    """Raw panels for the training days then the action day, sparse rows dropped.
-
-    Rows come from store, or from a store scoped to this call when it is None.
-    """
-    if store is None:
-        store = MarketStore(dataset)
-    elif store.dataset is not dataset:
-        raise ValidationError("market store was built on another dataset")
+def _window_panels(store: MarketStore, universe, window: TrainingWindow):
+    """Raw panels for the training days then the action day, sparse rows dropped."""
     days = window.training_days + [window.action_day]
     return [drop_sparse_rows(build_panel(store, universe, day)) for day in days]
 
@@ -125,12 +115,12 @@ def _pooled_stats(panels):
     return compute_normalization(matrix, np.vstack([p.missing for p in panels]))
 
 
-def rank_linear_regression(dataset: MarketDataset, action_day: Date, universe,
-                           w: int = DEFAULT_WINDOW, store: MarketStore | None = None) -> Ranking:
+def rank_linear_regression(store: MarketStore, action_day: Date, universe,
+                           w: int = DEFAULT_WINDOW) -> Ranking:
     """Rank by valuation skew: fitted log market cap minus observed."""
+    dataset = store.dataset
     window = build_window(dataset.calendar, action_day, w)
-    *training, action = [normalize_panel(p)
-                         for p in _window_panels(dataset, universe, window, store)]
+    *training, action = [normalize_panel(p) for p in _window_panels(store, universe, window)]
     rows = []
     labels = []
     for panel in training:
@@ -157,13 +147,13 @@ def rank_linear_regression(dataset: MarketDataset, action_day: Date, universe,
     return Ranking(date=action_day, entries=_sorted_entries(scores))
 
 
-def rank_fcnn(dataset: MarketDataset, action_day: Date, universe,
-              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None,
-              store: MarketStore | None = None) -> Ranking:
+def rank_fcnn(store: MarketStore, action_day: Date, universe,
+              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
     """Dense-network excess-return projector, one sample per (stock, day)."""
     train_config = train_config or TrainConfig()
+    dataset = store.dataset
     window = build_window(dataset.calendar, action_day, w)
-    panels = _window_panels(dataset, universe, window, store)
+    panels = _window_panels(store, universe, window)
     stats = _pooled_stats(panels[:-1])
     samples = []
     labels = []
@@ -203,14 +193,14 @@ def _sequence_inputs(panels, normalized):
     }
 
 
-def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
-              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None,
-              store: MarketStore | None = None) -> Ranking:
+def rank_lstm(store: MarketStore, action_day: Date, universe,
+              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
     """Sequence projector; prediction window is the training window shifted
     right by one action day."""
     train_config = train_config or TrainConfig()
+    dataset = store.dataset
     window = build_window(dataset.calendar, action_day, w)
-    panels = _window_panels(dataset, universe, window, store)
+    panels = _window_panels(store, universe, window)
     stats = _pooled_stats(panels[:-1])
     normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
 
@@ -238,14 +228,13 @@ def rank_lstm(dataset: MarketDataset, action_day: Date, universe,
     return Ranking(date=action_day, entries=_sorted_entries(scores))
 
 
-def rank_stocks(kind: str, dataset: MarketDataset, action_day: Date, universe,
-                w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None,
-                store: MarketStore | None = None) -> Ranking:
-    """Rank with the named strategy; store, if given, must be built on dataset."""
+def rank_stocks(kind: str, store: MarketStore, action_day: Date, universe,
+                w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
+    """Rank with the named strategy on the run's store."""
     if kind == "linreg":
-        return rank_linear_regression(dataset, action_day, universe, w, store)
+        return rank_linear_regression(store, action_day, universe, w)
     if kind == "fcnn":
-        return rank_fcnn(dataset, action_day, universe, w, train_config, store)
+        return rank_fcnn(store, action_day, universe, w, train_config)
     if kind == "lstm":
-        return rank_lstm(dataset, action_day, universe, w, train_config, store)
+        return rank_lstm(store, action_day, universe, w, train_config)
     raise ValidationError(f"unknown strategy kind {kind!r}")

@@ -110,7 +110,7 @@ def test_criterion_4_offset_similarity():
 
 
 def _strategy_artifacts(dataset, strategy, config):
-    result = run_scenario(dataset, strategy, config)
+    result = run_scenario(MarketStore(dataset), strategy, config)
     series, benchmark = result_series(result)
     report = build_report(strategy, series, benchmark).to_json().encode()
     rankings = repr([(r.date, r.entries) for r in result.rankings]).encode()
@@ -121,7 +121,7 @@ def _strategy_artifacts(dataset, strategy, config):
 
 def test_criterion_5_no_lookahead_end_to_end():
     config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 10, 30),
-                            holdings=5, seed=5)
+                            holdings=5, train_config=TrainConfig(seed=5))
     synth = SyntheticMarketConfig(seed=5, n_stocks=40, start=Date(2014, 1, 1),
                                   end=Date(2015, 12, 31), regime="crash",
                                   planted_signal_strength=0.5)
@@ -151,10 +151,10 @@ def test_criterion_5_no_lookahead_end_to_end():
 
 def test_criterion_6_accounting_identities(crash_market):
     config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
-                            holdings=5, seed=6,
+                            holdings=5, train_config=TrainConfig(seed=6),
                             costs=CostModel(commission_rate=0.001,
                                             sell_tax_rate=0.001))
-    result = run_scenario(crash_market, "linreg", config)
+    result = run_scenario(MarketStore(crash_market), "linreg", config)
 
     by_day = {}
     for t in result.trades:
@@ -203,10 +203,12 @@ def test_criterion_7_upward_shift():
             end=Date(2015, 12, 31), regime="crash",
             planted_signal_strength=0.5))
         start = time.monotonic()
+        # one store for the three strategies, as a backtest run shares it
+        store = MarketStore(dataset)
         for strategy in wins:
-            config = ScenarioConfig(start=Date(2015, 7, 1),
-                                    end=Date(2015, 12, 31), seed=seed * 1000)
-            result = run_scenario(dataset, strategy, config)
+            config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31),
+                                    train_config=TrainConfig(seed=seed * 1000))
+            result = run_scenario(store, strategy, config)
             series, benchmark = result_series(result)
             if series.net_return() > benchmark.net_return():
                 wins[strategy] += 1

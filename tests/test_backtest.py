@@ -14,6 +14,8 @@ from rollingquant.backtest import (
     run_scenario,
 )
 from rollingquant.errors import RebalanceError, ValidationError
+from rollingquant.factors import MarketStore
+from rollingquant.numerics import TrainConfig
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 D0 = Date(2015, 6, 30)
@@ -129,8 +131,8 @@ def _replay_value(result, initial_capital, final_prices):
 class TestRunScenario:
     def test_seven_action_days_and_series_shapes(self, crash_market):
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
-                                holdings=5, seed=3)
-        result = run_scenario(crash_market, "linreg", config)
+                                holdings=5, train_config=TrainConfig(seed=3))
+        result = run_scenario(MarketStore(crash_market), "linreg", config)
         assert len(result.rankings) == 7
         assert len(result.values) == len(result.dates)
         assert len(result.daily_returns) == len(result.dates) - 1
@@ -141,8 +143,8 @@ class TestRunScenario:
 
     def test_cash_until_first_action_day(self, crash_market):
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
-                                holdings=5, seed=3)
-        result = run_scenario(crash_market, "linreg", config)
+                                holdings=5, train_config=TrainConfig(seed=3))
+        result = run_scenario(MarketStore(crash_market), "linreg", config)
         first_action = result.rankings[0].date
         for d, v in zip(result.dates, result.values):
             if d < first_action:
@@ -151,10 +153,10 @@ class TestRunScenario:
 
     def test_trade_replay_matches_final_value(self, crash_market):
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
-                                holdings=5, seed=3,
+                                holdings=5, train_config=TrainConfig(seed=3),
                                 costs=CostModel(commission_rate=0.001,
                                                 sell_tax_rate=0.001))
-        result = run_scenario(crash_market, "linreg", config)
+        result = run_scenario(MarketStore(crash_market), "linreg", config)
         final_prices = {}
         for stock_id in crash_market.stock_ids():
             for d in reversed(result.dates):
@@ -167,17 +169,27 @@ class TestRunScenario:
 
     def test_determinism(self, crash_market):
         config = ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 12, 31),
-                                holdings=5, seed=7)
-        a = run_scenario(crash_market, "fcnn", config)
-        b = run_scenario(crash_market, "fcnn", config)
+                                holdings=5, train_config=TrainConfig(seed=7))
+        a = run_scenario(MarketStore(crash_market), "fcnn", config)
+        b = run_scenario(MarketStore(crash_market), "fcnn", config)
         assert a.values == b.values
         assert [(t.stock_id, t.shares) for t in a.trades] == \
                [(t.stock_id, t.shares) for t in b.trades]
 
+    def test_scenario_training_seed_is_used(self, crash_market):
+        rankings = []
+        for seed in (5, 6):
+            config = ScenarioConfig(start=Date(2015, 11, 1), end=Date(2015, 12, 31),
+                                    holdings=5,
+                                    train_config=TrainConfig(epochs=1, seed=seed))
+            result = run_scenario(MarketStore(crash_market), "fcnn", config)
+            rankings.append([r.entries for r in result.rankings])
+        assert rankings[0] != rankings[1]
+
     def test_empty_range_rejected(self, crash_market):
         config = ScenarioConfig(start=Date(2015, 6, 6), end=Date(2015, 6, 7))
         with pytest.raises(ValidationError):
-            run_scenario(crash_market, "linreg", config)
+            run_scenario(MarketStore(crash_market), "linreg", config)
 
     def test_each_call_sees_the_dataset_as_it_is(self):
         def market():
@@ -189,14 +201,14 @@ class TestRunScenario:
             dataset.bars["S0000"].turnover *= 3.0
 
         config = ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 10, 31),
-                                holdings=5, seed=1)
+                                holdings=5, train_config=TrainConfig(seed=1))
         dataset = market()
-        first = run_scenario(dataset, "linreg", config)
+        first = run_scenario(MarketStore(dataset), "linreg", config)
         inflate_turnover(dataset)
-        second = run_scenario(dataset, "linreg", config)
+        second = run_scenario(MarketStore(dataset), "linreg", config)
         fresh = market()
         inflate_turnover(fresh)
-        expected = run_scenario(fresh, "linreg", config)
+        expected = run_scenario(MarketStore(fresh), "linreg", config)
         assert [r.entries for r in second.rankings] != [r.entries for r in first.rankings]
         assert [r.entries for r in second.rankings] == [r.entries for r in expected.rankings]
 
@@ -206,8 +218,8 @@ class TestRunScenario:
         bars = market.bars["S0"]
         bars.suspended[bars.position(Date(2015, 7, 31)):] = True
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 8, 31),
-                                holdings=12, seed=0)
-        result = run_scenario(market, "linreg", config)
+                                holdings=12, train_config=TrainConfig(seed=0))
+        result = run_scenario(MarketStore(market), "linreg", config)
         # flat prices, no costs: valuation never moves even while S0 is frozen
         traded = {t.stock_id for t in result.trades}
         assert "S0" in traded

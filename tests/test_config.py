@@ -1,0 +1,148 @@
+"""INI parsing: where each key lands, the defaults of absent keys, unknown
+keys, and the seed derivation."""
+
+import io
+from dataclasses import replace
+from datetime import date as Date
+from pathlib import Path
+
+import pytest
+
+from rollingquant import strategies
+from rollingquant.backtest import CostModel, ScenarioConfig
+from rollingquant.cli import cmd_backtest, main
+from rollingquant.config import RunConfig, load_run_config
+from rollingquant.numerics import TrainConfig
+from rollingquant.synthetic import SyntheticMarketConfig
+
+# the keys a config must set
+MINIMAL = {"run": {"start": "2015-09-01", "end": "2015-12-31"},
+           "data": {"start": "2014-01-01", "end": "2015-12-31"}}
+
+
+def write_ini(tmp_path, **sections):
+    """An INI of MINIMAL with the given keys set or added, section by section."""
+    merged = {name: dict(body) for name, body in MINIMAL.items()}
+    for name, body in sections.items():
+        merged.setdefault(name, {}).update(body)
+    path = tmp_path / "run.ini"
+    path.write_text("\n".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        for name, body in merged.items()), encoding="utf-8")
+    return path
+
+
+def minimal_config():
+    """What MINIMAL parses to: the dataclass defaults, the master seed
+    at TrainConfig's default and the parser's own defaults."""
+    return RunConfig(
+        source="synthetic",
+        strategies=["linreg", "fcnn", "lstm"],
+        out_dir=Path("out"),
+        scenario=ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 12, 31)),
+        synthetic=SyntheticMarketConfig(seed=1, n_stocks=300, start=Date(2014, 1, 1),
+                                        end=Date(2015, 12, 31)),
+    )
+
+
+def test_absent_keys_take_dataclass_defaults(tmp_path):
+    config = load_run_config(write_ini(tmp_path))
+    assert config == minimal_config()
+    assert config.scenario.train_config == TrainConfig()
+    assert config.scenario.costs == CostModel()
+
+
+def _scenario(**changes):
+    return lambda c: replace(c, scenario=replace(c.scenario, **changes))
+
+
+def _train(**changes):
+    return lambda c: replace(c, scenario=replace(
+        c.scenario, train_config=replace(c.scenario.train_config, **changes)))
+
+
+def _costs(**changes):
+    return lambda c: replace(c, scenario=replace(
+        c.scenario, costs=replace(c.scenario.costs, **changes)))
+
+
+def _synthetic(**changes):
+    return lambda c: replace(c, synthetic=replace(c.synthetic, **changes))
+
+
+KEY_CASES = [
+    ("run", "seed", "7",
+     lambda c: _synthetic(seed=8)(_train(seed=7)(c))),
+    ("run", "strategies", "lstm,linreg", lambda c: replace(c, strategies=["lstm", "linreg"])),
+    ("run", "start", "2015-08-03", _scenario(start=Date(2015, 8, 3))),
+    ("run", "end", "2015-11-30", _scenario(end=Date(2015, 11, 30))),
+    ("run", "out_dir", "results", lambda c: replace(c, out_dir=Path("results"))),
+    ("run", "window", "2", _scenario(window=2)),
+    ("run", "holdings", "4", _scenario(holdings=4)),
+    ("run", "risk_free_annual", "0.02", lambda c: replace(c, risk_free_annual=0.02)),
+    ("run", "initial_capital", "5000", _scenario(initial_capital=5000.0)),
+    ("data", "source", "synthetic", lambda c: c),
+    ("data", "n_stocks", "40", _synthetic(n_stocks=40)),
+    ("data", "start", "2013-06-03", _synthetic(start=Date(2013, 6, 3))),
+    ("data", "end", "2016-01-29", _synthetic(end=Date(2016, 1, 29))),
+    ("data", "regime", "crash", _synthetic(regime="crash")),
+    ("data", "planted_signal_strength", "0.2", _synthetic(planted_signal_strength=0.2)),
+    ("data", "noise_level", "0.03", _synthetic(noise_level=0.03)),
+    ("train", "epochs", "3", _train(epochs=3)),
+    ("train", "batch_size", "7", _train(batch_size=7)),
+    ("train", "learning_rate", "0.01", _train(learning_rate=0.01)),
+    ("train", "beta1", "0.8", _train(beta1=0.8)),
+    ("train", "beta2", "0.99", _train(beta2=0.99)),
+    ("costs", "commission_rate", "0.0003", _costs(commission_rate=0.0003)),
+    ("costs", "sell_tax_rate", "0.001", _costs(sell_tax_rate=0.001)),
+    ("costs", "lot_size", "100", _costs(lot_size=100.0)),
+]
+
+
+@pytest.mark.parametrize("section,key,text,expect", KEY_CASES,
+                         ids=[f"{section}.{key}" for section, key, *_ in KEY_CASES])
+def test_ini_keys_reach_their_fields(tmp_path, section, key, text, expect):
+    config = load_run_config(write_ini(tmp_path, **{section: {key: text}}))
+    assert config == expect(minimal_config())
+
+
+def test_csv_keys_reach_their_fields(tmp_path):
+    path = write_ini(tmp_path, data={"source": "csv", "bars": "b.csv",
+                                     "fundamentals": "f.csv", "benchmark": "x.csv"})
+    config = load_run_config(path)
+    assert config == replace(minimal_config(), source="csv", synthetic=None,
+                             bars_path=tmp_path / "b.csv",
+                             fundamentals_path=tmp_path / "f.csv",
+                             benchmark_path=tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("section,key,reported", [
+    ("run", "holding", "run"),
+    ("data", "n_stock", "data"),
+    ("train", "epoch", "train"),
+    ("costs", "commission", "costs"),
+    ("DEFAULT", "holding", "run"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, section, key, reported):
+    path = write_ini(tmp_path, **{section: {key: "1"}})
+    assert main(["backtest", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: unknown key '{key}' in [{reported}]\n"
+
+
+def test_training_seeds_follow_the_derivation(tmp_path, monkeypatch):
+    seeds = []
+    train = strategies.train
+
+    def recording_train(model, samples, labels, config):
+        seeds.append(config.seed)
+        return train(model, samples, labels, config)
+
+    monkeypatch.setattr(strategies, "train", recording_train)
+    path = write_ini(tmp_path, run={"seed": "4", "strategies": "linreg,fcnn,lstm",
+                                    "out_dir": tmp_path / "out"},
+                     data={"n_stocks": "40", "regime": "crash"}, train={"epochs": "1"})
+    assert cmd_backtest(load_run_config(path), out=io.StringIO()) == 0
+    # master + strategy offset + action day index * 10,007; linreg trains nothing
+    assert seeds == [4 + offset + i * 10_007
+                     for offset in (200_000, 300_000) for i in range(4)]

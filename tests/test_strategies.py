@@ -118,7 +118,8 @@ class TestSelectTargets:
 class TestRankLinearRegression:
     def test_tie_scores_break_by_stock_id(self):
         market = flat_market({s: 100.0 for s in ("B", "A", "C")})
-        ranking = rank_linear_regression(market, Date(2015, 6, 30), {"A", "B", "C"})
+        ranking = rank_linear_regression(MarketStore(market), Date(2015, 6, 30),
+                                         {"A", "B", "C"})
         # identical stocks: all scores equal, order falls back to stock id
         scores = [score for _, score in ranking.entries]
         assert max(scores) - min(scores) < 1e-9
@@ -137,7 +138,7 @@ class TestRankLinearRegression:
         d = Date(2015, 9, 30)
         market = fresh_market()
         universe = eligible_universe(market, d)
-        baseline = dict(rank_linear_regression(market, d, universe).entries)
+        baseline = dict(rank_linear_regression(MarketStore(market), d, universe).entries)
         victim = sorted(universe)[7]
         delta = 1.0
         discount = math.exp(-delta)
@@ -146,7 +147,7 @@ class TestRankLinearRegression:
         for snap in market.fundamentals[victim]:
             for name in self._LEVEL_FIELDS:
                 setattr(snap, name, getattr(snap, name) * discount)
-        shifted = rank_linear_regression(market, d, universe)
+        shifted = rank_linear_regression(MarketStore(market), d, universe)
         scores = dict(shifted.entries)
         order = [s for s, _ in shifted.entries]
         assert order.index(victim) < 3
@@ -155,7 +156,7 @@ class TestRankLinearRegression:
     def test_window_exceeding_history_raises(self):
         market = fresh_market()
         with pytest.raises(StrategyError):
-            rank_linear_regression(market, Date(2015, 9, 30),
+            rank_linear_regression(MarketStore(market), Date(2015, 9, 30),
                                    eligible_universe(market, Date(2015, 9, 30)), w=40)
 
 
@@ -164,16 +165,16 @@ class TestProjectionStrategies:
         market = fresh_market()
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
-        a = rank_fcnn(market, d, universe, train_config=TrainConfig(seed=5))
-        b = rank_fcnn(market, d, universe, train_config=TrainConfig(seed=5))
+        a = rank_fcnn(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        b = rank_fcnn(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
         assert a.entries == b.entries
 
     def test_lstm_deterministic(self):
         market = fresh_market()
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
-        a = rank_lstm(market, d, universe, train_config=TrainConfig(seed=5))
-        b = rank_lstm(market, d, universe, train_config=TrainConfig(seed=5))
+        a = rank_lstm(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        b = rank_lstm(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
         assert a.entries == b.entries
 
     def test_rankings_cover_the_universe(self):
@@ -181,14 +182,14 @@ class TestProjectionStrategies:
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
         for kind in ("linreg", "fcnn", "lstm"):
-            ranking = rank_stocks(kind, market, d, universe,
+            ranking = rank_stocks(kind, MarketStore(market), d, universe,
                                   train_config=TrainConfig(seed=1))
             assert {s for s, _ in ranking.entries} == universe
 
     def test_unknown_strategy_rejected(self):
         market = fresh_market()
         with pytest.raises(ValidationError):
-            rank_stocks("cnn", market, Date(2015, 9, 30), {"S0000"})
+            rank_stocks("cnn", MarketStore(market), Date(2015, 9, 30), {"S0000"})
 
 
 class TestWindowPanels:
@@ -209,15 +210,8 @@ class TestWindowPanels:
             return build_panel(dataset, universe, day)
 
         monkeypatch.setattr(strategies, "build_panel", counting_build_panel)
-        rank(market, d, universe, w=3, **kwargs)
+        rank(MarketStore(market), d, universe, w=3, **kwargs)
         assert built == build_window(market.calendar, d, 3).training_days + [d]
-
-    def test_store_of_another_dataset_rejected(self):
-        d = Date(2015, 9, 30)
-        market = fresh_market()
-        with pytest.raises(ValidationError, match="another dataset"):
-            rank_linear_regression(market, d, eligible_universe(market, d),
-                                   store=MarketStore(fresh_market()))
 
 
 class TestNoLookahead:
@@ -245,8 +239,8 @@ class TestNoLookahead:
         d = Date(2015, 9, 30)
         market = fresh_market()
         universe = eligible_universe(market, d)
-        before = rank_stocks(kind, market, d, universe,
+        before = rank_stocks(kind, MarketStore(market), d, universe,
                              train_config=TrainConfig(seed=2))
-        after = rank_stocks(kind, self._mutated_after(d), d, universe,
+        after = rank_stocks(kind, MarketStore(self._mutated_after(d)), d, universe,
                             train_config=TrainConfig(seed=2))
         assert before.entries == after.entries
