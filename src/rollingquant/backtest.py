@@ -1,8 +1,10 @@
-"""Monthly-rebalance portfolio simulation.
+"""Monthly-rebalance portfolio simulation in two passes.
 
-Trades fill at action-day closes; the portfolio is marked to market every
-trading day. Suspended holdings are carried at their last known close and
-liquidated at the first tradeable opportunity when not in targets.
+The ranking pass (rank_scenario) ranks every action day of the scenario
+range; the trading loop only reads those rankings. Trades fill at action-day
+closes; the portfolio is marked to market every trading day. Suspended
+holdings are carried at their last known close and liquidated at the first
+tradeable opportunity when not in targets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .errors import RebalanceError, StrategyError, ValidationError
 from .factors import MarketStore
 from .marketdata import EligibilityRules, action_days, eligible_universe
 from .numerics import TrainConfig
-from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, rank_stocks, select_targets
+from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, Ranking, rank_stocks, select_targets
 
 DEFAULT_INITIAL_CAPITAL = 1_000_000.0
 # Per-action-day training-seed stride; keeps per-rebalance streams disjoint.
@@ -28,7 +30,8 @@ class CostModel:
     lot_size: float = 0.0  # 0 means fractional shares
 
     def validate(self):
-        if self.commission_rate < 0 or self.sell_tax_rate < 0 or self.lot_size < 0:
+        # written so that a NaN fails too
+        if not (self.commission_rate >= 0 and self.sell_tax_rate >= 0 and self.lot_size >= 0):
             raise ValidationError("cost rates and lot size must be >= 0")
 
 
@@ -148,28 +151,47 @@ class BacktestResult:
     daily_returns: list[float]       # length len(dates) - 1
     benchmark_returns: list[float]   # length len(dates) - 1
     trades: list[Trade]
-    rankings: list  # per-action-day Ranking
+    rankings: list[Ranking]  # one per action day
+
+
+def rank_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> list[Ranking]:
+    """One ranking per action day of the scenario range, in date order.
+
+    Action day i ranks its eligible universe with training seed
+    train_config.seed + i * SEED_STRIDE. A StrategyError names the first
+    failing day.
+    """
+    rankings = []
+    for i, d in enumerate(action_days(store.dataset.calendar, config.start, config.end)):
+        universe = eligible_universe(store.dataset, d, config.eligibility)
+        seed = config.train_config.seed + i * SEED_STRIDE
+        try:
+            rankings.append(rank_stocks(strategy, store, d, universe, config.window,
+                                        replace(config.train_config, seed=seed)))
+        except StrategyError as exc:
+            raise StrategyError(f"{d.isoformat()}: {exc}") from exc
+    return rankings
 
 
 def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> BacktestResult:
     """Simulate one strategy over the scenario range on the run's store.
 
-    The store shares factor rows with the run's other scenarios.
+    All action days are ranked first; the daily loop then trades each day's
+    top holdings. The store shares factor rows with the run's other scenarios.
     """
     dataset = store.dataset
     days = dataset.calendar.days_between(config.start, config.end)
     if not days:
         raise ValidationError("scenario range contains no trading days")
-    rebalance_days = set(action_days(dataset.calendar, config.start, config.end))
+    rankings = rank_scenario(store, strategy, config)
+    targets = {r.date: select_targets(r, config.holdings) for r in rankings}
 
     portfolio = Portfolio(cash=config.initial_capital)
     last_close: dict[str, float] = {}
     values: list[float] = []
     returns: list[float] = []
     trades: list[Trade] = []
-    rankings = []
     previous = None
-    action_index = 0
 
     for d in days:
         # Carry forward the last tradeable close for every held stock.
@@ -178,27 +200,17 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
             if close is not None:
                 last_close[stock_id] = close
 
-        if d in rebalance_days:
-            universe = eligible_universe(dataset, d, config.eligibility)
-            seed = config.train_config.seed + action_index * SEED_STRIDE
-            action_index += 1
-            try:
-                ranking = rank_stocks(strategy, store, d, universe, config.window,
-                                      replace(config.train_config, seed=seed))
-            except StrategyError as exc:
-                raise StrategyError(f"{d.isoformat()}: {exc}") from exc
-            rankings.append(ranking)
-            targets = select_targets(ranking, config.holdings)
+        if d in targets:
             prices = {}
             frozen = set()
-            for stock_id in set(portfolio.holdings) | set(targets):
+            for stock_id in set(portfolio.holdings) | set(targets[d]):
                 close = dataset.tradeable_close(stock_id, d)
                 if close is not None:
                     prices[stock_id] = last_close[stock_id] = close
                 elif stock_id in last_close:
                     prices[stock_id] = last_close[stock_id]
                     frozen.add(stock_id)
-            trades.extend(rebalance(portfolio, targets, prices,
+            trades.extend(rebalance(portfolio, targets[d], prices,
                                     config.costs, d, frozen))
 
         prices = {s: last_close[s] for s in portfolio.holdings}

@@ -13,7 +13,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .backtest import CostModel, ScenarioConfig
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .metrics import DEFAULT_RISK_FREE_ANNUAL
 from .numerics import TrainConfig
 from .strategies import STRATEGY_KINDS
@@ -128,6 +128,9 @@ def load_run_config(path, seed_override: int | None = None,
 
     if "run" not in parser:
         raise ConfigError("config must contain a [run] section")
+    for name in parser.sections():  # [DEFAULT] is not among them
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
     for name, table in _SECTION_KEYS.items():
         # a section's keys include those merged in from [DEFAULT]
         for key in parser[name] if name in parser else ():
@@ -151,6 +154,13 @@ def load_run_config(path, seed_override: int | None = None,
                               train_config=TrainConfig(**train))
     if scenario.window < 1 or scenario.holdings < 1:
         raise ConfigError("run.window and run.holdings must be >= 1")
+    if not scenario.initial_capital > 0:
+        raise ConfigError("run.initial_capital must be > 0")
+    try:
+        scenario.costs.validate()
+        scenario.train_config.validate()
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
     options = {"strategies": list(STRATEGY_KINDS), "out_dir": Path("out")} | run
     if out_override is not None:
         options["out_dir"] = Path(out_override)

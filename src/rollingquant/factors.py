@@ -282,24 +282,20 @@ def build_panel(store: MarketStore, universe, d: Date) -> FactorPanel:
 
 
 def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> NormalizationStats:
-    """Median-impute, winsorize at +-5 population sigmas, z-score."""
-    n_cols = matrix.shape[1]
-    medians = np.zeros(n_cols)
-    lower = np.zeros(n_cols)
-    upper = np.zeros(n_cols)
-    means = np.zeros(n_cols)
-    stds = np.zeros(n_cols)
-    for j in range(n_cols):
-        col = matrix[:, j]
-        present = col[~missing[:, j]]
-        medians[j] = float(np.median(present)) if len(present) else 0.0
-        filled = np.where(missing[:, j], medians[j], col)
-        mu0, sd0 = filled.mean(), filled.std()
-        lower[j], upper[j] = mu0 - WINSOR_SIGMAS * sd0, mu0 + WINSOR_SIGMAS * sd0
-        clipped = np.clip(filled, lower[j], upper[j])
-        means[j] = clipped.mean()
-        sd = clipped.std()
-        stds[j] = sd if sd > max(1e-12, 1e-8 * abs(means[j])) else 0.0
+    """Median-impute, winsorize at +-5 population sigmas, z-score.
+
+    Columns become C-contiguous rows, so each reduction along axis 1 sums in
+    the same order as a 1-D reduction of that column.
+    """
+    medians = np.array([float(np.median(col[~gone])) if not gone.all() else 0.0
+                        for col, gone in zip(matrix.T, missing.T)])
+    filled = np.ascontiguousarray(np.where(missing, medians, matrix).T)
+    mu0, sd0 = filled.mean(axis=1), filled.std(axis=1)
+    lower, upper = mu0 - WINSOR_SIGMAS * sd0, mu0 + WINSOR_SIGMAS * sd0
+    clipped = np.clip(filled, lower[:, None], upper[:, None])
+    means = clipped.mean(axis=1)
+    sd = clipped.std(axis=1)
+    stds = np.where(sd > np.maximum(1e-12, 1e-8 * np.abs(means)), sd, 0.0)
     return NormalizationStats(medians, lower, upper, means, stds)
 
 

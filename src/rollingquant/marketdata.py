@@ -74,7 +74,6 @@ class TradingCalendar:
         self.dates = sorted(dates)
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValidationError("calendar dates must be strictly increasing")
-        self._index = {d: i for i, d in enumerate(self.dates)}
         # last trading date of each (year, month) present in the calendar
         self._month_last: dict[tuple[int, int], Date] = {}
         for d in self.dates:
@@ -82,12 +81,6 @@ class TradingCalendar:
 
     def __len__(self):
         return len(self.dates)
-
-    def index(self, d: Date) -> int:
-        try:
-            return self._index[d]
-        except KeyError:
-            raise ValidationError(f"{d.isoformat()} is not a trading date") from None
 
     def days_between(self, start: Date, end: Date):
         """Trading dates d with start <= d <= end."""

@@ -31,9 +31,6 @@ class ReturnSeries:
         if len(self.dates) != len(self.returns):
             raise ValidationError("dates and returns lengths differ")
 
-    def cumulative(self) -> np.ndarray:
-        return np.cumprod(1.0 + self.returns) - 1.0
-
     def net_return(self) -> float:
         return float(np.prod(1.0 + self.returns) - 1.0)
 
@@ -69,20 +66,14 @@ def sharpe_ratio(series: ReturnSeries, benchmark: ReturnSeries,
     return numerator / (sigma * math.sqrt(TRADING_DAYS_PER_YEAR))
 
 
-def similarity_to_benchmark(series: ReturnSeries, benchmark: ReturnSeries,
-                            on_cumulative: bool = False) -> float:
+def similarity_to_benchmark(series: ReturnSeries, benchmark: ReturnSeries) -> float:
     """Population std of the element-wise difference of the two daily series.
 
     Zero means the portfolio tracks the benchmark up to a constant offset
-    per element. on_cumulative switches to the difference of the cumulative
-    return curves instead.
+    per element.
     """
     _check_pair(series, benchmark)
-    if on_cumulative:
-        diff = series.cumulative() - benchmark.cumulative()
-    else:
-        diff = series.returns - benchmark.returns
-    return float(diff.std())
+    return float((series.returns - benchmark.returns).std())
 
 
 def _month_key(d: Date) -> str:

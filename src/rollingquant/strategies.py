@@ -1,7 +1,8 @@
 """The three ranking strategies and the rolling-window training protocol.
 
 All three retrain from scratch on each action day using only the W most
-recent preceding action days, then rank the eligible cross-section:
+recent preceding action days, then rank the eligible cross-section; each is
+one kind of rank_stocks:
 
 * linreg - fits the day's log market cap to the other 46 factors and ranks
   by the fitted-minus-actual gap (undervalued first).
@@ -101,12 +102,6 @@ def _mcap_log(dataset, stock_id, d):
     return math.log(bars.market_cap[i])
 
 
-def _window_panels(store: MarketStore, universe, window: TrainingWindow):
-    """Raw panels for the training days then the action day, sparse rows dropped."""
-    days = window.training_days + [window.action_day]
-    return [drop_sparse_rows(build_panel(store, universe, day)) for day in days]
-
-
 def _pooled_stats(panels):
     """Normalization stats pooled over the rows of all the given panels."""
     matrix = np.vstack([p.matrix for p in panels])
@@ -115,12 +110,11 @@ def _pooled_stats(panels):
     return compute_normalization(matrix, np.vstack([p.missing for p in panels]))
 
 
-def rank_linear_regression(store: MarketStore, action_day: Date, universe,
-                           w: int = DEFAULT_WINDOW) -> Ranking:
-    """Rank by valuation skew: fitted log market cap minus observed."""
-    dataset = store.dataset
-    window = build_window(dataset.calendar, action_day, w)
-    *training, action = [normalize_panel(p) for p in _window_panels(store, universe, window)]
+def _linreg_scores(dataset: MarketDataset, panels) -> dict[str, float]:
+    """Fitted minus observed log market cap on the last panel, fitted on the
+    others; each panel is normalized against itself."""
+    # a 0-row panel adds no rows, and its normalization would only warn
+    *training, action = [normalize_panel(p) if p.stocks else p for p in panels]
     rows = []
     labels = []
     for panel in training:
@@ -131,110 +125,90 @@ def rank_linear_regression(store: MarketStore, action_day: Date, universe,
             rows.append(panel.matrix[i, _NON_LABEL_COLUMNS])
             labels.append(label)
     if not rows:
-        raise StrategyError(f"no regression samples for {action_day.isoformat()}")
+        raise StrategyError(f"no regression samples for {action.date.isoformat()}")
     X = np.column_stack([np.ones(len(rows)), np.array(rows)])
     weights = least_squares_fit(X, np.array(labels))
 
     scores = {}
     for i, stock_id in enumerate(action.stocks):
-        actual = _mcap_log(dataset, stock_id, action_day)
+        actual = _mcap_log(dataset, stock_id, action.date)
         if actual is None:
             continue
         features = np.concatenate(([1.0], action.matrix[i, _NON_LABEL_COLUMNS]))
         scores[stock_id] = float(features @ weights) - actual
-    if not scores:
-        raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
-    return Ranking(date=action_day, entries=_sorted_entries(scores))
+    return scores
 
 
-def rank_fcnn(store: MarketStore, action_day: Date, universe,
-              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
-    """Dense-network excess-return projector, one sample per (stock, day)."""
-    train_config = train_config or TrainConfig()
-    dataset = store.dataset
-    window = build_window(dataset.calendar, action_day, w)
-    panels = _window_panels(store, universe, window)
-    stats = _pooled_stats(panels[:-1])
+def _flat_samples(dataset: MarketDataset, panels, normalized):
+    """fcnn: one row per (stock, training day), labelled with the excess
+    return to the next window day."""
     samples = []
     labels = []
-    for panel, horizon in zip(panels, panels[1:]):
-        normalized = apply_normalization(panel.matrix, panel.missing, stats)
+    for panel, rows, horizon in zip(panels, normalized, panels[1:]):
         for i, stock_id in enumerate(panel.stocks):
             label = excess_return_label(dataset, stock_id, panel.date, horizon.date)
             if label is None:
                 continue
-            samples.append(normalized[i])
+            samples.append(rows[i])
             labels.append(label)
     if not samples:
-        raise StrategyError(f"no projection samples for {action_day.isoformat()}")
-
-    model = MlpModel.create(seed=train_config.seed)
-    model, _ = train(model, np.array(samples), np.array(labels), train_config)
-
-    panel = panels[-1]
-    if not panel.stocks:
-        raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
-    normalized = apply_normalization(panel.matrix, panel.missing, stats)
-    preds = model.forward(normalized)
-    scores = {stock_id: float(p) for stock_id, p in zip(panel.stocks, preds)}
-    return Ranking(date=action_day, entries=_sorted_entries(scores))
+        raise StrategyError(f"no projection samples for {panels[-1].date.isoformat()}")
+    return np.array(samples), np.array(labels)
 
 
-def _sequence_inputs(panels, normalized):
-    """Per-stock sequences of normalized rows over consecutive panels.
-
-    Only stocks with a usable panel row on every day are kept.
-    """
-    index_maps = [{s: i for i, s in enumerate(p.stocks)} for p in panels]
-    common = sorted(set.intersection(*(set(p.stocks) for p in panels)))
-    return {
-        stock_id: np.stack([rows[index[stock_id]] for rows, index in zip(normalized, index_maps)])
-        for stock_id in common
-    }
+def _sequences(panels, normalized):
+    """The stocks with a usable row on every panel, sorted, and their
+    normalized rows over the panels as a (stocks, panels, factors) array."""
+    stocks = sorted(set.intersection(*(set(p.stocks) for p in panels)))
+    steps = []
+    for panel, rows in zip(panels, normalized):
+        index = {s: i for i, s in enumerate(panel.stocks)}
+        steps.append(rows[[index[s] for s in stocks]])
+    return stocks, np.stack(steps, axis=1)
 
 
-def rank_lstm(store: MarketStore, action_day: Date, universe,
-              w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
-    """Sequence projector; prediction window is the training window shifted
-    right by one action day."""
-    train_config = train_config or TrainConfig()
-    dataset = store.dataset
-    window = build_window(dataset.calendar, action_day, w)
-    panels = _window_panels(store, universe, window)
-    stats = _pooled_stats(panels[:-1])
-    normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
-
-    train_sequences = _sequence_inputs(panels[:-1], normalized[:-1])
-    samples = []
-    labels = []
-    for stock_id in sorted(train_sequences):
-        label = excess_return_label(dataset, stock_id, window.training_days[-1], action_day)
-        if label is None:
-            continue
-        samples.append(train_sequences[stock_id])
-        labels.append(label)
-    if not samples:
-        raise StrategyError(f"no sequence samples for {action_day.isoformat()}")
-
-    model = LstmModel.create(seed=train_config.seed, sequence_length=w)
-    model, _ = train(model, np.stack(samples), np.array(labels), train_config)
-
-    predict_sequences = _sequence_inputs(panels[1:], normalized[1:])
-    if not predict_sequences:
-        raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
-    stocks = sorted(predict_sequences)
-    preds = model.forward(np.stack([predict_sequences[s] for s in stocks]))
-    scores = {stock_id: float(p) for stock_id, p in zip(stocks, preds)}
-    return Ranking(date=action_day, entries=_sorted_entries(scores))
+def _sequence_samples(dataset: MarketDataset, panels, normalized):
+    """lstm: one sequence per stock over the training days, labelled with the
+    excess return from the last training day to the action day."""
+    stocks, sequences = _sequences(panels[:-1], normalized[:-1])
+    t0, t1 = panels[-2].date, panels[-1].date
+    labels = [excess_return_label(dataset, s, t0, t1) for s in stocks]
+    keep = [i for i, label in enumerate(labels) if label is not None]
+    if not keep:
+        raise StrategyError(f"no sequence samples for {t1.isoformat()}")
+    return sequences[keep], np.array([labels[i] for i in keep])
 
 
 def rank_stocks(kind: str, store: MarketStore, action_day: Date, universe,
                 w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
-    """Rank with the named strategy on the run's store."""
+    """Rank the universe on action_day with the named strategy, trained from
+    scratch on the w preceding action days of the run's store.
+
+    fcnn and lstm predict with the training window shifted right by one
+    action day: fcnn from the action-day panel, lstm from the last w panels.
+    """
+    if kind not in STRATEGY_KINDS:
+        raise ValidationError(f"unknown strategy kind {kind!r}")
+    train_config = train_config or TrainConfig()
+    dataset = store.dataset
+    window = build_window(dataset.calendar, action_day, w)
+    panels = [drop_sparse_rows(build_panel(store, universe, day))
+              for day in window.training_days + [action_day]]
     if kind == "linreg":
-        return rank_linear_regression(store, action_day, universe, w)
-    if kind == "fcnn":
-        return rank_fcnn(store, action_day, universe, w, train_config)
-    if kind == "lstm":
-        return rank_lstm(store, action_day, universe, w, train_config)
-    raise ValidationError(f"unknown strategy kind {kind!r}")
+        scores = _linreg_scores(dataset, panels)
+    else:
+        stats = _pooled_stats(panels[:-1])
+        normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
+        if kind == "fcnn":
+            samples, labels = _flat_samples(dataset, panels, normalized)
+            stocks, inputs = panels[-1].stocks, normalized[-1]
+            model = MlpModel.create(seed=train_config.seed)
+        else:
+            samples, labels = _sequence_samples(dataset, panels, normalized)
+            stocks, inputs = _sequences(panels[1:], normalized[1:])
+            model = LstmModel.create(seed=train_config.seed, sequence_length=w)
+        model, _ = train(model, samples, labels, train_config)
+        scores = {stock_id: float(p) for stock_id, p in zip(stocks, model.forward(inputs))}
+    if not scores:
+        raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
+    return Ranking(date=action_day, entries=_sorted_entries(scores))

@@ -5,6 +5,7 @@ from datetime import date as Date
 import pytest
 
 from conftest import flat_market
+from rollingquant import backtest
 from rollingquant.backtest import (
     CostModel,
     Portfolio,
@@ -13,7 +14,7 @@ from rollingquant.backtest import (
     rebalance,
     run_scenario,
 )
-from rollingquant.errors import RebalanceError, ValidationError
+from rollingquant.errors import RebalanceError, StrategyError, ValidationError
 from rollingquant.factors import MarketStore
 from rollingquant.numerics import TrainConfig
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
@@ -185,6 +186,31 @@ class TestRunScenario:
             result = run_scenario(MarketStore(crash_market), "fcnn", config)
             rankings.append([r.entries for r in result.rankings])
         assert rankings[0] != rankings[1]
+
+    def test_ranking_pass_precedes_trading(self, crash_market, monkeypatch):
+        ranked = []
+        rebalanced = []
+        rank_stocks = backtest.rank_stocks
+
+        def fail_on_third_day(kind, store, d, *args):
+            ranked.append(d)
+            if len(ranked) == 3:
+                raise StrategyError("planted failure")
+            return rank_stocks(kind, store, d, *args)
+
+        def record_rebalance(*args):
+            rebalanced.append(args)
+            return []
+
+        monkeypatch.setattr(backtest, "rank_stocks", fail_on_third_day)
+        monkeypatch.setattr(backtest, "rebalance", record_rebalance)
+        config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31), holdings=5)
+        with pytest.raises(StrategyError) as caught:
+            run_scenario(MarketStore(crash_market), "linreg", config)
+        assert ranked[2] == Date(2015, 8, 31)
+        assert len(ranked) == 3
+        assert str(caught.value) == "2015-08-31: planted failure"
+        assert rebalanced == []
 
     def test_empty_range_rejected(self, crash_market):
         config = ScenarioConfig(start=Date(2015, 6, 6), end=Date(2015, 6, 7))

@@ -1,5 +1,5 @@
 """INI parsing: where each key lands, the defaults of absent keys, unknown
-keys, and the seed derivation."""
+sections and keys, bad values, and the seed derivation."""
 
 import io
 from dataclasses import replace
@@ -12,6 +12,7 @@ from rollingquant import strategies
 from rollingquant.backtest import CostModel, ScenarioConfig
 from rollingquant.cli import cmd_backtest, main
 from rollingquant.config import RunConfig, load_run_config
+from rollingquant.errors import ConfigError
 from rollingquant.numerics import TrainConfig
 from rollingquant.synthetic import SyntheticMarketConfig
 
@@ -128,6 +129,37 @@ def test_unknown_key_is_config_error(tmp_path, capsys, section, key, reported):
     assert main(["backtest", "--config", str(path)]) == 1
     assert capsys.readouterr().err == \
         f"config error: unknown key '{key}' in [{reported}]\n"
+
+
+def test_unknown_section_is_config_error(tmp_path):
+    path = write_ini(tmp_path, cost={"commission_rate": "0.5"})
+    with pytest.raises(ConfigError, match=r"^unknown section \[cost\]$"):
+        load_run_config(path)
+
+
+BAD_VALUE_CASES = [
+    ("costs", "commission_rate", "-0.001", "cost rates and lot size must be >= 0"),
+    ("costs", "sell_tax_rate", "-0.001", "cost rates and lot size must be >= 0"),
+    ("costs", "lot_size", "-100", "cost rates and lot size must be >= 0"),
+    ("costs", "commission_rate", "nan", "cost rates and lot size must be >= 0"),
+    ("train", "epochs", "0", "invalid training configuration"),
+    ("train", "learning_rate", "0", "invalid training configuration"),
+    ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
+    ("run", "initial_capital", "-5", "run.initial_capital must be > 0"),
+]
+
+
+@pytest.mark.parametrize("section,key,text,message", BAD_VALUE_CASES,
+                         ids=[f"{s}.{k}={t}" for s, k, t, _ in BAD_VALUE_CASES])
+def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text, message):
+    # the CSVs do not exist, so loading any data would exit 2
+    sections = {"run": {"out_dir": tmp_path / "out"},
+                "data": {"source": "csv", "bars": "b.csv", "fundamentals": "f.csv",
+                         "benchmark": "x.csv"}}
+    sections.setdefault(section, {})[key] = text
+    assert main(["backtest", "--config", str(write_ini(tmp_path, **sections))]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_training_seeds_follow_the_derivation(tmp_path, monkeypatch):

@@ -232,6 +232,24 @@ class TestPanels:
         assert np.array_equal(a.missing, b.missing)
 
 
+def _per_column_normalization(matrix, missing):
+    """compute_normalization one column at a time: the reference its
+    whole-matrix reductions must match bit for bit."""
+    n_cols = matrix.shape[1]
+    medians, lower, upper, means, stds = (np.zeros(n_cols) for _ in range(5))
+    for j in range(n_cols):
+        present = matrix[~missing[:, j], j]
+        medians[j] = float(np.median(present)) if len(present) else 0.0
+        filled = np.where(missing[:, j], medians[j], matrix[:, j])
+        mu0, sd0 = filled.mean(), filled.std()
+        lower[j], upper[j] = mu0 - 5.0 * sd0, mu0 + 5.0 * sd0
+        clipped = np.clip(filled, lower[j], upper[j])
+        means[j] = clipped.mean()
+        sd = clipped.std()
+        stds[j] = sd if sd > max(1e-12, 1e-8 * abs(means[j])) else 0.0
+    return medians, lower, upper, means, stds
+
+
 class TestNormalization:
     def test_three_point_column(self):
         matrix = np.array([[1.0], [2.0], [3.0]])
@@ -267,6 +285,20 @@ class TestNormalization:
         out = apply_normalization(col, missing, stats)
         # the outlier enters the z-score at the clip bound, not at 1e9
         assert out[-1, 0] == pytest.approx((stats.upper[0] - stats.means[0]) / stats.stds[0])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_column_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 300)), int(rng.integers(2, 48))
+        scale = 10.0 ** rng.uniform(-3, 6, cols)
+        matrix = (rng.standard_normal((rows, cols)) + rng.normal(0, 5, cols)) * scale
+        matrix[:, 0] = 699051.291015625  # constant
+        missing = rng.random((rows, cols)) < rng.uniform(0, 0.6)
+        missing[:, -1] = True  # nothing present: median 0
+        stats = compute_normalization(matrix, missing)
+        got = (stats.medians, stats.lower, stats.upper, stats.means, stats.stds)
+        for a, b in zip(got, _per_column_normalization(matrix, missing)):
+            assert a.tobytes() == b.tobytes()
 
     def test_drop_sparse_rows(self):
         matrix = np.zeros((2, 47))

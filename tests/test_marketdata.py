@@ -24,10 +24,6 @@ class TestTradingCalendar:
         with pytest.raises(ValidationError):
             TradingCalendar([Date(2015, 1, 5), Date(2015, 1, 5)])
 
-    def test_index_of_non_trading_date(self, calendar_2015):
-        with pytest.raises(ValidationError, match="2015-01-03"):
-            calendar_2015.index(Date(2015, 1, 3))  # a Saturday
-
     def test_days_between_is_inclusive(self, calendar_2015):
         days = calendar_2015.days_between(Date(2015, 3, 2), Date(2015, 3, 6))
         assert days[0] == Date(2015, 3, 2)

@@ -18,9 +18,6 @@ from rollingquant.strategies import (
     TrainingWindow,
     build_window,
     excess_return_label,
-    rank_fcnn,
-    rank_linear_regression,
-    rank_lstm,
     rank_stocks,
     select_targets,
 )
@@ -118,8 +115,8 @@ class TestSelectTargets:
 class TestRankLinearRegression:
     def test_tie_scores_break_by_stock_id(self):
         market = flat_market({s: 100.0 for s in ("B", "A", "C")})
-        ranking = rank_linear_regression(MarketStore(market), Date(2015, 6, 30),
-                                         {"A", "B", "C"})
+        ranking = rank_stocks("linreg", MarketStore(market), Date(2015, 6, 30),
+                              {"A", "B", "C"})
         # identical stocks: all scores equal, order falls back to stock id
         scores = [score for _, score in ranking.entries]
         assert max(scores) - min(scores) < 1e-9
@@ -138,7 +135,7 @@ class TestRankLinearRegression:
         d = Date(2015, 9, 30)
         market = fresh_market()
         universe = eligible_universe(market, d)
-        baseline = dict(rank_linear_regression(MarketStore(market), d, universe).entries)
+        baseline = dict(rank_stocks("linreg", MarketStore(market), d, universe).entries)
         victim = sorted(universe)[7]
         delta = 1.0
         discount = math.exp(-delta)
@@ -147,7 +144,7 @@ class TestRankLinearRegression:
         for snap in market.fundamentals[victim]:
             for name in self._LEVEL_FIELDS:
                 setattr(snap, name, getattr(snap, name) * discount)
-        shifted = rank_linear_regression(MarketStore(market), d, universe)
+        shifted = rank_stocks("linreg", MarketStore(market), d, universe)
         scores = dict(shifted.entries)
         order = [s for s, _ in shifted.entries]
         assert order.index(victim) < 3
@@ -156,8 +153,14 @@ class TestRankLinearRegression:
     def test_window_exceeding_history_raises(self):
         market = fresh_market()
         with pytest.raises(StrategyError):
-            rank_linear_regression(MarketStore(market), Date(2015, 9, 30),
-                                   eligible_universe(market, Date(2015, 9, 30)), w=40)
+            rank_stocks("linreg", MarketStore(market), Date(2015, 9, 30),
+                        eligible_universe(market, Date(2015, 9, 30)), w=40)
+
+    def test_empty_panels_raise_without_warnings(self, crash_market):
+        # every window panel has 0 rows; normalizing one would warn, and the
+        # suite turns warnings into errors
+        with pytest.raises(StrategyError, match="no regression samples for 2015-09-30"):
+            rank_stocks("linreg", MarketStore(crash_market), Date(2015, 9, 30), set())
 
 
 class TestProjectionStrategies:
@@ -165,16 +168,16 @@ class TestProjectionStrategies:
         market = fresh_market()
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
-        a = rank_fcnn(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
-        b = rank_fcnn(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        a = rank_stocks("fcnn", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        b = rank_stocks("fcnn", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
         assert a.entries == b.entries
 
     def test_lstm_deterministic(self):
         market = fresh_market()
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
-        a = rank_lstm(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
-        b = rank_lstm(MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        a = rank_stocks("lstm", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        b = rank_stocks("lstm", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
         assert a.entries == b.entries
 
     def test_rankings_cover_the_universe(self):
@@ -193,12 +196,8 @@ class TestProjectionStrategies:
 
 
 class TestWindowPanels:
-    @pytest.mark.parametrize("rank,kwargs", [
-        (rank_linear_regression, {}),
-        (rank_fcnn, {"train_config": TrainConfig(epochs=1)}),
-        (rank_lstm, {"train_config": TrainConfig(epochs=1)}),
-    ], ids=["linreg", "fcnn", "lstm"])
-    def test_one_panel_per_window_date(self, rank, kwargs, monkeypatch):
+    @pytest.mark.parametrize("kind", ["linreg", "fcnn", "lstm"])
+    def test_one_panel_per_window_date(self, kind, monkeypatch):
         d = Date(2015, 9, 30)
         market = fresh_market()
         universe = eligible_universe(market, d)
@@ -210,7 +209,8 @@ class TestWindowPanels:
             return build_panel(dataset, universe, day)
 
         monkeypatch.setattr(strategies, "build_panel", counting_build_panel)
-        rank(MarketStore(market), d, universe, w=3, **kwargs)
+        rank_stocks(kind, MarketStore(market), d, universe, w=3,
+                    train_config=TrainConfig(epochs=1))
         assert built == build_window(market.calendar, d, 3).training_days + [d]
 
 
