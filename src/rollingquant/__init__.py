@@ -10,7 +10,6 @@ from .marketdata import (
     action_days,
     eligible_universe,
     load_dataset,
-    period_return,
 )
 from .metrics import ReturnSeries, ScenarioReport, build_report, sharpe_ratio, similarity_to_benchmark
 from .numerics import LstmModel, MlpModel, TrainConfig, gradient_check, least_squares_fit, mse, train
@@ -20,7 +19,7 @@ from .synthetic import SyntheticMarketConfig, generate_synthetic_market
 __all__ = [
     "BacktestResult", "CostModel", "Portfolio", "ScenarioConfig", "run_scenario",
     "EligibilityRules", "MarketDataset", "TradingCalendar", "action_days",
-    "eligible_universe", "load_dataset", "period_return",
+    "eligible_universe", "load_dataset",
     "ReturnSeries", "ScenarioReport", "build_report", "sharpe_ratio",
     "similarity_to_benchmark",
     "LstmModel", "MlpModel", "TrainConfig", "gradient_check", "least_squares_fit",

@@ -7,6 +7,7 @@ Subcommands: gen-data, backtest, gradcheck, report. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -77,6 +78,8 @@ def cmd_backtest(config, out=None):
 
 def cmd_gradcheck(seed: int, corruption: float = 0.0, out=None):
     out = out if out is not None else sys.stdout
+    if seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(5, 47))
     labels = rng.normal(size=5) * 0.05
@@ -96,6 +99,8 @@ def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
                out=None):
     """Re-render report.json from a previously written series.csv."""
     out = out if out is not None else sys.stdout
+    if not math.isfinite(risk_free_annual):
+        raise ConfigError(f"--risk-free must be a finite number, got {risk_free_annual}")
     dates = []
     portfolio_returns = []
     benchmark_returns = []

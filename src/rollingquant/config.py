@@ -8,6 +8,7 @@ so a run is a pure function of (config bytes, input data bytes).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
@@ -52,11 +53,23 @@ def _iso_date(key: str):
     return parse
 
 
-def _seed(text: str) -> int:
+def _seed(text) -> int:
+    """The master seed from the file's text or the --seed integer."""
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise ConfigError("run.seed must be an integer") from None
+        seed = -1
+    if seed < 0:
+        raise ConfigError("run.seed must be a non-negative integer")
+    return seed
+
+
+def _finite_float(text: str) -> float:
+    """float(text), rejecting nan and +-inf with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _strategies(text: str) -> list[str]:
@@ -75,31 +88,32 @@ _RUN_KEYS = {  # RunConfig, and the master seed
     "seed": _seed,
     "strategies": _strategies,
     "out_dir": Path,
-    "risk_free_annual": float,
+    "risk_free_annual": _finite_float,
 }
 _SCENARIO_KEYS = {
     "start": _iso_date("run.start"),
     "end": _iso_date("run.end"),
     "window": int,
     "holdings": int,
-    "initial_capital": float,
+    "initial_capital": _finite_float,
 }
 _TRAIN_KEYS = {
     "epochs": int,
     "batch_size": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
+    "learning_rate": _finite_float,
+    "beta1": _finite_float,
+    "beta2": _finite_float,
 }
-_COST_KEYS = {"commission_rate": float, "sell_tax_rate": float, "lot_size": float}
+_COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
+              "lot_size": _finite_float}
 _DATA_KEYS = {"source": str, "bars": Path, "fundamentals": Path, "benchmark": Path}
 _SYNTHETIC_KEYS = {
     "n_stocks": int,
     "start": _iso_date("data.start"),
     "end": _iso_date("data.end"),
     "regime": str,
-    "planted_signal_strength": float,
-    "noise_level": float,
+    "planted_signal_strength": _finite_float,
+    "noise_level": _finite_float,
 }
 _SECTION_KEYS = {
     "run": _RUN_KEYS | _SCENARIO_KEYS,
@@ -147,7 +161,7 @@ def load_run_config(path, seed_override: int | None = None,
     if scenario["start"] >= scenario["end"]:
         raise ConfigError("run.start must precede run.end")
     if seed_override is not None:
-        run["seed"] = seed_override
+        run["seed"] = _seed(seed_override)
     if "seed" in run:
         train["seed"] = run.pop("seed")
     scenario = ScenarioConfig(**scenario, costs=CostModel(**costs),

@@ -112,7 +112,8 @@ class _StockColumns:
 
     The benchmark is aligned to the stock's bar dates (NaN where it has no
     close), and the MACD series are computed once over the whole history:
-    each value depends only on the prefix up to its date.
+    each value depends only on the prefix up to its date. The daily return
+    into a close <= 0 is NaN, not a -100% move.
     """
 
     def __init__(self, dataset: MarketDataset, stock_id: str):
@@ -127,6 +128,7 @@ class _StockColumns:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.returns = bars.close[1:] / bars.close[:-1] - 1.0
             self.benchmark_returns = self.benchmark[1:] / self.benchmark[:-1] - 1.0
+        self.returns[bars.close[1:] <= 0] = np.nan
         self.macd = macd_series(bars.close) if len(bars) >= MACD_MIN_OBSERVATIONS else None
 
 
@@ -183,10 +185,10 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
         ("TO_1M_MINUS1", "TO_3M_MINUS1", "TO_6M_MINUS1", "TO_12M_MINUS1"),
         ("TO_REL2Y_1M", "TO_REL2Y_3M", "TO_REL2Y_6M", "TO_REL2Y_12M"),
     ):
-        if idx >= w and closes[idx - w] > 0:
+        if idx >= w and close > 0 and closes[idx - w] > 0:
             put(rname, closes[idx] / closes[idx - w] - 1.0)
-        # the return after a close of 0 is inf and one within a spell of them
-        # NaN; every statistic of a window holding one would be masked
+        # a window holding a close <= 0 holds a non-finite return, so its
+        # statistics are masked
         if idx >= w and np.isfinite(returns[idx - w:idx]).all():
             win_returns = returns[idx - w:idx]           # dates idx-w+1 .. idx
             win_turnover = turnover[idx - w + 1:idx + 1]

@@ -93,7 +93,8 @@ class TradingCalendar:
 
 
 def action_days(calendar: TradingCalendar, start: Date, end: Date):
-    """Last trading date of every month intersecting [start, end]."""
+    """The calendar's month-end trading dates that lie inside [start, end]
+    (a month whose last trading date falls after end is left out)."""
     return [d for d in calendar.month_last_days() if start <= d <= end]
 
 
@@ -188,20 +189,6 @@ def eligible_universe(dataset: MarketDataset, d: Date, rules: EligibilityRules |
             continue
         out.add(stock_id)
     return out
-
-
-def period_return(series, t0: Date, t1: Date) -> float:
-    """p(t1)/p(t0) - 1 on a date->price mapping."""
-    if t0 >= t1:
-        raise ValidationError(f"period_return needs t0 < t1, got {t0} >= {t1}")
-    try:
-        p0 = series[t0]
-        p1 = series[t1]
-    except KeyError as exc:
-        raise ValidationError(f"price missing for date {exc.args[0]}") from None
-    if p0 <= 0 or p1 <= 0:
-        raise ValidationError(f"non-positive price in period {t0}..{t1}")
-    return p1 / p0 - 1.0
 
 
 # --- CSV ingestion ---------------------------------------------------------

@@ -16,7 +16,6 @@ per layer for the gradient its inputs get.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ MLP_HIDDEN_SIZES = (32, 20, 10)
 LSTM_HIDDEN_SIZES = (32, 16, 8)
 SEQUENCE_LENGTH = 3
 RIDGE_LAMBDA = 1e-8
-SERIAL_VERSION = 1
 # Entries of one parameter tensor perturbed per forward pass in
 # gradient_check; larger chunks cost memory for little further speed.
 GRADCHECK_CHUNK = 32
@@ -160,11 +158,10 @@ class MlpModel:
 
 
 class LstmLayer:
-    """One recurrent layer: candidate + update/forget/output gates.
+    """One recurrent layer: candidate + update/forget/output gates, fused.
 
-    The gates are fused: W_a (hidden, 4 hidden), W_x (input, 4 hidden) and
-    B (4 hidden,) hold gate g's columns from GATE_NAMES.index(g) * hidden on,
-    and w_a[g], w_x[g] and b[g] are writable views of those columns.
+    W_a (hidden, 4 hidden), W_x (input, 4 hidden) and B (4 hidden,) are its
+    only parameters; gate g's columns start at GATE_NAMES.index(g) * hidden.
     """
 
     GATE_NAMES = ("c", "u", "f", "o")
@@ -178,41 +175,21 @@ class LstmLayer:
 
     @classmethod
     def create(cls, rng, input_dim, hidden_dim):
-        # the gates' draws leave the stream in GATE_NAMES order, as separate
-        # per-gate draws did, so a seed still gives the same weights
+        # one draw per gate in GATE_NAMES order, W_a's before W_x's, so a
+        # seed gives the weights it always has
         def fused(fan_in):
             draws = _glorot_uniform(rng, fan_in, hidden_dim, (len(cls.GATE_NAMES),))
             return draws.transpose(1, 0, 2).reshape(fan_in, -1)
 
-        W_a = fused(hidden_dim)  # drawn first, as the per-gate arrays were
+        W_a = fused(hidden_dim)
         W_x = fused(input_dim)
         return cls(W_a, W_x, np.zeros(4 * hidden_dim), input_dim, hidden_dim)
 
-    def _gate_columns(self, fused):
-        """Gate name -> writable view of that gate's columns of fused."""
-        h = self.hidden_dim
-        return {g: fused[..., i * h:(i + 1) * h] for i, g in enumerate(self.GATE_NAMES)}
-
-    @property
-    def w_a(self):
-        return self._gate_columns(self.W_a)
-
-    @property
-    def w_x(self):
-        return self._gate_columns(self.W_x)
-
-    @property
-    def b(self):
-        return self._gate_columns(self.B)
-
     def _parameter_slots(self):
-        """(container, key) holding each parameter, in parameters() order."""
+        """(container, key) holding W_a, W_x and B, in that order."""
         yield vars(self), "W_a"
         yield vars(self), "W_x"
         yield vars(self), "B"
-
-    def parameters(self):
-        return [slot[key] for slot, key in self._parameter_slots()]
 
     def forward(self, x_seq):
         """x_seq: (T, b, input_dim) -> (a_seq (T, b, hidden), cache).
@@ -242,7 +219,7 @@ class LstmLayer:
     def backward(self, da_seq, cache):
         """da_seq: gradient w.r.t. each step's output a_t.
 
-        Returns (dz_seq, grads aligned with parameters()): dz_seq[t] is the
+        Returns (dz_seq, [gW_a, gW_x, gB]): dz_seq[t] is the
         gradient w.r.t. step t's fused pre-activations, so the gradient
         w.r.t. the layer's inputs is dz_seq @ W_x.T.
         """
@@ -455,77 +432,3 @@ def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float =
             worst = max(worst, float(err.max()))
     return worst
 
-
-# --- model serialization ---------------------------------------------------
-
-def _arrays_to_lists(arrays):
-    return [a.tolist() for a in arrays]
-
-
-def model_to_json(model) -> str:
-    """Versioned round-trip-exact (shortest-repr floats) serialization."""
-    if isinstance(model, MlpModel):
-        doc = {
-            "version": SERIAL_VERSION,
-            "kind": "mlp",
-            "input_dim": model.input_dim,
-            "weights": _arrays_to_lists(model.weights),
-            "biases": _arrays_to_lists(model.biases),
-        }
-    elif isinstance(model, LstmModel):
-        doc = {
-            "version": SERIAL_VERSION,
-            "kind": "lstm",
-            "input_dim": model.input_dim,
-            "sequence_length": model.sequence_length,
-            "layers": [
-                {
-                    "input_dim": layer.input_dim,
-                    "hidden_dim": layer.hidden_dim,
-                    "w_a": {g: layer.w_a[g].tolist() for g in LstmLayer.GATE_NAMES},
-                    "w_x": {g: layer.w_x[g].tolist() for g in LstmLayer.GATE_NAMES},
-                    "b": {g: layer.b[g].tolist() for g in LstmLayer.GATE_NAMES},
-                }
-                for layer in model.layers
-            ],
-            "readout_w": model.readout_w.tolist(),
-            "readout_b": model.readout_b.tolist(),
-        }
-    else:
-        raise ValidationError(f"cannot serialize {type(model).__name__}")
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str):
-    doc = json.loads(text)
-    if doc.get("version") != SERIAL_VERSION:
-        raise ValidationError(f"unsupported model document version {doc.get('version')!r}")
-    if doc["kind"] == "mlp":
-        return MlpModel(
-            weights=[np.array(w, dtype=float) for w in doc["weights"]],
-            biases=[np.array(b, dtype=float) for b in doc["biases"]],
-            input_dim=doc["input_dim"],
-        )
-    if doc["kind"] == "lstm":
-        def fused(per_gate, axis):
-            return np.concatenate([np.array(per_gate[g], dtype=float)
-                                   for g in LstmLayer.GATE_NAMES], axis=axis)
-
-        layers = [
-            LstmLayer(
-                W_a=fused(ld["w_a"], 1),
-                W_x=fused(ld["w_x"], 1),
-                B=fused(ld["b"], 0),
-                input_dim=ld["input_dim"],
-                hidden_dim=ld["hidden_dim"],
-            )
-            for ld in doc["layers"]
-        ]
-        return LstmModel(
-            layers=layers,
-            readout_w=np.array(doc["readout_w"], dtype=float),
-            readout_b=np.array(doc["readout_b"], dtype=float),
-            input_dim=doc["input_dim"],
-            sequence_length=doc["sequence_length"],
-        )
-    raise ValidationError(f"unknown model kind {doc['kind']!r}")

@@ -183,6 +183,15 @@ class TestReport:
         assert rendered.read_bytes() == \
             (out_dir / "linreg" / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_risk_free_is_config_error(self, tmp_path, capsys, rate):
+        code = main(["report", "--series", str(tmp_path / "series.csv"),
+                     "--out", str(tmp_path / "r.json"), "--risk-free", rate])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"config error: --risk-free must be a finite number, got {rate}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_empty_series_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "series.csv"
         empty.write_text("date,portfolio_value,portfolio_daily_return,"

@@ -2,12 +2,16 @@
 sections and keys, bad values, and the seed derivation."""
 
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
 
 import pytest
 
+import rollingquant
 from rollingquant import strategies
 from rollingquant.backtest import CostModel, ScenarioConfig
 from rollingquant.cli import cmd_backtest, main
@@ -141,7 +145,8 @@ BAD_VALUE_CASES = [
     ("costs", "commission_rate", "-0.001", "cost rates and lot size must be >= 0"),
     ("costs", "sell_tax_rate", "-0.001", "cost rates and lot size must be >= 0"),
     ("costs", "lot_size", "-100", "cost rates and lot size must be >= 0"),
-    ("costs", "commission_rate", "nan", "cost rates and lot size must be >= 0"),
+    ("costs", "commission_rate", "nan",
+     "bad config value: expected a finite number, got 'nan'"),
     ("train", "epochs", "0", "invalid training configuration"),
     ("train", "learning_rate", "0", "invalid training configuration"),
     ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
@@ -159,6 +164,57 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text
     sections.setdefault(section, {})[key] = text
     assert main(["backtest", "--config", str(write_ini(tmp_path, **sections))]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+FLOAT_KEYS = [
+    ("run", "risk_free_annual"), ("run", "initial_capital"),
+    ("train", "learning_rate"), ("train", "beta1"), ("train", "beta2"),
+    ("costs", "commission_rate"), ("costs", "sell_tax_rate"), ("costs", "lot_size"),
+    ("data", "planted_signal_strength"), ("data", "noise_level"),
+]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS,
+                         ids=[f"{section}.{key}" for section, key in FLOAT_KEYS])
+def test_non_finite_number_is_config_error(tmp_path, capsys, section, key, text):
+    # a non-finite rate, lot or capital would print net_return=nan and exit 0
+    sections = {"run": {"out_dir": tmp_path / "out"}}
+    sections.setdefault(section, {})[key] = text
+    assert main(["backtest", "--config", str(write_ini(tmp_path, **sections))]) == 1
+    where = "[data]" if section == "data" else "config"
+    assert capsys.readouterr().err == \
+        f"config error: bad {where} value: expected a finite number, got {text!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so that a traceback reaches stderr."""
+    src = str(Path(rollingquant.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "rollingquant.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+@pytest.mark.parametrize("command,seed,message", [
+    ("backtest", None, "run.seed must be a non-negative integer"),
+    ("gen-data", "-5", "run.seed must be a non-negative integer"),
+    ("backtest", "-5", "run.seed must be a non-negative integer"),
+    ("gradcheck", "-1", "--seed must be a non-negative integer"),
+], ids=["run.seed=-3", "gen-data--seed=-5", "backtest--seed=-5", "gradcheck--seed=-1"])
+def test_negative_seed_is_config_error(tmp_path, command, seed, message):
+    args = [command]
+    if command != "gradcheck":
+        path = write_ini(tmp_path, run={"seed": "-3" if seed is None else "4",
+                                        "out_dir": tmp_path / "out"})
+        args += ["--config", str(path)]
+    if seed is not None:
+        args += ["--seed", seed]
+    done = run_cli(*args)
+    assert (done.returncode, done.stderr) == (1, f"config error: {message}\n")
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -193,6 +193,22 @@ class TestMarketStore:
                 assert np.array_equal(got.values, want.values)
                 assert np.array_equal(got.missing_mask, want.missing_mask)
 
+    def test_close_zero_bar_gives_no_price_factors(self, gapped_market):
+        # a suspended bar at close 0 is no -100% move: no return, return
+        # statistic or beta of a window ending on it, and none of a month
+        # window that starts on it or holds the inf return after it
+        bars = gapped_market.bars["S0004"]
+        bars.close[400] = 0.0
+        bars.suspended[400] = True
+        store = MarketStore(gapped_market)
+        priced = [FACTOR_INDEX[f"{kind}_{m}M"] for m in (1, 3, 6, 12)
+                  for kind in ("RET", "RET_STD", "RETTO_MEAN", "RETTO_DECAY")]
+        priced += [FACTOR_INDEX["LN_PRICE"], FACTOR_INDEX["BETA"]]
+        assert store.row("S0004", bars.dates[400]).missing_mask[priced].all()
+        month = [FACTOR_INDEX["RET_1M"], FACTOR_INDEX["RET_STD_1M"]]
+        assert store.row("S0004", bars.dates[421]).missing_mask[month].all()
+        assert not store.row("S0004", bars.dates[422]).missing_mask[month].any()
+
     def test_macd_matches_recomputation_on_the_prefix(self, gapped_market):
         store = MarketStore(gapped_market)
         columns = [FACTOR_INDEX["DIF"], FACTOR_INDEX["DEA"]]

@@ -15,7 +15,6 @@ from rollingquant.marketdata import (
     action_days,
     eligible_universe,
     load_dataset,
-    period_return,
 )
 
 
@@ -165,32 +164,6 @@ class TestFundamentalAsof:
         first = market.fundamentals["A"][0].date
         assert market.fundamental_asof("A", Date(2013, 12, 31)) is None
         assert first >= Date(2014, 1, 1)
-
-
-class TestPeriodReturn:
-    def test_forced_arithmetic(self):
-        series = {Date(2015, 1, 5): 100.0, Date(2015, 1, 6): 110.0}
-        assert period_return(series, Date(2015, 1, 5), Date(2015, 1, 6)) == pytest.approx(0.10)
-
-    def test_identity(self):
-        series = {Date(2015, 1, 5): 88.0, Date(2015, 1, 6): 88.0}
-        assert period_return(series, Date(2015, 1, 5), Date(2015, 1, 6)) == 0.0
-
-    def test_requires_increasing_dates(self):
-        series = {Date(2015, 1, 5): 100.0}
-        with pytest.raises(ValidationError):
-            period_return(series, Date(2015, 1, 5), Date(2015, 1, 5))
-
-    def test_missing_date(self):
-        series = {Date(2015, 1, 5): 100.0}
-        with pytest.raises(ValidationError):
-            period_return(series, Date(2015, 1, 5), Date(2015, 1, 6))
-
-    def test_monthly_compounding_fixture(self):
-        # month-end closes encoding a -8% June
-        series = {Date(2015, 5, 29): 3000.0, Date(2015, 6, 30): 3000.0 * 0.92}
-        r = period_return(series, Date(2015, 5, 29), Date(2015, 6, 30))
-        assert abs(r - (-0.08)) < 1e-12
 
 
 class TestCsvRoundTrip:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rollingquant.errors import ConfigError
-from rollingquant.marketdata import action_days, period_return
+from rollingquant.marketdata import action_days
 from rollingquant.synthetic import (
     REGIMES,
     SyntheticMarketConfig,
@@ -64,20 +64,20 @@ class TestBenchmarkRegimes:
         market = generate_synthetic_market(_config())
         days = action_days(market.calendar, Date(2015, 1, 1), Date(2015, 12, 31))
         for t0, t1 in zip(days, days[1:]):
-            r = period_return(market.benchmark, t0, t1)
+            r = market.benchmark[t1] / market.benchmark[t0] - 1.0
             assert abs(r - (-0.06)) < 1e-9
 
     def test_crash_six_month_drop_exceeds_thirty_percent(self):
         market = generate_synthetic_market(_config())
         days = action_days(market.calendar, Date(2015, 6, 1), Date(2015, 12, 31))
-        r = period_return(market.benchmark, days[0], days[-1])
+        r = market.benchmark[days[-1]] / market.benchmark[days[0]] - 1.0
         assert r <= -0.30
 
     def test_inflection_template_anchored_to_range_end(self):
         market = generate_synthetic_market(_config(regime="inflection"))
         days = action_days(market.calendar, Date(2015, 5, 1), Date(2015, 12, 31))
         template = [-0.08, -0.15, -0.12, -0.05, 0.10, 0.01, 0.05]
-        observed = [period_return(market.benchmark, t0, t1)
+        observed = [market.benchmark[t1] / market.benchmark[t0] - 1.0
                     for t0, t1 in zip(days, days[1:])]
         for got, want in zip(observed, template):
             assert abs(got - want) < 1e-9
@@ -89,12 +89,12 @@ class TestPlantedSignal:
             seed=seed, n_stocks=300, planted_signal_strength=strength))
         days = action_days(market.calendar, Date(2015, 6, 1), Date(2015, 12, 31))
         t0, t1 = days[0], days[-1]
-        bench = period_return(market.benchmark, t0, t1)
+        bench = market.benchmark[t1] / market.benchmark[t0] - 1.0
         latents, excesses = [], []
         for stock_id, latent in market.latent_quality.items():
-            prices = {d: market.tradeable_close(stock_id, d) for d in (t0, t1)}
             latents.append(latent)
-            excesses.append(period_return(prices, t0, t1) - bench)
+            p0, p1 = (market.tradeable_close(stock_id, d) for d in (t0, t1))
+            excesses.append(p1 / p0 - 1.0 - bench)
         return float(np.corrcoef(latents, excesses)[0, 1])
 
     def test_zero_strength_kills_the_signal(self):
