@@ -145,7 +145,6 @@ class ScenarioConfig:
 
 @dataclass
 class BacktestResult:
-    strategy: str
     dates: list[Date]
     values: list[float]
     daily_returns: list[float]       # length len(dates) - 1
@@ -224,7 +223,6 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
     bench_returns = [b1 / b0 - 1.0 for b0, b1 in zip(bench, bench[1:])]
 
     return BacktestResult(
-        strategy=strategy,
         dates=list(days),
         values=values,
         daily_returns=returns,

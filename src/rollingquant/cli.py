@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-data, backtest, gradcheck, report. Exit codes: 0 success,
-1 configuration error, 2 data error, 3 numeric/training error.
+1 configuration or usage error, 2 data error, 3 numeric/training error.
 """
 
 from __future__ import annotations
@@ -32,13 +32,6 @@ from .synthetic import generate_synthetic_market
 GRADCHECK_TOLERANCE = 1e-5
 
 
-def _load_or_generate(config):
-    if config.source == "csv":
-        return load_dataset(config.bars_path, config.fundamentals_path,
-                            config.benchmark_path)
-    return generate_synthetic_market(config.synthetic)
-
-
 def cmd_gen_data(config, out=None):
     out = out if out is not None else sys.stdout
     if config.synthetic is None:
@@ -58,8 +51,13 @@ def cmd_gen_data(config, out=None):
 
 def cmd_backtest(config, out=None):
     out = out if out is not None else sys.stdout
+    if config.synthetic is None:
+        dataset = load_dataset(config.bars_path, config.fundamentals_path,
+                               config.benchmark_path)
+    else:
+        dataset = generate_synthetic_market(config.synthetic)
     # one store for all strategies, so each factor row is computed once
-    store = MarketStore(_load_or_generate(config))
+    store = MarketStore(dataset)
     for strategy in config.strategies:
         result = run_scenario(store, strategy, config.scenario_config(strategy))
         strategy_dir = Path(config.out_dir) / strategy
@@ -76,18 +74,16 @@ def cmd_backtest(config, out=None):
     return 0
 
 
-def cmd_gradcheck(seed: int, corruption: float = 0.0, out=None):
+def cmd_gradcheck(seed: int, out=None):
     out = out if out is not None else sys.stdout
     if seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(5, 47))
     labels = rng.normal(size=5) * 0.05
-    mlp_err = gradient_check(MlpModel.create(seed=seed), batch, labels,
-                             corruption=corruption)
+    mlp_err = gradient_check(MlpModel.create(seed=seed), batch, labels)
     seq = rng.normal(size=(5, 3, 47))
-    lstm_err = gradient_check(LstmModel.create(seed=seed + 1), seq, labels,
-                              corruption=corruption)
+    lstm_err = gradient_check(LstmModel.create(seed=seed + 1), seq, labels)
     ok = mlp_err <= GRADCHECK_TOLERANCE and lstm_err <= GRADCHECK_TOLERANCE
     print(f"mlp_max_relative_error: {mlp_err:.3e}", file=out)
     print(f"lstm_max_relative_error: {lstm_err:.3e}", file=out)
@@ -123,8 +119,14 @@ def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 as a ConfigError; 2 is for data errors
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rollingquant",
         description="Deterministic monthly-rebalance factor-strategy backtester",
     )
@@ -142,7 +144,6 @@ def _build_parser():
 
     gc = sub.add_parser("gradcheck", help="verify analytic gradients")
     gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
 
     rep = sub.add_parser("report", help="re-render report.json from series.csv")
     rep.add_argument("--series", required=True)
@@ -153,8 +154,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "gen-data":
             config = load_run_config(args.config, args.seed, args.out)
             return cmd_gen_data(config)
@@ -162,9 +163,8 @@ def main(argv=None) -> int:
             config = load_run_config(args.config, args.seed, args.out)
             return cmd_backtest(config)
         if args.command == "gradcheck":
-            return cmd_gradcheck(args.seed, args.corrupt)
-        if args.command == "report":
-            return cmd_report(args.series, args.out, args.strategy, args.risk_free)
+            return cmd_gradcheck(args.seed)
+        return cmd_report(args.series, args.out, args.strategy, args.risk_free)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -174,7 +174,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .backtest import CostModel, ScenarioConfig
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, not_utf8
 from .metrics import DEFAULT_RISK_FREE_ANNUAL
 from .numerics import TrainConfig
 from .strategies import STRATEGY_KINDS
@@ -27,7 +27,6 @@ SEED_OFFSET_STRATEGY = {"linreg": 100_000, "fcnn": 200_000, "lstm": 300_000}
 
 @dataclass
 class RunConfig:
-    source: str                      # "csv" | "synthetic"
     strategies: list[str]
     out_dir: Path
     # scenario.train_config.seed is the master seed
@@ -36,7 +35,7 @@ class RunConfig:
     bars_path: Path | None = None
     fundamentals_path: Path | None = None
     benchmark_path: Path | None = None
-    synthetic: SyntheticMarketConfig | None = None
+    synthetic: SyntheticMarketConfig | None = None  # None: the data are the CSVs
 
     def scenario_config(self, strategy: str) -> ScenarioConfig:
         train = self.scenario.train_config
@@ -129,14 +128,39 @@ def _values(parser, name: str, table, required=()) -> dict:
     for key in required:
         if key not in section:
             raise ConfigError(f"missing required key '{key}' in section [{name}]")
-    return {key: parse(section[key].strip()) for key, parse in table.items()
-            if key in section}
+    values = {}
+    for key, parse in table.items():
+        if key in section:
+            try:
+                values[key] = parse(section[key].strip())
+            except (ValueError, configparser.Error) as exc:  # Error: bad interpolation
+                raise ConfigError(f"[{name}] {key}: {exc}") from None
+    return values
+
+
+def _syntax_error(path, exc: configparser.Error) -> ConfigError:
+    """The file, line and reason of a parse error configparser raised on path."""
+    if isinstance(exc, configparser.DuplicateSectionError):
+        reason = f"duplicate section [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        reason = f"duplicate key '{exc.option}' in [{exc.section}]"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        reason = "a key before any section header"
+    else:  # a ParsingError, which lists the lines it rejected
+        reason = "neither 'key = value' nor a '[section]' header"
+    line = getattr(exc, "lineno", None) or exc.errors[0][0]
+    return ConfigError(f"{path}:{line}: {reason}")
 
 
 def load_run_config(path, seed_override: int | None = None,
                     out_override=None) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(not_utf8(path)) from None
+    except configparser.Error as exc:
+        raise _syntax_error(path, exc) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -151,13 +175,10 @@ def load_run_config(path, seed_override: int | None = None,
             if key not in table:
                 raise ConfigError(f"unknown key '{key}' in [{name}]")
 
-    try:
-        run = _values(parser, "run", _RUN_KEYS)
-        scenario = _values(parser, "run", _SCENARIO_KEYS, required=("start", "end"))
-        train = _values(parser, "train", _TRAIN_KEYS)
-        costs = _values(parser, "costs", _COST_KEYS)
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    run = _values(parser, "run", _RUN_KEYS)
+    scenario = _values(parser, "run", _SCENARIO_KEYS, required=("start", "end"))
+    train = _values(parser, "train", _TRAIN_KEYS)
+    costs = _values(parser, "costs", _COST_KEYS)
     if scenario["start"] >= scenario["end"]:
         raise ConfigError("run.start must precede run.end")
     if seed_override is not None:
@@ -188,14 +209,11 @@ def load_run_config(path, seed_override: int | None = None,
                        fundamentals_path=base / files["fundamentals"],
                        benchmark_path=base / files["benchmark"])
     elif source == "synthetic":
-        try:
-            synthetic = _values(parser, "data", _SYNTHETIC_KEYS, required=("start", "end"))
-            options["synthetic"] = SyntheticMarketConfig(
-                seed=scenario.train_config.seed + SEED_OFFSET_DATA,
-                **{"n_stocks": 300} | synthetic)
-        except ValueError as exc:
-            raise ConfigError(f"bad [data] value: {exc}") from None
+        synthetic = _values(parser, "data", _SYNTHETIC_KEYS, required=("start", "end"))
+        options["synthetic"] = SyntheticMarketConfig(
+            seed=scenario.train_config.seed + SEED_OFFSET_DATA,
+            **{"n_stocks": 300} | synthetic)
         options["synthetic"].validate()
     else:
         raise ConfigError("data.source must be 'csv' or 'synthetic'")
-    return RunConfig(source=source, scenario=scenario, **options)
+    return RunConfig(scenario=scenario, **options)

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.
 """
 
+from pathlib import Path
+
 
 class RollingQuantError(Exception):
     """Base class for all package errors."""
@@ -39,3 +41,14 @@ class StrategyError(NumericError):
 
 class RebalanceError(NumericError):
     """Portfolio could not be traded to targets."""
+
+
+def not_utf8(path) -> str:
+    """'<path>:<line>: ...' naming the first byte of the file that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
+    return f"{path}: not UTF-8 text"  # the file changed after the failed read

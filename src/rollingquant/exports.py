@@ -19,34 +19,28 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset(dataset: MarketDataset, out_dir):
     """bars.csv, fundamentals.csv and benchmark.csv under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "bars.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BARS_COLUMNS)
-        for stock_id, d, *values, suspended in dataset.bar_rows():
-            writer.writerow([stock_id, d.isoformat(), *map(_fmt, values),
-                             "1" if suspended else "0"])
-
-    with open(out_dir / "fundamentals.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FUNDAMENTALS_COLUMNS)
-        for stock_id in sorted(dataset.fundamentals):
-            for snap in dataset.fundamentals[stock_id]:
-                writer.writerow([
-                    snap.stock_id, snap.date.isoformat(),
-                    *(_fmt(getattr(snap, name)) for name in FUNDAMENTALS_COLUMNS[2:18]),
-                    str(snap.industry_code),
-                ])
-
-    with open(out_dir / "benchmark.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BENCHMARK_COLUMNS)
-        for d in sorted(dataset.benchmark):
-            writer.writerow([d.isoformat(), _fmt(dataset.benchmark[d])])
+    _write_csv(out_dir / "bars.csv", BARS_COLUMNS, (
+        [stock_id, d.isoformat(), *map(_fmt, values), "1" if suspended else "0"]
+        for stock_id, d, *values, suspended in dataset.bar_rows()))
+    _write_csv(out_dir / "fundamentals.csv", FUNDAMENTALS_COLUMNS, (
+        [snap.stock_id, snap.date.isoformat(),
+         *(_fmt(getattr(snap, name)) for name in FUNDAMENTALS_COLUMNS[2:18]),
+         str(snap.industry_code)]
+        for stock_id in sorted(dataset.fundamentals)
+        for snap in dataset.fundamentals[stock_id]))
+    _write_csv(out_dir / "benchmark.csv", BENCHMARK_COLUMNS,
+               ([d.isoformat(), _fmt(dataset.benchmark[d])] for d in sorted(dataset.benchmark)))
 
 
 def write_series_csv(result, path):
@@ -54,35 +48,21 @@ def write_series_csv(result, path):
 
     Return columns are empty on the first row (no prior valuation).
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_COLUMNS)
-        for i, d in enumerate(result.dates):
-            if i == 0:
-                writer.writerow([d.isoformat(), _fmt(result.values[i]), "", ""])
-            else:
-                writer.writerow([
-                    d.isoformat(), _fmt(result.values[i]),
-                    _fmt(result.daily_returns[i - 1]),
-                    _fmt(result.benchmark_returns[i - 1]),
-                ])
+    returns = [("", "")] + [(_fmt(p), _fmt(b)) for p, b in
+                            zip(result.daily_returns, result.benchmark_returns)]
+    _write_csv(path, SERIES_COLUMNS, (
+        [d.isoformat(), _fmt(value), *pair]
+        for d, value, pair in zip(result.dates, result.values, returns)))
 
 
 def write_trades_csv(result, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "stock_id", "side", "shares", "price", "cost"])
-        for trade in result.trades:
-            writer.writerow([
-                trade.date.isoformat(), trade.stock_id, trade.side,
-                _fmt(trade.shares), _fmt(trade.price), _fmt(trade.cost),
-            ])
+    _write_csv(path, ["date", "stock_id", "side", "shares", "price", "cost"], (
+        [t.date.isoformat(), t.stock_id, t.side, _fmt(t.shares), _fmt(t.price), _fmt(t.cost)]
+        for t in result.trades))
 
 
 def write_ranking_csv(rankings, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "rank", "stock_id", "score"])
-        for ranking in rankings:
-            for rank, (stock_id, score) in enumerate(ranking.entries, start=1):
-                writer.writerow([ranking.date.isoformat(), str(rank), stock_id, _fmt(score)])
+    _write_csv(path, ["date", "rank", "stock_id", "score"], (
+        [ranking.date.isoformat(), str(rank), stock_id, _fmt(score)]
+        for ranking in rankings
+        for rank, (stock_id, score) in enumerate(ranking.entries, start=1)))

@@ -69,14 +69,6 @@ def macd_series(closes):
     return dif, dea, 2.0 * (dif - dea)
 
 
-def macd_indicators(closes):
-    """(dif, dea, macd) at the final date of the close series."""
-    if len(closes) < MACD_MIN_OBSERVATIONS:
-        raise ValidationError(
-            f"macd_indicators requires at least {MACD_MIN_OBSERVATIONS} observations")
-    return tuple(float(series[-1]) for series in macd_series(closes))
-
-
 def rolling_beta(stock_returns, benchmark_returns) -> float:
     """OLS slope of stock daily returns on benchmark daily returns."""
     x = np.asarray(benchmark_returns, dtype=float)
@@ -90,14 +82,6 @@ def rolling_beta(stock_returns, benchmark_returns) -> float:
     if var <= 1e-18:
         raise ValidationError("benchmark variance is zero; beta undefined")
     return float(np.dot(xc, y - y.mean()) / var)
-
-
-@dataclass
-class FactorVector:
-    stock_id: str
-    date: Date
-    values: np.ndarray        # length 47
-    missing_mask: np.ndarray  # bool, length 47; True means value is missing
 
 
 def _safe_ratio(numerator, denominator):
@@ -132,8 +116,9 @@ class _StockColumns:
         self.macd = macd_series(bars.close) if len(bars) >= MACD_MIN_OBSERVATIONS else None
 
 
-def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
-    """All 47 raw factors from data at or before d; missing values masked."""
+def _factor_row(columns: _StockColumns, d: Date):
+    """(values, missing): all 47 raw factors from data at or before d, and
+    the bool mask of those that are missing."""
     values = np.zeros(N_FACTORS)
     mask = np.ones(N_FACTORS, dtype=bool)
 
@@ -145,7 +130,7 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
     bars = columns.bars
     idx = None if bars is None else bars.position(d)
     if idx is None:
-        return FactorVector(columns.stock_id, d, values, mask)
+        return values, mask
     closes, turnover, returns = bars.close, bars.turnover, columns.returns
     close = float(closes[idx])
     mcap = float(bars.market_cap[idx])
@@ -176,37 +161,29 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
         put("CASH_RATIO", _safe_ratio(snap.cash, snap.current_liabilities))
         put("CURRENT_RATIO", _safe_ratio(snap.current_assets, snap.current_liabilities))
 
-    for w, n_months, rname, mname, dname, sname, tname, relname in zip(
-        MONTH_DAYS, MONTH_COUNTS,
-        ("RET_1M", "RET_3M", "RET_6M", "RET_12M"),
-        ("RETTO_MEAN_1M", "RETTO_MEAN_3M", "RETTO_MEAN_6M", "RETTO_MEAN_12M"),
-        ("RETTO_DECAY_1M", "RETTO_DECAY_3M", "RETTO_DECAY_6M", "RETTO_DECAY_12M"),
-        ("RET_STD_1M", "RET_STD_3M", "RET_STD_6M", "RET_STD_12M"),
-        ("TO_1M_MINUS1", "TO_3M_MINUS1", "TO_6M_MINUS1", "TO_12M_MINUS1"),
-        ("TO_REL2Y_1M", "TO_REL2Y_3M", "TO_REL2Y_6M", "TO_REL2Y_12M"),
-    ):
+    for w, n_months in zip(MONTH_DAYS, MONTH_COUNTS):
         if idx >= w and close > 0 and closes[idx - w] > 0:
-            put(rname, closes[idx] / closes[idx - w] - 1.0)
+            put(f"RET_{n_months}M", closes[idx] / closes[idx - w] - 1.0)
         # a window holding a close <= 0 holds a non-finite return, so its
         # statistics are masked
         if idx >= w and np.isfinite(returns[idx - w:idx]).all():
             win_returns = returns[idx - w:idx]           # dates idx-w+1 .. idx
             win_turnover = turnover[idx - w + 1:idx + 1]
             product = win_returns * win_turnover
-            put(mname, float(product.mean()))
+            put(f"RETTO_MEAN_{n_months}M", float(product.mean()))
             # distance in trading days from the action day; 0 on the day itself
             distance = np.arange(w - 1, -1, -1, dtype=float)
             weights = np.exp(-distance / (n_months * 4.0))
-            put(dname, float((product * weights).mean()))
-            put(sname, float(win_returns.std()))
+            put(f"RETTO_DECAY_{n_months}M", float((product * weights).mean()))
+            put(f"RET_STD_{n_months}M", float(win_returns.std()))
         if idx + 1 >= w:
             trailing = turnover[idx - w + 1:idx + 1]
-            put(tname, float(trailing.mean()) - 1.0)
+            put(f"TO_{n_months}M_MINUS1", float(trailing.mean()) - 1.0)
             two_year = turnover[max(0, idx - TWO_YEAR_DAYS + 1):idx + 1]
             if len(two_year) >= 252:
                 base = float(two_year.mean())
                 if base > 0:
-                    put(relname, float(trailing.mean()) / base - 1.0)
+                    put(f"TO_REL2Y_{n_months}M", float(trailing.mean()) / base - 1.0)
 
     if idx >= 252 and (columns.benchmark[idx - 252:idx + 1] > 0).all() \
             and np.isfinite(returns[idx - 252:idx]).all():
@@ -222,7 +199,7 @@ def _factor_row(columns: _StockColumns, d: Date) -> FactorVector:
         put("DEA", dea[idx])
         put("MACD", macd[idx])
 
-    return FactorVector(columns.stock_id, d, values, mask)
+    return values, mask
 
 
 class MarketStore:
@@ -238,10 +215,11 @@ class MarketStore:
     def __init__(self, dataset: MarketDataset):
         self.dataset = dataset
         self._columns: dict[str, _StockColumns] = {}
-        self._rows: dict[tuple[str, Date], FactorVector] = {}
+        self._rows: dict[tuple[str, Date], tuple[np.ndarray, np.ndarray]] = {}
 
-    def row(self, stock_id: str, d: Date) -> FactorVector:
-        """The stock's raw factors on d, from data at or before d."""
+    def row(self, stock_id: str, d: Date):
+        """(values, missing): the stock's raw factors on d, from data at or
+        before d, and the mask of those that are missing."""
         key = (stock_id, d)
         if key not in self._rows:
             if stock_id not in self._columns:
@@ -277,9 +255,7 @@ def build_panel(store: MarketStore, universe, d: Date) -> FactorPanel:
     matrix = np.zeros((len(stocks), N_FACTORS))
     missing = np.ones((len(stocks), N_FACTORS), dtype=bool)
     for i, stock_id in enumerate(stocks):
-        fv = store.row(stock_id, d)
-        matrix[i] = fv.values
-        missing[i] = fv.missing_mask
+        matrix[i], missing[i] = store.row(stock_id, d)
     return FactorPanel(date=d, stocks=stocks, matrix=matrix, missing=missing)
 
 

@@ -18,7 +18,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import DataError, ParseError, ValidationError
+from .errors import DataError, ParseError, ValidationError, not_utf8
 
 
 class StockBars:
@@ -78,9 +78,6 @@ class TradingCalendar:
         self._month_last: dict[tuple[int, int], Date] = {}
         for d in self.dates:
             self._month_last[(d.year, d.month)] = d
-
-    def __len__(self):
-        return len(self.dates)
 
     def days_between(self, start: Date, end: Date):
         """Trading dates d with start <= d <= end."""
@@ -232,17 +229,22 @@ def _read_rows(path, columns):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] != columns:
-            raise ParseError(f"{path}:1: expected header {','.join(columns)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise ParseError(f"{path}:{line_no}: expected {len(columns)} fields, got {len(row)}")
-            yield line_no, row
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}:1: empty file")
+            if [h.strip() for h in header] != columns:
+                raise ParseError(f"{path}:1: expected header {','.join(columns)}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ParseError(
+                        f"{path}:{line_no}: expected {len(columns)} fields, got {len(row)}")
+                yield line_no, row
+        except UnicodeDecodeError:  # raised a decoded chunk ahead of the rows
+            raise ParseError(not_utf8(path)) from None
+        except csv.Error as exc:  # e.g. a field larger than csv's field limit
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _date_parser(path):

@@ -375,7 +375,7 @@ def train(model, samples, labels, config: TrainConfig):
     return model, losses
 
 
-def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float = 0.0):
+def gradient_check(model, batch, labels, step: float = 1e-5):
     """Max relative error of analytic vs central finite-difference gradients.
 
     For every entry of every tensor in parameters(), the numeric derivative
@@ -392,9 +392,6 @@ def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float =
     leading copy axis. The original array object, a view of the model's flat
     vector, is then put back, so every parameter is restored exactly: same
     objects, same contents.
-
-    corruption is a test hook: it is added to the first analytic gradient
-    entry to verify the check detects a broken backward pass.
     """
     batch = np.asarray(batch, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -402,14 +399,10 @@ def gradient_check(model, batch, labels, step: float = 1e-5, corruption: float =
         raise ValidationError("gradient_check: labels do not match the batch")
     _, grads = model.loss_and_gradients(batch, labels)
     worst = 0.0
-    first = True
     for (slot, key), g in zip(model._parameter_slots(), grads):
         p = slot[key]
         flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1).copy()
-        if first and corruption != 0.0 and flat_g.size:
-            flat_g[0] += corruption
-            first = False
+        flat_g = g.reshape(-1)
         # a 1-D tensor (a bias) is stacked as (2k, 1, d) to broadcast over b
         copy_shape = p.shape if p.ndim > 1 else (1,) + p.shape
         for start in range(0, flat_p.size, GRADCHECK_CHUNK):

@@ -1,12 +1,26 @@
 """Shared fixtures: hand-built micro markets and generated ones."""
 
+import os
+import subprocess
+import sys
 from datetime import date as Date
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
+import rollingquant
 from rollingquant.marketdata import FundamentalSnapshot, MarketDataset, TradingCalendar
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so that a traceback reaches stderr."""
+    src = str(Path(rollingquant.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "rollingquant.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
 
 
 def weekdays(start: Date, end: Date):
@@ -18,6 +32,17 @@ def weekdays(start: Date, end: Date):
             out.append(d)
         d += one
     return out
+
+
+def broken_backward(loss_and_gradients, error):
+    """A loss_and_gradients whose first gradient entry is off by error, as a
+    broken backward pass would leave it."""
+    def broken(model, batch, labels):
+        loss, grads = loss_and_gradients(model, batch, labels)
+        grads[0] = grads[0].copy()
+        grads[0].flat[0] += error
+        return loss, grads
+    return broken
 
 
 def make_bar(stock_id, d, close, prev_close=None, shares=10.0,

@@ -286,10 +286,10 @@ def test_criterion_10_factor_totality(crash_market):
                           [make_snapshot("A", dates[0])])
     d = Date(2015, 6, 30)
     i = dates.index(d)
-    fv = MarketStore(market).row("A", d)
+    values, _ = MarketStore(market).row("A", d)
     segments = np.prod([closes[i - k * 21] / closes[i - (k + 1) * 21]
                         for k in range(3)])
-    window_error = abs(fv.values[FACTOR_INDEX["RET_3M"]] - (segments - 1.0))
+    window_error = abs(values[FACTOR_INDEX["RET_3M"]] - (segments - 1.0))
 
     ok = all_finite and checked > 0 and window_error <= 1e-9
     assert verdict(10, "factor totality", ok), \

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import broken_backward, flat_market, run_cli
 from rollingquant import factors
 from rollingquant.cli import cmd_backtest, main
 from rollingquant.config import load_run_config
 from rollingquant.exports import write_dataset
+from rollingquant.numerics import MlpModel
 
 BASE_INI = """\
 [run]
@@ -166,8 +168,10 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "0"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--seed", "0", "--corrupt", "0.01"]) == 3
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(MlpModel, "loss_and_gradients",
+                            broken_backward(MlpModel.loss_and_gradients, 0.01))
+        assert main(["gradcheck", "--seed", "0"]) == 3
         assert capsys.readouterr().out.endswith("FAIL\n")
 
 
@@ -217,3 +221,49 @@ class TestReport:
         code = main(["report", "--series", str(series), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith(message.format(path=series))
+
+
+class TestBadInputExitCodes:
+    @pytest.mark.parametrize("args,message", [
+        (["backtest"], "rollingquant backtest: the following arguments are required: --config"),
+        (["report", "--series", "s.csv", "--out", "r.json", "--risk-free", "abc"],
+         "rollingquant report: argument --risk-free: invalid float value: 'abc'"),
+        (["bogus"], "rollingquant: argument command: invalid choice: 'bogus'"),
+    ], ids=["missing_config", "bad_risk_free", "unknown_command"])
+    def test_usage_error_is_config_error(self, args, message):
+        done = run_cli(*args)
+        assert done.returncode == 1
+        assert f"\nconfig error: {message}" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_help_exits_0(self):
+        done = run_cli("--help")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: rollingquant")
+
+    @pytest.mark.parametrize("name,damage,message", [
+        ("bars.csv", lambda line: b"\xff" + line, "{path}:400: byte 0xff is not UTF-8 text"),
+        ("benchmark.csv", lambda line: line + b"1" * 200_000,
+         "{path}:400: field larger than field limit (131072)"),
+        ("series.csv", lambda line: b"\xff" + line, "{path}:400: byte 0xff is not UTF-8 text"),
+    ], ids=["bars_not_utf8", "benchmark_field_too_large", "series_not_utf8"])
+    def test_undecodable_csv_is_data_error(self, tmp_path, name, damage, message):
+        # line 400 lies past the first chunk that the reader decodes
+        write_dataset(flat_market({"A": 10.0}), tmp_path)
+        (tmp_path / "series.csv").write_text(
+            "date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+            + "2015-01-01,1000000,0.001,0.001\n" * 500)
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[399] = damage(lines[399])
+        path.write_bytes(b"\n".join(lines))
+        if name == "series.csv":
+            done = run_cli("report", "--series", str(path), "--out", str(tmp_path / "r.json"))
+        else:
+            config = tmp_path / "run.ini"
+            config.write_text("[run]\nstart = 2015-07-01\nend = 2015-12-31\n"
+                              f"out_dir = {tmp_path / 'out'}\n\n[data]\nsource = csv\n"
+                              "bars = bars.csv\nfundamentals = fundamentals.csv\n"
+                              "benchmark = benchmark.csv\n", encoding="utf-8")
+            done = run_cli("backtest", "--config", str(config))
+        assert (done.returncode, done.stderr) == (2, f"data error: {message.format(path=path)}\n")

@@ -2,16 +2,13 @@
 sections and keys, bad values, and the seed derivation."""
 
 import io
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
 
 import pytest
 
-import rollingquant
+from conftest import run_cli
 from rollingquant import strategies
 from rollingquant.backtest import CostModel, ScenarioConfig
 from rollingquant.cli import cmd_backtest, main
@@ -41,7 +38,6 @@ def minimal_config():
     """What MINIMAL parses to: the dataclass defaults, the master seed
     at TrainConfig's default and the parser's own defaults."""
     return RunConfig(
-        source="synthetic",
         strategies=["linreg", "fcnn", "lstm"],
         out_dir=Path("out"),
         scenario=ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 12, 31)),
@@ -115,7 +111,7 @@ def test_csv_keys_reach_their_fields(tmp_path):
     path = write_ini(tmp_path, data={"source": "csv", "bars": "b.csv",
                                      "fundamentals": "f.csv", "benchmark": "x.csv"})
     config = load_run_config(path)
-    assert config == replace(minimal_config(), source="csv", synthetic=None,
+    assert config == replace(minimal_config(), synthetic=None,
                              bars_path=tmp_path / "b.csv",
                              fundamentals_path=tmp_path / "f.csv",
                              benchmark_path=tmp_path / "x.csv")
@@ -146,7 +142,8 @@ BAD_VALUE_CASES = [
     ("costs", "sell_tax_rate", "-0.001", "cost rates and lot size must be >= 0"),
     ("costs", "lot_size", "-100", "cost rates and lot size must be >= 0"),
     ("costs", "commission_rate", "nan",
-     "bad config value: expected a finite number, got 'nan'"),
+     "[costs] commission_rate: expected a finite number, got 'nan'"),
+    ("run", "window", "2.5", "[run] window: invalid literal for int() with base 10: '2.5'"),
     ("train", "epochs", "0", "invalid training configuration"),
     ("train", "learning_rate", "0", "invalid training configuration"),
     ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
@@ -183,19 +180,28 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, section, key, text)
     sections = {"run": {"out_dir": tmp_path / "out"}}
     sections.setdefault(section, {})[key] = text
     assert main(["backtest", "--config", str(write_ini(tmp_path, **sections))]) == 1
-    where = "[data]" if section == "data" else "config"
     assert capsys.readouterr().err == \
-        f"config error: bad {where} value: expected a finite number, got {text!r}\n"
+        f"config error: [{section}] {key}: expected a finite number, got {text!r}\n"
     assert not (tmp_path / "out").exists()
 
 
-def run_cli(*args):
-    """The CLI in a fresh interpreter, so that a traceback reaches stderr."""
-    src = str(Path(rollingquant.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-m", "rollingquant.cli", *args],
-                          capture_output=True, text=True, env=env, check=False)
+RUN = b"[run]\nstart = 2015-09-01\nend = 2015-12-31\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (RUN + b"start = 2015-09-02\n", "{path}:4: duplicate key 'start' in [run]"),
+    (RUN + b"[run]\nwindow = 2\n", "{path}:4: duplicate section [run]"),
+    (b"seed = 1\n" + RUN, "{path}:1: a key before any section header"),
+    (RUN + b"holdings\n", "{path}:4: neither 'key = value' nor a '[section]' header"),
+    (RUN + b"out_dir = \xff\n", "{path}:4: byte 0xff is not UTF-8 text"),
+    (RUN + b"out_dir = 100%\n", "[run] out_dir: '%' must be followed by '%' or '(', found: '%'"),
+], ids=["duplicate_key", "duplicate_section", "no_section", "no_equals", "not_utf8",
+        "bad_interpolation"])
+def test_unparsable_file_is_config_error(tmp_path, text, message):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text)
+    done = run_cli("backtest", "--config", str(path))
+    assert (done.returncode, done.stderr) == (1, f"config error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("command,seed,message", [

@@ -19,9 +19,15 @@ from rollingquant.factors import (
     compute_normalization,
     drop_sparse_rows,
     ema,
-    macd_indicators,
+    macd_series,
     rolling_beta,
 )
+
+
+def macd_indicators(closes):
+    """(dif, dea, macd) at the last close, from the series over these closes
+    alone: the oracle of the store's prefix-free MACD columns."""
+    return tuple(float(series[-1]) for series in macd_series(closes))
 
 
 class TestEma:
@@ -58,10 +64,6 @@ class TestMacd:
         closes = [100.0 + t for t in range(60)]
         dif, _, _ = macd_indicators(closes)
         assert dif > 0
-
-    def test_short_series_rejected(self):
-        with pytest.raises(ValidationError):
-            macd_indicators([1.0] * 10)
 
 
 class TestRollingBeta:
@@ -102,29 +104,29 @@ def geometric_market(daily_return=0.001, turnover=0.02, price0=100.0,
 class TestRawFactors:
     def test_earnings_yield_arithmetic(self):
         market = flat_market({"A": 100.0}, shares=10.0)  # market cap 1000
-        fv = MarketStore(market).row("A", Date(2015, 6, 30))
-        assert fv.values[FACTOR_INDEX["EP"]] == pytest.approx(0.1)
-        assert not fv.missing_mask[FACTOR_INDEX["EP"]]
+        values, missing = MarketStore(market).row("A", Date(2015, 6, 30))
+        assert values[FACTOR_INDEX["EP"]] == pytest.approx(0.1)
+        assert not missing[FACTOR_INDEX["EP"]]
 
     def test_log_price(self):
         market = flat_market({"A": 100.0})
-        fv = MarketStore(market).row("A", Date(2015, 6, 30))
-        assert fv.values[FACTOR_INDEX["LN_PRICE"]] == pytest.approx(math.log(100.0))
-        assert fv.values[FACTOR_INDEX["LN_MCAP"]] == pytest.approx(math.log(1000.0))
+        values, _ = MarketStore(market).row("A", Date(2015, 6, 30))
+        assert values[FACTOR_INDEX["LN_PRICE"]] == pytest.approx(math.log(100.0))
+        assert values[FACTOR_INDEX["LN_MCAP"]] == pytest.approx(math.log(1000.0))
 
     def test_return_turnover_mean_closed_form(self):
         r, u = 0.001, 0.02
         market = geometric_market(daily_return=r, turnover=u)
-        fv = MarketStore(market).row("A", Date(2015, 6, 30))
+        values, _ = MarketStore(market).row("A", Date(2015, 6, 30))
         for name in ("RETTO_MEAN_1M", "RETTO_MEAN_3M", "RETTO_MEAN_6M", "RETTO_MEAN_12M"):
-            assert fv.values[FACTOR_INDEX[name]] == pytest.approx(r * u, rel=1e-9)
+            assert values[FACTOR_INDEX[name]] == pytest.approx(r * u, rel=1e-9)
 
     def test_window_return_compounds_daily(self):
         r = 0.001
         market = geometric_market(daily_return=r)
-        fv = MarketStore(market).row("A", Date(2015, 6, 30))
-        assert fv.values[FACTOR_INDEX["RET_1M"]] == pytest.approx((1 + r) ** 21 - 1)
-        assert fv.values[FACTOR_INDEX["RET_12M"]] == pytest.approx((1 + r) ** 252 - 1)
+        values, _ = MarketStore(market).row("A", Date(2015, 6, 30))
+        assert values[FACTOR_INDEX["RET_1M"]] == pytest.approx((1 + r) ** 21 - 1)
+        assert values[FACTOR_INDEX["RET_12M"]] == pytest.approx((1 + r) ** 252 - 1)
 
     def test_quarter_return_compounds_month_segments(self):
         # identity on a seeded random walk, checked against raw closes
@@ -139,24 +141,24 @@ class TestRawFactors:
         market = build_market(bars, {d: 3000.0 for d in dates},
                               [make_snapshot("A", dates[0])])
         d = Date(2015, 6, 30)
-        fv = MarketStore(market).row("A", d)
+        values, _ = MarketStore(market).row("A", d)
         i = dates.index(d)
         segments = [closes[i - k * 21] / closes[i - (k + 1) * 21] for k in range(3)]
         want = float(np.prod(segments)) - 1.0
-        assert abs(fv.values[FACTOR_INDEX["RET_3M"]] - want) < 1e-9
+        assert abs(values[FACTOR_INDEX["RET_3M"]] - want) < 1e-9
 
     def test_missing_without_bar_on_day(self):
         market = flat_market({"A": 100.0})
-        fv = MarketStore(market).row("A", Date(2015, 6, 28))  # a Sunday
-        assert fv.missing_mask.all()
+        _, missing = MarketStore(market).row("A", Date(2015, 6, 28))  # a Sunday
+        assert missing.all()
 
     def test_constant_price_degenerates_cleanly(self):
         market = flat_market({"A": 100.0})
-        fv = MarketStore(market).row("A", Date(2015, 6, 30))
-        assert fv.values[FACTOR_INDEX["RET_1M"]] == 0.0
-        assert fv.values[FACTOR_INDEX["MACD"]] == 0.0
+        values, missing = MarketStore(market).row("A", Date(2015, 6, 30))
+        assert values[FACTOR_INDEX["RET_1M"]] == 0.0
+        assert values[FACTOR_INDEX["MACD"]] == 0.0
         # constant benchmark leaves beta undefined
-        assert fv.missing_mask[FACTOR_INDEX["BETA"]]
+        assert missing[FACTOR_INDEX["BETA"]]
 
     def test_no_lookahead(self):
         market = geometric_market()
@@ -167,12 +169,12 @@ class TestRawFactors:
         future = make_snapshot("A", Date(2015, 7, 10), net_profit=-5000.0)
         mutated = build_market(rows, market.benchmark, [*snapshots(market), future])
         after = MarketStore(mutated).row("A", d)
-        assert np.array_equal(before.values, after.values)
-        assert np.array_equal(before.missing_mask, after.missing_mask)
+        for got, want in zip(before, after):  # values, then missing
+            assert np.array_equal(got, want)
         # the mutation shows from the next month end on
         later = Date(2015, 7, 31)
-        assert not np.array_equal(MarketStore(mutated).row("A", later).values,
-                                  MarketStore(market).row("A", later).values)
+        assert not np.array_equal(MarketStore(mutated).row("A", later)[0],
+                                  MarketStore(market).row("A", later)[0])
 
 
 def truncated(market, cutoff):
@@ -189,9 +191,8 @@ class TestMarketStore:
         for d in gapped_market.calendar.month_last_days():
             asof = MarketStore(truncated(gapped_market, d))
             for stock_id in gapped_market.stock_ids():
-                got, want = full.row(stock_id, d), asof.row(stock_id, d)
-                assert np.array_equal(got.values, want.values)
-                assert np.array_equal(got.missing_mask, want.missing_mask)
+                for got, want in zip(full.row(stock_id, d), asof.row(stock_id, d)):
+                    assert np.array_equal(got, want)
 
     def test_close_zero_bar_gives_no_price_factors(self, gapped_market):
         # a suspended bar at close 0 is no -100% move: no return, return
@@ -204,10 +205,10 @@ class TestMarketStore:
         priced = [FACTOR_INDEX[f"{kind}_{m}M"] for m in (1, 3, 6, 12)
                   for kind in ("RET", "RET_STD", "RETTO_MEAN", "RETTO_DECAY")]
         priced += [FACTOR_INDEX["LN_PRICE"], FACTOR_INDEX["BETA"]]
-        assert store.row("S0004", bars.dates[400]).missing_mask[priced].all()
+        assert store.row("S0004", bars.dates[400])[1][priced].all()
         month = [FACTOR_INDEX["RET_1M"], FACTOR_INDEX["RET_STD_1M"]]
-        assert store.row("S0004", bars.dates[421]).missing_mask[month].all()
-        assert not store.row("S0004", bars.dates[422]).missing_mask[month].any()
+        assert store.row("S0004", bars.dates[421])[1][month].all()
+        assert not store.row("S0004", bars.dates[422])[1][month].any()
 
     def test_macd_matches_recomputation_on_the_prefix(self, gapped_market):
         store = MarketStore(gapped_market)
@@ -216,17 +217,17 @@ class TestMarketStore:
             bars = gapped_market.bars[stock_id]
             closes = bars.close.tolist()
             for d in gapped_market.calendar.month_last_days():
-                row = store.row(stock_id, d)
+                values, missing = store.row(stock_id, d)
                 if d not in bars.dates:
-                    assert row.missing_mask.all()
+                    assert missing.all()
                     continue
                 i = bars.dates.index(d)
                 if i + 1 < 35:
-                    assert row.missing_mask[columns].all()
+                    assert missing[columns].all()
                     continue
                 dif, dea, _ = macd_indicators(closes[:i + 1])
-                assert np.array_equal(row.values[columns], [dif, dea])
-                assert not row.missing_mask[columns].any()
+                assert np.array_equal(values[columns], [dif, dea])
+                assert not missing[columns].any()
 
 
 class TestPanels:

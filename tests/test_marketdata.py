@@ -179,7 +179,7 @@ class TestCsvRoundTrip:
                               [make_snapshot(s, dates[0]) for s in ["A", "B"]])
         loaded = load_dataset(*self._write(tmp_path, market))
         assert sum(len(v) for v in loaded.bars.values()) == 10
-        assert len(loaded.calendar) == 5
+        assert len(loaded.calendar.dates) == 5
         assert loaded.tradeable_close("B", dates[2]) == 11.0
         assert loaded.benchmark[dates[0]] == 3000.0
         assert loaded.fundamentals["A"][0].net_profit == 100.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import broken_backward
 from rollingquant.errors import TrainingError, ValidationError
 from rollingquant.numerics import (
     LstmLayer,
@@ -441,11 +442,13 @@ class TestGradientCheck:
         err = gradient_check(model, rng.normal(size=(5, 3, 47)), rng.normal(size=5))
         assert err <= 1e-5
 
-    def test_detects_corruption(self):
+    def test_detects_corruption(self, monkeypatch):
+        monkeypatch.setattr(MlpModel, "loss_and_gradients",
+                            broken_backward(MlpModel.loss_and_gradients, 0.5))
         rng = np.random.default_rng(12)
         model = MlpModel.create(seed=12)
         batch, labels = rng.normal(size=(5, 47)), rng.normal(size=5)
-        assert gradient_check(model, batch, labels, corruption=0.5) > 1e-3
+        assert gradient_check(model, batch, labels) > 1e-3
 
     @pytest.mark.parametrize("create,shape", [
         (lambda: MlpModel.create(seed=13), (20, 47)),

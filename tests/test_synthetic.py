@@ -42,7 +42,7 @@ class TestValidation:
     def test_all_regimes_generate(self):
         for regime in REGIMES:
             market = generate_synthetic_market(_config(regime=regime))
-            assert len(market.calendar) > 400
+            assert len(market.calendar.dates) > 400
 
 
 class TestDeterminism:
@@ -115,4 +115,4 @@ class TestShape:
     def test_bars_cover_every_calendar_day(self):
         market = generate_synthetic_market(_config())
         for stock_id in market.stock_ids():
-            assert len(market.bars[stock_id]) == len(market.calendar)
+            assert len(market.bars[stock_id]) == len(market.calendar.dates)
