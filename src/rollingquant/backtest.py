@@ -14,7 +14,7 @@ from datetime import date as Date
 
 from .errors import RebalanceError, StrategyError, ValidationError
 from .factors import MarketStore
-from .marketdata import EligibilityRules, action_days, eligible_universe
+from .marketdata import action_days, eligible_universe
 from .numerics import TrainConfig
 from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, Ranking, rank_stocks, select_targets
 
@@ -138,7 +138,6 @@ class ScenarioConfig:
     holdings: int = DEFAULT_HOLDINGS
     initial_capital: float = DEFAULT_INITIAL_CAPITAL
     costs: CostModel = field(default_factory=CostModel)
-    eligibility: EligibilityRules = field(default_factory=EligibilityRules)
     # action day i trains with train_config.seed + i * SEED_STRIDE
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
@@ -162,7 +161,7 @@ def rank_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> 
     """
     rankings = []
     for i, d in enumerate(action_days(store.dataset.calendar, config.start, config.end)):
-        universe = eligible_universe(store.dataset, d, config.eligibility)
+        universe = eligible_universe(store.dataset, d)
         seed = config.train_config.seed + i * SEED_STRIDE
         try:
             rankings.append(rank_stocks(strategy, store, d, universe, config.window,

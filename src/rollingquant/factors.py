@@ -1,25 +1,26 @@
-"""Per-stock factor computation and cross-sectional panel assembly.
+"""Whole-market factor panels and cross-sectional normalization.
 
 47 factors per stock per action day. Trailing "months" are fixed trading-day
 windows: 1/3/6/12 months = 21/63/126/252 days; the 2-year turnover baseline
 uses up to 504 days (at least 252 required). Missing or non-computable
 values are masked and later imputed with the cross-sectional median.
 
-A MarketStore derives each stock's return, benchmark and MACD series from
-its bar columns once and computes each (stock, date) factor row once, so the
-strategies of one run share their rows.
+A MarketStore computes each date's panel once for the whole market from
+(stocks, T) matrices: window statistics reduce gathered (stocks, w) windows
+along their last axis, and ratios are column arithmetic over the snapshots.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
 
 from .errors import ValidationError
-from .marketdata import MarketDataset
+from .marketdata import FUNDAMENTALS_COLUMNS, MarketDataset
 
 FACTOR_NAMES = (
     "EP", "LN_PRICE", "EP_CUT", "BP", "SP", "NCFP", "OCFP", "G_PE",
@@ -47,23 +48,23 @@ MACD_MIN_OBSERVATIONS = 35
 
 
 def ema(series, n: int):
-    """Exponential moving average, k = 2/(n+1), seeded with the first value."""
-    if len(series) == 0:
+    """Exponential moving average along the last axis, k = 2/(n+1), seeded
+    with the first value."""
+    series = np.asarray(series, dtype=float)
+    if series.shape[-1] == 0:
         raise ValidationError("ema requires a nonempty series")
     if n < 1:
         raise ValidationError("ema window must be >= 1")
     k = 2.0 / (n + 1.0)
-    out = np.empty(len(series))
-    out[0] = series[0]
-    for t in range(1, len(series)):
-        out[t] = out[t - 1] + k * (series[t] - out[t - 1])
+    out = series.copy()
+    for t in range(1, series.shape[-1]):
+        out[..., t] = out[..., t - 1] + k * (series[..., t] - out[..., t - 1])
     return out
 
 
 def macd_series(closes):
-    """(dif, dea, macd) series over the close series; each value depends only
-    on the closes up to its date."""
-    closes = np.asarray(closes, dtype=float)
+    """(dif, dea, macd) series along the last axis of the closes; each value
+    depends only on the closes up to its date."""
     dif = ema(closes, 12) - ema(closes, 26)
     dea = ema(dif, 9)
     return dif, dea, 2.0 * (dif - dea)
@@ -84,148 +85,146 @@ def rolling_beta(stock_returns, benchmark_returns) -> float:
     return float(np.dot(xc, y - y.mean()) / var)
 
 
-def _safe_ratio(numerator, denominator):
-    if denominator == 0 or not math.isfinite(numerator) or not math.isfinite(denominator):
-        return None
-    value = numerator / denominator
-    return value if math.isfinite(value) else None
+# each ratio factor's (numerator, denominator): snapshot fields, the market
+# cap, and two products the panel adds (growth / PE == growth * EP)
+_RATIOS = {
+    "EP": ("net_profit", "market_cap"),
+    "EP_CUT": ("net_profit_cut", "market_cap"),
+    "BP": ("net_assets", "market_cap"),
+    "SP": ("operating_revenue", "market_cap"),
+    "NCFP": ("net_cash_flow", "market_cap"),
+    "OCFP": ("net_operate_cash_flow", "market_cap"),
+    "G_PE": ("growth_times_profit", "market_cap"),
+    "ROE": ("net_profit", "equity"),
+    "ROA": ("net_profit", "avg_total_assets"),
+    "GROSS_MARGIN": ("gross_profit", "operating_revenue"),
+    "PROFIT_MARGIN": ("net_profit", "operating_revenue"),
+    "ASSET_TURNOVER": ("operating_revenue", "avg_total_assets"),
+    "OP_CASHFLOW_RATIO": ("net_operate_cash_flow", "operate_income"),
+    "FIN_LEVERAGE": ("total_assets", "net_assets"),
+    "DEBT_EQUITY": ("long_term_debt", "net_assets"),
+    "CASH_RATIO": ("cash", "current_liabilities"),
+    "CURRENT_RATIO": ("current_assets", "current_liabilities"),
+}
 
 
-class _StockColumns:
-    """Series derived from one stock's bars, along its own bar dates.
-
-    The benchmark is aligned to the stock's bar dates (NaN where it has no
-    close), and the MACD series are computed once over the whole history:
-    each value depends only on the prefix up to its date. The daily return
-    into a close <= 0 is NaN, not a -100% move.
-    """
-
-    def __init__(self, dataset: MarketDataset, stock_id: str):
-        self.stock_id = stock_id
-        self.dataset = dataset
-        self.bars = bars = dataset.bars.get(stock_id)
-        if bars is None:
-            return
-        self.benchmark = np.array([dataset.benchmark.get(d, np.nan) for d in bars.dates],
-                                  dtype=float)
-        # returns[j] belongs to dates[j+1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.returns = bars.close[1:] / bars.close[:-1] - 1.0
-            self.benchmark_returns = self.benchmark[1:] / self.benchmark[:-1] - 1.0
-        self.returns[bars.close[1:] <= 0] = np.nan
-        self.macd = macd_series(bars.close) if len(bars) >= MACD_MIN_OBSERVATIONS else None
-
-
-def _factor_row(columns: _StockColumns, d: Date):
-    """(values, missing): all 47 raw factors from data at or before d, and
-    the bool mask of those that are missing."""
-    values = np.zeros(N_FACTORS)
-    mask = np.ones(N_FACTORS, dtype=bool)
-
-    def put(name, value):
-        if value is not None and math.isfinite(value):
-            values[FACTOR_INDEX[name]] = value
-            mask[FACTOR_INDEX[name]] = False
-
-    bars = columns.bars
-    idx = None if bars is None else bars.position(d)
-    if idx is None:
-        return values, mask
-    closes, turnover, returns = bars.close, bars.turnover, columns.returns
-    close = float(closes[idx])
-    mcap = float(bars.market_cap[idx])
-
-    if close > 0:
-        put("LN_PRICE", math.log(close))
-    if mcap > 0:
-        put("LN_MCAP", math.log(mcap))
-
-    snap = columns.dataset.fundamental_asof(columns.stock_id, d)
-    if snap is not None and mcap > 0:
-        put("EP", _safe_ratio(snap.net_profit, mcap))
-        put("EP_CUT", _safe_ratio(snap.net_profit - snap.non_recurring_gain_loss, mcap))
-        put("BP", _safe_ratio(snap.net_assets, mcap))
-        put("SP", _safe_ratio(snap.operating_revenue, mcap))
-        put("NCFP", _safe_ratio(snap.net_cash_flow, mcap))
-        put("OCFP", _safe_ratio(snap.net_operate_cash_flow, mcap))
-        # growth / PE == growth * net_profit / market_cap
-        put("G_PE", _safe_ratio(snap.net_profit_growth * snap.net_profit, mcap))
-        put("ROE", _safe_ratio(snap.net_profit, snap.equity))
-        put("ROA", _safe_ratio(snap.net_profit, snap.avg_total_assets))
-        put("GROSS_MARGIN", _safe_ratio(snap.gross_profit, snap.operating_revenue))
-        put("PROFIT_MARGIN", _safe_ratio(snap.net_profit, snap.operating_revenue))
-        put("ASSET_TURNOVER", _safe_ratio(snap.operating_revenue, snap.avg_total_assets))
-        put("OP_CASHFLOW_RATIO", _safe_ratio(snap.net_operate_cash_flow, snap.operate_income))
-        put("FIN_LEVERAGE", _safe_ratio(snap.total_assets, snap.net_assets))
-        put("DEBT_EQUITY", _safe_ratio(snap.long_term_debt, snap.net_assets))
-        put("CASH_RATIO", _safe_ratio(snap.cash, snap.current_liabilities))
-        put("CURRENT_RATIO", _safe_ratio(snap.current_assets, snap.current_liabilities))
-
-    for w, n_months in zip(MONTH_DAYS, MONTH_COUNTS):
-        if idx >= w and close > 0 and closes[idx - w] > 0:
-            put(f"RET_{n_months}M", closes[idx] / closes[idx - w] - 1.0)
-        # a window holding a close <= 0 holds a non-finite return, so its
-        # statistics are masked
-        if idx >= w and np.isfinite(returns[idx - w:idx]).all():
-            win_returns = returns[idx - w:idx]           # dates idx-w+1 .. idx
-            win_turnover = turnover[idx - w + 1:idx + 1]
-            product = win_returns * win_turnover
-            put(f"RETTO_MEAN_{n_months}M", float(product.mean()))
-            # distance in trading days from the action day; 0 on the day itself
-            distance = np.arange(w - 1, -1, -1, dtype=float)
-            weights = np.exp(-distance / (n_months * 4.0))
-            put(f"RETTO_DECAY_{n_months}M", float((product * weights).mean()))
-            put(f"RET_STD_{n_months}M", float(win_returns.std()))
-        if idx + 1 >= w:
-            trailing = turnover[idx - w + 1:idx + 1]
-            put(f"TO_{n_months}M_MINUS1", float(trailing.mean()) - 1.0)
-            two_year = turnover[max(0, idx - TWO_YEAR_DAYS + 1):idx + 1]
-            if len(two_year) >= 252:
-                base = float(two_year.mean())
-                if base > 0:
-                    put(f"TO_REL2Y_{n_months}M", float(trailing.mean()) / base - 1.0)
-
-    if idx >= 252 and (columns.benchmark[idx - 252:idx + 1] > 0).all() \
-            and np.isfinite(returns[idx - 252:idx]).all():
-        try:
-            put("BETA", rolling_beta(returns[idx - 252:idx],
-                                     columns.benchmark_returns[idx - 252:idx]))
-        except ValidationError:
-            pass
-
-    if idx + 1 >= MACD_MIN_OBSERVATIONS:
-        dif, dea, macd = columns.macd
-        put("DIF", dif[idx])
-        put("DEA", dea[idx])
-        put("MACD", macd[idx])
-
-    return values, mask
+def _windows(matrix, rows, ends, w):
+    """The w-long windows matrix[rows[j], ends[j] - w + 1:ends[j] + 1] as one
+    C-contiguous array, whose rows each reduce in 1-D summation order."""
+    return matrix[rows[:, None], ends[:, None] + np.arange(1 - w, 1)]
 
 
 class MarketStore:
     """Point-in-time columnar view of one MarketDataset, shared by the
-    strategies of a run.
-
-    A stock's derived series are computed the first time it is asked for,
-    and each (stock, date) factor row is computed once. The dataset must
-    therefore not change while the store is in use: build one per run, and
-    never keep one on the dataset.
+    strategies of a run. Row i of each (stocks, T) matrix holds stocks[i]'s
+    series along its own bar dates, NaN past its last bar. Each date's panel
+    is computed once, so the dataset must not change while the store is in
+    use: build one per run, and never keep one on the dataset.
     """
 
     def __init__(self, dataset: MarketDataset):
         self.dataset = dataset
-        self._columns: dict[str, _StockColumns] = {}
-        self._rows: dict[tuple[str, Date], tuple[np.ndarray, np.ndarray]] = {}
+        self.stocks = dataset.stock_ids()
+        self.row_of = {stock_id: i for i, stock_id in enumerate(self.stocks)}
+        bars = [dataset.bars[stock_id] for stock_id in self.stocks]
+        # at least one column, so that an empty market still has a series
+        width = max((len(b) for b in bars), default=1)
 
-    def row(self, stock_id: str, d: Date):
-        """(values, missing): the stock's raw factors on d, from data at or
-        before d, and the mask of those that are missing."""
-        key = (stock_id, d)
-        if key not in self._rows:
-            if stock_id not in self._columns:
-                self._columns[stock_id] = _StockColumns(self.dataset, stock_id)
-            self._rows[key] = _factor_row(self._columns[stock_id], d)
-        return self._rows[key]
+        def matrix(series):
+            out = np.full((len(bars), width), np.nan)
+            for row, values in zip(out, series):
+                row[:len(values)] = values
+            return out
+
+        self.close = matrix(b.close for b in bars)
+        self.market_cap = matrix(b.market_cap for b in bars)
+        self.turnover = matrix(b.turnover for b in bars)
+        self.benchmark = matrix([dataset.benchmark.get(d, np.nan) for d in b.dates]
+                                for b in bars)
+        # returns[:, t] belongs to the bar at t + 1; the return into a close
+        # <= 0 is NaN, not a -100% move
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.returns = self.close[:, 1:] / self.close[:, :-1] - 1.0
+            self.benchmark_returns = self.benchmark[:, 1:] / self.benchmark[:, :-1] - 1.0
+        self.returns[self.close[:, 1:] <= 0] = np.nan
+        # (stocks, T, 3): MACD, DEA and DIF, the last three factors in order;
+        # each value depends only on the closes up to its date
+        self.macd = np.stack(macd_series(self.close)[::-1], axis=-1)
+        self._panels: dict[Date, tuple[np.ndarray, np.ndarray]] = {}
+
+    def panel(self, d: Date):
+        """(values, missing) of every stock on d, from data at or before d, in
+        self.stocks order, then one all-missing row."""
+        if d not in self._panels:
+            self._panels[d] = self._compute_panel(d)
+        return self._panels[d]
+
+    def _compute_panel(self, d: Date):
+        # (row, position of the bar on d) of each stock with one
+        found = [(i, p) for i, stock_id in enumerate(self.stocks)
+                 if (p := self.dataset.bars[stock_id].position(d)) is not None]
+        rows, pos = np.array(found, dtype=np.intp).reshape(-1, 2).T
+        values = np.full((len(rows), N_FACTORS), np.nan)
+        close, mcap = self.close[rows, pos], self.market_cap[rows, pos]
+        # math.log per value: np.log may round differently
+        for index, column in ((FACTOR_INDEX["LN_PRICE"], close), (LN_MCAP_INDEX, mcap)):
+            values[:, index] = [math.log(x) if x > 0 else math.nan for x in column.tolist()]
+
+        snaps = [self.dataset.fundamental_asof(self.stocks[i], d) if m > 0 else None
+                 for i, m in zip(rows, mcap)]
+        columns = {name: np.array([math.nan if s is None else getattr(s, name) for s in snaps])
+                   for name in FUNDAMENTALS_COLUMNS[2:18]}
+        columns["market_cap"] = mcap
+        with np.errstate(all="ignore"):  # overflow and x/0 give inf or nan, as in Python
+            columns["net_profit_cut"] = columns["net_profit"] - columns["non_recurring_gain_loss"]
+            columns["growth_times_profit"] = columns["net_profit_growth"] * columns["net_profit"]
+            for name, (num, den) in _RATIOS.items():
+                ratio = columns[num] / columns[den]
+                values[:, FACTOR_INDEX[name]] = np.where(np.isfinite(columns[den]), ratio, np.nan)
+
+        # the two-year turnover base over min(pos + 1, 504) bars, one length at
+        # a time: padding to one length would change the summation order
+        base = np.full(len(rows), np.nan)
+        length = np.minimum(pos + 1, TWO_YEAR_DAYS)
+        for n_bars in np.unique(length[length >= 252]):
+            group = length == n_bars
+            base[group] = _windows(self.turnover, rows[group], pos[group], n_bars).mean(axis=1)
+        base[~(base > 0)] = np.nan
+
+        for w, n_months in zip(MONTH_DAYS, MONTH_COUNTS):
+            start = self.close[rows, np.maximum(pos - w, 0)]
+            ok = (pos >= w) & (close > 0) & (start > 0)
+            values[ok, FACTOR_INDEX[f"RET_{n_months}M"]] = close[ok] / start[ok] - 1.0
+            # a window holding a close <= 0 holds a non-finite return: no statistics
+            ok = pos >= w
+            ok[ok] = np.isfinite(_windows(self.returns, rows[ok], pos[ok] - 1, w)).all(axis=1)
+            returns = _windows(self.returns, rows[ok], pos[ok] - 1, w)
+            product = returns * _windows(self.turnover, rows[ok], pos[ok], w)
+            values[ok, FACTOR_INDEX[f"RETTO_MEAN_{n_months}M"]] = product.mean(axis=1)
+            # by distance in trading days from the action day, 0 on the day itself
+            weights = np.exp(-np.arange(w - 1, -1, -1, dtype=float) / (n_months * 4.0))
+            values[ok, FACTOR_INDEX[f"RETTO_DECAY_{n_months}M"]] = (product * weights).mean(axis=1)
+            values[ok, FACTOR_INDEX[f"RET_STD_{n_months}M"]] = returns.std(axis=1)
+            ok = pos + 1 >= w
+            trailing = _windows(self.turnover, rows[ok], pos[ok], w).mean(axis=1)
+            values[ok, FACTOR_INDEX[f"TO_{n_months}M_MINUS1"]] = trailing - 1.0
+            values[ok, FACTOR_INDEX[f"TO_REL2Y_{n_months}M"]] = trailing / base[ok] - 1.0
+
+        # rolling_beta per stock: its 1-D BLAS dot sums in an order of its own
+        for j in np.flatnonzero(pos >= 252):
+            i, p = rows[j], pos[j]
+            returns, bench = self.returns[i, p - 252:p], self.benchmark_returns[i, p - 252:p]
+            if (self.benchmark[i, p - 252:p + 1] > 0).all() and np.isfinite(returns).all():
+                with suppress(ValidationError):
+                    values[j, FACTOR_INDEX["BETA"]] = rolling_beta(returns, bench)
+
+        ok = pos + 1 >= MACD_MIN_OBSERVATIONS
+        values[ok, FACTOR_INDEX["MACD"]:] = self.macd[rows[ok], pos[ok]]
+
+        full = np.full((len(self.stocks) + 1, N_FACTORS), np.nan)
+        full[rows] = values
+        missing = ~np.isfinite(full)
+        return np.where(missing, 0.0, full), missing
 
 
 @dataclass
@@ -250,13 +249,12 @@ class FactorPanel:
 
 
 def build_panel(store: MarketStore, universe, d: Date) -> FactorPanel:
-    """Raw factor panel, one row per universe stock, ascending stock_id."""
+    """Raw factor panel, one row per universe stock, ascending stock_id; a
+    stock the dataset lacks takes the store's all-missing last row."""
     stocks = sorted(universe)
-    matrix = np.zeros((len(stocks), N_FACTORS))
-    missing = np.ones((len(stocks), N_FACTORS), dtype=bool)
-    for i, stock_id in enumerate(stocks):
-        matrix[i], missing[i] = store.row(stock_id, d)
-    return FactorPanel(date=d, stocks=stocks, matrix=matrix, missing=missing)
+    values, missing = store.panel(d)
+    rows = [store.row_of.get(stock_id, -1) for stock_id in stocks]
+    return FactorPanel(date=d, stocks=stocks, matrix=values[rows], missing=missing[rows])
 
 
 def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> NormalizationStats:

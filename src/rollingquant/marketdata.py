@@ -159,32 +159,21 @@ class MarketDataset:
         return snaps[i - 1] if i else None
 
 
-@dataclass
-class EligibilityRules:
-    min_history_days: int = 252
-    exclude_suspended: bool = True
-    require_fundamentals: bool = True
-    exclude_limit_locked: bool = False
-    limit_fraction: float = 0.10
+# bars of history a stock needs before the day it is eligible on
+MIN_HISTORY_DAYS = 252
 
 
-def eligible_universe(dataset: MarketDataset, d: Date, rules: EligibilityRules | None = None):
-    """Stocks tradeable and fully factor-computable on d."""
-    rules = rules or EligibilityRules()
+def eligible_universe(dataset: MarketDataset, d: Date):
+    """Stocks on d with MIN_HISTORY_DAYS bars before it, not suspended and
+    with a fundamental snapshot: tradeable and fully factor-computable."""
     out = set()
     for stock_id, bars in dataset.bars.items():
         # the position of the day's bar counts the history before it
         i = bars.position(d)
-        if i is None or i < rules.min_history_days:
+        if i is None or i < MIN_HISTORY_DAYS or bars.suspended[i]:
             continue
-        if rules.exclude_suspended and bars.suspended[i]:
-            continue
-        if rules.require_fundamentals and dataset.fundamental_asof(stock_id, d) is None:
-            continue
-        if rules.exclude_limit_locked and bars.prev_close[i] > 0 and abs(
-                bars.close[i] / bars.prev_close[i] - 1.0) >= rules.limit_fraction - 1e-12:
-            continue
-        out.add(stock_id)
+        if dataset.fundamental_asof(stock_id, d) is not None:
+            out.add(stock_id)
     return out
 
 
@@ -234,13 +223,15 @@ def _read_rows(path, columns):
                 raise ParseError(f"{path}:1: empty file")
             if [h.strip() for h in header] != columns:
                 raise ParseError(f"{path}:1: expected header {','.join(columns)}")
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                # line_num is the physical line the record ends on, past
+                # any newline a quoted field holds
                 if len(row) != len(columns):
-                    raise ParseError(
-                        f"{path}:{line_no}: expected {len(columns)} fields, got {len(row)}")
-                yield line_no, row
+                    raise ParseError(f"{path}:{reader.line_num}: expected {len(columns)} "
+                                     f"fields, got {len(row)}")
+                yield reader.line_num, row
         except UnicodeDecodeError:  # raised a decoded chunk ahead of the rows
             raise ParseError(not_utf8(path)) from None
         except csv.Error as exc:  # e.g. a field larger than csv's field limit

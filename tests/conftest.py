@@ -14,11 +14,12 @@ from rollingquant.marketdata import FundamentalSnapshot, MarketDataset, TradingC
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 
-def run_cli(*args):
-    """The CLI in a fresh interpreter, so that a traceback reaches stderr."""
+def run_cli(*args, env=None):
+    """The CLI in a fresh interpreter, so that a traceback reaches stderr,
+    with the variables of env added to its environment."""
     src = str(Path(rollingquant.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]), **(env or {})}
     return subprocess.run([sys.executable, "-m", "rollingquant.cli", *args],
                           capture_output=True, text=True, env=env, check=False)
 
@@ -147,3 +148,17 @@ def gapped_market():
     fundamentals = [s for s in snapshots(market)
                     if s.stock_id != "S0002" or s.date >= listing]
     return build_market(rows, market.benchmark, fundamentals)
+
+
+def close_zero_spells(market):
+    """The market with suspensions carried at close 0: S0004's 400th to
+    413th bars, over a month end, at market cap and turnover 0 too, and
+    S0005's 300th bar."""
+    spell = market.bars["S0004"]
+    for column in (spell.close, spell.prev_close, spell.market_cap, spell.turnover):
+        column[400:414] = 0.0
+    spell.suspended[400:414] = True
+    single = market.bars["S0005"]
+    single.close[300] = 0.0
+    single.suspended[300] = True
+    return market

@@ -286,7 +286,7 @@ def test_criterion_10_factor_totality(crash_market):
                           [make_snapshot("A", dates[0])])
     d = Date(2015, 6, 30)
     i = dates.index(d)
-    values, _ = MarketStore(market).row("A", d)
+    values = build_panel(MarketStore(market), ["A"], d).matrix[0]
     segments = np.prod([closes[i - k * 21] / closes[i - (k + 1) * 21]
                         for k in range(3)])
     window_error = abs(values[FACTOR_INDEX["RET_3M"]] - (segments - 1.0))

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import broken_backward, flat_market, run_cli
-from rollingquant import factors
 from rollingquant.cli import cmd_backtest, main
 from rollingquant.config import load_run_config
 from rollingquant.exports import write_dataset
+from rollingquant.factors import MarketStore
 from rollingquant.numerics import MlpModel
 
 BASE_INI = """\
@@ -42,6 +42,16 @@ def write_config(tmp_path, strategies="linreg", out_name="out", **extra):
     path = tmp_path / f"run_{out_name}.ini"
     path.write_text(text, encoding="utf-8")
     return path, out_dir
+
+
+def csv_config(tmp_path):
+    """A backtest config over the three CSVs in tmp_path, July to December 2015."""
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nstart = 2015-07-01\nend = 2015-12-31\n"
+                      f"out_dir = {tmp_path / 'out'}\n\n[data]\nsource = csv\n"
+                      "bars = bars.csv\nfundamentals = fundamentals.csv\n"
+                      "benchmark = benchmark.csv\n", encoding="utf-8")
+    return config
 
 
 def tree_bytes(root: Path):
@@ -100,20 +110,33 @@ class TestBacktest:
         main(["backtest", "--config", str(config)])
         assert tree_bytes(out_dir) == first
 
+    def test_rerun_under_another_hash_seed_is_byte_identical(self, tmp_path):
+        # str hashes, and so the order of a set of strings, differ between interpreters
+        trees = []
+        for seed in ("1", "2"):
+            config, out_dir = write_config(tmp_path, strategies="linreg,fcnn,lstm",
+                                           out_name=f"hash{seed}", train={"epochs": 1})
+            done = run_cli("backtest", "--config", str(config), env={"PYTHONHASHSEED": seed})
+            assert (done.returncode, done.stderr) == (0, "")
+            trees.append(tree_bytes(out_dir))
+        assert len(trees[0]) == 12
+        assert trees[1] == trees[0]
+
     def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
         computed = Counter()
-        factor_row = factors._factor_row
+        compute_panel = MarketStore._compute_panel
 
-        def counting_factor_row(columns, d):
-            computed[columns.stock_id, d] += 1
-            return factor_row(columns, d)
+        def counting_compute_panel(store, d):
+            computed[d] += 1
+            return compute_panel(store, d)
 
-        monkeypatch.setattr(factors, "_factor_row", counting_factor_row)
+        monkeypatch.setattr(MarketStore, "_compute_panel", counting_compute_panel)
         config, _ = write_config(tmp_path, strategies="linreg,fcnn,lstm",
                                  train={"epochs": 1})
         assert main(["backtest", "--config", str(config)]) == 0
-        # 4 action days with 3-day windows reach 7 month ends
-        assert len({d for _, d in computed}) == 7
+        # 4 action days with 3-day windows reach 7 month ends, each one
+        # date's panel computed once for all three strategies
+        assert len(computed) == 7
         assert set(computed.values()) == {1}
 
     def test_close_zero_suspension_raises_no_warning(self, tmp_path, gapped_market):
@@ -212,8 +235,12 @@ class TestReport:
         ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
          "2015-09-01,1000000,,\n2015-09-02,1000100,oops,0.001\n",
          "data error: {path}:3: column 'portfolio_daily_return': bad number 'oops'"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         '2015-09-01,"1000\n000",,\n2015-09-02,1000100,0.0001,0.001\n'
+         "2015-09-03,1000200,oops,0.001\n",
+         "data error: {path}:5: column 'portfolio_daily_return': bad number 'oops'"),
         (None, "data error: cannot read {path}"),
-    ], ids=["wrong_header", "bad_number", "missing_file"])
+    ], ids=["wrong_header", "bad_number", "quoted_newline", "missing_file"])
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
         series = tmp_path / "series.csv"
         if text is not None:
@@ -260,10 +287,13 @@ class TestBadInputExitCodes:
         if name == "series.csv":
             done = run_cli("report", "--series", str(path), "--out", str(tmp_path / "r.json"))
         else:
-            config = tmp_path / "run.ini"
-            config.write_text("[run]\nstart = 2015-07-01\nend = 2015-12-31\n"
-                              f"out_dir = {tmp_path / 'out'}\n\n[data]\nsource = csv\n"
-                              "bars = bars.csv\nfundamentals = fundamentals.csv\n"
-                              "benchmark = benchmark.csv\n", encoding="utf-8")
-            done = run_cli("backtest", "--config", str(config))
+            done = run_cli("backtest", "--config", str(csv_config(tmp_path)))
         assert (done.returncode, done.stderr) == (2, f"data error: {message.format(path=path)}\n")
+
+    def test_market_without_bars_is_numeric_error(self, tmp_path):
+        write_dataset(flat_market({"A": 10.0}), tmp_path)
+        bars = tmp_path / "bars.csv"
+        bars.write_text(bars.read_text().splitlines()[0] + "\n")  # the header alone
+        done = run_cli("backtest", "--config", str(csv_config(tmp_path)))
+        assert (done.returncode, done.stderr) == \
+            (3, "numeric error: 2015-07-31: no regression samples for 2015-07-31\n")

@@ -7,11 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import build_market, flat_market, make_bar, make_snapshot, snapshots, weekdays
+from conftest import (
+    build_market,
+    close_zero_spells,
+    flat_market,
+    make_bar,
+    make_snapshot,
+    snapshots,
+    weekdays,
+)
 from rollingquant.errors import ValidationError
 from rollingquant.factors import (
     FACTOR_INDEX,
     FACTOR_NAMES,
+    MACD_MIN_OBSERVATIONS,
+    MONTH_COUNTS,
+    MONTH_DAYS,
+    N_FACTORS,
+    TWO_YEAR_DAYS,
     FactorPanel,
     MarketStore,
     apply_normalization,
@@ -22,6 +35,12 @@ from rollingquant.factors import (
     macd_series,
     rolling_beta,
 )
+
+
+def factor_row(store, stock_id, d):
+    """(values, missing): the stock's row of the store's panel on d."""
+    panel = build_panel(store, [stock_id], d)
+    return panel.matrix[0], panel.missing[0]
 
 
 def macd_indicators(closes):
@@ -104,27 +123,27 @@ def geometric_market(daily_return=0.001, turnover=0.02, price0=100.0,
 class TestRawFactors:
     def test_earnings_yield_arithmetic(self):
         market = flat_market({"A": 100.0}, shares=10.0)  # market cap 1000
-        values, missing = MarketStore(market).row("A", Date(2015, 6, 30))
+        values, missing = factor_row(MarketStore(market), "A", Date(2015, 6, 30))
         assert values[FACTOR_INDEX["EP"]] == pytest.approx(0.1)
         assert not missing[FACTOR_INDEX["EP"]]
 
     def test_log_price(self):
         market = flat_market({"A": 100.0})
-        values, _ = MarketStore(market).row("A", Date(2015, 6, 30))
+        values, _ = factor_row(MarketStore(market), "A", Date(2015, 6, 30))
         assert values[FACTOR_INDEX["LN_PRICE"]] == pytest.approx(math.log(100.0))
         assert values[FACTOR_INDEX["LN_MCAP"]] == pytest.approx(math.log(1000.0))
 
     def test_return_turnover_mean_closed_form(self):
         r, u = 0.001, 0.02
         market = geometric_market(daily_return=r, turnover=u)
-        values, _ = MarketStore(market).row("A", Date(2015, 6, 30))
+        values, _ = factor_row(MarketStore(market), "A", Date(2015, 6, 30))
         for name in ("RETTO_MEAN_1M", "RETTO_MEAN_3M", "RETTO_MEAN_6M", "RETTO_MEAN_12M"):
             assert values[FACTOR_INDEX[name]] == pytest.approx(r * u, rel=1e-9)
 
     def test_window_return_compounds_daily(self):
         r = 0.001
         market = geometric_market(daily_return=r)
-        values, _ = MarketStore(market).row("A", Date(2015, 6, 30))
+        values, _ = factor_row(MarketStore(market), "A", Date(2015, 6, 30))
         assert values[FACTOR_INDEX["RET_1M"]] == pytest.approx((1 + r) ** 21 - 1)
         assert values[FACTOR_INDEX["RET_12M"]] == pytest.approx((1 + r) ** 252 - 1)
 
@@ -141,7 +160,7 @@ class TestRawFactors:
         market = build_market(bars, {d: 3000.0 for d in dates},
                               [make_snapshot("A", dates[0])])
         d = Date(2015, 6, 30)
-        values, _ = MarketStore(market).row("A", d)
+        values, _ = factor_row(MarketStore(market), "A", d)
         i = dates.index(d)
         segments = [closes[i - k * 21] / closes[i - (k + 1) * 21] for k in range(3)]
         want = float(np.prod(segments)) - 1.0
@@ -149,12 +168,12 @@ class TestRawFactors:
 
     def test_missing_without_bar_on_day(self):
         market = flat_market({"A": 100.0})
-        _, missing = MarketStore(market).row("A", Date(2015, 6, 28))  # a Sunday
+        _, missing = factor_row(MarketStore(market), "A", Date(2015, 6, 28))  # a Sunday
         assert missing.all()
 
     def test_constant_price_degenerates_cleanly(self):
         market = flat_market({"A": 100.0})
-        values, missing = MarketStore(market).row("A", Date(2015, 6, 30))
+        values, missing = factor_row(MarketStore(market), "A", Date(2015, 6, 30))
         assert values[FACTOR_INDEX["RET_1M"]] == 0.0
         assert values[FACTOR_INDEX["MACD"]] == 0.0
         # constant benchmark leaves beta undefined
@@ -163,18 +182,18 @@ class TestRawFactors:
     def test_no_lookahead(self):
         market = geometric_market()
         d = Date(2015, 6, 30)
-        before = MarketStore(market).row("A", d)
+        before = factor_row(MarketStore(market), "A", d)
         rows = [row if row[1] <= d else make_bar("A", row[1], 9999.0, turnover=0.9)
                 for row in market.bar_rows()]
         future = make_snapshot("A", Date(2015, 7, 10), net_profit=-5000.0)
         mutated = build_market(rows, market.benchmark, [*snapshots(market), future])
-        after = MarketStore(mutated).row("A", d)
+        after = factor_row(MarketStore(mutated), "A", d)
         for got, want in zip(before, after):  # values, then missing
             assert np.array_equal(got, want)
         # the mutation shows from the next month end on
         later = Date(2015, 7, 31)
-        assert not np.array_equal(MarketStore(mutated).row("A", later)[0],
-                                  MarketStore(market).row("A", later)[0])
+        assert not np.array_equal(factor_row(MarketStore(mutated), "A", later)[0],
+                                  factor_row(MarketStore(market), "A", later)[0])
 
 
 def truncated(market, cutoff):
@@ -187,12 +206,14 @@ def truncated(market, cutoff):
 
 class TestMarketStore:
     def test_rows_see_no_data_after_their_date(self, gapped_market):
+        # the truncated markets lack the late-listed stock before its listing
         full = MarketStore(gapped_market)
+        stocks = gapped_market.stock_ids()
         for d in gapped_market.calendar.month_last_days():
-            asof = MarketStore(truncated(gapped_market, d))
-            for stock_id in gapped_market.stock_ids():
-                for got, want in zip(full.row(stock_id, d), asof.row(stock_id, d)):
-                    assert np.array_equal(got, want)
+            got = build_panel(full, stocks, d)
+            want = build_panel(MarketStore(truncated(gapped_market, d)), stocks, d)
+            assert np.array_equal(got.matrix, want.matrix)
+            assert np.array_equal(got.missing, want.missing)
 
     def test_close_zero_bar_gives_no_price_factors(self, gapped_market):
         # a suspended bar at close 0 is no -100% move: no return, return
@@ -205,10 +226,10 @@ class TestMarketStore:
         priced = [FACTOR_INDEX[f"{kind}_{m}M"] for m in (1, 3, 6, 12)
                   for kind in ("RET", "RET_STD", "RETTO_MEAN", "RETTO_DECAY")]
         priced += [FACTOR_INDEX["LN_PRICE"], FACTOR_INDEX["BETA"]]
-        assert store.row("S0004", bars.dates[400])[1][priced].all()
+        assert factor_row(store, "S0004", bars.dates[400])[1][priced].all()
         month = [FACTOR_INDEX["RET_1M"], FACTOR_INDEX["RET_STD_1M"]]
-        assert store.row("S0004", bars.dates[421])[1][month].all()
-        assert not store.row("S0004", bars.dates[422])[1][month].any()
+        assert factor_row(store, "S0004", bars.dates[421])[1][month].all()
+        assert not factor_row(store, "S0004", bars.dates[422])[1][month].any()
 
     def test_macd_matches_recomputation_on_the_prefix(self, gapped_market):
         store = MarketStore(gapped_market)
@@ -217,7 +238,7 @@ class TestMarketStore:
             bars = gapped_market.bars[stock_id]
             closes = bars.close.tolist()
             for d in gapped_market.calendar.month_last_days():
-                values, missing = store.row(stock_id, d)
+                values, missing = factor_row(store, stock_id, d)
                 if d not in bars.dates:
                     assert missing.all()
                     continue
@@ -228,6 +249,140 @@ class TestMarketStore:
                 dif, dea, _ = macd_indicators(closes[:i + 1])
                 assert np.array_equal(values[columns], [dif, dea])
                 assert not missing[columns].any()
+
+
+def _safe_ratio(numerator, denominator):
+    if denominator == 0 or not math.isfinite(numerator) or not math.isfinite(denominator):
+        return None
+    value = numerator / denominator
+    return value if math.isfinite(value) else None
+
+
+class _StockColumns:
+    """Series derived from one stock's bars, along its own bar dates: the
+    oracle's per-stock form of the store's matrix rows."""
+
+    def __init__(self, dataset, stock_id):
+        self.stock_id = stock_id
+        self.dataset = dataset
+        self.bars = bars = dataset.bars.get(stock_id)
+        if bars is None:
+            return
+        self.benchmark = np.array([dataset.benchmark.get(d, np.nan) for d in bars.dates],
+                                  dtype=float)
+        # returns[j] belongs to dates[j+1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.returns = bars.close[1:] / bars.close[:-1] - 1.0
+            self.benchmark_returns = self.benchmark[1:] / self.benchmark[:-1] - 1.0
+        self.returns[bars.close[1:] <= 0] = np.nan
+        self.macd = macd_series(bars.close) if len(bars) >= MACD_MIN_OBSERVATIONS else None
+
+
+def _factor_row(columns, d):
+    """(values, missing): all 47 raw factors of one stock from data at or
+    before d, computed one value at a time; the oracle of the store's panels."""
+    values = np.zeros(N_FACTORS)
+    mask = np.ones(N_FACTORS, dtype=bool)
+
+    def put(name, value):
+        if value is not None and math.isfinite(value):
+            values[FACTOR_INDEX[name]] = value
+            mask[FACTOR_INDEX[name]] = False
+
+    bars = columns.bars
+    idx = None if bars is None else bars.position(d)
+    if idx is None:
+        return values, mask
+    closes, turnover, returns = bars.close, bars.turnover, columns.returns
+    close = float(closes[idx])
+    mcap = float(bars.market_cap[idx])
+
+    if close > 0:
+        put("LN_PRICE", math.log(close))
+    if mcap > 0:
+        put("LN_MCAP", math.log(mcap))
+
+    snap = columns.dataset.fundamental_asof(columns.stock_id, d)
+    if snap is not None and mcap > 0:
+        put("EP", _safe_ratio(snap.net_profit, mcap))
+        put("EP_CUT", _safe_ratio(snap.net_profit - snap.non_recurring_gain_loss, mcap))
+        put("BP", _safe_ratio(snap.net_assets, mcap))
+        put("SP", _safe_ratio(snap.operating_revenue, mcap))
+        put("NCFP", _safe_ratio(snap.net_cash_flow, mcap))
+        put("OCFP", _safe_ratio(snap.net_operate_cash_flow, mcap))
+        put("G_PE", _safe_ratio(snap.net_profit_growth * snap.net_profit, mcap))
+        put("ROE", _safe_ratio(snap.net_profit, snap.equity))
+        put("ROA", _safe_ratio(snap.net_profit, snap.avg_total_assets))
+        put("GROSS_MARGIN", _safe_ratio(snap.gross_profit, snap.operating_revenue))
+        put("PROFIT_MARGIN", _safe_ratio(snap.net_profit, snap.operating_revenue))
+        put("ASSET_TURNOVER", _safe_ratio(snap.operating_revenue, snap.avg_total_assets))
+        put("OP_CASHFLOW_RATIO", _safe_ratio(snap.net_operate_cash_flow, snap.operate_income))
+        put("FIN_LEVERAGE", _safe_ratio(snap.total_assets, snap.net_assets))
+        put("DEBT_EQUITY", _safe_ratio(snap.long_term_debt, snap.net_assets))
+        put("CASH_RATIO", _safe_ratio(snap.cash, snap.current_liabilities))
+        put("CURRENT_RATIO", _safe_ratio(snap.current_assets, snap.current_liabilities))
+
+    for w, n_months in zip(MONTH_DAYS, MONTH_COUNTS):
+        if idx >= w and close > 0 and closes[idx - w] > 0:
+            put(f"RET_{n_months}M", closes[idx] / closes[idx - w] - 1.0)
+        if idx >= w and np.isfinite(returns[idx - w:idx]).all():
+            win_returns = returns[idx - w:idx]           # dates idx-w+1 .. idx
+            win_turnover = turnover[idx - w + 1:idx + 1]
+            product = win_returns * win_turnover
+            put(f"RETTO_MEAN_{n_months}M", float(product.mean()))
+            distance = np.arange(w - 1, -1, -1, dtype=float)
+            weights = np.exp(-distance / (n_months * 4.0))
+            put(f"RETTO_DECAY_{n_months}M", float((product * weights).mean()))
+            put(f"RET_STD_{n_months}M", float(win_returns.std()))
+        if idx + 1 >= w:
+            trailing = turnover[idx - w + 1:idx + 1]
+            put(f"TO_{n_months}M_MINUS1", float(trailing.mean()) - 1.0)
+            two_year = turnover[max(0, idx - TWO_YEAR_DAYS + 1):idx + 1]
+            if len(two_year) >= 252:
+                base = float(two_year.mean())
+                if base > 0:
+                    put(f"TO_REL2Y_{n_months}M", float(trailing.mean()) / base - 1.0)
+
+    if idx >= 252 and (columns.benchmark[idx - 252:idx + 1] > 0).all() \
+            and np.isfinite(returns[idx - 252:idx]).all():
+        try:
+            put("BETA", rolling_beta(returns[idx - 252:idx],
+                                     columns.benchmark_returns[idx - 252:idx]))
+        except ValidationError:
+            pass
+
+    if idx + 1 >= MACD_MIN_OBSERVATIONS:
+        dif, dea, macd = columns.macd
+        put("DIF", dif[idx])
+        put("DEA", dea[idx])
+        put("MACD", macd[idx])
+
+    return values, mask
+
+
+def assert_panels_match_oracle(market, dates):
+    store = MarketStore(market)
+    stocks = market.stock_ids()
+    columns = [_StockColumns(market, stock_id) for stock_id in stocks]
+    for d in dates:
+        panel = build_panel(store, stocks, d)
+        rows = [_factor_row(c, d) for c in columns]
+        assert np.array_equal(panel.matrix, np.array([values for values, _ in rows]))
+        assert np.array_equal(panel.missing, np.array([missing for _, missing in rows]))
+
+
+class TestPanelOracle:
+    """The store's whole-market panels against _factor_row, bit for bit."""
+
+    def test_gapped_market_every_calendar_date(self, gapped_market):
+        assert_panels_match_oracle(gapped_market, gapped_market.calendar.dates)
+
+    def test_close_zero_spells_every_calendar_date(self, gapped_market):
+        market = close_zero_spells(gapped_market)
+        assert_panels_match_oracle(market, market.calendar.dates)
+
+    def test_crash_market_month_ends(self, crash_market):
+        assert_panels_match_oracle(crash_market, crash_market.calendar.month_last_days())
 
 
 class TestPanels:

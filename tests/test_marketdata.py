@@ -6,11 +6,19 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
-from conftest import build_market, flat_market, make_bar, make_snapshot, snapshots, weekdays
+from conftest import (
+    build_market,
+    close_zero_spells,
+    flat_market,
+    make_bar,
+    make_snapshot,
+    snapshots,
+    weekdays,
+)
 from rollingquant.errors import ParseError, ValidationError
 from rollingquant.exports import write_dataset
 from rollingquant.marketdata import (
-    EligibilityRules,
+    MIN_HISTORY_DAYS,
     TradingCalendar,
     action_days,
     eligible_universe,
@@ -71,36 +79,19 @@ class TestEligibility:
     def test_missing_fundamentals_excluded(self):
         market = flat_market({"A": 50.0}, with_fundamentals=False)
         assert eligible_universe(market, Date(2015, 6, 30)) == set()
-        relaxed = EligibilityRules(require_fundamentals=False)
-        assert eligible_universe(market, Date(2015, 6, 30), relaxed) == {"A"}
-
-    def test_limit_locked_excluded_when_enabled(self):
-        market = flat_market({"A": 50.0})
-        d = Date(2015, 6, 30)
-        bars = market.bars["A"]
-        bars.close[bars.position(d)] = 55.0
-        rules = EligibilityRules(exclude_limit_locked=True)
-        assert eligible_universe(market, d, rules) == set()
-        assert eligible_universe(market, d) == {"A"}
 
 
-def brute_force_universe(market, by_stock, d, rules):
+def brute_force_universe(market, by_stock, d):
     """eligible_universe as it was on per-date bars: history counted bar by
     bar, fundamentals found by a linear scan."""
     out = set()
     for stock_id, by_date in by_stock.items():
         bar = by_date.get(d)
-        if bar is None:
+        if bar is None or bar[7]:  # no bar, or suspended
             continue
-        _, _, close, prev_close, _, _, _, suspended = bar
-        if rules.exclude_suspended and suspended:
+        if sum(1 for bd in by_date if bd < d) < MIN_HISTORY_DAYS:
             continue
-        if sum(1 for bd in by_date if bd < d) < rules.min_history_days:
-            continue
-        if rules.require_fundamentals and linear_asof(market, stock_id, d) is None:
-            continue
-        if rules.exclude_limit_locked and prev_close > 0 \
-                and abs(close / prev_close - 1.0) >= rules.limit_fraction - 1e-12:
+        if linear_asof(market, stock_id, d) is None:
             continue
         out.add(stock_id)
     return out
@@ -122,34 +113,31 @@ def rows_by_stock(market):
 
 
 class TestEligibilityOracle:
-    @pytest.mark.parametrize("rules", [
-        EligibilityRules(),
-        EligibilityRules(min_history_days=300, exclude_limit_locked=True, limit_fraction=0.01),
-        EligibilityRules(exclude_suspended=False, require_fundamentals=False),
-    ], ids=["default", "limit-locked", "relaxed"])
-    def test_every_month_end_matches_brute_force(self, gapped_market, rules):
-        by_stock = rows_by_stock(gapped_market)
+    @pytest.mark.parametrize("spells", [False, True], ids=["default", "close-zero"])
+    def test_every_month_end_matches_brute_force(self, gapped_market, spells):
+        market = close_zero_spells(gapped_market) if spells else gapped_market
+        by_stock = rows_by_stock(market)
         sizes = set()
-        for d in gapped_market.calendar.month_last_days():
-            universe = eligible_universe(gapped_market, d, rules)
-            assert universe == brute_force_universe(gapped_market, by_stock, d, rules)
+        for d in market.calendar.month_last_days():
+            universe = eligible_universe(market, d)
+            assert universe == brute_force_universe(market, by_stock, d)
             sizes.add(len(universe))
-            for stock_id in gapped_market.stock_ids():
-                assert gapped_market.fundamental_asof(stock_id, d) \
-                    is linear_asof(gapped_market, stock_id, d)
+            for stock_id in market.stock_ids():
+                assert market.fundamental_asof(stock_id, d) is linear_asof(market, stock_id, d)
         assert len(sizes) > 2
 
-    def test_history_threshold_at_a_stocks_exact_history(self, gapped_market):
-        by_stock = rows_by_stock(gapped_market)
-        late = by_stock["S0002"]
-        for d in gapped_market.calendar.month_last_days():
-            if d not in late:
-                continue
-            history = sum(1 for bd in late if bd < d)
-            for rules in (EligibilityRules(min_history_days=history),
-                          EligibilityRules(min_history_days=history + 1)):
-                assert eligible_universe(gapped_market, d, rules) \
-                    == brute_force_universe(gapped_market, by_stock, d, rules)
+    def test_history_threshold_at_a_stocks_exact_history(self):
+        dates = weekdays(Date(2014, 1, 1), Date(2015, 12, 31))
+        k = dates.index(Date(2015, 6, 30))
+        # on dates[k], A has exactly MIN_HISTORY_DAYS bars before it, B one fewer
+        starts = {"A": k - MIN_HISTORY_DAYS, "B": k - MIN_HISTORY_DAYS + 1}
+        bars = [make_bar(stock_id, d, 20.0)
+                for stock_id, first in starts.items() for d in dates[first:]]
+        market = build_market(bars, {d: 3000.0 for d in dates},
+                              [make_snapshot(s, dates[0]) for s in ("A", "B")])
+        assert MIN_HISTORY_DAYS == 252
+        assert eligible_universe(market, dates[k]) == {"A"}
+        assert eligible_universe(market, dates[k + 1]) == {"A", "B"}
 
 
 class TestFundamentalAsof:
