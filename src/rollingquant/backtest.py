@@ -2,9 +2,11 @@
 
 The ranking pass (rank_scenario) ranks every action day of the scenario
 range; the trading loop only reads those rankings. Trades fill at action-day
-closes; the portfolio is marked to market every trading day. Suspended
-holdings are carried at their last known close and liquidated at the first
-tradeable opportunity when not in targets.
+closes; the portfolio is valued every trading day at each holding's last
+tradeable close. A holding that does not trade on an action day keeps its
+shares at its last close. It is sold only on a later action day on which it
+trades and is not a target, so a holding whose bars have ended is carried at
+its last close to the end of the scenario.
 """
 
 from __future__ import annotations
@@ -122,14 +124,6 @@ def rebalance(portfolio: Portfolio, targets: dict[str, float], prices: dict[str,
     return trades
 
 
-def mark_to_market(portfolio: Portfolio, prices, previous_valuation: float | None = None):
-    """(valuation, daily return); return is None without a previous value."""
-    value = portfolio.valuation(prices)
-    if previous_valuation is None:
-        return value, None
-    return value, value / previous_valuation - 1.0
-
-
 @dataclass
 class ScenarioConfig:
     start: Date
@@ -187,36 +181,23 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
     portfolio = Portfolio(cash=config.initial_capital)
     last_close: dict[str, float] = {}
     values: list[float] = []
-    returns: list[float] = []
     trades: list[Trade] = []
-    previous = None
 
     for d in days:
-        # Carry forward the last tradeable close for every held stock.
-        for stock_id in portfolio.holdings:
+        # one lookup per held or targeted stock; a stock that does not trade
+        # today keeps its last close
+        names = set(portfolio.holdings) | set(targets.get(d, ()))
+        traded = set()
+        for stock_id in names:
             close = dataset.tradeable_close(stock_id, d)
             if close is not None:
                 last_close[stock_id] = close
-
+                traded.add(stock_id)
         if d in targets:
-            prices = {}
-            frozen = set()
-            for stock_id in set(portfolio.holdings) | set(targets[d]):
-                close = dataset.tradeable_close(stock_id, d)
-                if close is not None:
-                    prices[stock_id] = last_close[stock_id] = close
-                elif stock_id in last_close:
-                    prices[stock_id] = last_close[stock_id]
-                    frozen.add(stock_id)
-            trades.extend(rebalance(portfolio, targets[d], prices,
-                                    config.costs, d, frozen))
-
-        prices = {s: last_close[s] for s in portfolio.holdings}
-        value, ret = mark_to_market(portfolio, prices, previous)
-        values.append(value)
-        if ret is not None:
-            returns.append(ret)
-        previous = value
+            prices = {s: last_close[s] for s in names if s in last_close}
+            trades.extend(rebalance(portfolio, targets[d], prices, config.costs, d,
+                                    prices.keys() - traded))
+        values.append(portfolio.valuation(last_close))
 
     bench = [dataset.benchmark[d] for d in days]
     bench_returns = [b1 / b0 - 1.0 for b0, b1 in zip(bench, bench[1:])]
@@ -224,7 +205,7 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
     return BacktestResult(
         dates=list(days),
         values=values,
-        daily_returns=returns,
+        daily_returns=[v1 / v0 - 1.0 for v0, v1 in zip(values, values[1:])],
         benchmark_returns=bench_returns,
         trades=trades,
         rankings=rankings,

@@ -17,14 +17,14 @@ from .backtest import run_scenario
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
 from .exports import (
-    SERIES_COLUMNS,
+    read_series_csv,
     write_dataset,
     write_ranking_csv,
     write_series_csv,
     write_trades_csv,
 )
 from .factors import MarketStore
-from .marketdata import _parse_date, _parse_float, _read_rows, load_dataset
+from .marketdata import load_dataset
 from .metrics import DEFAULT_RISK_FREE_ANNUAL, ReturnSeries, build_report, result_series
 from .numerics import LstmModel, MlpModel, gradient_check
 from .synthetic import generate_synthetic_market
@@ -97,19 +97,7 @@ def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
     out = out if out is not None else sys.stdout
     if not math.isfinite(risk_free_annual):
         raise ConfigError(f"--risk-free must be a finite number, got {risk_free_annual}")
-    dates = []
-    portfolio_returns = []
-    benchmark_returns = []
-    for line_no, (day, _, portfolio, bench) in _read_rows(series_path, SERIES_COLUMNS):
-        if portfolio == "":
-            continue  # the first row has no previous valuation
-        dates.append(_parse_date(day, series_path, line_no, "date"))
-        portfolio_returns.append(
-            _parse_float(portfolio, series_path, line_no, "portfolio_daily_return"))
-        benchmark_returns.append(
-            _parse_float(bench, series_path, line_no, "benchmark_daily_return"))
-    if not dates:
-        raise DataError(f"{series_path}: no return rows")
+    dates, portfolio_returns, benchmark_returns = read_series_csv(series_path)
     series = ReturnSeries(dates=dates, returns=np.array(portfolio_returns))
     benchmark = ReturnSeries(dates=dates, returns=np.array(benchmark_returns))
     report = build_report(strategy, series, benchmark, risk_free_annual)

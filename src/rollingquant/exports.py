@@ -1,4 +1,5 @@
-"""Deterministic file writers for datasets and backtest results.
+"""Deterministic file writers for datasets and backtest results, and the
+reader of the series.csv they write.
 
 All floats are written with %.17g so files round-trip float64 exactly and
 identical runs produce byte-identical outputs.
@@ -9,7 +10,9 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .marketdata import BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset
+from .errors import DataError
+from .marketdata import (BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset,
+                         _parse_date, _parse_float, _read_rows)
 
 
 SERIES_COLUMNS = ["date", "portfolio_value", "portfolio_daily_return", "benchmark_daily_return"]
@@ -53,6 +56,21 @@ def write_series_csv(result, path):
     _write_csv(path, SERIES_COLUMNS, (
         [d.isoformat(), _fmt(value), *pair]
         for d, value, pair in zip(result.dates, result.values, returns)))
+
+
+def read_series_csv(path):
+    """(dates, portfolio returns, benchmark returns) of a written series.csv,
+    without its first row, which has no returns."""
+    dates, portfolio_returns, benchmark_returns = [], [], []
+    for line_no, (day, _, portfolio, bench) in _read_rows(path, SERIES_COLUMNS):
+        if portfolio == "":
+            continue  # the first row has no previous valuation
+        dates.append(_parse_date(day, path, line_no, "date"))
+        portfolio_returns.append(_parse_float(portfolio, path, line_no, "portfolio_daily_return"))
+        benchmark_returns.append(_parse_float(bench, path, line_no, "benchmark_daily_return"))
+    if not dates:
+        raise DataError(f"{path}: no return rows")
+    return dates, portfolio_returns, benchmark_returns
 
 
 def write_trades_csv(result, path):

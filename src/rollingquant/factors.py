@@ -263,8 +263,8 @@ def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> Normalizat
     Columns become C-contiguous rows, so each reduction along axis 1 sums in
     the same order as a 1-D reduction of that column.
     """
-    medians = np.array([float(np.median(col[~gone])) if not gone.all() else 0.0
-                        for col, gone in zip(matrix.T, missing.T)])
+    # an all-missing column's median is 0
+    medians = np.ma.median(np.ma.masked_array(matrix, missing), axis=0).filled(0.0)
     filled = np.ascontiguousarray(np.where(missing, medians, matrix).T)
     mu0, sd0 = filled.mean(axis=1), filled.std(axis=1)
     lower, upper = mu0 - WINSOR_SIGMAS * sd0, mu0 + WINSOR_SIGMAS * sd0

@@ -272,6 +272,8 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
                 f"{bars_path}:{line_no}: duplicate bar for ({stock_id}, {d.isoformat()})")
         seen.add(key)
         bar_rows.append((stock_id, d, close, prev_close, volume, turnover, market_cap, suspended))
+    if not bar_rows:
+        raise ParseError(f"{bars_path}: no bars")
 
     snapshots = []
     seen.clear()

@@ -145,7 +145,7 @@ class MlpModel:
         activations, pre_relu, preds = self._forward_pass(batch)
         labels = np.asarray(labels, dtype=float)
         n = len(labels)
-        loss = float(np.mean((preds - labels) ** 2))
+        loss = mse(preds, labels)
 
         grads = [None] * (2 * len(self.weights))
         delta = (2.0 / n) * (preds - labels)[:, None]
@@ -311,7 +311,7 @@ class LstmModel:
         labels = np.asarray(labels, dtype=float)
         final = x_seq[-1]
         n = len(labels)
-        loss = float(np.mean((preds - labels) ** 2))
+        loss = mse(preds, labels)
 
         dpred = (2.0 / n) * (preds - labels)[:, None]
         g_readout_w = final.T @ dpred

@@ -14,7 +14,6 @@ one kind of rank_stocks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -40,17 +39,7 @@ DEFAULT_HOLDINGS = 10
 _NON_LABEL_COLUMNS = [i for i in range(47) if i != LN_MCAP_INDEX]
 
 
-@dataclass
-class TrainingWindow:
-    action_day: Date
-    training_days: list[Date]
-
-    def __post_init__(self):
-        if any(d >= self.action_day for d in self.training_days):
-            raise ValidationError("training days must precede the action day")
-
-
-def build_window(calendar: TradingCalendar, action_day: Date, w: int) -> TrainingWindow:
+def build_window(calendar: TradingCalendar, action_day: Date, w: int) -> list[Date]:
     """The w action days immediately preceding action_day, ascending."""
     if w < 1:
         raise ValidationError("window length must be >= 1")
@@ -59,7 +48,7 @@ def build_window(calendar: TradingCalendar, action_day: Date, w: int) -> Trainin
         raise StrategyError(
             f"need {w} action days before {action_day.isoformat()}, have {len(preceding)}"
         )
-    return TrainingWindow(action_day=action_day, training_days=preceding[-w:])
+    return preceding[-w:]
 
 
 def excess_return_label(dataset: MarketDataset, stock_id: str, t0: Date, t1: Date):
@@ -94,14 +83,6 @@ def select_targets(ranking: Ranking, k: int) -> dict[str, float]:
     return {stock: 1.0 / k for stock, _ in ranking.entries[:k]}
 
 
-def _mcap_log(dataset, stock_id, d):
-    bars = dataset.bars.get(stock_id)
-    i = None if bars is None else bars.position(d)
-    if i is None or bars.suspended[i] or bars.market_cap[i] <= 0:
-        return None
-    return math.log(bars.market_cap[i])
-
-
 def _pooled_stats(panels):
     """Normalization stats pooled over the rows of all the given panels."""
     matrix = np.vstack([p.matrix for p in panels])
@@ -110,33 +91,31 @@ def _pooled_stats(panels):
     return compute_normalization(matrix, np.vstack([p.missing for p in panels]))
 
 
+def _labelled_rows(dataset: MarketDataset, panel):
+    """(stock, normalized non-label factors, LN_MCAP) of each panel stock
+    that has an LN_MCAP factor and trades on the panel's date; the panel is
+    normalized against itself."""
+    # a 0-row panel has no rows, and its normalization would only warn
+    normalized = normalize_panel(panel).matrix if panel.stocks else panel.matrix
+    ln_mcap = panel.matrix[:, LN_MCAP_INDEX].tolist()
+    for i, stock_id in enumerate(panel.stocks):
+        if not panel.missing[i, LN_MCAP_INDEX] \
+                and dataset.tradeable_close(stock_id, panel.date) is not None:
+            yield stock_id, normalized[i, _NON_LABEL_COLUMNS], ln_mcap[i]
+
+
 def _linreg_scores(dataset: MarketDataset, panels) -> dict[str, float]:
     """Fitted minus observed log market cap on the last panel, fitted on the
-    others; each panel is normalized against itself."""
-    # a 0-row panel adds no rows, and its normalization would only warn
-    *training, action = [normalize_panel(p) if p.stocks else p for p in panels]
-    rows = []
-    labels = []
-    for panel in training:
-        for i, stock_id in enumerate(panel.stocks):
-            label = _mcap_log(dataset, stock_id, panel.date)
-            if label is None:
-                continue
-            rows.append(panel.matrix[i, _NON_LABEL_COLUMNS])
-            labels.append(label)
-    if not rows:
+    others."""
+    *training, action = panels
+    samples = [(x, y) for panel in training for _, x, y in _labelled_rows(dataset, panel)]
+    if not samples:
         raise StrategyError(f"no regression samples for {action.date.isoformat()}")
+    rows, labels = zip(*samples)
     X = np.column_stack([np.ones(len(rows)), np.array(rows)])
     weights = least_squares_fit(X, np.array(labels))
-
-    scores = {}
-    for i, stock_id in enumerate(action.stocks):
-        actual = _mcap_log(dataset, stock_id, action.date)
-        if actual is None:
-            continue
-        features = np.concatenate(([1.0], action.matrix[i, _NON_LABEL_COLUMNS]))
-        scores[stock_id] = float(features @ weights) - actual
-    return scores
+    return {stock_id: float(np.concatenate(([1.0], x)) @ weights) - actual
+            for stock_id, x, actual in _labelled_rows(dataset, action)}
 
 
 def _flat_samples(dataset: MarketDataset, panels, normalized):
@@ -191,9 +170,8 @@ def rank_stocks(kind: str, store: MarketStore, action_day: Date, universe,
         raise ValidationError(f"unknown strategy kind {kind!r}")
     train_config = train_config or TrainConfig()
     dataset = store.dataset
-    window = build_window(dataset.calendar, action_day, w)
     panels = [drop_sparse_rows(build_panel(store, universe, day))
-              for day in window.training_days + [action_day]]
+              for day in build_window(dataset.calendar, action_day, w) + [action_day]]
     if kind == "linreg":
         scores = _linreg_scores(dataset, panels)
     else:

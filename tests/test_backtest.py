@@ -1,22 +1,26 @@
 """Portfolio rebalance arithmetic and scenario-level accounting."""
 
+from collections import Counter
 from datetime import date as Date
 
 import pytest
 
-from conftest import flat_market
+from conftest import build_market, flat_market, snapshots
 from rollingquant import backtest
 from rollingquant.backtest import (
+    BacktestResult,
     CostModel,
     Portfolio,
     ScenarioConfig,
-    mark_to_market,
     rebalance,
     run_scenario,
 )
 from rollingquant.errors import RebalanceError, StrategyError, ValidationError
+from rollingquant.exports import read_series_csv, write_series_csv
 from rollingquant.factors import MarketStore
+from rollingquant.marketdata import MarketDataset
 from rollingquant.numerics import TrainConfig
+from rollingquant.strategies import Ranking
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 D0 = Date(2015, 6, 30)
@@ -92,24 +96,30 @@ class TestRebalance:
 class TestMarkToMarket:
     def test_single_holding_gain(self):
         portfolio = Portfolio(cash=0.0, holdings={"A": 50.0})
-        value, ret = mark_to_market(portfolio, {"A": 11.0}, 500.0)
-        assert value == pytest.approx(550.0)
-        assert ret == pytest.approx(0.10)
+        assert portfolio.valuation({"A": 11.0}) / 500.0 - 1.0 == pytest.approx(0.10)
 
     def test_all_cash_is_flat(self):
-        value, ret = mark_to_market(Portfolio(cash=1000.0), {}, 1000.0)
-        assert value == 1000.0
-        assert ret == 0.0
+        assert Portfolio(cash=1000.0).valuation({}) == 1000.0
 
-    def test_first_day_has_no_return(self):
-        _, ret = mark_to_market(Portfolio(cash=1000.0), {})
-        assert ret is None
+    def test_prices_of_stocks_not_held_are_ignored(self):
+        portfolio = Portfolio(cash=5.0, holdings={"A": 2.0})
+        assert portfolio.valuation({"A": 10.0, "B": 99.0}) == 25.0
+
+    def test_first_day_has_no_return(self, tmp_path):
+        days = [Date(2015, 6, 29), D0, Date(2015, 7, 1)]
+        result = BacktestResult(dates=days, values=[100.0, 110.0, 99.0],
+                                daily_returns=[0.1, -0.1], benchmark_returns=[0.01, 0.02],
+                                trades=[], rankings=[])
+        write_series_csv(result, tmp_path / "series.csv")
+        first = (tmp_path / "series.csv").read_text().splitlines()[1]
+        assert first == "2015-06-29,100,,"
+        assert read_series_csv(tmp_path / "series.csv") == (days[1:], [0.1, -0.1], [0.01, 0.02])
 
     def test_offsetting_moves_cancel(self):
         portfolio = Portfolio(cash=0.0, holdings={"A": 10.0, "B": 10.0})
-        previous = portfolio.valuation({"A": 100.0, "B": 100.0})
-        _, ret = mark_to_market(portfolio, {"A": 110.0, "B": 90.0}, previous)
-        assert ret == pytest.approx(0.0, abs=1e-12)
+        before = portfolio.valuation({"A": 100.0, "B": 100.0})
+        after = portfolio.valuation({"A": 110.0, "B": 90.0})
+        assert after / before - 1.0 == pytest.approx(0.0, abs=1e-12)
 
 
 def _replay_value(result, initial_capital, final_prices):
@@ -251,4 +261,61 @@ class TestRunScenario:
         assert "S0" in traded
         assert all(t.side == "buy" for t in result.trades if t.stock_id == "S0")
         for v in result.values[result.dates.index(result.rankings[0].date):]:
+            assert v == pytest.approx(config.initial_capital, rel=1e-12)
+
+    def test_each_stock_is_priced_once_a_day(self, crash_market, monkeypatch):
+        # the trading loop's lookups, after the ranking pass
+        lookups = []
+        ranked = []
+        tradeable_close = MarketDataset.tradeable_close
+        rank_scenario = backtest.rank_scenario
+
+        def record(dataset, stock_id, d):
+            if ranked:
+                lookups.append((stock_id, d))
+            return tradeable_close(dataset, stock_id, d)
+
+        def rank_then_record(*args):
+            rankings = rank_scenario(*args)
+            ranked.append(True)
+            return rankings
+
+        monkeypatch.setattr(MarketDataset, "tradeable_close", record)
+        monkeypatch.setattr(backtest, "rank_scenario", rank_then_record)
+        config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
+                                holdings=5, train_config=TrainConfig(seed=3))
+        result = run_scenario(MarketStore(crash_market), "linreg", config)
+        assert {(t.stock_id, t.date) for t in result.trades} <= set(lookups)
+        assert [key for key, n in Counter(lookups).items() if n > 1] == []
+
+    def test_untradeable_holdings_keep_their_shares(self, monkeypatch):
+        july, august = Date(2015, 7, 31), Date(2015, 8, 31)
+        flat = flat_market({f"S{i}": 50.0 + i for i in range(6)})
+        # S1's bars stop in mid-July, while it is held
+        market = build_market([row for row in flat.bar_rows()
+                               if row[0] != "S1" or row[1] <= Date(2015, 7, 15)],
+                              flat.benchmark, snapshots(flat))
+        # S0 is suspended over the July action day and trades again in August
+        bars = market.bars["S0"]
+        bars.suspended[bars.position(Date(2015, 7, 27)):bars.position(Date(2015, 8, 7))] = True
+
+        def fixed_ranking(kind, store, d, *args):
+            stocks = ["S0", "S1", "S2", "S3"] if d < july else ["S2", "S3", "S4", "S5"]
+            return Ranking(date=d, entries=[(s, 1.0) for s in stocks])
+
+        monkeypatch.setattr(backtest, "rank_stocks", fixed_ranking)
+        config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 10, 31), holdings=4)
+        result = run_scenario(MarketStore(market), "linreg", config)
+
+        def trades_of(stock_id):
+            return [(t.date, t.side, t.shares) for t in result.trades if t.stock_id == stock_id]
+
+        # S0 is not sold while suspended, but on the first action day after
+        bought = trades_of("S0")[0][2]
+        assert trades_of("S0") == [(Date(2015, 6, 30), "buy", bought),
+                                   (august, "sell", bought)]
+        # S1 is never sold: it is carried at its last close to the end
+        assert [(d, side) for d, side, _ in trades_of("S1")] == [(Date(2015, 6, 30), "buy")]
+        assert result.dates[-1] == Date(2015, 10, 30)
+        for v in result.values:
             assert v == pytest.approx(config.initial_capital, rel=1e-12)

@@ -290,10 +290,9 @@ class TestBadInputExitCodes:
             done = run_cli("backtest", "--config", str(csv_config(tmp_path)))
         assert (done.returncode, done.stderr) == (2, f"data error: {message.format(path=path)}\n")
 
-    def test_market_without_bars_is_numeric_error(self, tmp_path):
+    def test_market_without_bars_is_data_error(self, tmp_path):
         write_dataset(flat_market({"A": 10.0}), tmp_path)
         bars = tmp_path / "bars.csv"
         bars.write_text(bars.read_text().splitlines()[0] + "\n")  # the header alone
         done = run_cli("backtest", "--config", str(csv_config(tmp_path)))
-        assert (done.returncode, done.stderr) == \
-            (3, "numeric error: 2015-07-31: no regression samples for 2015-07-31\n")
+        assert (done.returncode, done.stderr) == (2, f"data error: {bars}: no bars\n")

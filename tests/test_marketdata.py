@@ -172,6 +172,22 @@ class TestCsvRoundTrip:
         assert loaded.benchmark[dates[0]] == 3000.0
         assert loaded.fundamentals["A"][0].net_profit == 100.0
 
+    def test_header_only_bars_rejected(self, tmp_path):
+        paths = self._write(tmp_path, flat_market({"A": 10.0}))
+        paths[0].write_text(paths[0].read_text().splitlines()[0] + "\n")
+        with pytest.raises(ParseError) as caught:
+            load_dataset(*paths)
+        assert str(caught.value) == f"{paths[0]}: no bars"
+
+    def test_snapshot_of_stock_without_bars_accepted(self, tmp_path):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        market = build_market([make_bar("A", d, 10.0) for d in dates],
+                              {d: 3000.0 for d in dates},
+                              [make_snapshot(s, dates[0]) for s in ["A", "Z"]])
+        loaded = load_dataset(*self._write(tmp_path, market))
+        assert loaded.stock_ids() == ["A"]
+        assert loaded.fundamental_asof("Z", dates[0]).date == dates[0]
+
     def test_negative_close_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
         bars = [make_bar("A", d, 10.0) for d in dates]

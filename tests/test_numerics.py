@@ -42,6 +42,24 @@ class TestMse:
         assert mse(xs, [0.0] * len(xs)) >= 0.0
 
 
+@pytest.mark.parametrize("model, batch_shape", [
+    (MlpModel.create(seed=0), (5, 47)),
+    (LstmModel.create(seed=0), (5, 3, 47)),
+], ids=["mlp", "lstm"])
+class TestModelLoss:
+    def test_loss_is_mse_of_the_predictions(self, model, batch_shape):
+        rng = np.random.default_rng(1)
+        batch, labels = rng.normal(size=batch_shape), rng.normal(size=5)
+        loss, _ = model.loss_and_gradients(batch, labels)
+        assert loss == mse(model.forward(batch), labels)
+
+    @pytest.mark.parametrize("labels_shape", [(5, 1), (4,)])
+    def test_labels_of_another_shape_rejected(self, model, batch_shape, labels_shape):
+        batch = np.zeros(batch_shape)
+        with pytest.raises(ValidationError, match="mse: shape mismatch"):
+            model.loss_and_gradients(batch, np.zeros(labels_shape))
+
+
 def pinv_oracle(X, y):
     """Independent solver: SVD pseudo-inverse, no normal equations."""
     return np.linalg.pinv(np.asarray(X, dtype=float)) @ np.asarray(y, dtype=float)

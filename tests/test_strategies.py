@@ -15,7 +15,6 @@ from rollingquant.marketdata import eligible_universe
 from rollingquant.numerics import TrainConfig
 from rollingquant.strategies import (
     Ranking,
-    TrainingWindow,
     build_window,
     excess_return_label,
     rank_stocks,
@@ -33,27 +32,19 @@ def fresh_market(seed=1, n_stocks=50):
 
 class TestBuildWindow:
     def test_mid_2015_window(self, calendar_2015):
-        window = build_window(calendar_2015, Date(2015, 6, 30), 3)
-        assert window.training_days == [Date(2015, 3, 31), Date(2015, 4, 30),
-                                        Date(2015, 5, 29)]
+        assert build_window(calendar_2015, Date(2015, 6, 30), 3) == [
+            Date(2015, 3, 31), Date(2015, 4, 30), Date(2015, 5, 29)]
 
     def test_window_slides_one_action_day(self, calendar_2015):
-        window = build_window(calendar_2015, Date(2015, 7, 31), 3)
-        assert window.training_days == [Date(2015, 4, 30), Date(2015, 5, 29),
-                                        Date(2015, 6, 30)]
+        assert build_window(calendar_2015, Date(2015, 7, 31), 3) == [
+            Date(2015, 4, 30), Date(2015, 5, 29), Date(2015, 6, 30)]
 
     def test_single_day_window(self, calendar_2015):
-        window = build_window(calendar_2015, Date(2015, 6, 30), 1)
-        assert window.training_days == [Date(2015, 5, 29)]
+        assert build_window(calendar_2015, Date(2015, 6, 30), 1) == [Date(2015, 5, 29)]
 
     def test_insufficient_history(self, calendar_2015):
         with pytest.raises(StrategyError):
             build_window(calendar_2015, Date(2015, 2, 27), 3)
-
-    def test_training_days_must_precede_action_day(self):
-        with pytest.raises(ValidationError):
-            TrainingWindow(action_day=Date(2015, 6, 30),
-                           training_days=[Date(2015, 6, 30)])
 
 
 class TestExcessReturnLabel:
@@ -211,7 +202,7 @@ class TestWindowPanels:
         monkeypatch.setattr(strategies, "build_panel", counting_build_panel)
         rank_stocks(kind, MarketStore(market), d, universe, w=3,
                     train_config=TrainConfig(epochs=1))
-        assert built == build_window(market.calendar, d, 3).training_days + [d]
+        assert built == build_window(market.calendar, d, 3) + [d]
 
 
 class TestNoLookahead:
