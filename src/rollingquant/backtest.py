@@ -11,18 +11,16 @@ its last close to the end of the scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date as Date
 
-from .errors import RebalanceError, StrategyError, ValidationError
+from .errors import RebalanceError, ValidationError
 from .factors import MarketStore
 from .marketdata import action_days, eligible_universe
 from .numerics import TrainConfig
 from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, Ranking, rank_stocks, select_targets
 
 DEFAULT_INITIAL_CAPITAL = 1_000_000.0
-# Per-action-day training-seed stride; keeps per-rebalance streams disjoint.
-SEED_STRIDE = 10_007
 
 
 @dataclass
@@ -132,7 +130,7 @@ class ScenarioConfig:
     holdings: int = DEFAULT_HOLDINGS
     initial_capital: float = DEFAULT_INITIAL_CAPITAL
     costs: CostModel = field(default_factory=CostModel)
-    # action day i trains with train_config.seed + i * SEED_STRIDE
+    # action day i trains with train_config.seed + i * strategies.SEED_STRIDE
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
 
@@ -147,22 +145,11 @@ class BacktestResult:
 
 
 def rank_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> list[Ranking]:
-    """One ranking per action day of the scenario range, in date order.
-
-    Action day i ranks its eligible universe with training seed
-    train_config.seed + i * SEED_STRIDE. A StrategyError names the first
-    failing day.
-    """
-    rankings = []
-    for i, d in enumerate(action_days(store.dataset.calendar, config.start, config.end)):
-        universe = eligible_universe(store.dataset, d)
-        seed = config.train_config.seed + i * SEED_STRIDE
-        try:
-            rankings.append(rank_stocks(strategy, store, d, universe, config.window,
-                                        replace(config.train_config, seed=seed)))
-        except StrategyError as exc:
-            raise StrategyError(f"{d.isoformat()}: {exc}") from exc
-    return rankings
+    """One ranking per action day of the scenario range, in date order, each
+    of its eligible universe; rank_stocks derives each day's training seed."""
+    days = ((d, eligible_universe(store.dataset, d))
+            for d in action_days(store.dataset.calendar, config.start, config.end))
+    return rank_stocks(strategy, store, days, config.window, config.train_config)
 
 
 def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> BacktestResult:

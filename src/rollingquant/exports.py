@@ -60,10 +60,10 @@ def write_series_csv(result, path):
 
 def read_series_csv(path):
     """(dates, portfolio returns, benchmark returns) of a written series.csv,
-    without its first row, which has no returns."""
+    without its first row, which has no returns; a later row must have them."""
     dates, portfolio_returns, benchmark_returns = [], [], []
-    for line_no, (day, _, portfolio, bench) in _read_rows(path, SERIES_COLUMNS):
-        if portfolio == "":
+    for i, (line_no, (day, _, portfolio, bench)) in enumerate(_read_rows(path, SERIES_COLUMNS)):
+        if i == 0 and portfolio == "":
             continue  # the first row has no previous valuation
         dates.append(_parse_date(day, path, line_no, "date"))
         portfolio_returns.append(_parse_float(portfolio, path, line_no, "portfolio_daily_return"))

@@ -12,6 +12,13 @@ An LSTM layer fuses its four gates: W_a (hidden, 4 hidden), W_x (input,
 4 hidden) and B (4 hidden,) hold the gates' columns in c, u, f, o order, so
 a time step takes two matmuls forward and three backward, plus one matmul
 per layer for the gradient its inputs get.
+
+stack() turns K models of one shape into one stacked model: its vector is
+(K, P), row k being model k's, and each parameter is a (K, ...) view. The
+forward and backward passes broadcast over that leading axis (a transpose
+swaps the last two axes, as numpy 1.24 has no .mT), batches are (K, b, ...),
+and member k's numbers are bit for bit those of model k alone, so train()
+fits K models in one loop of K-wide steps.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ RIDGE_LAMBDA = 1e-8
 GRADCHECK_CHUNK = 32
 
 
-def mse(predictions, labels) -> float:
+def mse(predictions, labels):
+    """Mean squared error along the last axis: a float for (b,) inputs, one
+    per member for a stack's (K, b)."""
     predictions = np.asarray(predictions, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if predictions.shape != labels.shape:
@@ -40,7 +49,8 @@ def mse(predictions, labels) -> float:
     if predictions.size == 0:
         raise ValidationError("mse: empty input")
     diff = predictions - labels
-    return float(np.mean(diff * diff))
+    loss = np.mean(diff * diff, axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def least_squares_fit(X, y):
@@ -69,16 +79,39 @@ def _sigmoid(x):
 
 
 def _flatten(model):
-    """Copy the model's parameters into one flat float64 vector, put a
-    reshaped view of it in each parameter slot, and return the vector."""
-    slots = list(model._parameter_slots())
-    vector = np.concatenate([slot[key] for slot, key in slots], axis=None, dtype=float)
+    """Copy the model's parameters into one flat float64 vector and make it
+    the model's vector."""
+    _bind(model, np.concatenate([slot[key] for slot, key in model._parameter_slots()],
+                                axis=None, dtype=float))
+
+
+def _bind(model, vector):
+    """Make vector, (P,) or a stack's (K, P), the model's vector, with a
+    reshaped view of it in each parameter slot, in slot order."""
     offset = 0
-    for slot, key in slots:
+    for slot, key in model._parameter_slots():
         p = slot[key]
-        slot[key] = vector[offset:offset + p.size].reshape(p.shape)
+        slot[key] = vector[..., offset:offset + p.size].reshape(vector.shape[:-1] + p.shape)
         offset += p.size
-    return vector
+    model.vector = vector
+
+
+def stack(models):
+    """The K models, all of one shape, as one stacked model.
+
+    Its vector is (K, P) with row k a copy of models[k].vector, and each
+    parameter a (K, ...) view of it; member k computes what models[k] does.
+    The first model becomes the stack; the others are left as they were.
+    """
+    _bind(models[0], np.stack([m.vector for m in models]))
+    return models[0]
+
+
+def _keep_members(model, k):
+    """Cut a stacked model down to its first k members, in place."""
+    for slot, key in model._parameter_slots():
+        slot[key] = slot[key][:k]
+    model.vector = model.vector[:k]
 
 
 @dataclass
@@ -91,7 +124,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+        # written so that a NaN fails too
+        if not (self.epochs >= 1 and self.batch_size >= 1 and self.learning_rate > 0
+                and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValidationError("invalid training configuration")
 
 
@@ -99,10 +134,10 @@ class MlpModel:
     """Dense network, ReLU hidden layers, linear scalar output."""
 
     def __init__(self, weights, biases, input_dim):
-        self.weights = list(weights)  # (d_in, d_out) views into vector
+        self.weights = list(weights)  # (d_in, d_out) views into vector, (K, ...) stacked
         self.biases = list(biases)    # (d_out,) views into vector
         self.input_dim = input_dim
-        self.vector = _flatten(self)
+        _flatten(self)
 
     @classmethod
     def create(cls, seed: int, input_dim: int = 47, hidden_sizes=MLP_HIDDEN_SIZES):
@@ -121,16 +156,23 @@ class MlpModel:
     def parameters(self):
         return [slot[key] for slot, key in self._parameter_slots()]
 
+    def member(self, k):
+        """Member k of a stacked model, as a model of its own."""
+        return MlpModel([w[k] for w in self.weights], [b[k] for b in self.biases],
+                        self.input_dim)
+
     def _forward_pass(self, batch):
-        """Validate batch; return (each layer's input, pre-ReLU values, predictions)."""
+        """Validate batch ((b, d), or (K, b, d) for a stack); return (each
+        layer's input, pre-ReLU values, predictions)."""
         h = np.asarray(batch, dtype=float)
-        if h.ndim != 2 or h.shape[1] != self.input_dim:
+        if h.ndim not in (2, 3) or h.shape[-1] != self.input_dim:
             raise ValidationError(f"MlpModel.forward: expected batch of width {self.input_dim}")
         activations = [h]
         pre_relu = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            # a stack's (K, d_out) bias broadcasts over the batch as (K, 1, d_out)
+            h = h @ w + (b if b.ndim == 1 else b[..., None, :])
             if i != last:
                 pre_relu.append(h)
                 h = np.maximum(h, 0.0)
@@ -144,16 +186,15 @@ class MlpModel:
         """(MSE loss, gradients aligned with parameters())."""
         activations, pre_relu, preds = self._forward_pass(batch)
         labels = np.asarray(labels, dtype=float)
-        n = len(labels)
         loss = mse(preds, labels)
 
         grads = [None] * (2 * len(self.weights))
-        delta = (2.0 / n) * (preds - labels)[:, None]
+        delta = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = activations[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            grads[2 * i] = activations[i].swapaxes(-1, -2) @ delta
+            grads[2 * i + 1] = delta.sum(axis=-2)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (pre_relu[i - 1] > 0)
+                delta = (delta @ self.weights[i].swapaxes(-1, -2)) * (pre_relu[i - 1] > 0)
         return loss, grads
 
 
@@ -201,10 +242,11 @@ class LstmLayer:
         state_shape = x_seq.shape[1:-1] + (h,)
         a = np.zeros(state_shape)
         c = np.zeros(state_shape)
+        B = self.B[..., None, :]  # broadcast over the batch
         cache = []
         a_steps = []
         for x in x_seq:
-            z = a @ self.W_a + x @ self.W_x + self.B
+            z = a @ self.W_a + x @ self.W_x + B
             c_tilde = np.tanh(z[..., :h])
             gates = _sigmoid(z[..., h:])
             g_u, g_f, g_o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
@@ -217,7 +259,8 @@ class LstmLayer:
         return np.stack(a_steps), cache
 
     def backward(self, da_seq, cache):
-        """da_seq: gradient w.r.t. each step's output a_t.
+        """da_seq: gradient w.r.t. each step's output a_t, (T, b, hidden) or
+        a stack's (T, K, b, hidden).
 
         Returns (dz_seq, [gW_a, gW_x, gB]): dz_seq[t] is the
         gradient w.r.t. step t's fused pre-activations, so the gradient
@@ -230,21 +273,22 @@ class LstmLayer:
         dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
         da_next = np.zeros_like(da_seq[0])
         dc_next = np.zeros_like(da_seq[0])
+        W_a_T = self.W_a.swapaxes(-1, -2)
         for t in range(len(cache) - 1, -1, -1):
             x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
             da = da_seq[t] + da_next
             dc = da * g_o * (1.0 - tanh_c * tanh_c) + dc_next
             dz = dz_seq[t]
-            dz[:, :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
-            dz[:, h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
-            dz[:, 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
-            dz[:, 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
+            dz[..., :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
+            dz[..., h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
+            dz[..., 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
+            dz[..., 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
             dc_next = dc * g_f
-            gW_a += a_prev.T @ dz
-            gW_x += x.T @ dz
-            gB += dz.sum(axis=0)
+            gW_a += a_prev.swapaxes(-1, -2) @ dz
+            gW_x += x.swapaxes(-1, -2) @ dz
+            gB += dz.sum(axis=-2)
             if t:  # step 0's previous output is the zero initial state
-                da_next = dz @ self.W_a.T
+                da_next = dz @ W_a_T
         return dz_seq, [gW_a, gW_x, gB]
 
 
@@ -261,7 +305,7 @@ class LstmModel:
         self.readout_b = readout_b  # (1,)
         self.input_dim = input_dim
         self.sequence_length = sequence_length
-        self.vector = _flatten(self)
+        _flatten(self)
 
     @classmethod
     def create(cls, seed: int, input_dim: int = 47,
@@ -286,21 +330,30 @@ class LstmModel:
     def parameters(self):
         return [slot[key] for slot, key in self._parameter_slots()]
 
+    def member(self, k):
+        """Member k of a stacked model, as a model of its own."""
+        layers = [LstmLayer(layer.W_a[k], layer.W_x[k], layer.B[k], layer.input_dim,
+                            layer.hidden_dim) for layer in self.layers]
+        return LstmModel(layers, self.readout_w[k], self.readout_b[k], self.input_dim,
+                         self.sequence_length)
+
     def _forward_pass(self, batch):
-        """Validate batch; return (last layer's sequence, per-layer caches, predictions)."""
+        """Validate batch ((b, T, d), or (K, b, T, d) for a stack); return
+        (last layer's sequence, per-layer caches, predictions)."""
         x_seq = np.asarray(batch, dtype=float)
-        if x_seq.ndim != 3 or x_seq.shape[1] != self.sequence_length \
-                or x_seq.shape[2] != self.input_dim:
+        if x_seq.ndim not in (3, 4) \
+                or x_seq.shape[-2:] != (self.sequence_length, self.input_dim):
             raise ValidationError(
                 f"LstmModel.forward: expected (batch, {self.sequence_length}, "
                 f"{self.input_dim}) input"
             )
-        x_seq = np.transpose(x_seq, (1, 0, 2))  # (T, b, d)
+        # (T, b, d), or (T, K, b, d) for a stack
+        x_seq = x_seq.transpose(x_seq.ndim - 2, *range(x_seq.ndim - 2), x_seq.ndim - 1)
         caches = []
         for layer in self.layers:
             x_seq, cache = layer.forward(x_seq)
             caches.append(cache)
-        return x_seq, caches, (x_seq[-1] @ self.readout_w + self.readout_b)[..., 0]
+        return x_seq, caches, (x_seq[-1] @ self.readout_w + self.readout_b[..., None, :])[..., 0]
 
     def forward(self, batch):
         """batch: (b, T, input_dim) -> predictions (b,)."""
@@ -309,22 +362,20 @@ class LstmModel:
     def loss_and_gradients(self, batch, labels):
         x_seq, caches, preds = self._forward_pass(batch)
         labels = np.asarray(labels, dtype=float)
-        final = x_seq[-1]
-        n = len(labels)
         loss = mse(preds, labels)
 
-        dpred = (2.0 / n) * (preds - labels)[:, None]
-        g_readout_w = final.T @ dpred
-        g_readout_b = dpred.sum(axis=0)
+        dpred = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
+        g_readout_w = x_seq[-1].swapaxes(-1, -2) @ dpred
+        g_readout_b = dpred.sum(axis=-2)
         da_seq = np.zeros_like(x_seq)
-        da_seq[-1] = dpred @ self.readout_w.T
+        da_seq[-1] = dpred @ self.readout_w.swapaxes(-1, -2)
         layer_grads = []
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             dz_seq, grads = layer.backward(da_seq, caches[i])
             layer_grads.append(grads)
             if i:  # the model's input needs no gradient
-                da_seq = dz_seq @ layer.W_x.T
+                da_seq = dz_seq @ layer.W_x.swapaxes(-1, -2)
         grads = []
         for g in reversed(layer_grads):
             grads.extend(g)
@@ -332,47 +383,111 @@ class LstmModel:
         return loss, grads
 
 
-def train(model, samples, labels, config: TrainConfig):
-    """Mini-batch Adam on the MSE loss; returns (model, per-epoch losses)."""
+def _adam_step(rows, m, v, g_rows, step, config):
+    """Adam update number step of each member row of the flat vector from
+    that member's flat gradient row (g_rows may hold more rows than rows).
+
+    Adam is elementwise, so one update of a row gives the same bits as one
+    update per parameter array; a row at a time keeps its temporaries small.
+    """
+    bc1 = 1.0 - config.beta1 ** step
+    bc2 = 1.0 - config.beta2 ** step
+    for row, m_k, v_k, g in zip(rows, m, v, g_rows):
+        m_k *= config.beta1
+        m_k += (1.0 - config.beta1) * g
+        v_k *= config.beta2
+        v_k += (1.0 - config.beta2) * g * g
+        row -= config.learning_rate * (m_k / bc1) / (np.sqrt(v_k / bc2) + 1e-8)
+
+
+def train(model, samples, labels, config: TrainConfig, seeds=None):
+    """Mini-batch Adam on the MSE loss; returns (model, per-epoch losses).
+
+    A stacked model trains its K members in lockstep on samples (K, n, ...)
+    and labels (K, n), member k drawing its batch order from seeds[k] in
+    place of config.seed; losses[k] are its losses. Each member ends with the
+    parameters and losses it gets when trained alone, bit for bit. When
+    members would fail alone (non-finite labels, divergence), the lowest of
+    them is dropped with every member above it, the members below it train
+    to the end, and then its error is raised with its index as `member`.
+
+    Divergence is detected from the losses, so numpy's floating-point
+    warnings are silenced here.
+    """
     config.validate()
     samples = np.asarray(samples, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if len(samples) == 0 or len(samples) != len(labels):
+    lead = model.vector.shape[:-1]  # (K,) for a stack, () for one model
+    if seeds is None:
+        seeds = () if lead else (config.seed,)
+    if labels.shape[:-1] != lead or len(seeds) != math.prod(lead) \
+            or samples.shape[:labels.ndim] != labels.shape or labels.shape[-1] == 0:
         raise ValidationError("train: empty or mismatched training set")
-    if not np.isfinite(labels).all():
-        raise ValidationError("train: non-finite labels")
 
-    # Adam is elementwise, so one update of the flat vector gives the same
-    # bits as one update per parameter array
-    vector = model.vector
-    m = np.zeros_like(vector)
-    v = np.zeros_like(vector)
-    rng = np.random.default_rng(config.seed)
-    eps = 1e-8
+    # one model is handled as a stack of one, and given its batches without
+    # the stack axis; its loss is the one member's
+    def unstacked(a):
+        return a if lead else a[0]
+
+    def batch(a, idx):
+        """Rows idx[k] of each live member k of a."""
+        return a[np.arange(len(idx))[:, None], idx] if lead else a[0][idx[0]]
+
+    def per_member(loss):
+        return loss if lead else [loss]
+
+    n = labels.shape[-1]
+    samples = samples.reshape((len(seeds), n) + samples.shape[labels.ndim:])
+    labels = labels.reshape(len(seeds), n)
+    rows = model.vector.reshape(len(seeds), -1)
+    live = len(seeds)
+    failure = None
+
+    def fail(member, exc):
+        nonlocal live, failure
+        exc.member = member
+        if not member:
+            raise exc
+        failure, live = exc, member
+        _keep_members(model, live)
+
+    def check(loss, epoch):
+        for k, x in enumerate(per_member(loss)):
+            if not math.isfinite(x):
+                fail(k, TrainingError(f"training diverged at epoch {epoch + 1}"))
+                return
+
+    bad = np.flatnonzero(~np.isfinite(labels).all(axis=1))
+    if bad.size:
+        fail(int(bad[0]), ValidationError("train: non-finite labels"))
+
+    m = np.zeros_like(rows)
+    v = np.zeros_like(rows)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     step = 0
-    losses = []
-    n = len(samples)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            loss, grads = model.loss_and_gradients(samples[batch_idx], labels[batch_idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged at epoch {epoch + 1}")
-            step += 1
-            bc1 = 1.0 - config.beta1 ** step
-            bc2 = 1.0 - config.beta2 ** step
-            g = np.concatenate(grads, axis=None)
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g * g
-            vector -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        epoch_loss = mse(model.forward(samples), labels)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"training diverged at epoch {epoch + 1}")
-        losses.append(epoch_loss)
-    return model, losses
+    losses = [[] for _ in seeds]
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            orders = np.stack([rng.permutation(n) for rng in rngs[:live]])
+            for start in range(0, n, config.batch_size):
+                idx = orders[:live, start:start + config.batch_size]
+                loss, grads = model.loss_and_gradients(batch(samples, idx), batch(labels, idx))
+                check(loss, epoch)
+                step += 1
+                # a stack's flat gradient rows are made one at a time, as
+                # Adam takes them
+                g_rows = (np.concatenate([x[k] for x in grads], axis=None)
+                          for k in range(len(grads[0]))) if lead \
+                    else [np.concatenate(grads, axis=None)]
+                _adam_step(rows[:live], m, v, g_rows, step, config)
+                del grads, g_rows  # so that the next step's gradients do not coexist with these
+            epoch_loss = mse(model.forward(unstacked(samples[:live])), unstacked(labels[:live]))
+            check(epoch_loss, epoch)
+            for member_losses, x in zip(losses[:live], per_member(epoch_loss)):
+                member_losses.append(float(x))
+    if failure is not None:
+        raise failure
+    return model, losses if lead else losses[0]
 
 
 def gradient_check(model, batch, labels, step: float = 1e-5):
@@ -403,15 +518,13 @@ def gradient_check(model, batch, labels, step: float = 1e-5):
         p = slot[key]
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
-        # a 1-D tensor (a bias) is stacked as (2k, 1, d) to broadcast over b
-        copy_shape = p.shape if p.ndim > 1 else (1,) + p.shape
         for start in range(0, flat_p.size, GRADCHECK_CHUNK):
             idx = np.arange(start, min(start + GRADCHECK_CHUNK, flat_p.size))
             k = len(idx)
             stack = np.tile(flat_p, (2 * k, 1))
             stack[np.arange(k), idx] = flat_p[idx] + step
             stack[np.arange(k, 2 * k), idx] = flat_p[idx] - step
-            slot[key] = stack.reshape((2 * k,) + copy_shape)
+            slot[key] = stack.reshape((2 * k,) + p.shape)
             try:
                 diff = model.forward(batch) - labels
             finally:

@@ -19,7 +19,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .errors import StrategyError, ValidationError
+from .errors import StrategyError, TrainingError, ValidationError
 from .factors import (
     LN_MCAP_INDEX,
     MarketStore,
@@ -30,11 +30,13 @@ from .factors import (
     normalize_panel,
 )
 from .marketdata import MarketDataset, TradingCalendar
-from .numerics import LstmModel, MlpModel, TrainConfig, least_squares_fit, train
+from .numerics import LstmModel, MlpModel, TrainConfig, least_squares_fit, stack, train
 
 STRATEGY_KINDS = ("linreg", "fcnn", "lstm")
 DEFAULT_WINDOW = 3
 DEFAULT_HOLDINGS = 10
+# Per-action-day training-seed stride; keeps per-rebalance streams disjoint.
+SEED_STRIDE = 10_007
 
 _NON_LABEL_COLUMNS = [i for i in range(47) if i != LN_MCAP_INDEX]
 
@@ -158,35 +160,111 @@ def _sequence_samples(dataset: MarketDataset, panels, normalized):
     return sequences[keep], np.array([labels[i] for i in keep])
 
 
-def rank_stocks(kind: str, store: MarketStore, action_day: Date, universe,
-                w: int = DEFAULT_WINDOW, train_config: TrainConfig | None = None) -> Ranking:
-    """Rank the universe on action_day with the named strategy, trained from
-    scratch on the w preceding action days of the run's store.
+def _ranking(action_day: Date, scores: dict[str, float]) -> Ranking:
+    if not scores:
+        raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
+    return Ranking(date=action_day, entries=_sorted_entries(scores))
 
-    fcnn and lstm predict with the training window shifted right by one
-    action day: fcnn from the action-day panel, lstm from the last w panels.
+
+@dataclass
+class _TrainingDay:
+    """One fcnn or lstm action day: its training set, and the stocks it
+    scores with the inputs they score from."""
+    date: Date
+    seed: int
+    samples: np.ndarray
+    labels: np.ndarray
+    stocks: list[str]
+    inputs: np.ndarray
+
+
+def _training_day(kind, dataset, panels, seed) -> _TrainingDay:
+    stats = _pooled_stats(panels[:-1])
+    normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
+    if kind == "fcnn":
+        samples, labels = _flat_samples(dataset, panels, normalized)
+        stocks, inputs = panels[-1].stocks, normalized[-1]
+    else:
+        samples, labels = _sequence_samples(dataset, panels, normalized)
+        stocks, inputs = _sequences(panels[1:], normalized[1:])
+    return _TrainingDay(panels[-1].date, seed, samples, labels, stocks, inputs)
+
+
+def rank_stocks(kind: str, store: MarketStore, days, w: int = DEFAULT_WINDOW,
+                train_config: TrainConfig | None = None) -> list[Ranking]:
+    """Rank each (action_day, universe) of days with the named strategy,
+    trained from scratch on the w action days before it on the run's store.
+
+    Day i (counting from 0) initializes and shuffles its model with seed
+    train_config.seed + i * SEED_STRIDE. fcnn and lstm predict with the
+    training window shifted right by one action day: fcnn from the
+    action-day panel, lstm from the last w panels. Their days whose training
+    sets have one shape train in lockstep as one stacked model.
+
+    The rankings, and any error, are those of ranking the days one by one in
+    order: a StrategyError names its day, and days is read no further than
+    the first day whose training set cannot be built.
     """
     if kind not in STRATEGY_KINDS:
         raise ValidationError(f"unknown strategy kind {kind!r}")
     train_config = train_config or TrainConfig()
     dataset = store.dataset
-    panels = [drop_sparse_rows(build_panel(store, universe, day))
-              for day in build_window(dataset.calendar, action_day, w) + [action_day]]
-    if kind == "linreg":
-        scores = _linreg_scores(dataset, panels)
-    else:
-        stats = _pooled_stats(panels[:-1])
-        normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
+    rankings = []
+    training_days = []
+    failures = {}  # day index -> the error ranking that day alone raises
+    for i, (action_day, universe) in enumerate(days):
+        try:
+            panels = [drop_sparse_rows(build_panel(store, universe, day))
+                      for day in build_window(dataset.calendar, action_day, w) + [action_day]]
+            if kind == "linreg":
+                rankings.append(_ranking(action_day, _linreg_scores(dataset, panels)))
+            else:
+                seed = train_config.seed + i * SEED_STRIDE
+                training_days.append(_training_day(kind, dataset, panels, seed))
+        except StrategyError as exc:
+            failures[i] = StrategyError(f"{action_day.isoformat()}: {exc}")
+            break
+    if training_days:
+        rankings = _train_and_rank(kind, training_days, w, train_config, failures)
+    if failures:
+        raise failures[min(failures)]
+    return rankings
+
+
+def _train_and_rank(kind, training_days, w, train_config, failures):
+    """Train the days in stacks of one training-set shape and rank each day
+    with its member; the error of a day that fails goes into failures."""
+    for i, day in enumerate(training_days):
+        if not day.stocks:
+            failures[i] = StrategyError(
+                f"{day.date.isoformat()}: degenerate panel on {day.date.isoformat()}")
+    groups = {}
+    for i, day in enumerate(training_days):
+        groups.setdefault(day.samples.shape, []).append(i)
+    rankings = [None] * len(training_days)
+    for members in groups.values():
+        # one by one, no day after an earlier day's error would be trained
+        limit = min(failures, default=len(training_days))
+        members = [i for i in members if i <= limit]
+        if not members:
+            continue
+        group = [training_days[i] for i in members]
         if kind == "fcnn":
-            samples, labels = _flat_samples(dataset, panels, normalized)
-            stocks, inputs = panels[-1].stocks, normalized[-1]
-            model = MlpModel.create(seed=train_config.seed)
+            model = stack([MlpModel.create(seed=day.seed) for day in group])
         else:
-            samples, labels = _sequence_samples(dataset, panels, normalized)
-            stocks, inputs = _sequences(panels[1:], normalized[1:])
-            model = LstmModel.create(seed=train_config.seed, sequence_length=w)
-        model, _ = train(model, samples, labels, train_config)
-        scores = {stock_id: float(p) for stock_id, p in zip(stocks, model.forward(inputs))}
-    if not scores:
-        raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
-    return Ranking(date=action_day, entries=_sorted_entries(scores))
+            model = stack([LstmModel.create(seed=day.seed, sequence_length=w) for day in group])
+        try:
+            model, _ = train(model, np.stack([day.samples for day in group]),
+                             np.stack([day.labels for day in group]), train_config,
+                             [day.seed for day in group])
+        except (TrainingError, ValidationError) as exc:
+            if not hasattr(exc, "member"):
+                raise
+            failures[members[exc.member]] = exc
+            continue
+        for k, (i, day) in enumerate(zip(members, group)):
+            if i not in failures:
+                predictions = model.member(k).forward(day.inputs)
+                rankings[i] = _ranking(day.date, {stock_id: float(p) for stock_id, p
+                                                  in zip(day.stocks, predictions)})
+    return rankings

@@ -1,26 +1,28 @@
 """Portfolio rebalance arithmetic and scenario-level accounting."""
 
 from collections import Counter
+from dataclasses import replace
 from datetime import date as Date
 
 import pytest
 
 from conftest import build_market, flat_market, snapshots
-from rollingquant import backtest
+from rollingquant import backtest, strategies
 from rollingquant.backtest import (
     BacktestResult,
     CostModel,
     Portfolio,
     ScenarioConfig,
+    rank_scenario,
     rebalance,
     run_scenario,
 )
 from rollingquant.errors import RebalanceError, StrategyError, ValidationError
 from rollingquant.exports import read_series_csv, write_series_csv
-from rollingquant.factors import MarketStore
-from rollingquant.marketdata import MarketDataset
-from rollingquant.numerics import TrainConfig
-from rollingquant.strategies import Ranking
+from rollingquant.factors import MarketStore, apply_normalization, build_panel, drop_sparse_rows
+from rollingquant.marketdata import MarketDataset, action_days, eligible_universe
+from rollingquant.numerics import LstmModel, MlpModel, TrainConfig, train
+from rollingquant.strategies import SEED_STRIDE, Ranking, build_window
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 D0 = Date(2015, 6, 30)
@@ -202,11 +204,16 @@ class TestRunScenario:
         rebalanced = []
         rank_stocks = backtest.rank_stocks
 
-        def fail_on_third_day(kind, store, d, *args):
-            ranked.append(d)
-            if len(ranked) == 3:
+        class PlantedFailure(frozenset):
+            def __iter__(self):
                 raise StrategyError("planted failure")
-            return rank_stocks(kind, store, d, *args)
+
+        def fail_on_third_day(kind, store, days, *args):
+            def planted():
+                for d, universe in days:
+                    ranked.append(d)
+                    yield d, PlantedFailure() if len(ranked) == 3 else universe
+            return rank_stocks(kind, store, planted(), *args)
 
         def record_rebalance(*args):
             rebalanced.append(args)
@@ -299,9 +306,10 @@ class TestRunScenario:
         bars = market.bars["S0"]
         bars.suspended[bars.position(Date(2015, 7, 27)):bars.position(Date(2015, 8, 7))] = True
 
-        def fixed_ranking(kind, store, d, *args):
-            stocks = ["S0", "S1", "S2", "S3"] if d < july else ["S2", "S3", "S4", "S5"]
-            return Ranking(date=d, entries=[(s, 1.0) for s in stocks])
+        def fixed_ranking(kind, store, days, *args):
+            return [Ranking(date=d, entries=[
+                (s, 1.0) for s in (["S0", "S1", "S2", "S3"] if d < july
+                                   else ["S2", "S3", "S4", "S5"])]) for d, _ in days]
 
         monkeypatch.setattr(backtest, "rank_stocks", fixed_ranking)
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 10, 31), holdings=4)
@@ -319,3 +327,42 @@ class TestRunScenario:
         assert result.dates[-1] == Date(2015, 10, 30)
         for v in result.values:
             assert v == pytest.approx(config.initial_capital, rel=1e-12)
+
+
+def ranking_alone(kind, store, d, universe, w, config):
+    """(training-set size, ranking) of one action day, trained as rank_stocks
+    trained each day before days were stacked: one model, on its own."""
+    dataset = store.dataset
+    panels = [drop_sparse_rows(build_panel(store, universe, day))
+              for day in build_window(dataset.calendar, d, w) + [d]]
+    stats = strategies._pooled_stats(panels[:-1])
+    normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
+    if kind == "fcnn":
+        samples, labels = strategies._flat_samples(dataset, panels, normalized)
+        stocks, inputs = panels[-1].stocks, normalized[-1]
+        model = MlpModel.create(seed=config.seed)
+    else:
+        samples, labels = strategies._sequence_samples(dataset, panels, normalized)
+        stocks, inputs = strategies._sequences(panels[1:], normalized[1:])
+        model = LstmModel.create(seed=config.seed, sequence_length=w)
+    model, _ = train(model, samples, labels, config)
+    scores = {stock_id: float(p) for stock_id, p in zip(stocks, model.forward(inputs))}
+    return len(samples), Ranking(d, sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+class TestRankingPass:
+    @pytest.mark.parametrize("kind", ["fcnn", "lstm"])
+    @pytest.mark.parametrize("market_name,sizes_differ", [
+        ("crash_market", False), ("gapped_market", True)])
+    def test_stacked_days_rank_as_days_trained_alone(self, request, kind, market_name,
+                                                     sizes_differ):
+        market = request.getfixturevalue(market_name)
+        config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31),
+                                train_config=TrainConfig(epochs=3, seed=11))
+        rankings = rank_scenario(MarketStore(market), kind, config)
+        alone = [ranking_alone(kind, MarketStore(market), d, eligible_universe(market, d),
+                               config.window,
+                               replace(config.train_config, seed=11 + i * SEED_STRIDE))
+                 for i, d in enumerate(action_days(market.calendar, config.start, config.end))]
+        assert (len({n for n, _ in alone}) > 1) == sizes_differ
+        assert [(r.date, r.entries) for r in rankings] == [(r.date, r.entries) for _, r in alone]

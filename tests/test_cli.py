@@ -239,8 +239,13 @@ class TestReport:
          '2015-09-01,"1000\n000",,\n2015-09-02,1000100,0.0001,0.001\n'
          "2015-09-03,1000200,oops,0.001\n",
          "data error: {path}:5: column 'portfolio_daily_return': bad number 'oops'"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n2015-09-02,1000100,0.0001,0.001\n"
+         "2015-09-03,1000200,,\n2015-09-04,1000300,0.0001,0.001\n",
+         "data error: {path}:4: column 'portfolio_daily_return': bad number ''"),
         (None, "data error: cannot read {path}"),
-    ], ids=["wrong_header", "bad_number", "quoted_newline", "missing_file"])
+    ], ids=["wrong_header", "bad_number", "quoted_newline", "blank_return_after_first_row",
+            "missing_file"])
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
         series = tmp_path / "series.csv"
         if text is not None:

@@ -146,6 +146,9 @@ BAD_VALUE_CASES = [
     ("run", "window", "2.5", "[run] window: invalid literal for int() with base 10: '2.5'"),
     ("train", "epochs", "0", "invalid training configuration"),
     ("train", "learning_rate", "0", "invalid training configuration"),
+    ("train", "beta1", "1.0", "invalid training configuration"),
+    ("train", "beta2", "1.0", "invalid training configuration"),
+    ("train", "beta1", "-0.5", "invalid training configuration"),
     ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
     ("run", "initial_capital", "-5", "run.initial_capital must be > 0"),
 ]
@@ -228,9 +231,9 @@ def test_training_seeds_follow_the_derivation(tmp_path, monkeypatch):
     seeds = []
     train = strategies.train
 
-    def recording_train(model, samples, labels, config):
-        seeds.append(config.seed)
-        return train(model, samples, labels, config)
+    def recording_train(model, samples, labels, config, member_seeds):
+        seeds.extend(member_seeds)
+        return train(model, samples, labels, config, member_seeds)
 
     monkeypatch.setattr(strategies, "train", recording_train)
     path = write_ini(tmp_path, run={"seed": "4", "strategies": "linreg,fcnn,lstm",

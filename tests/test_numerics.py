@@ -6,6 +6,7 @@ forward passes, the per-gate LSTM backpropagation the fused gates replaced,
 and Adam run per parameter array.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from rollingquant.numerics import (
     gradient_check,
     least_squares_fit,
     mse,
+    stack,
     train,
 )
 
@@ -445,6 +447,133 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(model, samples, labels,
                   TrainConfig(epochs=50, learning_rate=1e100))
+
+
+SEEDS = [3 + 10_007 * k for k in range(6)]
+STACKABLE = [
+    pytest.param(lambda seed: MlpModel.create(seed=seed), (47,), id="mlp"),
+    pytest.param(lambda seed: LstmModel.create(seed=seed), (3, 47), id="lstm"),
+]
+
+
+class TestStack:
+    """A stack of K models computes, member by member, the bits of K
+    separate single models."""
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_forward_and_gradients_equal_single_models(self, create, shape, k):
+        rng = np.random.default_rng(k)
+        batches = rng.normal(size=(k, 7) + shape)
+        labels = rng.normal(size=(k, 7)) * 0.1
+        model = stack([create(seed) for seed in SEEDS[:k]])
+        assert model.vector.shape[0] == k
+        assert views_of_vector(model)
+        predictions = model.forward(batches)
+        losses, grads = model.loss_and_gradients(batches, labels)
+        for i, seed in enumerate(SEEDS[:k]):
+            single = create(seed)
+            assert np.array_equal(predictions[i], single.forward(batches[i]))
+            loss, single_grads = single.loss_and_gradients(batches[i], labels[i])
+            assert losses[i] == loss
+            for g, single_g in zip(grads, single_grads, strict=True):
+                assert np.array_equal(g[i], single_g)
+            assert np.array_equal(model.member(i).vector, single.vector)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_train_equals_single_trainings(self, create, shape, k):
+        # 23 samples at batch 10: two full batches and a tail of 3 per epoch
+        rng = np.random.default_rng(10 + k)
+        samples = rng.normal(size=(k, 23) + shape)
+        labels = rng.normal(size=(k, 23)) * 0.1
+        config = TrainConfig(epochs=3, batch_size=10, learning_rate=1e-2)
+        model, losses = train(stack([create(seed) for seed in SEEDS[:k]]), samples, labels,
+                              config, SEEDS[:k])
+        assert views_of_vector(model)
+        for i, seed in enumerate(SEEDS[:k]):
+            single, single_losses = train(create(seed), samples[i], labels[i],
+                                          dataclasses.replace(config, seed=seed))
+            assert losses[i] == single_losses
+            assert np.array_equal(model.vector[i], single.vector)
+            assert np.array_equal(model.member(i).forward(samples[i]), single.forward(samples[i]))
+
+    def test_needs_one_seed_per_member(self):
+        model = stack([MlpModel.create(seed=s) for s in SEEDS[:2]])
+        with pytest.raises(ValidationError):
+            train(model, np.zeros((2, 5, 47)), np.zeros((2, 5)), TrainConfig(), SEEDS[:3])
+
+    def test_diverging_member_fails_as_alone(self):
+        # member 1's inputs are large enough that lr 1e30 overflows its loss;
+        # members 0 and 2 train to the end, and no RuntimeWarning escapes
+        rng = np.random.default_rng(20)
+        samples = rng.normal(size=(3, 23, 47)) * np.array([1.0, 1e32, 1.0])[:, None, None]
+        labels = rng.normal(size=(3, 23))
+        config = TrainConfig(epochs=3, learning_rate=1e30)
+        with pytest.raises(TrainingError) as alone:
+            train(MlpModel.create(seed=SEEDS[1]), samples[1], labels[1],
+                  dataclasses.replace(config, seed=SEEDS[1]))
+        model = stack([MlpModel.create(seed=s) for s in SEEDS[:3]])
+        with pytest.raises(TrainingError) as stacked:
+            train(model, samples, labels, config, SEEDS[:3])
+        assert (stacked.value.member, str(stacked.value)) == (1, str(alone.value))
+        single, _ = train(MlpModel.create(seed=SEEDS[0]), samples[0], labels[0],
+                          dataclasses.replace(config, seed=SEEDS[0]))
+        assert model.vector.shape[0] == 1
+        assert np.array_equal(model.vector[0], single.vector)
+
+    def test_lowest_failing_member_wins(self, monkeypatch):
+        # member 2 fails from step 2 (epoch 1), member 1 from step 8 (epoch 3
+        # at three steps an epoch): one by one, member 1 fails first
+        loss_and_gradients = MlpModel.loss_and_gradients
+        calls = []
+
+        def failing(self, batch, labels):
+            loss, grads = loss_and_gradients(self, batch, labels)
+            calls.append(None)
+            marker = np.asarray(batch)[..., 0, 0]
+            fails = (marker == 2.0) & (len(calls) >= 2) | (marker == 1.0) & (len(calls) >= 8)
+            return np.where(fails, np.nan, loss), grads
+
+        monkeypatch.setattr(MlpModel, "loss_and_gradients", failing)
+        rng = np.random.default_rng(21)
+        samples = rng.normal(size=(4, 23, 47))
+        samples[1:3, :, 0] = [[1.0], [2.0]]
+        labels = rng.normal(size=(4, 23)) * 0.1
+        config = TrainConfig(epochs=4)
+        alone = []
+        for i in (1, 2):
+            calls.clear()
+            with pytest.raises(TrainingError) as caught:
+                train(MlpModel.create(seed=SEEDS[i]), samples[i], labels[i],
+                      dataclasses.replace(config, seed=SEEDS[i]))
+            alone.append(str(caught.value))
+        assert alone == ["training diverged at epoch 3", "training diverged at epoch 1"]
+        calls.clear()
+        with pytest.raises(TrainingError) as stacked:
+            train(stack([MlpModel.create(seed=s) for s in SEEDS[:4]]), samples, labels,
+                  config, SEEDS[:4])
+        assert (stacked.value.member, str(stacked.value)) == (1, alone[0])
+
+    def test_member_with_non_finite_labels_fails_as_alone(self):
+        labels = np.zeros((3, 4))
+        labels[2, 1] = math.inf
+        model = stack([MlpModel.create(seed=s) for s in SEEDS[:3]])
+        with pytest.raises(ValidationError, match="non-finite labels") as caught:
+            train(model, np.zeros((3, 4, 47)), labels, TrainConfig(epochs=1), SEEDS[:3])
+        assert caught.value.member == 2
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.5), ("beta2", -0.5), ("beta1", math.nan),
+    ])
+    def test_moment_decay_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="invalid training configuration"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_zero_moment_decay_accepted(self):
+        TrainConfig(beta1=0.0, beta2=0.0).validate()
 
 
 class TestGradientCheck:

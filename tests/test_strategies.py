@@ -9,11 +9,12 @@ import pytest
 
 from conftest import build_market, flat_market, snapshots
 from rollingquant import strategies
-from rollingquant.errors import StrategyError, ValidationError
+from rollingquant.errors import StrategyError, TrainingError, ValidationError
 from rollingquant.factors import MarketStore
 from rollingquant.marketdata import eligible_universe
 from rollingquant.numerics import TrainConfig
 from rollingquant.strategies import (
+    SEED_STRIDE,
     Ranking,
     build_window,
     excess_return_label,
@@ -21,6 +22,12 @@ from rollingquant.strategies import (
     select_targets,
 )
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
+
+
+def rank_day(kind, store, d, universe, **kwargs):
+    """The ranking of the one action day d."""
+    [ranking] = rank_stocks(kind, store, [(d, universe)], **kwargs)
+    return ranking
 
 
 def fresh_market(seed=1, n_stocks=50):
@@ -106,8 +113,8 @@ class TestSelectTargets:
 class TestRankLinearRegression:
     def test_tie_scores_break_by_stock_id(self):
         market = flat_market({s: 100.0 for s in ("B", "A", "C")})
-        ranking = rank_stocks("linreg", MarketStore(market), Date(2015, 6, 30),
-                              {"A", "B", "C"})
+        ranking = rank_day("linreg", MarketStore(market), Date(2015, 6, 30),
+                           {"A", "B", "C"})
         # identical stocks: all scores equal, order falls back to stock id
         scores = [score for _, score in ranking.entries]
         assert max(scores) - min(scores) < 1e-9
@@ -126,7 +133,7 @@ class TestRankLinearRegression:
         d = Date(2015, 9, 30)
         market = fresh_market()
         universe = eligible_universe(market, d)
-        baseline = dict(rank_stocks("linreg", MarketStore(market), d, universe).entries)
+        baseline = dict(rank_day("linreg", MarketStore(market), d, universe).entries)
         victim = sorted(universe)[7]
         delta = 1.0
         discount = math.exp(-delta)
@@ -135,7 +142,7 @@ class TestRankLinearRegression:
         for snap in market.fundamentals[victim]:
             for name in self._LEVEL_FIELDS:
                 setattr(snap, name, getattr(snap, name) * discount)
-        shifted = rank_stocks("linreg", MarketStore(market), d, universe)
+        shifted = rank_day("linreg", MarketStore(market), d, universe)
         scores = dict(shifted.entries)
         order = [s for s, _ in shifted.entries]
         assert order.index(victim) < 3
@@ -144,14 +151,14 @@ class TestRankLinearRegression:
     def test_window_exceeding_history_raises(self):
         market = fresh_market()
         with pytest.raises(StrategyError):
-            rank_stocks("linreg", MarketStore(market), Date(2015, 9, 30),
-                        eligible_universe(market, Date(2015, 9, 30)), w=40)
+            rank_day("linreg", MarketStore(market), Date(2015, 9, 30),
+                     eligible_universe(market, Date(2015, 9, 30)), w=40)
 
     def test_empty_panels_raise_without_warnings(self, crash_market):
         # every window panel has 0 rows; normalizing one would warn, and the
         # suite turns warnings into errors
         with pytest.raises(StrategyError, match="no regression samples for 2015-09-30"):
-            rank_stocks("linreg", MarketStore(crash_market), Date(2015, 9, 30), set())
+            rank_day("linreg", MarketStore(crash_market), Date(2015, 9, 30), set())
 
 
 class TestProjectionStrategies:
@@ -159,16 +166,16 @@ class TestProjectionStrategies:
         market = fresh_market()
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
-        a = rank_stocks("fcnn", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
-        b = rank_stocks("fcnn", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        a = rank_day("fcnn", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        b = rank_day("fcnn", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
         assert a.entries == b.entries
 
     def test_lstm_deterministic(self):
         market = fresh_market()
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
-        a = rank_stocks("lstm", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
-        b = rank_stocks("lstm", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        a = rank_day("lstm", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
+        b = rank_day("lstm", MarketStore(market), d, universe, train_config=TrainConfig(seed=5))
         assert a.entries == b.entries
 
     def test_rankings_cover_the_universe(self):
@@ -176,14 +183,14 @@ class TestProjectionStrategies:
         d = Date(2015, 9, 30)
         universe = eligible_universe(market, d)
         for kind in ("linreg", "fcnn", "lstm"):
-            ranking = rank_stocks(kind, MarketStore(market), d, universe,
-                                  train_config=TrainConfig(seed=1))
+            ranking = rank_day(kind, MarketStore(market), d, universe,
+                               train_config=TrainConfig(seed=1))
             assert {s for s, _ in ranking.entries} == universe
 
     def test_unknown_strategy_rejected(self):
         market = fresh_market()
         with pytest.raises(ValidationError):
-            rank_stocks("cnn", MarketStore(market), Date(2015, 9, 30), {"S0000"})
+            rank_day("cnn", MarketStore(market), Date(2015, 9, 30), {"S0000"})
 
 
 class TestWindowPanels:
@@ -200,8 +207,8 @@ class TestWindowPanels:
             return build_panel(dataset, universe, day)
 
         monkeypatch.setattr(strategies, "build_panel", counting_build_panel)
-        rank_stocks(kind, MarketStore(market), d, universe, w=3,
-                    train_config=TrainConfig(epochs=1))
+        rank_day(kind, MarketStore(market), d, universe, w=3,
+                 train_config=TrainConfig(epochs=1))
         assert built == build_window(market.calendar, d, 3) + [d]
 
 
@@ -230,8 +237,101 @@ class TestNoLookahead:
         d = Date(2015, 9, 30)
         market = fresh_market()
         universe = eligible_universe(market, d)
-        before = rank_stocks(kind, MarketStore(market), d, universe,
-                             train_config=TrainConfig(seed=2))
-        after = rank_stocks(kind, MarketStore(self._mutated_after(d)), d, universe,
-                            train_config=TrainConfig(seed=2))
+        before = rank_day(kind, MarketStore(market), d, universe,
+                          train_config=TrainConfig(seed=2))
+        after = rank_day(kind, MarketStore(self._mutated_after(d)), d, universe,
+                         train_config=TrainConfig(seed=2))
         assert before.entries == after.entries
+
+
+class PlantedFailure(frozenset):
+    """A universe whose panel cannot be built."""
+
+    def __iter__(self):
+        raise StrategyError("planted failure")
+
+
+class TestErrorOrder:
+    """rank_stocks raises what ranking its days one by one would raise."""
+
+    DAYS = [Date(2015, 7, 31), Date(2015, 8, 31), Date(2015, 9, 30), Date(2015, 10, 30)]
+
+    def _days(self, market, failing=None):
+        return [(d, PlantedFailure() if i == failing else eligible_universe(market, d))
+                for i, d in enumerate(self.DAYS)]
+
+    def _diverge(self, monkeypatch, day, from_step):
+        """Make action day `day` diverge from its step from_step on, and
+        record the seeds of the members trained."""
+        trained = []
+        train = strategies.train
+
+        def diverging_train(model, samples, labels, config, seeds):
+            trained.extend(seeds)
+            loss_and_gradients = model.loss_and_gradients
+            target = seeds.index(5 + day * SEED_STRIDE) if 5 + day * SEED_STRIDE in seeds else -1
+            steps = []
+
+            def poisoned(batch, batch_labels):
+                loss, grads = loss_and_gradients(batch, batch_labels)
+                steps.append(None)
+                if len(steps) >= from_step:
+                    loss = np.where(np.arange(len(loss)) == target, np.nan, loss)
+                return loss, grads
+
+            model.loss_and_gradients = poisoned
+            return train(model, samples, labels, config, seeds)
+
+        monkeypatch.setattr(strategies, "train", diverging_train)
+        return trained
+
+    @pytest.mark.parametrize("kind", ["fcnn", "lstm"])
+    def test_divergence_beats_a_later_strategy_error(self, kind, crash_market, monkeypatch):
+        # 60 stocks: 180 fcnn or 60 lstm samples a day, 18 or 6 steps an epoch
+        steps_per_epoch = 18 if kind == "fcnn" else 6
+        trained = self._diverge(monkeypatch, 1, 2 * steps_per_epoch + 1)
+        with pytest.raises(TrainingError, match=r"^training diverged at epoch 3$"):
+            rank_stocks(kind, MarketStore(crash_market), self._days(crash_market, failing=3),
+                        train_config=TrainConfig(epochs=4, seed=5))
+        assert trained == [5 + i * SEED_STRIDE for i in range(3)]
+
+    @pytest.mark.parametrize("kind", ["fcnn", "lstm"])
+    def test_strategy_error_beats_a_later_divergence(self, kind, crash_market, monkeypatch):
+        trained = self._diverge(monkeypatch, 3, 1)
+        with pytest.raises(StrategyError, match=r"^2015-08-31: planted failure$"):
+            rank_stocks(kind, MarketStore(crash_market), self._days(crash_market, failing=1),
+                        train_config=TrainConfig(epochs=2, seed=5))
+        assert trained == [5]
+
+    def test_days_after_a_failing_day_are_not_read(self, crash_market):
+        read = []
+
+        def days():
+            for d, universe in self._days(crash_market, failing=1):
+                read.append(d)
+                yield d, universe
+
+        with pytest.raises(StrategyError, match="^2015-08-31: planted failure$"):
+            rank_stocks("fcnn", MarketStore(crash_market), days(),
+                        train_config=TrainConfig(epochs=1))
+        assert read == self.DAYS[:2]
+
+    @pytest.mark.parametrize("diverging_day,error", [
+        (2, "^2015-08-31: degenerate panel on 2015-08-31$"),
+        (1, "^training diverged at epoch 1$"),
+    ], ids=["later_day_diverges", "same_day_diverges"])
+    def test_degenerate_day_after_its_training(self, crash_market, monkeypatch,
+                                               diverging_day, error):
+        # August's action-day panel is empty: it trains, then has no stock to
+        # score; one by one, its own training error would come first
+        build_panel = strategies.build_panel
+
+        def empty_in_august(store, universe, day):
+            return build_panel(store, set() if day == self.DAYS[1] else universe, day)
+
+        monkeypatch.setattr(strategies, "build_panel", empty_in_august)
+        trained = self._diverge(monkeypatch, diverging_day, 1)
+        with pytest.raises((StrategyError, TrainingError), match=error):
+            rank_stocks("fcnn", MarketStore(crash_market), self._days(crash_market),
+                        train_config=TrainConfig(epochs=1, seed=5))
+        assert trained[:2] == [5, 5 + SEED_STRIDE]
