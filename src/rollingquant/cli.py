@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +33,23 @@ from .synthetic import generate_synthetic_market
 GRADCHECK_TOLERANCE = 1e-5
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing to path as a ConfigError naming
+    the path the system refused."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def cmd_gen_data(config, out=None):
     out = out if out is not None else sys.stdout
     if config.synthetic is None:
         raise ConfigError("gen-data requires data.source = synthetic")
     dataset = generate_synthetic_market(config.synthetic)
-    write_dataset(dataset, config.out_dir)
+    with _writing(config.out_dir):
+        write_dataset(dataset, config.out_dir)
     n_bars = sum(len(v) for v in dataset.bars.values())
     dates = dataset.calendar.dates
     bench = [dataset.benchmark[d] for d in dates]
@@ -61,13 +73,14 @@ def cmd_backtest(config, out=None):
     for strategy in config.strategies:
         result = run_scenario(store, strategy, config.scenario_config(strategy))
         strategy_dir = Path(config.out_dir) / strategy
-        strategy_dir.mkdir(parents=True, exist_ok=True)
         series, benchmark = result_series(result)
         report = build_report(strategy, series, benchmark, config.risk_free_annual)
-        (strategy_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        write_series_csv(result, strategy_dir / "series.csv")
-        write_trades_csv(result, strategy_dir / "trades.csv")
-        write_ranking_csv(result.rankings, strategy_dir / "ranking.csv")
+        with _writing(strategy_dir):
+            strategy_dir.mkdir(parents=True, exist_ok=True)
+            (strategy_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+            write_series_csv(result, strategy_dir / "series.csv")
+            write_trades_csv(result, strategy_dir / "trades.csv")
+            write_ranking_csv(result.rankings, strategy_dir / "ranking.csv")
         print(f"{strategy}: net_return={report.net_return:.6f} "
               f"benchmark={report.benchmark_return:.6f} "
               f"sharpe={report.sharpe_ratio:.4f}", file=out)
@@ -101,8 +114,9 @@ def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
     series = ReturnSeries(dates=dates, returns=np.array(portfolio_returns))
     benchmark = ReturnSeries(dates=dates, returns=np.array(benchmark_returns))
     report = build_report(strategy, series, benchmark, risk_free_annual)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(report.to_json(), encoding="utf-8")
+    with _writing(out_path):
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(out_path).write_text(report.to_json(), encoding="utf-8")
     print(f"wrote {out_path}", file=out)
     return 0
 

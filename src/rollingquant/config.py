@@ -75,9 +75,11 @@ def _strategies(text: str) -> list[str]:
     strategies = [s.strip() for s in text.split(",") if s.strip()]
     if not strategies:
         raise ConfigError("run.strategies must name at least one strategy")
-    for s in strategies:
+    for i, s in enumerate(strategies):
         if s not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy {s!r}; choose from {STRATEGY_KINDS}")
+        if s in strategies[:i]:
+            raise ConfigError(f"run.strategies names {s!r} twice")
     return strategies
 
 

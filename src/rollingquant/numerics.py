@@ -107,13 +107,6 @@ def stack(models):
     return models[0]
 
 
-def _keep_members(model, k):
-    """Cut a stacked model down to its first k members, in place."""
-    for slot, key in model._parameter_slots():
-        slot[key] = slot[key][:k]
-    model.vector = model.vector[:k]
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 10
@@ -171,8 +164,7 @@ class MlpModel:
         pre_relu = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # a stack's (K, d_out) bias broadcasts over the batch as (K, 1, d_out)
-            h = h @ w + (b if b.ndim == 1 else b[..., None, :])
+            h = h @ w + b[..., None, :]  # broadcast over the batch
             if i != last:
                 pre_relu.append(h)
                 h = np.maximum(h, 0.0)
@@ -385,7 +377,7 @@ class LstmModel:
 
 def _adam_step(rows, m, v, g_rows, step, config):
     """Adam update number step of each member row of the flat vector from
-    that member's flat gradient row (g_rows may hold more rows than rows).
+    that member's flat gradient row.
 
     Adam is elementwise, so one update of a row gives the same bits as one
     update per parameter array; a row at a time keeps its temporaries small.
@@ -406,10 +398,10 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     A stacked model trains its K members in lockstep on samples (K, n, ...)
     and labels (K, n), member k drawing its batch order from seeds[k] in
     place of config.seed; losses[k] are its losses. Each member ends with the
-    parameters and losses it gets when trained alone, bit for bit. When
-    members would fail alone (non-finite labels, divergence), the lowest of
-    them is dropped with every member above it, the members below it train
-    to the end, and then its error is raised with its index as `member`.
+    parameters and losses it gets when trained alone, bit for bit. A member
+    fails on non-finite labels or on its first non-finite loss (divergence);
+    every member still trains to the end, and then the lowest failing
+    member's error is raised with its index as `member` (0 for one model).
 
     Divergence is detected from the losses, so numpy's floating-point
     warnings are silenced here.
@@ -430,7 +422,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
         return a if lead else a[0]
 
     def batch(a, idx):
-        """Rows idx[k] of each live member k of a."""
+        """Rows idx[k] of each member k of a."""
         return a[np.arange(len(idx))[:, None], idx] if lead else a[0][idx[0]]
 
     def per_member(loss):
@@ -440,26 +432,14 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     samples = samples.reshape((len(seeds), n) + samples.shape[labels.ndim:])
     labels = labels.reshape(len(seeds), n)
     rows = model.vector.reshape(len(seeds), -1)
-    live = len(seeds)
-    failure = None
-
-    def fail(member, exc):
-        nonlocal live, failure
-        exc.member = member
-        if not member:
-            raise exc
-        failure, live = exc, member
-        _keep_members(model, live)
+    # each member's first error, the one it raises when trained alone
+    errors = [None if np.isfinite(member_labels).all()
+              else ValidationError("train: non-finite labels") for member_labels in labels]
 
     def check(loss, epoch):
         for k, x in enumerate(per_member(loss)):
-            if not math.isfinite(x):
-                fail(k, TrainingError(f"training diverged at epoch {epoch + 1}"))
-                return
-
-    bad = np.flatnonzero(~np.isfinite(labels).all(axis=1))
-    if bad.size:
-        fail(int(bad[0]), ValidationError("train: non-finite labels"))
+            if not math.isfinite(x) and errors[k] is None:
+                errors[k] = TrainingError(f"training diverged at epoch {epoch + 1}")
 
     m = np.zeros_like(rows)
     v = np.zeros_like(rows)
@@ -468,9 +448,9 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     losses = [[] for _ in seeds]
     with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
-            orders = np.stack([rng.permutation(n) for rng in rngs[:live]])
+            orders = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, config.batch_size):
-                idx = orders[:live, start:start + config.batch_size]
+                idx = orders[:, start:start + config.batch_size]
                 loss, grads = model.loss_and_gradients(batch(samples, idx), batch(labels, idx))
                 check(loss, epoch)
                 step += 1
@@ -479,14 +459,16 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
                 g_rows = (np.concatenate([x[k] for x in grads], axis=None)
                           for k in range(len(grads[0]))) if lead \
                     else [np.concatenate(grads, axis=None)]
-                _adam_step(rows[:live], m, v, g_rows, step, config)
+                _adam_step(rows, m, v, g_rows, step, config)
                 del grads, g_rows  # so that the next step's gradients do not coexist with these
-            epoch_loss = mse(model.forward(unstacked(samples[:live])), unstacked(labels[:live]))
+            epoch_loss = mse(model.forward(unstacked(samples)), unstacked(labels))
             check(epoch_loss, epoch)
-            for member_losses, x in zip(losses[:live], per_member(epoch_loss)):
+            for member_losses, x in zip(losses, per_member(epoch_loss)):
                 member_losses.append(float(x))
-    if failure is not None:
-        raise failure
+    for k, exc in enumerate(errors):
+        if exc is not None:
+            exc.member = k
+            raise exc
     return model, losses if lead else losses[0]
 
 

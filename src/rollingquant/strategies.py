@@ -211,7 +211,7 @@ def rank_stocks(kind: str, store: MarketStore, days, w: int = DEFAULT_WINDOW,
     dataset = store.dataset
     rankings = []
     training_days = []
-    failures = {}  # day index -> the error ranking that day alone raises
+    failure = None  # the first day whose training set cannot be built
     for i, (action_day, universe) in enumerate(days):
         try:
             panels = [drop_sparse_rows(build_panel(store, universe, day))
@@ -222,32 +222,28 @@ def rank_stocks(kind: str, store: MarketStore, days, w: int = DEFAULT_WINDOW,
                 seed = train_config.seed + i * SEED_STRIDE
                 training_days.append(_training_day(kind, dataset, panels, seed))
         except StrategyError as exc:
-            failures[i] = StrategyError(f"{action_day.isoformat()}: {exc}")
+            failure = StrategyError(f"{action_day.isoformat()}: {exc}")
             break
     if training_days:
-        rankings = _train_and_rank(kind, training_days, w, train_config, failures)
-    if failures:
-        raise failures[min(failures)]
+        # every training day comes before the failing day, so its errors come first
+        rankings = _train_and_rank(kind, training_days, w, train_config)
+    if failure is not None:
+        raise failure
     return rankings
 
 
-def _train_and_rank(kind, training_days, w, train_config, failures):
+def _train_and_rank(kind, training_days, w, train_config):
     """Train the days in stacks of one training-set shape and rank each day
-    with its member; the error of a day that fails goes into failures."""
-    for i, day in enumerate(training_days):
-        if not day.stocks:
-            failures[i] = StrategyError(
-                f"{day.date.isoformat()}: degenerate panel on {day.date.isoformat()}")
+    with its member; raise the error of the earliest day that fails."""
+    errors = {}  # day index -> the error ranking that day alone raises
     groups = {}
     for i, day in enumerate(training_days):
+        if not day.stocks:
+            errors[i] = StrategyError(
+                f"{day.date.isoformat()}: degenerate panel on {day.date.isoformat()}")
         groups.setdefault(day.samples.shape, []).append(i)
     rankings = [None] * len(training_days)
     for members in groups.values():
-        # one by one, no day after an earlier day's error would be trained
-        limit = min(failures, default=len(training_days))
-        members = [i for i in members if i <= limit]
-        if not members:
-            continue
         group = [training_days[i] for i in members]
         if kind == "fcnn":
             model = stack([MlpModel.create(seed=day.seed) for day in group])
@@ -260,11 +256,13 @@ def _train_and_rank(kind, training_days, w, train_config, failures):
         except (TrainingError, ValidationError) as exc:
             if not hasattr(exc, "member"):
                 raise
-            failures[members[exc.member]] = exc
+            errors[members[exc.member]] = exc
             continue
         for k, (i, day) in enumerate(zip(members, group)):
-            if i not in failures:
+            if i not in errors:
                 predictions = model.member(k).forward(day.inputs)
                 rankings[i] = _ranking(day.date, {stock_id: float(p) for stock_id, p
                                                   in zip(day.stocks, predictions)})
+    if errors:
+        raise errors[min(errors)]
     return rankings

@@ -137,20 +137,25 @@ def generate_synthetic_market(config: SyntheticMarketConfig) -> MarketDataset:
     monthly_drift = strength * (_QUALITY_DRIFT * quality + _VALUE_DRIFT * value)
     stock_log = np.empty((n, len(dates)))
     pos = 0
-    for month_days in months:
-        k = len(month_days)
-        idio = rng.normal(0.0, config.noise_level, size=(n, k))
-        stock_log[:, pos:pos + k] = bench_log[pos:pos + k][None, :] \
-            + (monthly_drift / k)[:, None] + idio
-        pos += k
-
-    closes = close0[:, None] * np.exp(np.cumsum(stock_log, axis=1))
+    # a large noise_level overflows; the check below reports it
+    with np.errstate(all="ignore"):
+        for month_days in months:
+            k = len(month_days)
+            idio = rng.normal(0.0, config.noise_level, size=(n, k))
+            stock_log[:, pos:pos + k] = bench_log[pos:pos + k][None, :] \
+                + (monthly_drift / k)[:, None] + idio
+            pos += k
+        closes = close0[:, None] * np.exp(np.cumsum(stock_log, axis=1))
+        market_cap = closes * shares[:, None]
+    for column in (closes, market_cap):
+        if not (np.isfinite(column).all() and (column > 0).all()):
+            raise ConfigError(f"[data] noise_level = {config.noise_level} takes a close or "
+                              "market cap out of float range; lower it")
     turnover = base_turnover[:, None] * np.exp(rng.normal(0.0, 0.25, size=(n, len(dates))))
 
     stock_ids = [f"S{i:04d}" for i in range(n)]
     prev_close = np.hstack([close0[:, None], closes[:, :-1]])
     volume = turnover * shares[:, None]
-    market_cap = closes * shares[:, None]
     suspended = np.zeros((n, len(dates)), dtype=bool)
     bars = {
         stock_id: StockBars(dates, closes[i], prev_close[i], volume[i], turnover[i],

@@ -301,3 +301,43 @@ class TestBadInputExitCodes:
         bars.write_text(bars.read_text().splitlines()[0] + "\n")  # the header alone
         done = run_cli("backtest", "--config", str(csv_config(tmp_path)))
         assert (done.returncode, done.stderr) == (2, f"data error: {bars}: no bars\n")
+
+    @pytest.mark.parametrize("command", ["gen-data", "backtest"])
+    def test_overflowing_synthetic_market_is_config_error(self, tmp_path, command):
+        # noise this large takes closes to inf and 0, which no command can use
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\nseed = 0\nstart = 2015-07-01\nend = 2015-12-31\nout_dir = {tmp_path / 'out'}\n"
+            "\n[data]\nsource = synthetic\nn_stocks = 25\nstart = 2014-01-01\n"
+            "end = 2015-12-31\nregime = crash\nnoise_level = 50\n\n[costs]\nlot_size = 100\n",
+            encoding="utf-8")
+        done = run_cli(command, "--config", str(config))
+        assert (done.returncode, done.stderr) == (
+            1, "config error: [data] noise_level = 50.0 takes a close or market cap out of "
+               "float range; lower it\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_is_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+            "2015-01-01,1000000,,\n"
+            + "".join(f"2015-01-0{d},1001000,0.001,0.002\n" for d in range(2, 7)),
+            encoding="utf-8")
+        config, _ = write_config(tmp_path)
+        runs = [
+            (("backtest", "--config", str(config), "--out", str(blocker)),
+             f"{blocker / 'linreg'}: Not a directory"),
+            (("gen-data", "--config", str(config), "--out", str(blocker)),
+             f"{blocker}: File exists"),
+            (("report", "--series", str(series), "--out", str(blocker / "r.json")),
+             f"{blocker}: File exists"),
+            (("report", "--series", str(series), "--out", str(tmp_path)),
+             f"{tmp_path}: Is a directory"),
+        ]
+        for args, message in runs:
+            done = run_cli(*args)
+            assert (done.returncode, done.stderr) == (1, f"config error: cannot write {message}\n")
+        assert blocker.read_text(encoding="utf-8") == ""

@@ -151,6 +151,7 @@ BAD_VALUE_CASES = [
     ("train", "beta1", "-0.5", "invalid training configuration"),
     ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
     ("run", "initial_capital", "-5", "run.initial_capital must be > 0"),
+    ("run", "strategies", "linreg, fcnn, linreg", "run.strategies names 'linreg' twice"),
 ]
 
 

@@ -335,3 +335,39 @@ class TestErrorOrder:
             rank_stocks("fcnn", MarketStore(crash_market), self._days(crash_market),
                         train_config=TrainConfig(epochs=1, seed=5))
         assert trained[:2] == [5, 5 + SEED_STRIDE]
+
+    @pytest.mark.parametrize("kind", ["fcnn", "lstm"])
+    @pytest.mark.parametrize("diverging_day,degenerate_day,error", [
+        (1, 4, "^training diverged at epoch 1$"),
+        (4, 1, "^2015-05-29: degenerate panel on 2015-05-29$"),
+    ], ids=["second_group_diverges_first", "second_group_degenerate_first"])
+    def test_earliest_error_across_shape_groups(self, gapped_market, monkeypatch, kind,
+                                                diverging_day, degenerate_day, error):
+        # April and August share a training-set shape and train first as one
+        # stack, May in a later one; whichever of May and August fails,
+        # May's error is raised
+        days = [(d, eligible_universe(gapped_market, d)) for d in [
+            Date(2015, 4, 30), Date(2015, 5, 29), Date(2015, 6, 30), Date(2015, 7, 31),
+            Date(2015, 8, 31)]]
+        empty_day, empty_universe = days[degenerate_day]
+        build_panel = strategies.build_panel
+
+        def empty_action_day(store, universe, day):
+            # only that day's own action-day panel, so no training set changes
+            empty = universe is empty_universe and day == empty_day
+            return build_panel(store, set() if empty else universe, day)
+
+        shapes = []
+        train_and_rank = strategies._train_and_rank
+
+        def record_shapes(kind, training_days, *args):
+            shapes.extend(day.samples.shape for day in training_days)
+            return train_and_rank(kind, training_days, *args)
+
+        monkeypatch.setattr(strategies, "build_panel", empty_action_day)
+        monkeypatch.setattr(strategies, "_train_and_rank", record_shapes)
+        self._diverge(monkeypatch, diverging_day, 1)
+        with pytest.raises((StrategyError, TrainingError), match=error):
+            rank_stocks(kind, MarketStore(gapped_market), days,
+                        train_config=TrainConfig(epochs=1, seed=5))
+        assert shapes[0] == shapes[4] != shapes[1]
