@@ -26,7 +26,7 @@ from .exports import (
 )
 from .factors import MarketStore
 from .marketdata import load_dataset
-from .metrics import DEFAULT_RISK_FREE_ANNUAL, ReturnSeries, build_report, result_series
+from .metrics import DEFAULT_RISK_FREE_ANNUAL, build_report
 from .numerics import LstmModel, MlpModel, gradient_check
 from .synthetic import generate_synthetic_market
 
@@ -68,15 +68,17 @@ def cmd_backtest(config, out=None):
                                config.benchmark_path)
     else:
         dataset = generate_synthetic_market(config.synthetic)
+    strategy_dirs = [Path(config.out_dir) / strategy for strategy in config.strategies]
+    with _writing(config.out_dir):  # an unwritable --out fails before any scenario runs
+        for strategy_dir in strategy_dirs:
+            strategy_dir.mkdir(parents=True, exist_ok=True)
     # one store for all strategies, so each factor row is computed once
     store = MarketStore(dataset)
-    for strategy in config.strategies:
+    for strategy, strategy_dir in zip(config.strategies, strategy_dirs):
         result = run_scenario(store, strategy, config.scenario_config(strategy))
-        strategy_dir = Path(config.out_dir) / strategy
-        series, benchmark = result_series(result)
-        report = build_report(strategy, series, benchmark, config.risk_free_annual)
+        report = build_report(strategy, result.dates[1:], result.daily_returns,
+                              result.benchmark_returns, config.risk_free_annual)
         with _writing(strategy_dir):
-            strategy_dir.mkdir(parents=True, exist_ok=True)
             (strategy_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
             write_series_csv(result, strategy_dir / "series.csv")
             write_trades_csv(result, strategy_dir / "trades.csv")
@@ -110,10 +112,7 @@ def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
     out = out if out is not None else sys.stdout
     if not math.isfinite(risk_free_annual):
         raise ConfigError(f"--risk-free must be a finite number, got {risk_free_annual}")
-    dates, portfolio_returns, benchmark_returns = read_series_csv(series_path)
-    series = ReturnSeries(dates=dates, returns=np.array(portfolio_returns))
-    benchmark = ReturnSeries(dates=dates, returns=np.array(benchmark_returns))
-    report = build_report(strategy, series, benchmark, risk_free_annual)
+    report = build_report(strategy, *read_series_csv(series_path), risk_free_annual)
     with _writing(out_path):
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text(report.to_json(), encoding="utf-8")

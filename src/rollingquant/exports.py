@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .marketdata import (BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset,
                          _parse_date, _parse_float, _read_rows)
 
@@ -60,12 +60,21 @@ def write_series_csv(result, path):
 
 def read_series_csv(path):
     """(dates, portfolio returns, benchmark returns) of a written series.csv,
-    without its first row, which has no returns; a later row must have them."""
+    without its first row, which has no returns; a later row must have them,
+    and every row a numeric portfolio_value and a date after the previous row's."""
     dates, portfolio_returns, benchmark_returns = [], [], []
-    for i, (line_no, (day, _, portfolio, bench)) in enumerate(_read_rows(path, SERIES_COLUMNS)):
+    previous = None
+    for i, (line_no, (day, value, portfolio, bench)) in enumerate(
+            _read_rows(path, SERIES_COLUMNS)):
+        d = _parse_date(day, path, line_no, "date")
+        if previous is not None and d <= previous:
+            raise ParseError(f"{path}:{line_no}: column 'date': {d.isoformat()} "
+                             f"does not follow {previous.isoformat()}")
+        previous = d
+        _parse_float(value, path, line_no, "portfolio_value")
         if i == 0 and portfolio == "":
             continue  # the first row has no previous valuation
-        dates.append(_parse_date(day, path, line_no, "date"))
+        dates.append(d)
         portfolio_returns.append(_parse_float(portfolio, path, line_no, "portfolio_daily_return"))
         benchmark_returns.append(_parse_float(bench, path, line_no, "benchmark_daily_return"))
     if not dates:

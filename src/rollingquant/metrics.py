@@ -21,63 +21,39 @@ TRADING_DAYS_PER_YEAR = 252
 DEFAULT_RISK_FREE_ANNUAL = 0.03
 
 
-@dataclass
-class ReturnSeries:
-    dates: list[Date]     # one per return; dates[i] is the day of returns[i]
-    returns: np.ndarray
-
-    def __post_init__(self):
-        self.returns = np.asarray(self.returns, dtype=float)
-        if len(self.dates) != len(self.returns):
-            raise ValidationError("dates and returns lengths differ")
-
-    def net_return(self) -> float:
-        return float(np.prod(1.0 + self.returns) - 1.0)
+def net_return(returns: np.ndarray) -> float:
+    return float(np.prod(1.0 + returns) - 1.0)
 
 
-def _check_pair(series: ReturnSeries, benchmark: ReturnSeries):
-    if len(series.returns) != len(benchmark.returns):
-        raise ValidationError("series lengths differ")
-    if len(series.returns) < 2:
-        raise ValidationError("need at least 2 observations")
-
-
-def annualized_return(series: ReturnSeries) -> float:
-    n = len(series.returns)
-    total = float(np.prod(1.0 + series.returns))
+def annualized_return(returns: np.ndarray) -> float:
+    n = len(returns)
+    total = float(np.prod(1.0 + returns))
     if total <= 0:
         return -1.0
     return total ** (TRADING_DAYS_PER_YEAR / n) - 1.0
 
 
-def sharpe_ratio(series: ReturnSeries, benchmark: ReturnSeries,
+def sharpe_ratio(returns: np.ndarray, benchmark_returns: np.ndarray,
                  risk_free_annual: float) -> float:
     """(annualized return - rf) / annualized std of daily excess returns.
 
     Returns signed infinity when the excess volatility is zero; reports
     render that as "undefined".
     """
-    _check_pair(series, benchmark)
-    excess = series.returns - benchmark.returns
-    sigma = float(excess.std())
-    numerator = annualized_return(series) - risk_free_annual
+    sigma = float((returns - benchmark_returns).std())
+    numerator = annualized_return(returns) - risk_free_annual
     if sigma == 0.0:
         return math.copysign(math.inf, numerator) if numerator != 0 else math.inf
     return numerator / (sigma * math.sqrt(TRADING_DAYS_PER_YEAR))
 
 
-def similarity_to_benchmark(series: ReturnSeries, benchmark: ReturnSeries) -> float:
+def similarity_to_benchmark(returns: np.ndarray, benchmark_returns: np.ndarray) -> float:
     """Population std of the element-wise difference of the two daily series.
 
     Zero means the portfolio tracks the benchmark up to a constant offset
     per element.
     """
-    _check_pair(series, benchmark)
-    return float((series.returns - benchmark.returns).std())
-
-
-def _month_key(d: Date) -> str:
-    return f"{d.year:04d}-{d.month:02d}"
+    return float((returns - benchmark_returns).std())
 
 
 @dataclass
@@ -88,23 +64,23 @@ class MonthlyRow:
     sharpe: float  # un-annualized mean/std of that month's daily excess
 
 
-def monthly_breakdown(series: ReturnSeries, benchmark: ReturnSeries) -> list[MonthlyRow]:
-    _check_pair(series, benchmark)
+def monthly_breakdown(dates: list[Date], returns: np.ndarray,
+                      benchmark_returns: np.ndarray) -> list[MonthlyRow]:
     groups: dict[str, list[int]] = {}
-    for i, d in enumerate(series.dates):
-        groups.setdefault(_month_key(d), []).append(i)
+    for i, d in enumerate(dates):
+        groups.setdefault(f"{d.year:04d}-{d.month:02d}", []).append(i)
     rows = []
     for month in sorted(groups):
         idx = groups[month]
-        r_p = series.returns[idx]
-        r_b = benchmark.returns[idx]
+        r_p = returns[idx]
+        r_b = benchmark_returns[idx]
         excess = r_p - r_b
         sigma = float(excess.std())
         sharpe = float(excess.mean()) / sigma if sigma > 0 else math.inf
         rows.append(MonthlyRow(
             month=month,
-            portfolio_return=float(np.prod(1.0 + r_p) - 1.0),
-            benchmark_return=float(np.prod(1.0 + r_b) - 1.0),
+            portfolio_return=net_return(r_p),
+            benchmark_return=net_return(r_b),
             sharpe=sharpe,
         ))
     return rows
@@ -146,25 +122,23 @@ class ScenarioReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def build_report(strategy: str, series: ReturnSeries, benchmark: ReturnSeries,
+def build_report(strategy: str, dates: list[Date], returns, benchmark_returns,
                  risk_free_annual: float = DEFAULT_RISK_FREE_ANNUAL) -> ScenarioReport:
-    if len(series.returns) == 0:
+    """dates[i] is the day of returns[i] and of benchmark_returns[i]."""
+    returns = np.asarray(returns, dtype=float)
+    benchmark_returns = np.asarray(benchmark_returns, dtype=float)
+    if not len(dates) == len(returns) == len(benchmark_returns):
+        raise ValidationError("dates, returns and benchmark returns lengths differ")
+    if len(returns) == 0:
         raise ValidationError("empty return series")
+    if len(returns) < 2:
+        raise ValidationError("need at least 2 observations")
     return ScenarioReport(
         strategy=strategy,
-        sharpe_ratio=sharpe_ratio(series, benchmark, risk_free_annual),
-        net_return=series.net_return(),
-        benchmark_return=benchmark.net_return(),
-        similarity=similarity_to_benchmark(series, benchmark),
+        sharpe_ratio=sharpe_ratio(returns, benchmark_returns, risk_free_annual),
+        net_return=net_return(returns),
+        benchmark_return=net_return(benchmark_returns),
+        similarity=similarity_to_benchmark(returns, benchmark_returns),
         risk_free_annual=risk_free_annual,
-        monthly=monthly_breakdown(series, benchmark),
-    )
-
-
-def result_series(result) -> tuple[ReturnSeries, ReturnSeries]:
-    """Portfolio and benchmark ReturnSeries from a BacktestResult."""
-    dates = result.dates[1:]
-    return (
-        ReturnSeries(dates=dates, returns=np.asarray(result.daily_returns)),
-        ReturnSeries(dates=dates, returns=np.asarray(result.benchmark_returns)),
+        monthly=monthly_breakdown(dates, returns, benchmark_returns),
     )

@@ -18,7 +18,7 @@ from rollingquant.cli import cmd_backtest
 from rollingquant.config import load_run_config
 from rollingquant.factors import FACTOR_INDEX, MarketStore, build_panel, normalize_panel
 from rollingquant.marketdata import action_days, eligible_universe
-from rollingquant.metrics import ReturnSeries, build_report, result_series, similarity_to_benchmark
+from rollingquant.metrics import build_report, net_return, similarity_to_benchmark
 from rollingquant.numerics import (
     LstmModel,
     MlpModel,
@@ -102,17 +102,15 @@ def test_criterion_4_offset_similarity():
     worst = 0.0
     for offset in (-0.5, -0.01, 0.003, 0.2, 7.0):
         r = rng.normal(0.0, 0.01, len(dates))
-        a = ReturnSeries(dates=dates, returns=r)
-        b = ReturnSeries(dates=dates, returns=r + offset)
-        worst = max(worst, similarity_to_benchmark(b, a))
+        worst = max(worst, similarity_to_benchmark(r + offset, r))
     ok = worst <= 1e-12
     assert verdict(4, "offset similarity", ok), f"max similarity {worst:.3e}"
 
 
 def _strategy_artifacts(dataset, strategy, config):
     result = run_scenario(MarketStore(dataset), strategy, config)
-    series, benchmark = result_series(result)
-    report = build_report(strategy, series, benchmark).to_json().encode()
+    report = build_report(strategy, result.dates[1:], result.daily_returns,
+                          result.benchmark_returns).to_json().encode()
     rankings = repr([(r.date, r.entries) for r in result.rankings]).encode()
     trades = repr([(t.date, t.stock_id, t.side, t.shares, t.price, t.cost)
                    for t in result.trades]).encode()
@@ -209,8 +207,8 @@ def test_criterion_7_upward_shift():
             config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31),
                                     train_config=TrainConfig(seed=seed * 1000))
             result = run_scenario(store, strategy, config)
-            series, benchmark = result_series(result)
-            if series.net_return() > benchmark.net_return():
+            if net_return(np.asarray(result.daily_returns)) > \
+                    net_return(np.asarray(result.benchmark_returns)):
                 wins[strategy] += 1
         worst_elapsed = max(worst_elapsed, time.monotonic() - start)
     ok = all(w >= 8 for w in wins.values()) and worst_elapsed < 60.0

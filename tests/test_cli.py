@@ -3,13 +3,17 @@
 import json
 import warnings
 from collections import Counter
+from datetime import date as Date
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
 from conftest import broken_backward, flat_market, run_cli
+from rollingquant import cli
 from rollingquant.cli import cmd_backtest, main
 from rollingquant.config import load_run_config
+from rollingquant.errors import DataError
 from rollingquant.exports import write_dataset
 from rollingquant.factors import MarketStore
 from rollingquant.numerics import MlpModel
@@ -236,16 +240,24 @@ class TestReport:
          "2015-09-01,1000000,,\n2015-09-02,1000100,oops,0.001\n",
          "data error: {path}:3: column 'portfolio_daily_return': bad number 'oops'"),
         ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
-         '2015-09-01,"1000\n000",,\n2015-09-02,1000100,0.0001,0.001\n'
+         '2015-09-01,"1000000\n",,\n2015-09-02,1000100,0.0001,0.001\n'
          "2015-09-03,1000200,oops,0.001\n",
          "data error: {path}:5: column 'portfolio_daily_return': bad number 'oops'"),
         ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
          "2015-09-01,1000000,,\n2015-09-02,1000100,0.0001,0.001\n"
          "2015-09-03,1000200,,\n2015-09-04,1000300,0.0001,0.001\n",
          "data error: {path}:4: column 'portfolio_daily_return': bad number ''"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-01-05,1000000,,\n2015-01-05,1000100,0.0001,0.001\n"
+         "2015-01-02,1000200,0.0001,0.001\n2015-01-02,1000300,0.0001,0.001\n",
+         "data error: {path}:3: column 'date': 2015-01-05 does not follow 2015-01-05"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n2015-09-02,abc,0.0001,0.001\n"
+         "2015-09-03,1000200,0.0001,0.001\n",
+         "data error: {path}:3: column 'portfolio_value': bad number 'abc'"),
         (None, "data error: cannot read {path}"),
     ], ids=["wrong_header", "bad_number", "quoted_newline", "blank_return_after_first_row",
-            "missing_file"])
+            "dates_not_increasing", "bad_portfolio_value", "missing_file"])
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
         series = tmp_path / "series.csv"
         if text is not None:
@@ -284,7 +296,8 @@ class TestBadInputExitCodes:
         write_dataset(flat_market({"A": 10.0}), tmp_path)
         (tmp_path / "series.csv").write_text(
             "date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
-            + "2015-01-01,1000000,0.001,0.001\n" * 500)
+            + "".join(f"{Date(2015, 1, 1) + timedelta(days=i)},1000000,0.001,0.001\n"
+                      for i in range(500)))
         path = tmp_path / name
         lines = path.read_bytes().split(b"\n")
         lines[399] = damage(lines[399])
@@ -316,6 +329,23 @@ class TestBadInputExitCodes:
             1, "config error: [data] noise_level = 50.0 takes a close or market cap out of "
                "float range; lower it\n")
         assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_fails_before_any_scenario(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        config, _ = write_config(tmp_path, strategies="linreg,fcnn")
+        calls = []
+
+        def run_scenario(store, strategy, scenario):
+            calls.append(strategy)
+            raise DataError("a scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        code = main(["backtest", "--config", str(config), "--out", str(blocker)])
+        assert calls == []
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"config error: cannot write {blocker / 'linreg'}: Not a directory\n"
 
     def test_unwritable_output_is_config_error(self, tmp_path):
         blocker = tmp_path / "file"

@@ -14,10 +14,10 @@ from rollingquant.errors import ValidationError
 from rollingquant.metrics import (
     DEFAULT_RISK_FREE_ANNUAL,
     TRADING_DAYS_PER_YEAR,
-    ReturnSeries,
     annualized_return,
     build_report,
     monthly_breakdown,
+    net_return,
     sharpe_ratio,
     similarity_to_benchmark,
 )
@@ -25,11 +25,8 @@ from rollingquant.metrics import (
 YEAR_DAYS = weekdays(Date(2015, 1, 5), Date(2015, 12, 31))[:TRADING_DAYS_PER_YEAR]
 
 
-def series(returns, dates=None):
-    returns = np.asarray(returns, dtype=float)
-    if dates is None:
-        dates = YEAR_DAYS[:len(returns)]
-    return ReturnSeries(dates=list(dates), returns=returns)
+def series(returns):
+    return np.asarray(returns, dtype=float)
 
 
 class TestAnnualizedReturn:
@@ -68,10 +65,6 @@ class TestSharpeRatio:
         assert sharpe_ratio(losing, benchmark, 0.03) == -math.inf
         assert sharpe_ratio(winning, benchmark, 0.0) == math.inf
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            sharpe_ratio(series([0.01, 0.02]), series([0.01]), 0.03)
-
 
 class TestSimilarity:
     def test_identical_series_score_zero(self):
@@ -96,9 +89,7 @@ class TestSimilarity:
     def test_offset_invariance_property(self, offset, n):
         rng = np.random.default_rng(n)
         r = rng.normal(0.0, 0.01, n)
-        dates = YEAR_DAYS[:n]
-        value = similarity_to_benchmark(series(r + offset, dates),
-                                        series(r, dates))
+        value = similarity_to_benchmark(series(r + offset), series(r))
         assert value <= 1e-12
 
 
@@ -106,23 +97,21 @@ class TestMonthlyBreakdown:
     def test_two_months_two_rows(self):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 7, 31))
         rng = np.random.default_rng(7)
-        rows = monthly_breakdown(series(rng.normal(0, 0.01, len(dates)), dates),
-                                 series(rng.normal(0, 0.01, len(dates)), dates))
+        rows = monthly_breakdown(dates, series(rng.normal(0, 0.01, len(dates))),
+                                 series(rng.normal(0, 0.01, len(dates))))
         assert [row.month for row in rows] == ["2015-06", "2015-07"]
 
     def test_flat_month_returns_zero(self):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 30))
         n = len(dates)
-        rows = monthly_breakdown(series(np.zeros(n), dates),
-                                 series(np.full(n, 0.001), dates))
+        rows = monthly_breakdown(dates, series(np.zeros(n)), series(np.full(n, 0.001)))
         assert rows[0].portfolio_return == 0.0
 
     def test_month_compounds_daily_returns(self):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 30))
         n = len(dates)
         r = (1.0 - 0.08) ** (1.0 / n) - 1.0
-        rows = monthly_breakdown(series(np.full(n, r), dates),
-                                 series(np.zeros(n), dates))
+        rows = monthly_breakdown(dates, series(np.full(n, r)), series(np.zeros(n)))
         assert rows[0].portfolio_return == pytest.approx(-0.08, abs=1e-12)
 
     def test_monthly_sharpe_is_mean_over_std(self):
@@ -131,7 +120,7 @@ class TestMonthlyBreakdown:
         rng = np.random.default_rng(8)
         r_p = rng.normal(0.001, 0.01, n)
         r_b = rng.normal(0.0, 0.01, n)
-        rows = monthly_breakdown(series(r_p, dates), series(r_b, dates))
+        rows = monthly_breakdown(dates, series(r_p), series(r_b))
         excess = r_p - r_b
         assert rows[0].sharpe == pytest.approx(excess.mean() / excess.std())
 
@@ -141,15 +130,15 @@ class TestBuildReport:
         rng = np.random.default_rng(9)
         n = 120
         dates = YEAR_DAYS[:n]
-        portfolio = series(rng.normal(0.001, 0.01, n), dates)
-        benchmark = series(rng.normal(0.0, 0.01, n), dates)
-        report = build_report("linreg", portfolio, benchmark)
+        portfolio = series(rng.normal(0.001, 0.01, n))
+        benchmark = series(rng.normal(0.0, 0.01, n))
+        report = build_report("linreg", dates, portfolio, benchmark)
         doc = json.loads(report.to_json())
         assert set(doc) == {"strategy", "sharpe_ratio", "net_return",
                             "benchmark_return", "similarity",
                             "risk_free_annual", "monthly"}
         assert doc["strategy"] == "linreg"
-        assert doc["net_return"] == pytest.approx(portfolio.net_return())
+        assert doc["net_return"] == pytest.approx(net_return(portfolio))
         assert doc["risk_free_annual"] == DEFAULT_RISK_FREE_ANNUAL
         assert len(doc["monthly"]) == len({d.month for d in dates})
 
@@ -157,13 +146,13 @@ class TestBuildReport:
         n = 40
         rng = np.random.default_rng(10)
         bench = rng.normal(0.0, 0.01, n)
-        report = build_report("linreg", series(np.zeros(n)), series(bench))
+        report = build_report("linreg", YEAR_DAYS[:n], series(np.zeros(n)), series(bench))
         assert report.net_return == 0.0
         assert report.similarity == pytest.approx(bench.std(), abs=1e-15)
 
     def test_infinite_sharpe_renders_undefined(self):
         n = 40
-        report = build_report("lstm", series(np.full(n, 0.001)),
+        report = build_report("lstm", YEAR_DAYS[:n], series(np.full(n, 0.001)),
                               series(np.full(n, 0.001)))
         assert json.loads(report.to_json())["sharpe_ratio"] == "undefined"
 
@@ -172,10 +161,17 @@ class TestBuildReport:
         n = 60
         portfolio = series(rng.normal(0.001, 0.01, n))
         benchmark = series(rng.normal(0.0, 0.01, n))
-        a = build_report("fcnn", portfolio, benchmark).to_json()
-        b = build_report("fcnn", portfolio, benchmark).to_json()
+        a = build_report("fcnn", YEAR_DAYS[:n], portfolio, benchmark).to_json()
+        b = build_report("fcnn", YEAR_DAYS[:n], portfolio, benchmark).to_json()
         assert a == b
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
-            build_report("linreg", series([]), series([]))
+            build_report("linreg", [], series([]), series([]))
+
+    def test_length_mismatch_rejected(self):
+        # dates against returns, then returns against benchmark returns
+        for n_dates, n_benchmark in [(3, 2), (2, 1)]:
+            with pytest.raises(ValidationError):
+                build_report("linreg", YEAR_DAYS[:n_dates], series([0.01, 0.02]),
+                             series([0.01] * n_benchmark))
