@@ -33,6 +33,10 @@ class CostModel:
         # written so that a NaN fails too
         if not (self.commission_rate >= 0 and self.sell_tax_rate >= 0 and self.lot_size >= 0):
             raise ValidationError("cost rates and lot size must be >= 0")
+        # at a sum of 1 a sale pays all its proceeds in costs, and a portfolio
+        # sold out is worth 0, which no daily return can divide by
+        if not self.commission_rate + self.sell_tax_rate < 1:
+            raise ValidationError("[costs] commission_rate + sell_tax_rate must be below 1")
 
 
 @dataclass

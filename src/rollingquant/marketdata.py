@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import datetime
+from itertools import chain, islice
 
 import numpy as np
 
@@ -115,25 +116,28 @@ class MarketDataset:
                         f"duplicate snapshot for ({stock_id}, {b.date.isoformat()})")
 
     @classmethod
-    def from_rows(cls, bar_rows, snapshots, benchmark):
-        """Dataset from bar rows in BARS_COLUMNS order, fundamental snapshots
-        and a date -> close benchmark; the calendar is the union of the bar
-        and benchmark dates."""
-        by_stock: dict[str, list] = {}
-        for row in bar_rows:
-            by_stock.setdefault(row[0], []).append(row)
-        bars = {}
-        for stock_id, rows in by_stock.items():
-            rows.sort(key=lambda row: row[1])
-            bars[stock_id] = StockBars(*list(zip(*rows))[1:])
+    def from_columns(cls, stock_ids, codes, days, values, suspended, snapshots, benchmark):
+        """Dataset from bar columns (each bar's stock as a code into stock_ids,
+        its date as an ordinal, its close, prev_close, volume, turnover and
+        market cap as a (5, bars) array, its suspension flag), grouped per
+        stock by one sort, fundamental snapshots and a date -> close
+        benchmark; the calendar is the union of the bar and benchmark dates."""
+        order = np.lexsort((days, codes))
+        codes, days = codes[order], days[order]
+        values, suspended = values[:, order], suspended[order]
+        dates = {day: Date.fromordinal(day) for day in np.unique(days).tolist()}
+        bounds = np.searchsorted(codes, np.arange(len(stock_ids) + 1)).tolist()
+        bars = {stock_id: StockBars(list(map(dates.__getitem__, days[lo:hi].tolist())),
+                                    *values[:, lo:hi], suspended[lo:hi])
+                for stock_id, lo, hi in zip(stock_ids, bounds, bounds[1:])}
         fundamentals: dict[str, list[FundamentalSnapshot]] = {}
         for snap in snapshots:
             fundamentals.setdefault(snap.stock_id, []).append(snap)
-        calendar = TradingCalendar(set(benchmark).union(*(b.dates for b in bars.values())))
+        calendar = TradingCalendar(set(benchmark).union(dates.values()))
         return cls(bars, fundamentals, dict(benchmark), calendar)
 
     def bar_rows(self):
-        """Bar rows in BARS_COLUMNS order by stock and date; from_rows' input."""
+        """Bar rows in BARS_COLUMNS order by stock and date."""
         for stock_id in self.stock_ids():
             b = self.bars[stock_id]
             for row in zip(b.dates, b.close.tolist(), b.prev_close.tolist(),
@@ -238,80 +242,183 @@ def _read_rows(path, columns):
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _date_parser(path):
-    """_parse_date for one file's 'date' column, each distinct string parsed once."""
-    parsed: dict[str, Date] = {}
-    return lambda text, line: parsed.get(text) or parsed.setdefault(
-        text, _parse_date(text, path, line, "date"))
+def _check_bar(path, line, row):
+    """Raise the first error of a bars.csv record, its key aside."""
+    d = _parse_date(row[1], path, line, "date")
+    suspended = row[7].strip()
+    if suspended not in ("0", "1"):
+        raise ParseError(f"{path}:{line}: column 'is_suspended': expected 0 or 1")
+    close, _, volume, turnover, market_cap = [
+        _parse_float(row[i], path, line, BARS_COLUMNS[i]) for i in range(2, 7)]
+    trading = suspended == "0"
+    if trading and (close <= 0 or market_cap <= 0) or volume < 0 or turnover < 0:
+        column = ("close" if trading and close <= 0
+                  else "market_cap" if trading and market_cap <= 0
+                  else "volume" if volume < 0 else "turnover_ratio")
+        bound = ">= 0" if column in ("volume", "turnover_ratio") else "> 0"
+        raise ValidationError(f"{path}:{line}: column '{column}': bar for "
+                              f"{row[0]} on {d.isoformat()} must be {bound}")
+
+
+def _check_snapshot(path, line, row):
+    """Raise the first error of a fundamentals.csv record, its key aside."""
+    _parse_date(row[1], path, line, "date")
+    for i in range(2, 18):
+        _parse_float(row[i], path, line, FUNDAMENTALS_COLUMNS[i])
+    try:
+        int(row[18])
+    except ValueError:
+        raise ParseError(
+            f"{path}:{line}: column 'industry_code': bad integer {row[18]!r}") from None
+
+
+def _check_benchmark(path, line, row):
+    """Raise the first error of a benchmark.csv record, its key aside."""
+    d = _parse_date(row[0], path, line, "date")
+    if _parse_float(row[1], path, line, "close") <= 0:
+        raise ValidationError(f"{path}:{line}: column 'close': "
+                              f"benchmark close on {d.isoformat()} must be > 0")
+
+
+# records read and converted at a time: one np.array call converts a chunk's
+# numbers, and only one chunk's text is held
+CHUNK_RECORDS = 1024
+# a (stock, date) key as one integer: stock code * DAYS + date ordinal
+DAYS = 1 << 32
+
+
+def _codes(texts, table, code):
+    """table[text] per text as an int64 array; a text new to table enters it
+    as code(text), in order of first appearance."""
+    for text in dict.fromkeys(texts):
+        if text not in table:
+            table[text] = code(text)
+    return np.fromiter(map(table.__getitem__, texts), np.int64, len(texts))
+
+
+def _ordinal(text):
+    """The ordinal of a date that _parse_date accepts, or -1."""
+    try:
+        return datetime.strptime(text, "%Y-%m-%d").toordinal()
+    except ValueError:
+        return -1
+
+
+def _numbers(columns):
+    """The columns as one float64 array, or None if float() rejects a value
+    or one is not finite."""
+    try:
+        values = np.array(columns, dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _read_table(path, columns, convert, check, duplicate):
+    """The parts convert makes of the file's records, CHUNK_RECORDS at a time.
+
+    convert(rows) gives the records' int keys and their part, None if a
+    record fails a mask; then check(path, line, row) names the first bad
+    record. The error raised is the first in file order: a record whose key
+    an earlier one holds (duplicate(key) names it), a bad record, or the
+    error that ends the file."""
+    failure = []
+
+    def records():
+        try:
+            yield from _read_rows(path, columns)
+        except DataError as exc:  # raised after the records read before it
+            failure.append(exc)
+
+    stream, keys, lines, parts = records(), [], [], []
+    while chunk := list(islice(stream, CHUNK_RECORDS)):
+        key, part = convert([row for _, row in chunk])
+        if part is None:
+            for n, (line, row) in enumerate(chunk):
+                try:
+                    check(path, line, row)
+                except DataError as exc:
+                    failure.insert(0, exc)
+                    chunk = chunk[:n]
+                    break
+            else:
+                raise RuntimeError(f"{path}: a record fails a mask but none of its checks")
+        keys.append(key[:len(chunk)])
+        lines.append(np.array([line for line, _ in chunk], dtype=np.int64))
+        parts.append(part)
+        if failure:
+            break
+    if keys:
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")  # the records of a key stay in file order
+        repeat = key[order][1:] == key[order][:-1]
+        if repeat.any():
+            i = order[1:][repeat].min()
+            raise ParseError(f"{path}:{np.concatenate(lines)[i]}: {duplicate(key[i])}")
+    if failure:
+        raise failure[0]
+    return parts
 
 
 def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
     """Load and validate the three-CSV dataset described in the README."""
-    bar_rows = []
-    seen = set()
-    parse_date = _date_parser(bars_path)
-    for line_no, row in _read_rows(bars_path, BARS_COLUMNS):
-        stock_id = row[0]
-        d = parse_date(row[1], line_no)
-        suspended_raw = row[7].strip()
-        if suspended_raw not in ("0", "1"):
-            raise ParseError(f"{bars_path}:{line_no}: column 'is_suspended': expected 0 or 1")
-        close, prev_close, volume, turnover, market_cap = [
-            _parse_float(row[i], bars_path, line_no, BARS_COLUMNS[i]) for i in range(2, 7)]
-        suspended = suspended_raw == "1"
-        if not suspended and (close <= 0 or market_cap <= 0) or volume < 0 or turnover < 0:
-            column = ("close" if not suspended and close <= 0
-                      else "market_cap" if not suspended and market_cap <= 0
-                      else "volume" if volume < 0 else "turnover_ratio")
-            bound = ">= 0" if column in ("volume", "turnover_ratio") else "> 0"
-            raise ValidationError(f"{bars_path}:{line_no}: column '{column}': bar for "
-                                  f"{stock_id} on {d.isoformat()} must be {bound}")
-        key = (stock_id, d)
-        if key in seen:
-            raise ParseError(
-                f"{bars_path}:{line_no}: duplicate bar for ({stock_id}, {d.isoformat()})")
-        seen.add(key)
-        bar_rows.append((stock_id, d, close, prev_close, volume, turnover, market_cap, suspended))
-    if not bar_rows:
-        raise ParseError(f"{bars_path}: no bars")
+    # stock id -> code, of bars and of snapshots; date text -> ordinal;
+    # is_suspended text -> 0, 1 or -1
+    bar_ids, snapshot_ids, days, flags = {}, {}, {}, {}
 
-    snapshots = []
-    seen.clear()
-    parse_date = _date_parser(fundamentals_path)
-    for line_no, row in _read_rows(fundamentals_path, FUNDAMENTALS_COLUMNS):
-        stock_id = row[0]
-        d = parse_date(row[1], line_no)
-        values = [
-            _parse_float(row[i], fundamentals_path, line_no, FUNDAMENTALS_COLUMNS[i])
-            for i in range(2, 18)
-        ]
+    def bars(rows):
+        stock_id, day, *numbers, flag = zip(*rows)
+        codes = _codes(stock_id, bar_ids, lambda _: len(bar_ids))
+        ordinals = _codes(day, days, _ordinal)
+        suspended = _codes(flag, flags, lambda text: {"0": 0, "1": 1}.get(text.strip(), -1))
+        values = _numbers(numbers)
+        key = codes * DAYS + ordinals
+        if values is None or (ordinals < 0).any() or (suspended < 0).any():
+            return key, None
+        close, _, volume, turnover, market_cap = values
+        trading = suspended == 0
+        if (trading & ((close <= 0) | (market_cap <= 0)) | (volume < 0) | (turnover < 0)).any():
+            return key, None
+        return key, (codes, ordinals, values, ~trading)
+
+    def snapshots(rows):
+        stock_id, day, *numbers, industry = zip(*rows)
+        ordinals = _codes(day, days, _ordinal)
+        key = _codes(stock_id, snapshot_ids, lambda _: len(snapshot_ids)) * DAYS + ordinals
+        values = _numbers(numbers)
         try:
-            industry_code = int(row[18])
+            industry = list(map(int, industry))
         except ValueError:
-            raise ParseError(
-                f"{fundamentals_path}:{line_no}: column 'industry_code': bad integer {row[18]!r}"
-            ) from None
-        key = (stock_id, d)
-        if key in seen:
-            raise ParseError(f"{fundamentals_path}:{line_no}: duplicate snapshot for "
-                             f"({stock_id}, {d.isoformat()})")
-        seen.add(key)
-        snapshots.append(FundamentalSnapshot(stock_id, d, *values, industry_code))
+            return key, None
+        if values is None or (ordinals < 0).any():
+            return key, None
+        dates = map(Date.fromordinal, ordinals.tolist())
+        return key, list(map(FundamentalSnapshot, stock_id, dates, *values.tolist(), industry))
 
-    benchmark: dict[Date, float] = {}
-    parse_date = _date_parser(benchmark_path)
-    for line_no, row in _read_rows(benchmark_path, BENCHMARK_COLUMNS):
-        d = parse_date(row[0], line_no)
-        close = _parse_float(row[1], benchmark_path, line_no, "close")
-        if close <= 0:
-            raise ValidationError(f"{benchmark_path}:{line_no}: column 'close': "
-                                  f"benchmark close on {d.isoformat()} must be > 0")
-        if d in benchmark:
-            raise ParseError(
-                f"{benchmark_path}:{line_no}: duplicate benchmark date {d.isoformat()}")
-        benchmark[d] = close
+    def benchmark_closes(rows):
+        day, close = zip(*rows)
+        ordinals = _codes(day, days, _ordinal)
+        values = _numbers([close])
+        if values is None or (ordinals < 0).any() or (values <= 0).any():
+            return ordinals, None
+        return ordinals, zip(map(Date.fromordinal, ordinals.tolist()), values[0].tolist())
 
-    dataset = MarketDataset.from_rows(bar_rows, snapshots, benchmark)
+    def iso(day):
+        return Date.fromordinal(day).isoformat()
+
+    bar_parts = _read_table(bars_path, BARS_COLUMNS, bars, _check_bar, lambda key:
+                            f"duplicate bar for ({list(bar_ids)[key // DAYS]}, {iso(key % DAYS)})")
+    if not bar_parts:
+        raise ParseError(f"{bars_path}: no bars")
+    snapshot_parts = _read_table(
+        fundamentals_path, FUNDAMENTALS_COLUMNS, snapshots, _check_snapshot, lambda key:
+        f"duplicate snapshot for ({list(snapshot_ids)[key // DAYS]}, {iso(key % DAYS)})")
+    benchmark = dict(chain.from_iterable(_read_table(
+        benchmark_path, BENCHMARK_COLUMNS, benchmark_closes, _check_benchmark,
+        lambda day: f"duplicate benchmark date {iso(day)}")))
+    dataset = MarketDataset.from_columns(
+        list(bar_ids), *(np.concatenate(column, axis=-1) for column in zip(*bar_parts)),
+        list(chain.from_iterable(snapshot_parts)), benchmark)
     for d in dataset.calendar.dates:
         if d not in benchmark:
             raise ValidationError(f"{benchmark_path}: missing calendar date {d.isoformat()}")

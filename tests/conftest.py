@@ -7,11 +7,18 @@ from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
 import rollingquant
 from rollingquant.marketdata import FundamentalSnapshot, MarketDataset, TradingCalendar
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
+
+# CI (GitHub Actions sets CI) runs every property test on the same examples
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def run_cli(*args, env=None):
@@ -78,9 +85,17 @@ def make_snapshot(stock_id, d, **overrides):
 
 
 def build_market(bars, benchmark, fundamentals=()):
-    """Dataset from bar rows, a date -> close benchmark and snapshots;
-    calendar = union of bar/benchmark dates."""
-    return MarketDataset.from_rows(bars, fundamentals, benchmark)
+    """Dataset from bar rows in BARS_COLUMNS order, a date -> close benchmark
+    and snapshots, transposed into MarketDataset.from_columns; calendar =
+    union of bar/benchmark dates."""
+    ids = {}
+    codes = [ids.setdefault(row[0], len(ids)) for row in bars]
+    columns = list(zip(*bars)) or [()] * 8
+    return MarketDataset.from_columns(
+        list(ids), np.array(codes, dtype=np.int64),
+        np.array([d.toordinal() for d in columns[1]], dtype=np.int64),
+        np.array(columns[2:7], dtype=np.float64).reshape(5, -1),
+        np.array(columns[7], dtype=bool), fundamentals, benchmark)
 
 
 def snapshots(market):

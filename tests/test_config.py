@@ -1,7 +1,10 @@
 """INI parsing: where each key lands, the defaults of absent keys, unknown
 sections and keys, bad values, and the seed derivation."""
 
+import csv
 import io
+import json
+import math
 from dataclasses import replace
 from datetime import date as Date
 from pathlib import Path
@@ -166,6 +169,51 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text
     assert main(["backtest", "--config", str(write_ini(tmp_path, **sections))]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# a 25-stock crash market on which three holdings turn over completely
+COSTS_RUN = {"run": {"seed": "1", "strategies": "linreg", "start": "2015-07-01",
+                     "holdings": "3"},
+             "data": {"n_stocks": "25", "regime": "crash"}}
+
+
+@pytest.mark.parametrize("rates", [{"commission_rate": "1.0"},
+                                   {"commission_rate": "0.5", "sell_tax_rate": "0.5"}],
+                         ids=["commission", "commission+tax"])
+def test_costs_taking_a_whole_sale_are_config_error(tmp_path, capsys, rates):
+    # a sale that pays all its proceeds in costs can leave a portfolio worth
+    # 0, and the next daily return then divided by it (ZeroDivisionError)
+    path = write_ini(tmp_path, **COSTS_RUN, costs=rates)
+    assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: [costs] commission_rate + sell_tax_rate must be below 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def csv_numbers(path):
+    """The fields of a CSV that float() reads, as floats."""
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            for field in row:
+                try:
+                    yield float(field)
+                except ValueError:  # a date, a stock id, a side, a header
+                    pass
+
+
+def test_costs_just_below_a_whole_sale_write_finite_numbers(tmp_path, capsys):
+    path = write_ini(tmp_path, **COSTS_RUN,
+                     costs={"commission_rate": "0.5", "sell_tax_rate": "0.49999"})
+    assert main(["backtest", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    files = sorted((tmp_path / "out" / "linreg").iterdir())
+    assert [f.name for f in files] == ["ranking.csv", "report.json", "series.csv", "trades.csv"]
+    for f in files[::2]:  # the CSVs: every field float() reads is finite
+        numbers = list(csv_numbers(f))
+        assert numbers and all(map(math.isfinite, numbers)), f.name
+    report = files[1].read_text()  # non-finite statistics would read "undefined"
+    assert "undefined" not in report
+    json.loads(report, parse_constant=lambda name: pytest.fail(f"report.json holds {name}"))
+    assert "net_return=-1.000000" in capsys.readouterr().out
 
 
 FLOAT_KEYS = [

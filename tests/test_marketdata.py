@@ -1,10 +1,15 @@
 """Dataset container, calendar, eligibility and CSV ingestion."""
 
+import csv
+import io
 import math
+import re
+import tracemalloc
 from datetime import date as Date
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import (
     build_market,
@@ -15,15 +20,26 @@ from conftest import (
     snapshots,
     weekdays,
 )
-from rollingquant.errors import ParseError, ValidationError
+from rollingquant import marketdata
+from rollingquant.errors import DataError, ParseError, ValidationError
 from rollingquant.exports import write_dataset
 from rollingquant.marketdata import (
+    BARS_COLUMNS,
+    BENCHMARK_COLUMNS,
+    FUNDAMENTALS_COLUMNS,
     MIN_HISTORY_DAYS,
+    FundamentalSnapshot,
+    MarketDataset,
+    StockBars,
     TradingCalendar,
+    _parse_date,
+    _parse_float,
+    _read_rows,
     action_days,
     eligible_universe,
     load_dataset,
 )
+from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 
 class TestTradingCalendar:
@@ -328,3 +344,304 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError,
                            match=r"benchmark\.csv:7: duplicate benchmark date 2015-06-03"):
             load_dataset(*paths)
+
+
+# --- the loader against its per-row oracle ---------------------------------
+
+def _oracle_date_parser(path):
+    parsed = {}
+    return lambda text, line: parsed.get(text) or parsed.setdefault(
+        text, _parse_date(text, path, line, "date"))
+
+
+def _oracle_market(bar_rows, snapshots, benchmark):
+    """The dataset from bar rows, grouped per stock row by row."""
+    by_stock = {}
+    for row in bar_rows:
+        by_stock.setdefault(row[0], []).append(row)
+    bars = {}
+    for stock_id, rows in by_stock.items():
+        rows.sort(key=lambda row: row[1])
+        bars[stock_id] = StockBars(*list(zip(*rows))[1:])
+    fundamentals = {}
+    for snap in snapshots:
+        fundamentals.setdefault(snap.stock_id, []).append(snap)
+    calendar = TradingCalendar(set(benchmark).union(*(b.dates for b in bars.values())))
+    return MarketDataset(bars, fundamentals, dict(benchmark), calendar)
+
+
+def oracle_load_dataset(bars_path, fundamentals_path, benchmark_path):
+    """load_dataset record by record, each value through _parse_float: the
+    errors it raises, in file order, and the dataset it builds."""
+    bar_rows = []
+    seen = set()
+    parse_date = _oracle_date_parser(bars_path)
+    for line_no, row in _read_rows(bars_path, BARS_COLUMNS):
+        stock_id = row[0]
+        d = parse_date(row[1], line_no)
+        suspended_raw = row[7].strip()
+        if suspended_raw not in ("0", "1"):
+            raise ParseError(f"{bars_path}:{line_no}: column 'is_suspended': expected 0 or 1")
+        close, prev_close, volume, turnover, market_cap = [
+            _parse_float(row[i], bars_path, line_no, BARS_COLUMNS[i]) for i in range(2, 7)]
+        suspended = suspended_raw == "1"
+        if not suspended and (close <= 0 or market_cap <= 0) or volume < 0 or turnover < 0:
+            column = ("close" if not suspended and close <= 0
+                      else "market_cap" if not suspended and market_cap <= 0
+                      else "volume" if volume < 0 else "turnover_ratio")
+            bound = ">= 0" if column in ("volume", "turnover_ratio") else "> 0"
+            raise ValidationError(f"{bars_path}:{line_no}: column '{column}': bar for "
+                                  f"{stock_id} on {d.isoformat()} must be {bound}")
+        key = (stock_id, d)
+        if key in seen:
+            raise ParseError(
+                f"{bars_path}:{line_no}: duplicate bar for ({stock_id}, {d.isoformat()})")
+        seen.add(key)
+        bar_rows.append((stock_id, d, close, prev_close, volume, turnover, market_cap, suspended))
+    if not bar_rows:
+        raise ParseError(f"{bars_path}: no bars")
+
+    snaps = []
+    seen.clear()
+    parse_date = _oracle_date_parser(fundamentals_path)
+    for line_no, row in _read_rows(fundamentals_path, FUNDAMENTALS_COLUMNS):
+        stock_id = row[0]
+        d = parse_date(row[1], line_no)
+        values = [
+            _parse_float(row[i], fundamentals_path, line_no, FUNDAMENTALS_COLUMNS[i])
+            for i in range(2, 18)
+        ]
+        try:
+            industry_code = int(row[18])
+        except ValueError:
+            raise ParseError(
+                f"{fundamentals_path}:{line_no}: column 'industry_code': bad integer {row[18]!r}"
+            ) from None
+        key = (stock_id, d)
+        if key in seen:
+            raise ParseError(f"{fundamentals_path}:{line_no}: duplicate snapshot for "
+                             f"({stock_id}, {d.isoformat()})")
+        seen.add(key)
+        snaps.append(FundamentalSnapshot(stock_id, d, *values, industry_code))
+
+    benchmark = {}
+    parse_date = _oracle_date_parser(benchmark_path)
+    for line_no, row in _read_rows(benchmark_path, BENCHMARK_COLUMNS):
+        d = parse_date(row[0], line_no)
+        close = _parse_float(row[1], benchmark_path, line_no, "close")
+        if close <= 0:
+            raise ValidationError(f"{benchmark_path}:{line_no}: column 'close': "
+                                  f"benchmark close on {d.isoformat()} must be > 0")
+        if d in benchmark:
+            raise ParseError(
+                f"{benchmark_path}:{line_no}: duplicate benchmark date {d.isoformat()}")
+        benchmark[d] = close
+
+    dataset = _oracle_market(bar_rows, snaps, benchmark)
+    for d in dataset.calendar.dates:
+        if d not in benchmark:
+            raise ValidationError(f"{benchmark_path}: missing calendar date {d.isoformat()}")
+    return dataset
+
+
+def assert_same_dataset(got, want):
+    assert list(got.bars) == list(want.bars)
+    for stock_id, bars in want.bars.items():
+        assert got.bars[stock_id].dates == bars.dates
+        for column in ("close", "prev_close", "volume", "turnover", "market_cap", "suspended"):
+            a, b = getattr(got.bars[stock_id], column), getattr(bars, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()  # -0.0 stays -0.0
+    assert got.fundamentals == want.fundamentals
+    assert list(got.benchmark.items()) == list(want.benchmark.items())
+    assert got.calendar.dates == want.calendar.dates
+
+
+def outcome(load, paths):
+    """('ok', dataset) or (exception class, message) of load(*paths)."""
+    try:
+        return "ok", load(*paths)
+    except Exception as exc:  # every exception, so that a crash is compared too
+        return type(exc), str(exc)
+
+
+def assert_matches_oracle(paths):
+    got, want = outcome(load_dataset, paths), outcome(oracle_load_dataset, paths)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "ok":
+        assert_same_dataset(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return want
+
+
+SWEEP_DAYS = ["2015-06-01", "2015-06-02", "2015-06-03", "2015-06-04"]
+
+
+def sweep_tables():
+    """Header and records of a valid two-stock, four-day market: 8 bars
+    (three chunks of 3), 3 snapshots and 4 benchmark closes, as text."""
+    bars = [list(BARS_COLUMNS)] + [
+        [s, d, f"{10 + i + j}.5", f"{10 + i + j}", "0.2", "0.02", f"{100 + i}", "0"]
+        for j, s in enumerate("AB") for i, d in enumerate(SWEEP_DAYS)]
+    snaps = [list(FUNDAMENTALS_COLUMNS)] + [
+        [s, d, *(f"{k + 1}.25" for k in range(16)), "3"]
+        for s, d in [("A", SWEEP_DAYS[0]), ("B", SWEEP_DAYS[0]), ("A", SWEEP_DAYS[2])]]
+    bench = [list(BENCHMARK_COLUMNS)] + [[d, f"{3000 + i}"] for i, d in enumerate(SWEEP_DAYS)]
+    return [bars, snaps, bench]
+
+
+# field values: numbers at the edges of what float() and the bounds accept,
+# and texts for the id, date and is_suspended columns
+SWEEP_NUMBERS = [
+    "0", "-0", "1e308", "1e309", "-1e309", "4.9e-324", "2.5e-320", "1e-400", "nan", "NaN",
+    "inf", "1_0", "1__0", " 1.5", "1.5 ", "١٢", "\xa01.5", "", "oops", "-1", "-0.5", "1.0",
+    "0x1", "9" * 30,
+]
+SWEEP_TEXTS = [
+    "2015-06-03", "2015-6-3", "2015-02-30", "20150603", "A", "B", "x\ny", '"', "a,b",
+    "\x00", "0", "1", " 1", "1 ", "2",
+]
+_index = st.sampled_from(range(1 << 10))  # taken modulo the records or fields there are
+_file = st.sampled_from([0, 0, 1, 2])  # bars.csv, which has the most checks, twice as often
+_field = st.tuples(st.just("field"), _file, _index, _index, st.one_of(
+    st.sampled_from(["0", "-0", "-1", "-0.5", " 1", "0 "]),  # at a check's edge, a third of the time
+    st.sampled_from(SWEEP_NUMBERS), st.sampled_from(SWEEP_TEXTS)))
+SWEEP_EDITS = st.one_of(
+    _field, _field, _field, _field, _field,
+    st.tuples(st.just("copy"), _file, _index, _index),
+    st.tuples(st.just("drop"), _file, _index),
+    st.tuples(st.just("swap"), _file, _index, _index),
+    st.tuples(st.just("width"), _file, _index, st.sampled_from([-1, 1])),
+    st.tuples(st.just("byte"), _file, st.floats(0, 1),
+              st.sampled_from([b"\xff", b"\xc3", b"\x00", b'"', b",", b"\n", b"\r", b"9", b""]),
+              st.booleans()),
+)
+
+
+def write_sweep_case(directory, edits):
+    """The three files of sweep_tables() after edits, in order: a record's
+    field set, a line copied to a place, a record dropped or swapped with another,
+    a line (the header too) with a field too many or too few, then byte
+    edits (insert or overwrite) of the written text past the header."""
+    tables = sweep_tables()
+    for kind, file, *args in edits:
+        rows = tables[file]
+        if kind == "field" and len(rows) > 1:
+            row = rows[1 + args[0] % (len(rows) - 1)]
+            if row:
+                row[args[1] % len(row)] = args[2]
+            else:  # a record a width edit emptied
+                row.append(args[2])
+        elif kind == "copy":  # the header too, to a place after it
+            rows.insert(1 + args[1] % len(rows), list(rows[args[0] % len(rows)]))
+        elif kind == "drop" and len(rows) > 1:
+            del rows[1 + args[0] % (len(rows) - 1)]
+        elif kind == "swap" and len(rows) > 1:
+            i, j = (1 + a % (len(rows) - 1) for a in args)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "width":
+            row = rows[args[0] % len(rows)]  # the header too
+            if args[1] > 0:
+                row.append("1")
+            elif row:
+                row.pop()
+    paths = [directory / name for name in ("bars.csv", "fundamentals.csv", "benchmark.csv")]
+    data = []
+    for rows in tables:
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        data.append(bytearray(text.getvalue().encode("utf-8")))
+    for kind, file, *args in edits:
+        if kind == "byte":  # past the header, which _read_rows checks for both loaders
+            start = data[file].find(b"\n") + 1
+            at = start + int(args[0] * (len(data[file]) - start))
+            data[file][at:at + (1 if args[2] else 0)] = args[1]
+    for path, blob in zip(paths, data):
+        path.write_bytes(bytes(blob))
+    return paths
+
+
+class TestLoaderOracle:
+    """load_dataset, chunk by chunk and column by column, against
+    oracle_load_dataset, record by record: the same dataset or the same
+    error (class and message), with chunks of 3 records."""
+
+    @seed(16)
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(SWEEP_EDITS, max_size=3))
+    def test_sweep_matches_oracle(self, tmp_path_factory, edits):
+        paths = write_sweep_case(tmp_path_factory.mktemp("sweep"), edits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(marketdata, "CHUNK_RECORDS", 3)
+            assert_matches_oracle(paths)
+
+    def test_unedited_case_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+        assert assert_matches_oracle(write_sweep_case(tmp_path, []))[0] == "ok"
+
+    @pytest.mark.parametrize("edits,error", [
+        # a repeated key in the first chunk before a bad value in the third
+        ([("field", 0, 1, 1, SWEEP_DAYS[0]), ("field", 0, 7, 2, "oops")],
+         r"bars\.csv:3: duplicate bar for \(A, 2015-06-01\)"),
+        # a bad value in the first chunk before a repeat in the third
+        ([("field", 0, 1, 2, "oops"), ("field", 0, 7, 1, SWEEP_DAYS[0])],
+         r"bars\.csv:3: column 'close': bad number 'oops'"),
+        # a value error in the record before a wrong field count
+        ([("field", 0, 3, 5, "-1"), ("width", 0, 5, 1)],
+         r"bars\.csv:5: column 'turnover_ratio': bar for A on 2015-06-04 must be >= 0"),
+        ([("width", 0, 4, 1), ("field", 0, 4, 5, "-1")], r"bars\.csv:5: expected 8 fields, got 9"),
+        # a quoted newline moves the lines after it
+        ([("field", 2, 0, 0, "x\ny"), ("field", 2, 2, 1, "0")],
+         r"benchmark\.csv:3: column 'date': bad date 'x\\ny'"),
+        ([("field", 0, 0, 0, "x\ny"), ("field", 0, 2, 2, "0")],
+         r"bars\.csv:5: column 'close': bar for A on 2015-06-03 must be > 0"),
+        ([("field", 1, 2, 18, "1.0")],
+         r"fundamentals\.csv:4: column 'industry_code': bad integer '1\.0'"),
+        ([("copy", 2, 2, 4)], r"benchmark\.csv:6: duplicate benchmark date 2015-06-02"),
+        ([("drop", 2, 1)], r"benchmark\.csv: missing calendar date 2015-06-02"),
+    ], ids=["repeat-first", "value-first", "value-before-width", "width-before-value",
+            "quoted-newline", "quoted-id", "industry", "benchmark-repeat", "benchmark-gap"])
+    def test_first_error_in_file_order(self, tmp_path, monkeypatch, edits, error):
+        monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+        kind, message = assert_matches_oracle(write_sweep_case(tmp_path, edits))
+        assert issubclass(kind, DataError) and re.fullmatch(f".*{error}", message)
+
+    @pytest.mark.parametrize("late", ["not-utf8", "huge-field"])
+    def test_value_error_before_a_later_structural_error(self, tmp_path, monkeypatch, late):
+        """A structural error past the first block of text the reader decodes
+        comes after a value error in an earlier record, and alone it is raised."""
+        monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+        paths = write_sweep_case(tmp_path, [])
+        lines = paths[0].read_text().splitlines()
+        filler = [f"Z,{d},1,1,0,0,1,0" for d in weekdays(Date(1998, 1, 1), Date(2001, 12, 31))]
+        tail = "\xff" if late == "not-utf8" else "9" * 140_000
+        for bad_close in ("oops", "10"):
+            text = "\n".join([lines[0], lines[1].replace(",10.5,", f",{bad_close},"),
+                              *lines[2:], *filler]) + "\n"
+            blob = text.encode() + (b"\xff\n" if late == "not-utf8" else f"{tail}\n".encode())
+            paths[0].write_bytes(blob)
+            assert len(blob) > 20_000
+            kind, message = assert_matches_oracle(paths)
+            first = "bad number 'oops'" if bad_close == "oops" else (
+                "is not UTF-8 text" if late == "not-utf8" else "field larger than field limit")
+            assert first in message
+
+
+def test_loader_peak_memory_within_oracle_bound(tmp_path):
+    """The loader's traced allocation peak on a 25-stock generated market is
+    at most 1.25 times the per-row oracle's."""
+    write_dataset(generate_synthetic_market(SyntheticMarketConfig(
+        seed=1, n_stocks=25, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
+        regime="crash", planted_signal_strength=0.5)), tmp_path)
+    paths = [tmp_path / name for name in ("bars.csv", "fundamentals.csv", "benchmark.csv")]
+    peaks = []
+    for load in (load_dataset, oracle_load_dataset):
+        tracemalloc.start()
+        try:
+            dataset = load(*paths)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del dataset
+    assert peaks[0] <= 1.25 * peaks[1], peaks
