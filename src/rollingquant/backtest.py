@@ -190,7 +190,9 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
                                     prices.keys() - traded))
         values.append(portfolio.valuation(last_close))
 
-    bench = [dataset.benchmark[d] for d in days]
+    # days is a run of the calendar
+    first = dataset.calendar.index[days[0]]
+    bench = dataset.benchmark[first:first + len(days)].tolist()
     bench_returns = [b1 / b0 - 1.0 for b0, b1 in zip(bench, bench[1:])]
 
     return BacktestResult(

@@ -47,15 +47,13 @@ def cmd_gen_data(config, out=None):
     out = out if out is not None else sys.stdout
     if config.synthetic is None:
         raise ConfigError("gen-data requires data.source = synthetic")
-    dataset = generate_synthetic_market(config.synthetic)
+    dataset, _ = generate_synthetic_market(config.synthetic)
     with _writing(config.out_dir):
         write_dataset(dataset, config.out_dir)
-    n_bars = sum(len(v) for v in dataset.bars.values())
     dates = dataset.calendar.dates
-    bench = [dataset.benchmark[d] for d in dates]
-    cumulative = bench[-1] / bench[0] - 1.0
-    print(f"stocks: {len(dataset.bars)}", file=out)
-    print(f"bars: {n_bars}", file=out)
+    cumulative = float(dataset.benchmark[-1] / dataset.benchmark[0]) - 1.0
+    print(f"stocks: {len(dataset.stocks)}", file=out)
+    print(f"bars: {int((dataset.bar_days >= 0).sum())}", file=out)
     print(f"span: {dates[0].isoformat()}..{dates[-1].isoformat()}", file=out)
     print(f"benchmark_cumulative_return: {cumulative:.6f}", file=out)
     return 0
@@ -67,7 +65,7 @@ def cmd_backtest(config, out=None):
         dataset = load_dataset(config.bars_path, config.fundamentals_path,
                                config.benchmark_path)
     else:
-        dataset = generate_synthetic_market(config.synthetic)
+        dataset, _ = generate_synthetic_market(config.synthetic)
     strategy_dirs = [Path(config.out_dir) / strategy for strategy in config.strategies]
     with _writing(config.out_dir):  # an unwritable --out fails before any scenario runs
         for strategy_dir in strategy_dirs:

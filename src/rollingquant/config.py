@@ -10,11 +10,11 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime
 from pathlib import Path
 
 from .backtest import CostModel, ScenarioConfig
 from .errors import ConfigError, ValidationError, not_utf8
+from .marketdata import iso_date
 from .metrics import DEFAULT_RISK_FREE_ANNUAL
 from .numerics import TrainConfig
 from .strategies import STRATEGY_KINDS
@@ -46,7 +46,7 @@ class RunConfig:
 def _iso_date(key: str):
     def parse(text: str):
         try:
-            return datetime.strptime(text, "%Y-%m-%d").date()
+            return iso_date(text)
         except ValueError:
             raise ConfigError(f"{key}: expected YYYY-MM-DD, got {text!r}") from None
     return parse

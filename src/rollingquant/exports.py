@@ -8,7 +8,11 @@ identical runs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+from datetime import date as Date
+from itertools import chain, compress, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, ParseError
 from .marketdata import (BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset,
@@ -18,8 +22,7 @@ from .marketdata import (BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, 
 SERIES_COLUMNS = ["date", "portfolio_value", "portfolio_daily_return", "benchmark_daily_return"]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_fmt = "{:.17g}".format
 
 
 def _write_csv(path, header, rows):
@@ -30,20 +33,28 @@ def _write_csv(path, header, rows):
 
 
 def write_dataset(dataset: MarketDataset, out_dir):
-    """bars.csv, fundamentals.csv and benchmark.csv under out_dir."""
+    """bars.csv, fundamentals.csv and benchmark.csv under out_dir, column by column."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "bars.csv", BARS_COLUMNS, (
-        [stock_id, d.isoformat(), *map(_fmt, values), "1" if suspended else "0"]
-        for stock_id, d, *values, suspended in dataset.bar_rows()))
-    _write_csv(out_dir / "fundamentals.csv", FUNDAMENTALS_COLUMNS, (
-        [snap.stock_id, snap.date.isoformat(),
-         *(_fmt(getattr(snap, name)) for name in FUNDAMENTALS_COLUMNS[2:18]),
-         str(snap.industry_code)]
-        for stock_id in sorted(dataset.fundamentals)
-        for snap in dataset.fundamentals[stock_id]))
+    iso = [d.isoformat() for d in dataset.calendar.dates]
+    # the bars in stock and date order
+    bars = dataset.bar_days >= 0
+    _write_csv(out_dir / "bars.csv", BARS_COLUMNS, zip(
+        chain.from_iterable(map(repeat, dataset.stocks, bars.sum(axis=1).tolist())),
+        map(iso.__getitem__, dataset.bar_days[bars].tolist()),
+        *(map(_fmt, column[bars].tolist()) for column in (
+            dataset.close, dataset.prev_close, dataset.volume, dataset.turnover,
+            dataset.market_cap)),
+        map("01".__getitem__, dataset.suspended[bars].tolist())))
+    _write_csv(out_dir / "fundamentals.csv", FUNDAMENTALS_COLUMNS, zip(
+        chain.from_iterable(map(repeat, dataset.stocks,
+                                np.diff(dataset.snapshot_bounds).tolist())),
+        (Date.fromordinal(day).isoformat() for day in dataset.snapshot_days.tolist()),
+        *(map(_fmt, column.tolist()) for column in dataset.snapshot_values.T),
+        map(str, dataset.industry)))
+    closes = ~np.isnan(dataset.benchmark)
     _write_csv(out_dir / "benchmark.csv", BENCHMARK_COLUMNS,
-               ([d.isoformat(), _fmt(dataset.benchmark[d])] for d in sorted(dataset.benchmark)))
+               zip(compress(iso, closes), map(_fmt, dataset.benchmark[closes].tolist())))
 
 
 def write_series_csv(result, path):

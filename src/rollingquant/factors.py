@@ -5,9 +5,10 @@ windows: 1/3/6/12 months = 21/63/126/252 days; the 2-year turnover baseline
 uses up to 504 days (at least 252 required). Missing or non-computable
 values are masked and later imputed with the cross-sectional median.
 
-A MarketStore computes each date's panel once for the whole market from
-(stocks, T) matrices: window statistics reduce gathered (stocks, w) windows
-along their last axis, and ratios are column arithmetic over the snapshots.
+A MarketStore computes each date's panel once for the whole market from the
+dataset's (stocks, T) matrices: window statistics reduce gathered (stocks, w)
+windows along their last axis, and ratios are column arithmetic over the
+snapshot rows.
 """
 
 from __future__ import annotations
@@ -116,31 +117,19 @@ def _windows(matrix, rows, ends, w):
 
 class MarketStore:
     """Point-in-time columnar view of one MarketDataset, shared by the
-    strategies of a run. Row i of each (stocks, T) matrix holds stocks[i]'s
-    series along its own bar dates, NaN past its last bar. Each date's panel
-    is computed once, so the dataset must not change while the store is in
-    use: build one per run, and never keep one on the dataset.
+    strategies of a run. It reads the dataset's (stocks, T) matrices in
+    place and adds the series derived from them, along each stock's own bar
+    dates. Each date's panel is computed once, so the dataset must not
+    change while the store is in use: build one per run, and never keep one
+    on the dataset.
     """
 
     def __init__(self, dataset: MarketDataset):
         self.dataset = dataset
-        self.stocks = dataset.stock_ids()
-        self.row_of = {stock_id: i for i, stock_id in enumerate(self.stocks)}
-        bars = [dataset.bars[stock_id] for stock_id in self.stocks]
-        # at least one column, so that an empty market still has a series
-        width = max((len(b) for b in bars), default=1)
-
-        def matrix(series):
-            out = np.full((len(bars), width), np.nan)
-            for row, values in zip(out, series):
-                row[:len(values)] = values
-            return out
-
-        self.close = matrix(b.close for b in bars)
-        self.market_cap = matrix(b.market_cap for b in bars)
-        self.turnover = matrix(b.turnover for b in bars)
-        self.benchmark = matrix([dataset.benchmark.get(d, np.nan) for d in b.dates]
-                                for b in bars)
+        self.close, self.market_cap, self.turnover = \
+            dataset.close, dataset.market_cap, dataset.turnover
+        self.benchmark = np.where(dataset.bar_days >= 0, dataset.benchmark[dataset.bar_days],
+                                  np.nan)
         # returns[:, t] belongs to the bar at t + 1; the return into a close
         # <= 0 is NaN, not a -100% move
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,26 +143,25 @@ class MarketStore:
 
     def panel(self, d: Date):
         """(values, missing) of every stock on d, from data at or before d, in
-        self.stocks order, then one all-missing row."""
+        dataset.stocks order, then one all-missing row."""
         if d not in self._panels:
             self._panels[d] = self._compute_panel(d)
         return self._panels[d]
 
     def _compute_panel(self, d: Date):
-        # (row, position of the bar on d) of each stock with one
-        found = [(i, p) for i, stock_id in enumerate(self.stocks)
-                 if (p := self.dataset.bars[stock_id].position(d)) is not None]
-        rows, pos = np.array(found, dtype=np.intp).reshape(-1, 2).T
+        dataset = self.dataset
+        rows, pos = dataset.bars_on(d)
         values = np.full((len(rows), N_FACTORS), np.nan)
         close, mcap = self.close[rows, pos], self.market_cap[rows, pos]
         # math.log per value: np.log may round differently
         for index, column in ((FACTOR_INDEX["LN_PRICE"], close), (LN_MCAP_INDEX, mcap)):
             values[:, index] = [math.log(x) if x > 0 else math.nan for x in column.tolist()]
 
-        snaps = [self.dataset.fundamental_asof(self.stocks[i], d) if m > 0 else None
-                 for i, m in zip(rows, mcap)]
-        columns = {name: np.array([math.nan if s is None else getattr(s, name) for s in snaps])
-                   for name in FUNDAMENTALS_COLUMNS[2:18]}
+        # each stock's latest snapshot, while its market cap is > 0
+        snaps = np.where(mcap > 0, dataset.snapshot_asof(rows, d), -1)
+        fundamentals = np.full((len(rows), 16), np.nan)
+        fundamentals[snaps >= 0] = dataset.snapshot_values[snaps[snaps >= 0]]
+        columns = dict(zip(FUNDAMENTALS_COLUMNS[2:18], fundamentals.T))
         columns["market_cap"] = mcap
         with np.errstate(all="ignore"):  # overflow and x/0 give inf or nan, as in Python
             columns["net_profit_cut"] = columns["net_profit"] - columns["non_recurring_gain_loss"]
@@ -221,7 +209,7 @@ class MarketStore:
         ok = pos + 1 >= MACD_MIN_OBSERVATIONS
         values[ok, FACTOR_INDEX["MACD"]:] = self.macd[rows[ok], pos[ok]]
 
-        full = np.full((len(self.stocks) + 1, N_FACTORS), np.nan)
+        full = np.full((len(dataset.stocks) + 1, N_FACTORS), np.nan)
         full[rows] = values
         missing = ~np.isfinite(full)
         return np.where(missing, 0.0, full), missing
@@ -253,7 +241,7 @@ def build_panel(store: MarketStore, universe, d: Date) -> FactorPanel:
     stock the dataset lacks takes the store's all-missing last row."""
     stocks = sorted(universe)
     values, missing = store.panel(d)
-    rows = [store.row_of.get(stock_id, -1) for stock_id in stocks]
+    rows = [store.dataset.row_of.get(stock_id, -1) for stock_id in stocks]
     return FactorPanel(date=d, stocks=stocks, matrix=values[rows], missing=missing[rows])
 
 

@@ -1,84 +1,48 @@
 """Daily bars, fundamentals, benchmark and trading-calendar handling.
 
-The dataset holds each stock's bars as columns along its own bar dates, its
-fundamental snapshots sorted by date, and the benchmark as a date -> close
-mapping. Everything downstream (factors, strategies, backtest) reads it
-afresh on each call; the factor store lives for one run or one call and is
-never kept on the dataset.
+The dataset holds the market in the layout the factor store reads: each
+stock's bars as rows of (stocks, T) matrices, its fundamental snapshots as
+rows of one (snapshots, 16) matrix, and the benchmark as an array on the
+trading calendar. Everything downstream (factors, strategies, backtest)
+reads it afresh on each call; the factor store lives for one run or one call
+and is never kept on the dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
-from datetime import datetime
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .errors import DataError, ParseError, ValidationError, not_utf8
 
-
-class StockBars:
-    """One stock's bars as columns along its strictly increasing dates."""
-
-    def __init__(self, dates, close, prev_close, volume, turnover, market_cap, suspended):
-        self.dates = list(dates)
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValidationError("bar dates must be strictly increasing")
-        self.close = np.asarray(close, dtype=float)
-        self.prev_close = np.asarray(prev_close, dtype=float)
-        self.volume = np.asarray(volume, dtype=float)
-        self.turnover = np.asarray(turnover, dtype=float)
-        self.market_cap = np.asarray(market_cap, dtype=float)
-        self.suspended = np.asarray(suspended, dtype=bool)
-
-    def __len__(self):
-        return len(self.dates)
-
-    def position(self, d: Date):
-        """Index of the bar dated d, or None; it equals the bars before d."""
-        i = bisect_left(self.dates, d)
-        return i if i < len(self.dates) and self.dates[i] == d else None
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-@dataclass
-class FundamentalSnapshot:
-    stock_id: str
-    date: Date
-    net_profit: float
-    non_recurring_gain_loss: float
-    net_assets: float
-    total_assets: float
-    avg_total_assets: float
-    long_term_debt: float
-    operating_revenue: float
-    operate_income: float
-    gross_profit: float
-    net_cash_flow: float
-    net_operate_cash_flow: float
-    net_profit_growth: float
-    cash: float
-    current_assets: float
-    current_liabilities: float
-    equity: float
-    industry_code: int
+def iso_date(text: str) -> Date:
+    """The date of a YYYY-MM-DD text of ASCII digits; ValueError for any
+    other text, such as 2015-6-3."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return Date.fromisoformat(text)
 
 
 class TradingCalendar:
-    """Ordered trading dates with month-end lookup."""
+    """Ordered trading dates with month-end lookup; index[d] is d's position."""
 
     def __init__(self, dates):
         self.dates = sorted(dates)
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValidationError("calendar dates must be strictly increasing")
+        self.index = {d: i for i, d in enumerate(self.dates)}
         # last trading date of each (year, month) present in the calendar
-        self._month_last: dict[tuple[int, int], Date] = {}
-        for d in self.dates:
-            self._month_last[(d.year, d.month)] = d
+        self._month_last = {(d.year, d.month): d for d in self.dates}
 
     def days_between(self, start: Date, end: Date):
         """Trading dates d with start <= d <= end."""
@@ -96,71 +60,112 @@ def action_days(calendar: TradingCalendar, start: Date, end: Date):
     return [d for d in calendar.month_last_days() if start <= d <= end]
 
 
-@dataclass
-class MarketDataset:
-    """bars[stock_id] -> StockBars; fundamentals[stock_id] -> snapshots,
-    sorted by date at construction, at most one per date."""
+# a (stock, date) key as one integer: stock row or code * DAYS + date ordinal
+DAYS = 1 << 32
 
-    bars: dict[str, StockBars]
-    fundamentals: dict[str, list[FundamentalSnapshot]]
-    benchmark: dict[Date, float]
+
+@dataclass(eq=False)
+class MarketDataset:
+    """One market as arrays. Row i of each (stocks, T) bar matrix holds
+    stocks[i]'s bars in date order, left-aligned: bar_days holds each bar's
+    calendar position, -1 past the last bar, where the number matrices are
+    NaN and suspended is False; a stock may have snapshots and no bars. The
+    benchmark is the close on each calendar date, NaN without one. Snapshot
+    rows are sorted by stock and date, stocks[i]'s at snapshot_bounds[i]:
+    snapshot_bounds[i + 1], their numbers in FUNDAMENTALS_COLUMNS[2:18] order.
+    """
+
+    stocks: list[str]
     calendar: TradingCalendar
-    latent_quality: dict[str, float] | None = field(default=None, repr=False)
+    bar_days: np.ndarray
+    close: np.ndarray
+    prev_close: np.ndarray
+    volume: np.ndarray
+    turnover: np.ndarray
+    market_cap: np.ndarray
+    suspended: np.ndarray
+    benchmark: np.ndarray
+    snapshot_bounds: np.ndarray
+    snapshot_days: np.ndarray       # date ordinals
+    snapshot_values: np.ndarray
+    industry: np.ndarray            # Python ints, which int() reads at any size
 
     def __post_init__(self):
-        for stock_id, snaps in self.fundamentals.items():
-            snaps.sort(key=lambda snap: snap.date)
-            for a, b in zip(snaps, snaps[1:]):
-                if a.date == b.date:
-                    raise ValidationError(
-                        f"duplicate snapshot for ({stock_id}, {b.date.isoformat()})")
+        self.row_of = {stock_id: i for i, stock_id in enumerate(self.stocks)}
+        # bar_at[i, c]: the position of stocks[i]'s bar on calendar date c, or -1
+        self.bar_at = np.full((len(self.stocks), len(self.calendar.dates)), -1)
+        rows, positions = np.nonzero(self.bar_days >= 0)
+        self.bar_at[rows, self.bar_days[rows, positions]] = positions
+        self._snapshot_keys = self.snapshot_days + DAYS * np.repeat(
+            np.arange(len(self.stocks)), np.diff(self.snapshot_bounds))
 
     @classmethod
-    def from_columns(cls, stock_ids, codes, days, values, suspended, snapshots, benchmark):
-        """Dataset from bar columns (each bar's stock as a code into stock_ids,
-        its date as an ordinal, its close, prev_close, volume, turnover and
-        market cap as a (5, bars) array, its suspension flag), grouped per
-        stock by one sort, fundamental snapshots and a date -> close
-        benchmark; the calendar is the union of the bar and benchmark dates."""
-        order = np.lexsort((days, codes))
-        codes, days = codes[order], days[order]
-        values, suspended = values[:, order], suspended[order]
-        dates = {day: Date.fromordinal(day) for day in np.unique(days).tolist()}
-        bounds = np.searchsorted(codes, np.arange(len(stock_ids) + 1)).tolist()
-        bars = {stock_id: StockBars(list(map(dates.__getitem__, days[lo:hi].tolist())),
-                                    *values[:, lo:hi], suspended[lo:hi])
-                for stock_id, lo, hi in zip(stock_ids, bounds, bounds[1:])}
-        fundamentals: dict[str, list[FundamentalSnapshot]] = {}
-        for snap in snapshots:
-            fundamentals.setdefault(snap.stock_id, []).append(snap)
-        calendar = TradingCalendar(set(benchmark).union(dates.values()))
-        return cls(bars, fundamentals, dict(benchmark), calendar)
+    def from_columns(cls, bars, snapshots, benchmark):
+        """Dataset from columns in any order: bars = (ids, codes, days,
+        values, suspended), each bar's stock as a code into ids, its date
+        ordinal, its close, prev_close, volume, turnover and market cap as a
+        (5, bars) array and its suspension flag; snapshots = (ids, codes,
+        days, values, industry) likewise, with a (16, snapshots) array;
+        benchmark = (days, closes). The calendar is the union of the bar and
+        benchmark dates."""
+        stocks = sorted(set(bars[0]).union(snapshots[0]))
+        row_of = {stock_id: i for i, stock_id in enumerate(stocks)}
 
-    def bar_rows(self):
-        """Bar rows in BARS_COLUMNS order by stock and date."""
-        for stock_id in self.stock_ids():
-            b = self.bars[stock_id]
-            for row in zip(b.dates, b.close.tolist(), b.prev_close.tolist(),
-                           b.volume.tolist(), b.turnover.tolist(),
-                           b.market_cap.tolist(), b.suspended.tolist()):
-                yield (stock_id, *row)
+        def by_stock(ids, codes, days, *columns):
+            """The records' (stock row, date) keys, sorted, and their columns."""
+            keys = np.array([row_of[s] for s in ids], dtype=np.int64)[codes] * DAYS + days
+            order = np.argsort(keys, kind="stable")
+            return keys[order], [column[..., order] for column in columns]
 
-    def stock_ids(self):
-        return sorted(self.bars)
+        keys, (values, suspended) = by_stock(*bars)
+        if (keys[1:] == keys[:-1]).any():
+            raise ValidationError("bar dates must be strictly increasing")
+        rows, days = keys // DAYS, keys % DAYS
+        ordinals = np.union1d(days, benchmark[0])
+        counts = np.bincount(rows, minlength=len(stocks))
+        positions = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        # at least one column, so that an empty market still has a series
+        shape = (len(stocks), max(counts.max(initial=0), 1))
+
+        def matrix(column, fill=np.nan):
+            out = np.full(shape, fill, dtype=column.dtype)
+            out[rows, positions] = column
+            return out
+
+        snapshot_keys, (snapshot_values, industry) = by_stock(*snapshots)
+        repeat = np.flatnonzero(snapshot_keys[1:] == snapshot_keys[:-1])
+        if repeat.size:
+            key = int(snapshot_keys[repeat[0]])
+            raise ValidationError(f"duplicate snapshot for ({stocks[key // DAYS]}, "
+                                  f"{Date.fromordinal(key % DAYS).isoformat()})")
+        closes = np.full(len(ordinals), np.nan)
+        closes[np.searchsorted(ordinals, benchmark[0])] = benchmark[1]
+        return cls(
+            stocks, TradingCalendar(map(Date.fromordinal, ordinals.tolist())),
+            matrix(np.searchsorted(ordinals, days), -1), *map(matrix, values),
+            matrix(suspended, False), closes,
+            np.searchsorted(snapshot_keys // DAYS, np.arange(len(stocks) + 1)),
+            snapshot_keys % DAYS, np.ascontiguousarray(snapshot_values.T), industry)
 
     def tradeable_close(self, stock_id: str, d: Date):
         """The stock's close on d, or None without a bar on d or while suspended."""
-        bars = self.bars.get(stock_id)
-        i = None if bars is None else bars.position(d)
-        if i is None or bars.suspended[i]:
-            return None
-        return float(bars.close[i])
+        i, c = self.row_of.get(stock_id), self.calendar.index.get(d)
+        p = -1 if i is None or c is None else self.bar_at.item(i, c)
+        return None if p < 0 or self.suspended.item(i, p) else self.close.item(i, p)
 
-    def fundamental_asof(self, stock_id: str, d: Date):
-        """Latest snapshot dated at or before d, or None."""
-        snaps = self.fundamentals.get(stock_id, ())
-        i = bisect_right(snaps, d, key=lambda snap: snap.date)
-        return snaps[i - 1] if i else None
+    def bars_on(self, d: Date):
+        """(rows, positions) of the stocks with a bar on d, and of the bars."""
+        c = self.calendar.index.get(d)
+        positions = self.bar_at[:, c] if c is not None else np.full(len(self.stocks), -1)
+        rows = np.flatnonzero(positions >= 0)
+        return rows, positions[rows]
+
+    def snapshot_asof(self, rows, d: Date):
+        """The row of the latest snapshot dated at or before d of each stock
+        row in rows, or -1."""
+        rows = np.asarray(rows, dtype=np.int64)
+        found = np.searchsorted(self._snapshot_keys, rows * DAYS + d.toordinal(), "right") - 1
+        return np.where(found >= self.snapshot_bounds[rows], found, -1)
 
 
 # bars of history a stock needs before the day it is eligible on
@@ -170,15 +175,11 @@ MIN_HISTORY_DAYS = 252
 def eligible_universe(dataset: MarketDataset, d: Date):
     """Stocks on d with MIN_HISTORY_DAYS bars before it, not suspended and
     with a fundamental snapshot: tradeable and fully factor-computable."""
-    out = set()
-    for stock_id, bars in dataset.bars.items():
-        # the position of the day's bar counts the history before it
-        i = bars.position(d)
-        if i is None or i < MIN_HISTORY_DAYS or bars.suspended[i]:
-            continue
-        if dataset.fundamental_asof(stock_id, d) is not None:
-            out.add(stock_id)
-    return out
+    rows, positions = dataset.bars_on(d)
+    # the position of the day's bar counts the history before it
+    rows = rows[(positions >= MIN_HISTORY_DAYS) & ~dataset.suspended[rows, positions]]
+    rows = rows[dataset.snapshot_asof(rows, d) >= 0]
+    return {dataset.stocks[i] for i in rows.tolist()}
 
 
 # --- CSV ingestion ---------------------------------------------------------
@@ -199,7 +200,7 @@ BENCHMARK_COLUMNS = ["date", "close"]
 
 def _parse_date(text, path, line, column):
     try:
-        return datetime.strptime(text, "%Y-%m-%d").date()
+        return iso_date(text)
     except ValueError:
         raise ParseError(f"{path}:{line}: column '{column}': bad date {text!r}") from None
 
@@ -214,13 +215,23 @@ def _parse_float(text, path, line, column):
     return value
 
 
+def _utf8_line(line):
+    """The line; UnicodeEncodeError if it holds a surrogate-escaped byte."""
+    if not line.isascii():
+        line.encode("utf-8")
+    return line
+
+
 def _read_rows(path, columns):
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        # surrogateescape: the decoder reads a block ahead of the csv reader,
+        # so a byte that is not UTF-8 must fail only in _utf8_line, once the
+        # reader reaches its line, after every record before it
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(map(_utf8_line, fh))
         try:
             header = next(reader, None)
             if header is None:
@@ -236,7 +247,7 @@ def _read_rows(path, columns):
                     raise ParseError(f"{path}:{reader.line_num}: expected {len(columns)} "
                                      f"fields, got {len(row)}")
                 yield reader.line_num, row
-        except UnicodeDecodeError:  # raised a decoded chunk ahead of the rows
+        except UnicodeEncodeError:  # from _utf8_line
             raise ParseError(not_utf8(path)) from None
         except csv.Error as exc:  # e.g. a field larger than csv's field limit
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
@@ -283,8 +294,6 @@ def _check_benchmark(path, line, row):
 # records read and converted at a time: one np.array call converts a chunk's
 # numbers, and only one chunk's text is held
 CHUNK_RECORDS = 1024
-# a (stock, date) key as one integer: stock code * DAYS + date ordinal
-DAYS = 1 << 32
 
 
 def _codes(texts, table, code):
@@ -299,7 +308,7 @@ def _codes(texts, table, code):
 def _ordinal(text):
     """The ordinal of a date that _parse_date accepts, or -1."""
     try:
-        return datetime.strptime(text, "%Y-%m-%d").toordinal()
+        return iso_date(text).toordinal()
     except ValueError:
         return -1
 
@@ -314,10 +323,12 @@ def _numbers(columns):
     return values if np.isfinite(values).all() else None
 
 
-def _read_table(path, columns, convert, check, duplicate):
-    """The parts convert makes of the file's records, CHUNK_RECORDS at a time.
+def _read_table(path, columns, convert, check, duplicate, *empty):
+    """The columns convert makes of the file's records, CHUNK_RECORDS at a
+    time, each joined along its last axis; empty gives their dtypes and
+    shapes without records.
 
-    convert(rows) gives the records' int keys and their part, None if a
+    convert(rows) gives the records' int keys and their columns, None if a
     record fails a mask; then check(path, line, row) names the first bad
     record. The error raised is the first in file order: a record whose key
     an earlier one holds (duplicate(key) names it), a bad record, or the
@@ -357,7 +368,7 @@ def _read_table(path, columns, convert, check, duplicate):
             raise ParseError(f"{path}:{np.concatenate(lines)[i]}: {duplicate(key[i])}")
     if failure:
         raise failure[0]
-    return parts
+    return [np.concatenate(column, axis=-1) for column in zip(empty, *parts)]
 
 
 def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
@@ -383,17 +394,17 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
 
     def snapshots(rows):
         stock_id, day, *numbers, industry = zip(*rows)
+        codes = _codes(stock_id, snapshot_ids, lambda _: len(snapshot_ids))
         ordinals = _codes(day, days, _ordinal)
-        key = _codes(stock_id, snapshot_ids, lambda _: len(snapshot_ids)) * DAYS + ordinals
+        key = codes * DAYS + ordinals
         values = _numbers(numbers)
         try:
-            industry = list(map(int, industry))
+            industry = np.array(list(map(int, industry)), dtype=object)
         except ValueError:
             return key, None
         if values is None or (ordinals < 0).any():
             return key, None
-        dates = map(Date.fromordinal, ordinals.tolist())
-        return key, list(map(FundamentalSnapshot, stock_id, dates, *values.tolist(), industry))
+        return key, (codes, ordinals, values, industry)
 
     def benchmark_closes(rows):
         day, close = zip(*rows)
@@ -401,25 +412,28 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
         values = _numbers([close])
         if values is None or (ordinals < 0).any() or (values <= 0).any():
             return ordinals, None
-        return ordinals, zip(map(Date.fromordinal, ordinals.tolist()), values[0].tolist())
+        return ordinals, (ordinals, values[0])
 
     def iso(day):
         return Date.fromordinal(day).isoformat()
 
-    bar_parts = _read_table(bars_path, BARS_COLUMNS, bars, _check_bar, lambda key:
-                            f"duplicate bar for ({list(bar_ids)[key // DAYS]}, {iso(key % DAYS)})")
-    if not bar_parts:
+    empty = np.zeros(0, dtype=np.int64)
+    bar_columns = _read_table(
+        bars_path, BARS_COLUMNS, bars, _check_bar, lambda key:
+        f"duplicate bar for ({list(bar_ids)[key // DAYS]}, {iso(key % DAYS)})",
+        empty, empty, np.zeros((5, 0)), np.zeros(0, bool))
+    if not bar_columns[0].size:
         raise ParseError(f"{bars_path}: no bars")
-    snapshot_parts = _read_table(
+    snapshot_columns = _read_table(
         fundamentals_path, FUNDAMENTALS_COLUMNS, snapshots, _check_snapshot, lambda key:
-        f"duplicate snapshot for ({list(snapshot_ids)[key // DAYS]}, {iso(key % DAYS)})")
-    benchmark = dict(chain.from_iterable(_read_table(
-        benchmark_path, BENCHMARK_COLUMNS, benchmark_closes, _check_benchmark,
-        lambda day: f"duplicate benchmark date {iso(day)}")))
+        f"duplicate snapshot for ({list(snapshot_ids)[key // DAYS]}, {iso(key % DAYS)})",
+        empty, empty, np.zeros((16, 0)), np.zeros(0, object))
     dataset = MarketDataset.from_columns(
-        list(bar_ids), *(np.concatenate(column, axis=-1) for column in zip(*bar_parts)),
-        list(chain.from_iterable(snapshot_parts)), benchmark)
-    for d in dataset.calendar.dates:
-        if d not in benchmark:
-            raise ValidationError(f"{benchmark_path}: missing calendar date {d.isoformat()}")
+        (list(bar_ids), *bar_columns), (list(snapshot_ids), *snapshot_columns), _read_table(
+            benchmark_path, BENCHMARK_COLUMNS, benchmark_closes, _check_benchmark,
+            lambda day: f"duplicate benchmark date {iso(day)}", empty, np.zeros(0)))
+    missing = np.flatnonzero(np.isnan(dataset.benchmark))
+    if missing.size:
+        d = dataset.calendar.dates[missing[0]]
+        raise ValidationError(f"{benchmark_path}: missing calendar date {d.isoformat()}")
     return dataset

@@ -14,6 +14,7 @@ one kind of rank_stocks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -59,9 +60,10 @@ def excess_return_label(dataset: MarketDataset, stock_id: str, t0: Date, t1: Dat
     c1 = dataset.tradeable_close(stock_id, t1)
     if c0 is None or c1 is None or c0 <= 0 or c1 <= 0:
         return None
-    bench0 = dataset.benchmark.get(t0)
-    bench1 = dataset.benchmark.get(t1)
-    if bench0 is None or bench1 is None or bench0 <= 0:
+    # both dates have a bar, so both are on the calendar; NaN marks no close
+    index = dataset.calendar.index
+    bench0, bench1 = float(dataset.benchmark[index[t0]]), float(dataset.benchmark[index[t1]])
+    if not bench0 > 0 or math.isnan(bench1):
         return None
     return (c1 / c0 - 1.0) - (bench1 / bench0 - 1.0)
 

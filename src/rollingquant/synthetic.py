@@ -17,6 +17,7 @@ planted_signal_strength:
   a valuation residual measures. Discounted stocks earn excess drift.
 
 Fundamental line items are observed with independent multiplicative noise.
+The generator fills the dataset's arrays directly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from datetime import timedelta
 import numpy as np
 
 from .errors import ConfigError
-from .marketdata import FundamentalSnapshot, MarketDataset, StockBars, TradingCalendar
+from .marketdata import MarketDataset, TradingCalendar
 
 REGIMES = ("inflection", "fluctuating-decline", "crash")
 
@@ -93,7 +94,9 @@ def _group_by_month(dates):
     return [months[k] for k in sorted(months)]
 
 
-def generate_synthetic_market(config: SyntheticMarketConfig) -> MarketDataset:
+def generate_synthetic_market(config: SyntheticMarketConfig):
+    """(dataset, latent quality): the market, and each stock's planted
+    excess drift in units of the quality driver, in dataset.stocks order."""
     config.validate()
     rng = np.random.default_rng(config.seed)
 
@@ -116,7 +119,6 @@ def generate_synthetic_market(config: SyntheticMarketConfig) -> MarketDataset:
         bench_log[pos:pos + k] = math.log1p(target) / k + noise
         pos += k
     bench_close = 3000.0 * np.exp(np.cumsum(bench_log))
-    benchmark = {d: float(c) for d, c in zip(dates, bench_close)}
 
     # Per-stock statics.
     strength = config.planted_signal_strength
@@ -156,26 +158,18 @@ def generate_synthetic_market(config: SyntheticMarketConfig) -> MarketDataset:
     stock_ids = [f"S{i:04d}" for i in range(n)]
     prev_close = np.hstack([close0[:, None], closes[:, :-1]])
     volume = turnover * shares[:, None]
-    suspended = np.zeros((n, len(dates)), dtype=bool)
-    bars = {
-        stock_id: StockBars(dates, closes[i], prev_close[i], volume[i], turnover[i],
-                            market_cap[i], suspended[i])
-        for i, stock_id in enumerate(stock_ids)
-    }
 
     # Quarterly fundamentals at month-end trading days. Profitability ratios
     # carry the quality signal; every line item gets its own observation
     # noise.
     calendar = TradingCalendar(dates)
-    month_ends = calendar.month_last_days()
-    snapshot_days = month_ends[::3]
-    date_index = {d: j for j, d in enumerate(dates)}
-    fundamentals: dict[str, list[FundamentalSnapshot]] = {s: [] for s in stock_ids}
-    for i, stock_id in enumerate(stock_ids):
+    snapshot_days = calendar.month_last_days()[::3]
+    snapshots = []
+    for i in range(n):
         margin = 0.10 * (1.0 + 0.5 * strength * tq[i])
         gross = 0.30 * (1.0 + 0.3 * strength * tq[i])
         for snap_day in snapshot_days:
-            j = date_index[snap_day]
+            j = calendar.index[snap_day]
             scale = float(scale0[i]) * float(closes[i, j] / close0[i])
 
             def noisy(base):
@@ -185,36 +179,26 @@ def generate_synthetic_market(config: SyntheticMarketConfig) -> MarketDataset:
             net_profit = margin * revenue * float(np.exp(rng.normal(0.0, 0.05)))
             total_assets = noisy(scale)
             net_assets = noisy(0.5 * scale)
-            fundamentals[stock_id].append(FundamentalSnapshot(
-                stock_id=stock_id,
-                date=snap_day,
-                net_profit=net_profit,
-                non_recurring_gain_loss=0.1 * net_profit,
-                net_assets=net_assets,
-                total_assets=total_assets + net_assets,  # keeps total >= net
-                avg_total_assets=total_assets + net_assets,
-                long_term_debt=noisy(0.25 * scale),
-                operating_revenue=revenue,
-                operate_income=0.15 * revenue,
-                gross_profit=gross * revenue,
-                net_cash_flow=noisy(0.12 * scale),
-                net_operate_cash_flow=noisy(0.13 * scale),
-                net_profit_growth=0.05 + 0.10 * strength * float(quality[i])
-                + float(rng.normal(0.0, 0.02)),
-                cash=noisy(0.10 * scale),
-                current_assets=noisy(0.30 * scale),
-                current_liabilities=noisy(0.15 * scale),
-                equity=net_assets,
-                industry_code=int(industry[i]),
-            ))
+            # in FUNDAMENTALS_COLUMNS[2:18] order, total_assets kept >=
+            # net_assets; the draws keep their order
+            snapshots.append([
+                net_profit, 0.1 * net_profit, net_assets, total_assets + net_assets,
+                total_assets + net_assets, noisy(0.25 * scale), revenue, 0.15 * revenue,
+                gross * revenue, noisy(0.12 * scale), noisy(0.13 * scale),
+                0.05 + 0.10 * strength * float(quality[i]) + float(rng.normal(0.0, 0.02)),
+                noisy(0.10 * scale), noisy(0.30 * scale), noisy(0.15 * scale), net_assets])
 
-    return MarketDataset(
-        bars=bars,
-        fundamentals=fundamentals,
-        benchmark=benchmark,
-        calendar=calendar,
-        latent_quality={
-            s: float(quality[i] + (_VALUE_DRIFT / _QUALITY_DRIFT) * value[i])
-            for i, s in enumerate(stock_ids)
-        },
+    k = len(snapshot_days)
+    dataset = MarketDataset(
+        stocks=stock_ids, calendar=calendar,
+        bar_days=np.tile(np.arange(len(dates)), (n, 1)),
+        close=closes, prev_close=prev_close, volume=volume, turnover=turnover,
+        market_cap=market_cap, suspended=np.zeros((n, len(dates)), dtype=bool),
+        benchmark=bench_close,
+        snapshot_bounds=np.arange(n + 1) * k,
+        snapshot_days=np.tile([d.toordinal() for d in snapshot_days], n),
+        snapshot_values=np.array(snapshots, dtype=float),
+        industry=np.repeat(industry, k).astype(object),
     )
+    latent_quality = quality + (_VALUE_DRIFT / _QUALITY_DRIFT) * value
+    return dataset, latent_quality

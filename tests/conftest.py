@@ -1,18 +1,21 @@
 """Shared fixtures: hand-built micro markets and generated ones."""
 
+import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import rollingquant
-from rollingquant.marketdata import FundamentalSnapshot, MarketDataset, TradingCalendar
+from rollingquant.marketdata import FUNDAMENTALS_COLUMNS, MarketDataset, TradingCalendar
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 # CI (GitHub Actions sets CI) runs every property test on the same examples
@@ -60,6 +63,11 @@ def make_bar(stock_id, d, close, prev_close=None, shares=10.0,
             turnover * shares, turnover, close * shares, suspended)
 
 
+# a fundamentals.csv record, its date as a date
+Snapshot = namedtuple("Snapshot", FUNDAMENTALS_COLUMNS)
+BAR_MATRICES = ("close", "prev_close", "volume", "turnover", "market_cap", "suspended")
+
+
 def make_snapshot(stock_id, d, **overrides):
     fields = dict(
         net_profit=100.0,
@@ -81,27 +89,72 @@ def make_snapshot(stock_id, d, **overrides):
         industry_code=1,
     )
     fields.update(overrides)
-    return FundamentalSnapshot(stock_id=stock_id, date=d, **fields)
+    return Snapshot(stock_id=stock_id, date=d, **fields)
+
+
+def _ordinals(dates):
+    return np.array([d.toordinal() for d in dates], dtype=np.int64)
+
+
+def _table(rows, width):
+    """(stock ids, each row's stock as a code into them, columns) of rows
+    whose first field is a stock id."""
+    ids = {}
+    codes = np.array([ids.setdefault(row[0], len(ids)) for row in rows], dtype=np.int64)
+    return list(ids), codes, list(zip(*rows)) or [()] * width
 
 
 def build_market(bars, benchmark, fundamentals=()):
     """Dataset from bar rows in BARS_COLUMNS order, a date -> close benchmark
-    and snapshots, transposed into MarketDataset.from_columns; calendar =
+    and Snapshot rows, transposed into MarketDataset.from_columns; calendar =
     union of bar/benchmark dates."""
-    ids = {}
-    codes = [ids.setdefault(row[0], len(ids)) for row in bars]
-    columns = list(zip(*bars)) or [()] * 8
+    ids, codes, columns = _table(bars, 8)
+    snapshot_ids, snapshot_codes, snapshot_columns = _table(fundamentals, 19)
     return MarketDataset.from_columns(
-        list(ids), np.array(codes, dtype=np.int64),
-        np.array([d.toordinal() for d in columns[1]], dtype=np.int64),
-        np.array(columns[2:7], dtype=np.float64).reshape(5, -1),
-        np.array(columns[7], dtype=bool), fundamentals, benchmark)
+        (ids, codes, _ordinals(columns[1]),
+         np.array(columns[2:7], dtype=np.float64).reshape(5, -1),
+         np.array(columns[7], dtype=bool)),
+        (snapshot_ids, snapshot_codes, _ordinals(snapshot_columns[1]),
+         np.array(snapshot_columns[2:18], dtype=np.float64).reshape(16, -1),
+         np.array(snapshot_columns[18], dtype=object)),
+        (_ordinals(benchmark), np.array(list(benchmark.values()), dtype=np.float64)))
+
+
+def bars_of(market, stock_id):
+    """stock_id's bar dates, and its rows of the bar matrices as views that
+    write through to the market."""
+    i = market.row_of[stock_id]
+    n = int((market.bar_days[i] >= 0).sum())
+    return SimpleNamespace(
+        dates=[market.calendar.dates[c] for c in market.bar_days[i, :n].tolist()],
+        **{name: getattr(market, name)[i, :n] for name in BAR_MATRICES})
+
+
+def bar_rows(market):
+    """Bar rows in BARS_COLUMNS order by stock and date, read value by value."""
+    for stock_id in market.stocks:
+        bars = bars_of(market, stock_id)
+        for p, d in enumerate(bars.dates):
+            yield (stock_id, d, *(getattr(bars, name)[p].item() for name in BAR_MATRICES))
 
 
 def snapshots(market):
-    """Every fundamental snapshot of the market, by stock and date."""
-    return [snap for stock_id in sorted(market.fundamentals)
-            for snap in market.fundamentals[stock_id]]
+    """Every fundamental snapshot of the market as a Snapshot, by stock and date."""
+    return [Snapshot(market.stocks[i], Date.fromordinal(int(market.snapshot_days[r])),
+                     *market.snapshot_values[r].tolist(), market.industry[r])
+            for i in range(len(market.stocks))
+            for r in range(market.snapshot_bounds[i], market.snapshot_bounds[i + 1])]
+
+
+def snapshot_column(market, name):
+    """The view of one snapshot number's column, which writes through to the market."""
+    return market.snapshot_values[:, FUNDAMENTALS_COLUMNS.index(name) - 2]
+
+
+def benchmark_of(market):
+    """The benchmark as a date -> close dict of the dates that have one."""
+    return {d: close for d, close in zip(market.calendar.dates, market.benchmark.tolist())
+            if not math.isnan(close)}
 
 
 def flat_market(stock_prices, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
@@ -123,7 +176,7 @@ def crash_market():
     return generate_synthetic_market(SyntheticMarketConfig(
         seed=1, n_stocks=60, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
         regime="crash", planted_signal_strength=0.6,
-    ))
+    ))[0]
 
 
 @pytest.fixture(scope="session")
@@ -141,17 +194,17 @@ def gapped_market():
     * S0002 lists late, with no bar and no snapshot before its 280th bar;
     * S0003's bars stop 90 bars before the end of the data.
     """
-    market = generate_synthetic_market(SyntheticMarketConfig(
+    market, _ = generate_synthetic_market(SyntheticMarketConfig(
         seed=3, n_stocks=10, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
         regime="crash", planted_signal_strength=0.5,
     ))
     dates = market.calendar.dates
-    index = {d: i for i, d in enumerate(dates)}
+    index = market.calendar.index
     listing = dates[280]
-    last = market.bars["S0001"]
+    last = bars_of(market, "S0001")
     close, mcap = float(last.close[299]), float(last.market_cap[299])
     rows = []
-    for row in market.bar_rows():
+    for row in bar_rows(market):
         stock_id, d = row[:2]
         i = index[d]
         if stock_id == "S0000" and i % 5 == 0 or stock_id == "S0002" and d < listing \
@@ -162,18 +215,18 @@ def gapped_market():
         rows.append(row)
     fundamentals = [s for s in snapshots(market)
                     if s.stock_id != "S0002" or s.date >= listing]
-    return build_market(rows, market.benchmark, fundamentals)
+    return build_market(rows, benchmark_of(market), fundamentals)
 
 
 def close_zero_spells(market):
     """The market with suspensions carried at close 0: S0004's 400th to
     413th bars, over a month end, at market cap and turnover 0 too, and
     S0005's 300th bar."""
-    spell = market.bars["S0004"]
+    spell = bars_of(market, "S0004")
     for column in (spell.close, spell.prev_close, spell.market_cap, spell.turnover):
         column[400:414] = 0.0
     spell.suspended[400:414] = True
-    single = market.bars["S0005"]
+    single = bars_of(market, "S0005")
     single.close[300] = 0.0
     single.suspended[300] = True
     return market

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_market, make_bar, make_snapshot, weekdays
+from conftest import bars_of, build_market, make_bar, make_snapshot, snapshot_column, weekdays
 from rollingquant.backtest import CostModel, ScenarioConfig, run_scenario
 from rollingquant.cli import cmd_backtest
 from rollingquant.config import load_run_config
@@ -125,23 +125,19 @@ def test_criterion_5_no_lookahead_end_to_end():
                                   planted_signal_strength=0.5)
     before = {}
     for strategy in ("linreg", "fcnn", "lstm"):
-        before[strategy] = _strategy_artifacts(generate_synthetic_market(synth),
+        before[strategy] = _strategy_artifacts(generate_synthetic_market(synth)[0],
                                                strategy, config)
     # a second market, written into before any store reads it
-    mutated = generate_synthetic_market(synth)
-    for bars in mutated.bars.values():
+    mutated, _ = generate_synthetic_market(synth)
+    for stock_id in mutated.stocks:
+        bars = bars_of(mutated, stock_id)
         after = np.array(bars.dates) > config.end
         bars.close[after] *= 7.0
         bars.prev_close[after] *= 7.0
         bars.market_cap[after] *= 7.0
         bars.suspended[after] = True
-    for snaps in mutated.fundamentals.values():
-        for snap in snaps:
-            if snap.date > config.end:
-                snap.net_profit = -1e9
-    for d in mutated.benchmark:
-        if d > config.end:
-            mutated.benchmark[d] *= 0.1
+    snapshot_column(mutated, "net_profit")[mutated.snapshot_days > config.end.toordinal()] = -1e9
+    mutated.benchmark[np.array(mutated.calendar.dates) > config.end] *= 0.1
     ok = all(_strategy_artifacts(mutated, s, config) == before[s]
              for s in ("linreg", "fcnn", "lstm"))
     assert verdict(5, "no lookahead end to end", ok)
@@ -196,7 +192,7 @@ def test_criterion_7_upward_shift():
     wins = {"linreg": 0, "fcnn": 0, "lstm": 0}
     worst_elapsed = 0.0
     for seed in range(10):
-        dataset = generate_synthetic_market(SyntheticMarketConfig(
+        dataset, _ = generate_synthetic_market(SyntheticMarketConfig(
             seed=seed, n_stocks=300, start=Date(2014, 1, 1),
             end=Date(2015, 12, 31), regime="crash",
             planted_signal_strength=0.5))

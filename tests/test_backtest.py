@@ -6,7 +6,7 @@ from datetime import date as Date
 
 import pytest
 
-from conftest import build_market, flat_market, snapshots
+from conftest import bar_rows, bars_of, benchmark_of, build_market, flat_market, snapshots
 from rollingquant import backtest, strategies
 from rollingquant.backtest import (
     BacktestResult,
@@ -171,7 +171,7 @@ class TestRunScenario:
                                                 sell_tax_rate=0.001))
         result = run_scenario(MarketStore(crash_market), "linreg", config)
         final_prices = {}
-        for stock_id in crash_market.stock_ids():
+        for stock_id in crash_market.stocks:
             for d in reversed(result.dates):
                 close = crash_market.tradeable_close(stock_id, d)
                 if close is not None:
@@ -238,10 +238,10 @@ class TestRunScenario:
         def market():
             return generate_synthetic_market(SyntheticMarketConfig(
                 seed=2, n_stocks=30, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
-                regime="crash", planted_signal_strength=0.5))
+                regime="crash", planted_signal_strength=0.5))[0]
 
         def inflate_turnover(dataset):
-            dataset.bars["S0000"].turnover *= 3.0
+            bars_of(dataset, "S0000").turnover[:] *= 3.0
 
         config = ScenarioConfig(start=Date(2015, 9, 1), end=Date(2015, 10, 31),
                                 holdings=5, train_config=TrainConfig(seed=1))
@@ -258,8 +258,8 @@ class TestRunScenario:
     def test_suspended_holding_carries_last_close(self):
         market = flat_market({f"S{i}": 50.0 + i for i in range(12)})
         # suspend S0 from the July action day onward
-        bars = market.bars["S0"]
-        bars.suspended[bars.position(Date(2015, 7, 31)):] = True
+        bars = bars_of(market, "S0")
+        bars.suspended[bars.dates.index(Date(2015, 7, 31)):] = True
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 8, 31),
                                 holdings=12, train_config=TrainConfig(seed=0))
         result = run_scenario(MarketStore(market), "linreg", config)
@@ -299,12 +299,12 @@ class TestRunScenario:
         july, august = Date(2015, 7, 31), Date(2015, 8, 31)
         flat = flat_market({f"S{i}": 50.0 + i for i in range(6)})
         # S1's bars stop in mid-July, while it is held
-        market = build_market([row for row in flat.bar_rows()
+        market = build_market([row for row in bar_rows(flat)
                                if row[0] != "S1" or row[1] <= Date(2015, 7, 15)],
-                              flat.benchmark, snapshots(flat))
+                              benchmark_of(flat), snapshots(flat))
         # S0 is suspended over the July action day and trades again in August
-        bars = market.bars["S0"]
-        bars.suspended[bars.position(Date(2015, 7, 27)):bars.position(Date(2015, 8, 7))] = True
+        bars = bars_of(market, "S0")
+        bars.suspended[bars.dates.index(Date(2015, 7, 27)):bars.dates.index(Date(2015, 8, 7))] = True
 
         def fixed_ranking(kind, store, days, *args):
             return [Ranking(date=d, entries=[

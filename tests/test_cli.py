@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import broken_backward, flat_market, run_cli
+from conftest import bars_of, broken_backward, flat_market, run_cli
 from rollingquant import cli
 from rollingquant.cli import cmd_backtest, main
 from rollingquant.config import load_run_config
@@ -147,7 +147,7 @@ class TestBacktest:
         # a bar at close 0 makes the next daily return inf; the return
         # statistics and the beta of every window holding it are masked, and
         # computing them printed numpy's "invalid value" warnings
-        bars = gapped_market.bars["S0004"]
+        bars = bars_of(gapped_market, "S0004")
         for column in (bars.close, bars.prev_close, bars.market_cap, bars.volume,
                        bars.turnover):
             column[400] = 0.0

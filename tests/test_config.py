@@ -171,6 +171,21 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text
     assert not (tmp_path / "out").exists()
 
 
+# YYYY-MM-DD texts that strptime("%Y-%m-%d") reads, and one that
+# date.fromisoformat reads from Python 3.11 on
+NOT_ISO_DATES = ["2015-6-3", "2015-06- 3", "\u0662\u0660\u0661\u0665-06-03", "20150603"]
+
+
+@pytest.mark.parametrize("text", NOT_ISO_DATES)
+@pytest.mark.parametrize("section,key", [("run", "start"), ("run", "end"), ("data", "start"),
+                                         ("data", "end")])
+def test_date_not_in_yyyy_mm_dd_is_config_error(tmp_path, section, key, text):
+    path = write_ini(tmp_path, **{section: {key: text}})
+    with pytest.raises(ConfigError) as caught:
+        load_run_config(path)
+    assert str(caught.value) == f"{section}.{key}: expected YYYY-MM-DD, got {text!r}"
+
+
 # a 25-stock crash market on which three holdings turn over completely
 COSTS_RUN = {"run": {"seed": "1", "strategies": "linreg", "start": "2015-07-01",
                      "holdings": "3"},

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    bar_rows,
+    bars_of,
+    benchmark_of,
     build_market,
     close_zero_spells,
     flat_market,
@@ -184,9 +187,9 @@ class TestRawFactors:
         d = Date(2015, 6, 30)
         before = factor_row(MarketStore(market), "A", d)
         rows = [row if row[1] <= d else make_bar("A", row[1], 9999.0, turnover=0.9)
-                for row in market.bar_rows()]
+                for row in bar_rows(market)]
         future = make_snapshot("A", Date(2015, 7, 10), net_profit=-5000.0)
-        mutated = build_market(rows, market.benchmark, [*snapshots(market), future])
+        mutated = build_market(rows, benchmark_of(market), [*snapshots(market), future])
         after = factor_row(MarketStore(mutated), "A", d)
         for got, want in zip(before, after):  # values, then missing
             assert np.array_equal(got, want)
@@ -198,17 +201,26 @@ class TestRawFactors:
 
 def truncated(market, cutoff):
     """The market as it stood on cutoff: nothing dated after it."""
-    bars = [row for row in market.bar_rows() if row[1] <= cutoff]
+    bars = [row for row in bar_rows(market) if row[1] <= cutoff]
     fundamentals = [snap for snap in snapshots(market) if snap.date <= cutoff]
-    benchmark = {d: close for d, close in market.benchmark.items() if d <= cutoff}
+    benchmark = {d: close for d, close in benchmark_of(market).items() if d <= cutoff}
     return build_market(bars, benchmark, fundamentals)
 
 
 class TestMarketStore:
+    def test_bar_matrices_are_the_datasets(self, gapped_market):
+        # the store reads the dataset's matrices in place, and copies none
+        store = MarketStore(gapped_market)
+        for name in ("close", "market_cap", "turnover"):
+            assert np.shares_memory(getattr(store, name), getattr(gapped_market, name))
+        for name in ("benchmark", "returns", "benchmark_returns", "macd"):
+            for matrix in ("close", "market_cap", "turnover", "benchmark"):
+                assert not np.shares_memory(getattr(store, name), getattr(gapped_market, matrix))
+
     def test_rows_see_no_data_after_their_date(self, gapped_market):
         # the truncated markets lack the late-listed stock before its listing
         full = MarketStore(gapped_market)
-        stocks = gapped_market.stock_ids()
+        stocks = gapped_market.stocks
         for d in gapped_market.calendar.month_last_days():
             got = build_panel(full, stocks, d)
             want = build_panel(MarketStore(truncated(gapped_market, d)), stocks, d)
@@ -219,7 +231,7 @@ class TestMarketStore:
         # a suspended bar at close 0 is no -100% move: no return, return
         # statistic or beta of a window ending on it, and none of a month
         # window that starts on it or holds the inf return after it
-        bars = gapped_market.bars["S0004"]
+        bars = bars_of(gapped_market, "S0004")
         bars.close[400] = 0.0
         bars.suspended[400] = True
         store = MarketStore(gapped_market)
@@ -234,8 +246,8 @@ class TestMarketStore:
     def test_macd_matches_recomputation_on_the_prefix(self, gapped_market):
         store = MarketStore(gapped_market)
         columns = [FACTOR_INDEX["DIF"], FACTOR_INDEX["DEA"]]
-        for stock_id in gapped_market.stock_ids():
-            bars = gapped_market.bars[stock_id]
+        for stock_id in gapped_market.stocks:
+            bars = bars_of(gapped_market, stock_id)
             closes = bars.close.tolist()
             for d in gapped_market.calendar.month_last_days():
                 values, missing = factor_row(store, stock_id, d)
@@ -259,23 +271,21 @@ def _safe_ratio(numerator, denominator):
 
 
 class _StockColumns:
-    """Series derived from one stock's bars, along its own bar dates: the
-    oracle's per-stock form of the store's matrix rows."""
+    """Series derived from one stock's bars, along its own bar dates, and its
+    snapshots: the oracle's per-stock form of the store's matrix rows."""
 
     def __init__(self, dataset, stock_id):
-        self.stock_id = stock_id
-        self.dataset = dataset
-        self.bars = bars = dataset.bars.get(stock_id)
-        if bars is None:
-            return
-        self.benchmark = np.array([dataset.benchmark.get(d, np.nan) for d in bars.dates],
-                                  dtype=float)
+        self.bars = bars = bars_of(dataset, stock_id)
+        self.snapshots = [snap for snap in snapshots(dataset) if snap.stock_id == stock_id]
+        benchmark = benchmark_of(dataset)
+        self.benchmark = np.array([benchmark.get(d, np.nan) for d in bars.dates], dtype=float)
         # returns[j] belongs to dates[j+1]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.returns = bars.close[1:] / bars.close[:-1] - 1.0
             self.benchmark_returns = self.benchmark[1:] / self.benchmark[:-1] - 1.0
         self.returns[bars.close[1:] <= 0] = np.nan
-        self.macd = macd_series(bars.close) if len(bars) >= MACD_MIN_OBSERVATIONS else None
+        self.macd = macd_series(bars.close) if len(bars.dates) >= MACD_MIN_OBSERVATIONS \
+            else None
 
 
 def _factor_row(columns, d):
@@ -290,9 +300,9 @@ def _factor_row(columns, d):
             mask[FACTOR_INDEX[name]] = False
 
     bars = columns.bars
-    idx = None if bars is None else bars.position(d)
-    if idx is None:
+    if d not in bars.dates:
         return values, mask
+    idx = bars.dates.index(d)
     closes, turnover, returns = bars.close, bars.turnover, columns.returns
     close = float(closes[idx])
     mcap = float(bars.market_cap[idx])
@@ -302,7 +312,8 @@ def _factor_row(columns, d):
     if mcap > 0:
         put("LN_MCAP", math.log(mcap))
 
-    snap = columns.dataset.fundamental_asof(columns.stock_id, d)
+    earlier = [snap for snap in columns.snapshots if snap.date <= d]
+    snap = max(earlier, key=lambda snap: snap.date) if earlier else None
     if snap is not None and mcap > 0:
         put("EP", _safe_ratio(snap.net_profit, mcap))
         put("EP_CUT", _safe_ratio(snap.net_profit - snap.non_recurring_gain_loss, mcap))
@@ -362,7 +373,7 @@ def _factor_row(columns, d):
 
 def assert_panels_match_oracle(market, dates):
     store = MarketStore(market)
-    stocks = market.stock_ids()
+    stocks = market.stocks
     columns = [_StockColumns(market, stock_id) for stock_id in stocks]
     for d in dates:
         panel = build_panel(store, stocks, d)

@@ -5,13 +5,19 @@ import io
 import math
 import re
 import tracemalloc
+from bisect import bisect_right
 from datetime import date as Date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import (
+    Snapshot,
+    bar_rows,
+    bars_of,
+    benchmark_of,
     build_market,
     close_zero_spells,
     flat_market,
@@ -28,18 +34,35 @@ from rollingquant.marketdata import (
     BENCHMARK_COLUMNS,
     FUNDAMENTALS_COLUMNS,
     MIN_HISTORY_DAYS,
-    FundamentalSnapshot,
-    MarketDataset,
-    StockBars,
     TradingCalendar,
     _parse_date,
     _parse_float,
     _read_rows,
     action_days,
     eligible_universe,
+    iso_date,
     load_dataset,
 )
-from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
+from rollingquant.synthetic import REGIMES, SyntheticMarketConfig, generate_synthetic_market
+
+
+# YYYY-MM-DD texts that strptime("%Y-%m-%d") reads, and one that
+# date.fromisoformat reads from Python 3.11 on
+NOT_ISO_DATES = ["2015-6-3", "2015-06- 3", "\u0662\u0660\u0661\u0665-06-03", "20150603"]
+
+
+class TestIsoDate:
+    def test_reads_yyyy_mm_dd(self):
+        assert iso_date("2015-06-03") == Date(2015, 6, 3)
+        assert _parse_date("2016-02-29", "bars.csv", 2, "date") == Date(2016, 2, 29)
+
+    @pytest.mark.parametrize("text", NOT_ISO_DATES + ["2015-02-30", "2015-06-03\n", ""])
+    def test_rejects_any_other_text(self, text):
+        with pytest.raises(ValueError):
+            iso_date(text)
+        with pytest.raises(ParseError) as caught:
+            _parse_date(text, "bars.csv", 2, "date")
+        assert str(caught.value) == f"bars.csv:2: column 'date': bad date {text!r}"
 
 
 class TestTradingCalendar:
@@ -78,15 +101,15 @@ class TestEligibility:
     def test_suspended_excluded(self):
         market = flat_market({"A": 50.0, "B": 50.0})
         d = Date(2015, 6, 30)
-        bars = market.bars["B"]
-        bars.suspended[bars.position(d)] = True
+        bars = bars_of(market, "B")
+        bars.suspended[bars.dates.index(d)] = True
         assert eligible_universe(market, d) == {"A"}
 
     def test_short_history_excluded(self):
         flat = flat_market({"A": 50.0})
         first = weekdays(Date(2015, 1, 1), Date(2015, 12, 31))[0]
         rows = [make_bar("B", d, 20.0) for d in weekdays(first, Date(2015, 12, 31))]
-        market = build_market([*flat.bar_rows(), *rows], flat.benchmark,
+        market = build_market([*bar_rows(flat), *rows], benchmark_of(flat),
                               [*snapshots(flat), make_snapshot("B", first)])
         # ~126 trading days of history by the end of June: too short
         assert "B" not in eligible_universe(market, Date(2015, 6, 30))
@@ -97,7 +120,7 @@ class TestEligibility:
         assert eligible_universe(market, Date(2015, 6, 30)) == set()
 
 
-def brute_force_universe(market, by_stock, d):
+def brute_force_universe(snaps, by_stock, d):
     """eligible_universe as it was on per-date bars: history counted bar by
     bar, fundamentals found by a linear scan."""
     out = set()
@@ -107,23 +130,26 @@ def brute_force_universe(market, by_stock, d):
             continue
         if sum(1 for bd in by_date if bd < d) < MIN_HISTORY_DAYS:
             continue
-        if linear_asof(market, stock_id, d) is None:
+        if linear_asof(snaps, stock_id, d) < 0:
             continue
         out.add(stock_id)
     return out
 
 
-def linear_asof(market, stock_id, d):
-    best = None
-    for snap in market.fundamentals.get(stock_id, ()):
-        if snap.date <= d and (best is None or snap.date > best.date):
-            best = snap
+def linear_asof(snaps, stock_id, d):
+    """The index in snaps of stock_id's latest snapshot at or before d, or
+    -1, by a linear scan."""
+    best = -1
+    for r, snap in enumerate(snaps):
+        if snap.stock_id == stock_id and snap.date <= d \
+                and (best < 0 or snap.date > snaps[best].date):
+            best = r
     return best
 
 
 def rows_by_stock(market):
     by_stock = {}
-    for row in market.bar_rows():
+    for row in bar_rows(market):
         by_stock.setdefault(row[0], {})[row[1]] = row
     return by_stock
 
@@ -133,13 +159,14 @@ class TestEligibilityOracle:
     def test_every_month_end_matches_brute_force(self, gapped_market, spells):
         market = close_zero_spells(gapped_market) if spells else gapped_market
         by_stock = rows_by_stock(market)
+        snaps = snapshots(market)
         sizes = set()
         for d in market.calendar.month_last_days():
             universe = eligible_universe(market, d)
-            assert universe == brute_force_universe(market, by_stock, d)
+            assert universe == brute_force_universe(snaps, by_stock, d)
             sizes.add(len(universe))
-            for stock_id in market.stock_ids():
-                assert market.fundamental_asof(stock_id, d) is linear_asof(market, stock_id, d)
+            for i, stock_id in enumerate(market.stocks):
+                assert market.snapshot_asof([i], d).tolist() == [linear_asof(snaps, stock_id, d)]
         assert len(sizes) > 2
 
     def test_history_threshold_at_a_stocks_exact_history(self):
@@ -159,15 +186,39 @@ class TestEligibilityOracle:
 class TestFundamentalAsof:
     def test_latest_at_or_before(self):
         market = flat_market({"A": 50.0})
-        snaps = market.fundamentals["A"]
-        assert market.fundamental_asof("A", snaps[1].date) is snaps[1]
-        assert market.fundamental_asof("A", snaps[0].date) is snaps[0]
+        snaps = snapshots(market)
+        assert market.snapshot_asof([0], snaps[1].date).tolist() == [1]
+        assert market.snapshot_asof([0], snaps[0].date).tolist() == [0]
 
     def test_none_before_first_snapshot(self):
         market = flat_market({"A": 50.0})
-        first = market.fundamentals["A"][0].date
-        assert market.fundamental_asof("A", Date(2013, 12, 31)) is None
+        first = snapshots(market)[0].date
+        assert market.snapshot_asof([0], Date(2013, 12, 31)).tolist() == [-1]
         assert first >= Date(2014, 1, 1)
+
+
+class TestLookupOracle:
+    """tradeable_close and snapshot_asof against bisects of each stock's
+    dates, at every (stock, calendar date)."""
+
+    @pytest.mark.parametrize("spells", [False, True], ids=["default", "close-zero"])
+    def test_every_stock_and_calendar_date(self, gapped_market, spells):
+        market = close_zero_spells(gapped_market) if spells else gapped_market
+        snaps = snapshots(market)
+        for i, stock_id in enumerate(market.stocks):
+            bars = bars_of(market, stock_id)
+            rows = [r for r, snap in enumerate(snaps) if snap.stock_id == stock_id]
+            snap_dates = [snaps[r].date for r in rows]
+            for d in market.calendar.dates:
+                p = bisect_right(bars.dates, d) - 1
+                want = None if p < 0 or bars.dates[p] != d or bars.suspended[p] \
+                    else float(bars.close[p])
+                assert market.tradeable_close(stock_id, d) == want
+                k = bisect_right(snap_dates, d) - 1
+                assert market.snapshot_asof([i], d).tolist() == [rows[k] if k >= 0 else -1]
+        assert market.tradeable_close("S0001", market.calendar.dates[310]) is None
+        assert market.tradeable_close("NOPE", market.calendar.dates[0]) is None
+        assert market.tradeable_close("S0000", Date(2015, 6, 28)) is None  # a Sunday
 
 
 class TestCsvRoundTrip:
@@ -182,11 +233,11 @@ class TestCsvRoundTrip:
         market = build_market(bars, {d: 3000.0 for d in dates},
                               [make_snapshot(s, dates[0]) for s in ["A", "B"]])
         loaded = load_dataset(*self._write(tmp_path, market))
-        assert sum(len(v) for v in loaded.bars.values()) == 10
+        assert len(list(bar_rows(loaded))) == 10
         assert len(loaded.calendar.dates) == 5
         assert loaded.tradeable_close("B", dates[2]) == 11.0
-        assert loaded.benchmark[dates[0]] == 3000.0
-        assert loaded.fundamentals["A"][0].net_profit == 100.0
+        assert benchmark_of(loaded)[dates[0]] == 3000.0
+        assert snapshots(loaded)[0].net_profit == 100.0
 
     def test_header_only_bars_rejected(self, tmp_path):
         paths = self._write(tmp_path, flat_market({"A": 10.0}))
@@ -201,8 +252,11 @@ class TestCsvRoundTrip:
                               {d: 3000.0 for d in dates},
                               [make_snapshot(s, dates[0]) for s in ["A", "Z"]])
         loaded = load_dataset(*self._write(tmp_path, market))
-        assert loaded.stock_ids() == ["A"]
-        assert loaded.fundamental_asof("Z", dates[0]).date == dates[0]
+        # Z has a row without bars
+        assert loaded.stocks == ["A", "Z"]
+        assert bars_of(loaded, "Z").dates == []
+        assert loaded.tradeable_close("Z", dates[0]) is None
+        assert snapshots(loaded)[loaded.snapshot_asof([1], dates[0])[0]].date == dates[0]
 
     def test_negative_close_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
@@ -322,16 +376,7 @@ class TestCsvRoundTrip:
         write_dataset(loaded, tmp_path / "b")
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert loaded.stock_ids() == gapped_market.stock_ids()
-        for stock_id in loaded.stock_ids():
-            got, want = loaded.bars[stock_id], gapped_market.bars[stock_id]
-            assert got.dates == want.dates
-            for column in ("close", "prev_close", "volume", "turnover", "market_cap",
-                           "suspended"):
-                assert np.array_equal(getattr(got, column), getattr(want, column))
-        assert loaded.fundamentals == gapped_market.fundamentals
-        assert loaded.benchmark == gapped_market.benchmark
-        assert loaded.calendar.dates == gapped_market.calendar.dates
+        assert_same_dataset(loaded, as_rows(gapped_market))
 
     def test_duplicate_benchmark_date_rejected(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
@@ -346,6 +391,69 @@ class TestCsvRoundTrip:
             load_dataset(*paths)
 
 
+# --- the writer against its per-row oracle ---------------------------------
+
+def oracle_write_dataset(dataset, out_dir):
+    """write_dataset row by row: each bar, snapshot and benchmark close read
+    value by value and formatted on its own."""
+    def write(name, header, rows):
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write("bars.csv", BARS_COLUMNS, (
+        [stock_id, d.isoformat(), *(f"{x:.17g}" for x in values), "1" if suspended else "0"]
+        for stock_id, d, *values, suspended in bar_rows(dataset)))
+    write("fundamentals.csv", FUNDAMENTALS_COLUMNS, (
+        [snap.stock_id, snap.date.isoformat(), *(f"{x:.17g}" for x in snap[2:18]),
+         str(snap.industry_code)]
+        for snap in snapshots(dataset)))
+    write("benchmark.csv", BENCHMARK_COLUMNS, (
+        [d.isoformat(), f"{close:.17g}"] for d, close in sorted(benchmark_of(dataset).items())))
+
+
+class TestWriterOracle:
+    """write_dataset, column by column, writes the bytes oracle_write_dataset writes."""
+
+    def assert_writes_oracle_bytes(self, tmp_path, market):
+        write_dataset(market, tmp_path / "columns")
+        oracle_write_dataset(market, tmp_path / "rows")
+        for name in ("bars.csv", "fundamentals.csv", "benchmark.csv"):
+            assert (tmp_path / "columns" / name).read_bytes() \
+                == (tmp_path / "rows" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("spells", [False, True], ids=["default", "close-zero"])
+    def test_gapped_market(self, tmp_path, gapped_market, spells):
+        market = close_zero_spells(gapped_market) if spells else gapped_market
+        self.assert_writes_oracle_bytes(tmp_path, market)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_generated_market(self, tmp_path, regime):
+        market, _ = generate_synthetic_market(SyntheticMarketConfig(
+            seed=4, n_stocks=12, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
+            regime=regime))
+        self.assert_writes_oracle_bytes(tmp_path, market)
+
+    @pytest.mark.parametrize("first_close", [None, 3000.0], ids=["benchmark-gap", "loadable"])
+    def test_quoted_ids_signed_zeros_and_a_stock_without_bars(self, tmp_path, first_close):
+        dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
+        bars = [make_bar(s, d, 10.0 + i, turnover=-0.0, suspended=i % 2 == 1)
+                for s in ("A,1", 'B"2', "C\n3") for i, d in enumerate(dates)]
+        benchmark = {d: 3000.0 + i for i, d in enumerate(dates) if i or first_close}
+        market = build_market(bars, benchmark, [
+            make_snapshot("A,1", dates[0], net_profit=-0.0),
+            make_snapshot("Z", dates[2], industry_code=10 ** 30)])
+        self.assert_writes_oracle_bytes(tmp_path, market)
+        if first_close:
+            # the loader reads back what it wrote, the 31-digit industry code too
+            loaded = load_dataset(*(tmp_path / "columns" / name for name in (
+                "bars.csv", "fundamentals.csv", "benchmark.csv")))
+            assert list(loaded.industry) == [1, 10 ** 30]
+            self.assert_writes_oracle_bytes(tmp_path / "again", loaded)
+
+
 # --- the loader against its per-row oracle ---------------------------------
 
 def _oracle_date_parser(path):
@@ -354,26 +462,38 @@ def _oracle_date_parser(path):
         text, _parse_date(text, path, line, "date"))
 
 
-def _oracle_market(bar_rows, snapshots, benchmark):
-    """The dataset from bar rows, grouped per stock row by row."""
-    by_stock = {}
-    for row in bar_rows:
-        by_stock.setdefault(row[0], []).append(row)
-    bars = {}
-    for stock_id, rows in by_stock.items():
-        rows.sort(key=lambda row: row[1])
-        bars[stock_id] = StockBars(*list(zip(*rows))[1:])
-    fundamentals = {}
-    for snap in snapshots:
-        fundamentals.setdefault(snap.stock_id, []).append(snap)
-    calendar = TradingCalendar(set(benchmark).union(*(b.dates for b in bars.values())))
-    return MarketDataset(bars, fundamentals, dict(benchmark), calendar)
+def _oracle_market(bars, snaps, benchmark):
+    """The dataset from its records, as rows grouped per stock row by row:
+    the stocks of bars and snapshots in order, each one's bar rows and
+    snapshots by date, the benchmark by date and the calendar's dates."""
+    bars_by_stock, snaps_by_stock = {}, {}
+    for row in bars:
+        bars_by_stock.setdefault(row[0], []).append(row)
+    for snap in snaps:
+        snaps_by_stock.setdefault(snap.stock_id, []).append(snap)
+    stocks = sorted(set(bars_by_stock) | set(snaps_by_stock))
+    return SimpleNamespace(
+        stocks=stocks,
+        bars=[row for s in stocks for row in sorted(bars_by_stock.get(s, ()),
+                                                    key=lambda row: row[1])],
+        snapshots=[snap for s in stocks for snap in sorted(snaps_by_stock.get(s, ()),
+                                                           key=lambda snap: snap.date)],
+        benchmark=sorted(benchmark.items()),
+        dates=sorted(set(benchmark).union(row[1] for row in bars)))
+
+
+def as_rows(market):
+    """A dataset in the form _oracle_market gives, read value by value."""
+    return SimpleNamespace(stocks=list(market.stocks), bars=list(bar_rows(market)),
+                           snapshots=snapshots(market),
+                           benchmark=list(benchmark_of(market).items()),
+                           dates=list(market.calendar.dates))
 
 
 def oracle_load_dataset(bars_path, fundamentals_path, benchmark_path):
     """load_dataset record by record, each value through _parse_float: the
     errors it raises, in file order, and the dataset it builds."""
-    bar_rows = []
+    bars = []
     seen = set()
     parse_date = _oracle_date_parser(bars_path)
     for line_no, row in _read_rows(bars_path, BARS_COLUMNS):
@@ -397,8 +517,8 @@ def oracle_load_dataset(bars_path, fundamentals_path, benchmark_path):
             raise ParseError(
                 f"{bars_path}:{line_no}: duplicate bar for ({stock_id}, {d.isoformat()})")
         seen.add(key)
-        bar_rows.append((stock_id, d, close, prev_close, volume, turnover, market_cap, suspended))
-    if not bar_rows:
+        bars.append((stock_id, d, close, prev_close, volume, turnover, market_cap, suspended))
+    if not bars:
         raise ParseError(f"{bars_path}: no bars")
 
     snaps = []
@@ -422,7 +542,7 @@ def oracle_load_dataset(bars_path, fundamentals_path, benchmark_path):
             raise ParseError(f"{fundamentals_path}:{line_no}: duplicate snapshot for "
                              f"({stock_id}, {d.isoformat()})")
         seen.add(key)
-        snaps.append(FundamentalSnapshot(stock_id, d, *values, industry_code))
+        snaps.append(Snapshot(stock_id, d, *values, industry_code))
 
     benchmark = {}
     parse_date = _oracle_date_parser(benchmark_path)
@@ -437,24 +557,25 @@ def oracle_load_dataset(bars_path, fundamentals_path, benchmark_path):
                 f"{benchmark_path}:{line_no}: duplicate benchmark date {d.isoformat()}")
         benchmark[d] = close
 
-    dataset = _oracle_market(bar_rows, snaps, benchmark)
-    for d in dataset.calendar.dates:
+    dataset = _oracle_market(bars, snaps, benchmark)
+    for d in dataset.dates:
         if d not in benchmark:
             raise ValidationError(f"{benchmark_path}: missing calendar date {d.isoformat()}")
     return dataset
 
 
 def assert_same_dataset(got, want):
-    assert list(got.bars) == list(want.bars)
-    for stock_id, bars in want.bars.items():
-        assert got.bars[stock_id].dates == bars.dates
-        for column in ("close", "prev_close", "volume", "turnover", "market_cap", "suspended"):
-            a, b = getattr(got.bars[stock_id], column), getattr(bars, column)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert a.tobytes() == b.tobytes()  # -0.0 stays -0.0
-    assert got.fundamentals == want.fundamentals
-    assert list(got.benchmark.items()) == list(want.benchmark.items())
-    assert got.calendar.dates == want.calendar.dates
+    """got, a dataset, holds what want, in the form _oracle_market gives, holds."""
+    for name in ("close", "prev_close", "volume", "turnover", "market_cap", "benchmark"):
+        assert getattr(got, name).dtype == np.float64
+    assert got.suspended.dtype == bool and got.snapshot_values.dtype == np.float64
+    rows = as_rows(got)
+    assert rows.stocks == want.stocks
+    # repr keeps -0.0 apart from 0.0, and True from 1
+    for name in ("bars", "snapshots", "benchmark"):
+        assert [tuple(map(repr, row)) for row in getattr(rows, name)] \
+            == [tuple(map(repr, row)) for row in getattr(want, name)]
+    assert rows.dates == want.dates
 
 
 def outcome(load, paths):
@@ -607,6 +728,29 @@ class TestLoaderOracle:
         kind, message = assert_matches_oracle(write_sweep_case(tmp_path, edits))
         assert issubclass(kind, DataError) and re.fullmatch(f".*{error}", message)
 
+    @pytest.mark.parametrize("text", NOT_ISO_DATES)
+    @pytest.mark.parametrize("file,name,column", [
+        (0, "bars.csv", 1), (1, "fundamentals.csv", 1), (2, "benchmark.csv", 0)])
+    def test_date_not_in_yyyy_mm_dd_rejected(self, tmp_path, text, file, name, column):
+        kind, message = assert_matches_oracle(
+            write_sweep_case(tmp_path, [("field", file, 0, column, text)]))
+        assert kind is ParseError
+        assert message.endswith(f"{name}:2: column 'date': bad date {text!r}")
+
+    @pytest.mark.parametrize("bad_close", [True, False])
+    def test_bad_byte_after_a_bad_value_comes_second(self, tmp_path, bad_close):
+        """A byte that is not UTF-8 on line 9 is reported after a value error
+        on line 2, which the decoder read in the same block of text."""
+        edits = [("field", 0, 0, 2, "oops")] if bad_close else []
+        paths = write_sweep_case(tmp_path, edits)
+        lines = paths[0].read_bytes().split(b"\n")
+        lines[8] = lines[8].replace(b",0.2,", b",0.\xff2,")
+        paths[0].write_bytes(b"\n".join(lines))
+        kind, message = assert_matches_oracle(paths)
+        assert kind is ParseError
+        assert message == (f"{paths[0]}:2: column 'close': bad number 'oops'" if bad_close
+                           else f"{paths[0]}:9: byte 0xff is not UTF-8 text")
+
     @pytest.mark.parametrize("late", ["not-utf8", "huge-field"])
     def test_value_error_before_a_later_structural_error(self, tmp_path, monkeypatch, late):
         """A structural error past the first block of text the reader decodes
@@ -633,7 +777,7 @@ def test_loader_peak_memory_within_oracle_bound(tmp_path):
     at most 1.25 times the per-row oracle's."""
     write_dataset(generate_synthetic_market(SyntheticMarketConfig(
         seed=1, n_stocks=25, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
-        regime="crash", planted_signal_strength=0.5)), tmp_path)
+        regime="crash", planted_signal_strength=0.5))[0], tmp_path)
     paths = [tmp_path / name for name in ("bars.csv", "fundamentals.csv", "benchmark.csv")]
     peaks = []
     for load in (load_dataset, oracle_load_dataset):

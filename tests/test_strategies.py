@@ -7,7 +7,8 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
-from conftest import build_market, flat_market, snapshots
+from conftest import (bar_rows, bars_of, benchmark_of, build_market, flat_market,
+                      snapshot_column, snapshots)
 from rollingquant import strategies
 from rollingquant.errors import StrategyError, TrainingError, ValidationError
 from rollingquant.factors import MarketStore
@@ -34,7 +35,7 @@ def fresh_market(seed=1, n_stocks=50):
     return generate_synthetic_market(SyntheticMarketConfig(
         seed=seed, n_stocks=n_stocks, start=Date(2014, 1, 1),
         end=Date(2015, 12, 31), regime="crash", planted_signal_strength=0.6,
-    ))
+    ))[0]
 
 
 class TestBuildWindow:
@@ -58,11 +59,9 @@ class TestExcessReturnLabel:
     def _market(self, stock_end, bench_end):
         market = flat_market({"A": 100.0})
         t1 = Date(2015, 7, 31)
-        bars = market.bars["A"]
-        bars.close[bars.position(t1)] = stock_end
-        for d in list(market.benchmark):
-            if d >= t1:
-                market.benchmark[d] = bench_end
+        bars = bars_of(market, "A")
+        bars.close[bars.dates.index(t1)] = stock_end
+        market.benchmark[np.array(market.calendar.dates) >= t1] = bench_end
         return market
 
     def test_cancellation(self):
@@ -78,15 +77,15 @@ class TestExcessReturnLabel:
     def test_suspended_at_horizon_dropped(self):
         market = self._market(105.0, 2910.0)
         t1 = Date(2015, 7, 31)
-        bars = market.bars["A"]
-        bars.suspended[bars.position(t1)] = True
+        bars = bars_of(market, "A")
+        bars.suspended[bars.dates.index(t1)] = True
         assert excess_return_label(market, "A", Date(2015, 6, 30), t1) is None
 
     def test_missing_bar_dropped(self):
         market = self._market(105.0, 2910.0)
         t1 = Date(2015, 7, 31)
-        market = build_market([row for row in market.bar_rows() if row[1] != t1],
-                              market.benchmark, snapshots(market))
+        market = build_market([row for row in bar_rows(market) if row[1] != t1],
+                              benchmark_of(market), snapshots(market))
         assert excess_return_label(market, "A", Date(2015, 6, 30), t1) is None
 
 
@@ -138,10 +137,11 @@ class TestRankLinearRegression:
         delta = 1.0
         discount = math.exp(-delta)
         market = fresh_market()
-        market.bars[victim].market_cap *= discount
-        for snap in market.fundamentals[victim]:
-            for name in self._LEVEL_FIELDS:
-                setattr(snap, name, getattr(snap, name) * discount)
+        bars_of(market, victim).market_cap[:] *= discount
+        i = market.row_of[victim]
+        for name in self._LEVEL_FIELDS:
+            snapshot_column(market, name)[
+                market.snapshot_bounds[i]:market.snapshot_bounds[i + 1]] *= discount
         shifted = rank_day("linreg", MarketStore(market), d, universe)
         scores = dict(shifted.entries)
         order = [s for s, _ in shifted.entries]
@@ -217,19 +217,15 @@ class TestNoLookahead:
         """A fresh market whose bars, benchmark and snapshots after cutoff
         are replaced."""
         market = fresh_market()
-        for bars in market.bars.values():
+        for stock_id in market.stocks:
+            bars = bars_of(market, stock_id)
             i = bisect_right(bars.dates, cutoff)
             bars.close[i:] = bars.prev_close[i:] = 1.0
             bars.turnover[i:] = 0.99
             bars.volume[i:] = 9.9
             bars.market_cap[i:] = 10.0
-        for d in market.benchmark:
-            if d > cutoff:
-                market.benchmark[d] = 1.0
-        for snaps in market.fundamentals.values():
-            for snap in snaps:
-                if snap.date > cutoff:
-                    snap.net_profit = -1e9
+        market.benchmark[np.array(market.calendar.dates) > cutoff] = 1.0
+        snapshot_column(market, "net_profit")[market.snapshot_days > cutoff.toordinal()] = -1e9
         return market
 
     @pytest.mark.parametrize("kind", ["linreg", "fcnn", "lstm"])

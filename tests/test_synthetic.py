@@ -6,6 +6,7 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
+from conftest import bar_rows, bars_of, benchmark_of, snapshots
 from rollingquant.errors import ConfigError
 from rollingquant.marketdata import action_days
 from rollingquant.synthetic import (
@@ -41,43 +42,46 @@ class TestValidation:
 
     def test_all_regimes_generate(self):
         for regime in REGIMES:
-            market = generate_synthetic_market(_config(regime=regime))
+            market, _ = generate_synthetic_market(_config(regime=regime))
             assert len(market.calendar.dates) > 400
 
 
 class TestDeterminism:
     def test_same_seed_same_market(self):
-        a = generate_synthetic_market(_config())
-        b = generate_synthetic_market(_config())
-        assert a.benchmark == b.benchmark
-        assert list(a.bar_rows()) == list(b.bar_rows())
-        assert a.fundamentals == b.fundamentals
+        (a, a_latent), (b, b_latent) = (generate_synthetic_market(_config()) for _ in "ab")
+        assert benchmark_of(a) == benchmark_of(b)
+        assert list(bar_rows(a)) == list(bar_rows(b))
+        assert snapshots(a) == snapshots(b)
+        assert np.array_equal(a_latent, b_latent)
 
     def test_different_seed_differs(self):
-        a = generate_synthetic_market(_config())
-        b = generate_synthetic_market(_config(seed=6))
-        assert a.benchmark != b.benchmark
+        a, _ = generate_synthetic_market(_config())
+        b, _ = generate_synthetic_market(_config(seed=6))
+        assert benchmark_of(a) != benchmark_of(b)
 
 
 class TestBenchmarkRegimes:
     def test_crash_monthly_returns_are_minus_six_percent(self):
-        market = generate_synthetic_market(_config())
+        market, _ = generate_synthetic_market(_config())
+        bench = benchmark_of(market)
         days = action_days(market.calendar, Date(2015, 1, 1), Date(2015, 12, 31))
         for t0, t1 in zip(days, days[1:]):
-            r = market.benchmark[t1] / market.benchmark[t0] - 1.0
+            r = bench[t1] / bench[t0] - 1.0
             assert abs(r - (-0.06)) < 1e-9
 
     def test_crash_six_month_drop_exceeds_thirty_percent(self):
-        market = generate_synthetic_market(_config())
+        market, _ = generate_synthetic_market(_config())
+        bench = benchmark_of(market)
         days = action_days(market.calendar, Date(2015, 6, 1), Date(2015, 12, 31))
-        r = market.benchmark[days[-1]] / market.benchmark[days[0]] - 1.0
+        r = bench[days[-1]] / bench[days[0]] - 1.0
         assert r <= -0.30
 
     def test_inflection_template_anchored_to_range_end(self):
-        market = generate_synthetic_market(_config(regime="inflection"))
+        market, _ = generate_synthetic_market(_config(regime="inflection"))
+        bench = benchmark_of(market)
         days = action_days(market.calendar, Date(2015, 5, 1), Date(2015, 12, 31))
         template = [-0.08, -0.15, -0.12, -0.05, 0.10, 0.01, 0.05]
-        observed = [market.benchmark[t1] / market.benchmark[t0] - 1.0
+        observed = [bench[t1] / bench[t0] - 1.0
                     for t0, t1 in zip(days, days[1:])]
         for got, want in zip(observed, template):
             assert abs(got - want) < 1e-9
@@ -85,13 +89,13 @@ class TestBenchmarkRegimes:
 
 class TestPlantedSignal:
     def _quality_vs_excess(self, strength, seed):
-        market = generate_synthetic_market(_config(
+        market, latent_quality = generate_synthetic_market(_config(
             seed=seed, n_stocks=300, planted_signal_strength=strength))
         days = action_days(market.calendar, Date(2015, 6, 1), Date(2015, 12, 31))
         t0, t1 = days[0], days[-1]
-        bench = market.benchmark[t1] / market.benchmark[t0] - 1.0
+        bench = benchmark_of(market)[t1] / benchmark_of(market)[t0] - 1.0
         latents, excesses = [], []
-        for stock_id, latent in market.latent_quality.items():
+        for stock_id, latent in zip(market.stocks, latent_quality.tolist()):
             latents.append(latent)
             p0, p1 = (market.tradeable_close(stock_id, d) for d in (t0, t1))
             excesses.append(p1 / p0 - 1.0 - bench)
@@ -106,13 +110,13 @@ class TestPlantedSignal:
 
 class TestShape:
     def test_quarterly_fundamentals(self):
-        market = generate_synthetic_market(_config())
-        snaps = market.fundamentals["S0000"]
+        market, _ = generate_synthetic_market(_config())
+        snaps = [snap for snap in snapshots(market) if snap.stock_id == "S0000"]
         assert len(snaps) >= 7
         gaps = [(b.date - a.date).days for a, b in zip(snaps, snaps[1:])]
         assert all(80 <= g <= 100 for g in gaps)
 
     def test_bars_cover_every_calendar_day(self):
-        market = generate_synthetic_market(_config())
-        for stock_id in market.stock_ids():
-            assert len(market.bars[stock_id]) == len(market.calendar.dates)
+        market, _ = generate_synthetic_market(_config())
+        for stock_id in market.stocks:
+            assert len(bars_of(market, stock_id).dates) == len(market.calendar.dates)
