@@ -44,11 +44,14 @@ class RebalanceError(NumericError):
 
 
 def not_utf8(path) -> str:
-    """'<path>:<line>: ...' naming the first byte of the file that is not UTF-8."""
+    """'<path>:<line>: ...' naming the first byte of the file that is not UTF-8.
+    Lines end at each \\r\\n, \\r or \\n, as the csv reader and configparser
+    count them."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
     return f"{path}: not UTF-8 text"  # the file changed after the failed read

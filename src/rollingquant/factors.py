@@ -8,7 +8,7 @@ values are masked and later imputed with the cross-sectional median.
 A MarketStore computes each date's panel once for the whole market from the
 dataset's (stocks, T) matrices: window statistics reduce gathered (stocks, w)
 windows along their last axis, and ratios are column arithmetic over the
-snapshot rows.
+snapshot rows. It also keeps the normalizations the strategies share.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class MarketStore:
     """Point-in-time columnar view of one MarketDataset, shared by the
     strategies of a run. It reads the dataset's (stocks, T) matrices in
     place and adds the series derived from them, along each stock's own bar
-    dates. Each date's panel is computed once, so the dataset must not
-    change while the store is in use: build one per run, and never keep one
-    on the dataset.
+    dates. Each date's panel, and each normalization the strategies ask it
+    to memo, is computed once, so the dataset must not change while the
+    store is in use: build one per run, and never keep one on the dataset.
     """
 
     def __init__(self, dataset: MarketDataset):
@@ -140,6 +140,7 @@ class MarketStore:
         # each value depends only on the closes up to its date
         self.macd = np.stack(macd_series(self.close)[::-1], axis=-1)
         self._panels: dict[Date, tuple[np.ndarray, np.ndarray]] = {}
+        self._memo = {}
 
     def panel(self, d: Date):
         """(values, missing) of every stock on d, from data at or before d, in
@@ -147,6 +148,14 @@ class MarketStore:
         if d not in self._panels:
             self._panels[d] = self._compute_panel(d)
         return self._panels[d]
+
+    def memo(self, key, compute):
+        """compute(), called once per key for the store's run; callers must
+        not change what it returns. The strategies key each normalization by
+        the (date, stocks) of the panels it comes from, so they share it."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def _compute_panel(self, d: Date):
         dataset = self.dataset
@@ -245,14 +254,37 @@ def build_panel(store: MarketStore, universe, d: Date) -> FactorPanel:
     return FactorPanel(date=d, stocks=stocks, matrix=values[rows], missing=missing[rows])
 
 
+def _column_medians(matrix: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Each column's median over its present entries, 0 where there are none.
+
+    Bit for bit numpy's masked-array median: the same argsort of the matrix,
+    with missing entries at +inf, picks each middle pair, add.reduce sums it
+    and the sum is halved (an odd count's middle entry doubled, then
+    halved); a present NaN gives NaN.
+    """
+    medians = np.zeros(matrix.shape[1])
+    if not len(matrix):
+        return medians
+    counts = len(matrix) - missing.sum(axis=0)
+    filled = np.where(missing, np.inf, matrix)
+    order = np.argsort(filled, axis=0)
+    high = counts // 2
+    middle = np.take_along_axis(order, np.stack([high - 1 + counts % 2, high]), axis=0)
+    pair = np.take_along_axis(filled, middle, axis=0)
+    np.divide(np.add.reduce(pair, axis=0), 2.0, out=medians, where=counts > 0)
+    # NaN sorts after +inf, so a present NaN is last
+    last = np.take_along_axis(filled, order[-1:], axis=0)[0]
+    np.copyto(medians, last, where=np.isnan(last))
+    return medians
+
+
 def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> NormalizationStats:
     """Median-impute, winsorize at +-5 population sigmas, z-score.
 
     Columns become C-contiguous rows, so each reduction along axis 1 sums in
     the same order as a 1-D reduction of that column.
     """
-    # an all-missing column's median is 0
-    medians = np.ma.median(np.ma.masked_array(matrix, missing), axis=0).filled(0.0)
+    medians = _column_medians(matrix, missing)
     filled = np.ascontiguousarray(np.where(missing, medians, matrix).T)
     mu0, sd0 = filled.mean(axis=1), filled.std(axis=1)
     lower, upper = mu0 - WINSOR_SIGMAS * sd0, mu0 + WINSOR_SIGMAS * sd0

@@ -153,6 +153,20 @@ class MarketDataset:
         p = -1 if i is None or c is None else self.bar_at.item(i, c)
         return None if p < 0 or self.suspended.item(i, p) else self.close.item(i, p)
 
+    def tradeable_closes(self, stocks, d: Date):
+        """tradeable_close of each of stocks on d, as (closes, tradeable):
+        tradeable is False where it is None, and closes there are NaN."""
+        rows = np.array([self.row_of.get(stock_id, -1) for stock_id in stocks], dtype=np.int64)
+        c = self.calendar.index.get(d)
+        positions = np.full(len(rows), -1)
+        if c is not None:
+            positions[rows >= 0] = self.bar_at[rows[rows >= 0], c]
+        tradeable = positions >= 0
+        tradeable[tradeable] = ~self.suspended[rows[tradeable], positions[tradeable]]
+        closes = np.full(len(rows), np.nan)
+        closes[tradeable] = self.close[rows[tradeable], positions[tradeable]]
+        return closes, tradeable
+
     def bars_on(self, d: Date):
         """(rows, positions) of the stocks with a bar on d, and of the bars."""
         c = self.calendar.index.get(d)

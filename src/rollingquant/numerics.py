@@ -259,26 +259,31 @@ class LstmLayer:
         w.r.t. the layer's inputs is dz_seq @ W_x.T.
         """
         h = self.hidden_dim
-        gW_a = np.zeros_like(self.W_a)
-        gW_x = np.zeros_like(self.W_x)
-        gB = np.zeros_like(self.B)
         dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
-        da_next = np.zeros_like(da_seq[0])
-        dc_next = np.zeros_like(da_seq[0])
         W_a_T = self.W_a.swapaxes(-1, -2)
-        for t in range(len(cache) - 1, -1, -1):
+        last = len(cache) - 1
+        # the last step starts each sum: nothing flows back into it, and
+        # adding zeros would only turn its -0.0 entries into +0.0
+        for t in range(last, -1, -1):
             x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
-            da = da_seq[t] + da_next
-            dc = da * g_o * (1.0 - tanh_c * tanh_c) + dc_next
+            da = da_seq[t] if t == last else da_seq[t] + da_next
+            dc = da * g_o * (1.0 - tanh_c * tanh_c)
+            if t < last:
+                dc += dc_next
             dz = dz_seq[t]
             dz[..., :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
             dz[..., h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
             dz[..., 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
             dz[..., 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
             dc_next = dc * g_f
-            gW_a += a_prev.swapaxes(-1, -2) @ dz
-            gW_x += x.swapaxes(-1, -2) @ dz
-            gB += dz.sum(axis=-2)
+            if t == last:
+                gW_a = a_prev.swapaxes(-1, -2) @ dz
+                gW_x = x.swapaxes(-1, -2) @ dz
+                gB = dz.sum(axis=-2)
+            else:
+                gW_a += a_prev.swapaxes(-1, -2) @ dz
+                gW_x += x.swapaxes(-1, -2) @ dz
+                gB += dz.sum(axis=-2)
             if t:  # step 0's previous output is the zero initial state
                 da_next = dz @ W_a_T
         return dz_seq, [gW_a, gW_x, gB]

@@ -54,18 +54,26 @@ def build_window(calendar: TradingCalendar, action_day: Date, w: int) -> list[Da
     return preceding[-w:]
 
 
-def excess_return_label(dataset: MarketDataset, stock_id: str, t0: Date, t1: Date):
-    """Stock return minus benchmark return over [t0, t1]; None if unavailable."""
-    c0 = dataset.tradeable_close(stock_id, t0)
-    c1 = dataset.tradeable_close(stock_id, t1)
-    if c0 is None or c1 is None or c0 <= 0 or c1 <= 0:
-        return None
-    # both dates have a bar, so both are on the calendar; NaN marks no close
-    index = dataset.calendar.index
-    bench0, bench1 = float(dataset.benchmark[index[t0]]), float(dataset.benchmark[index[t1]])
-    if not bench0 > 0 or math.isnan(bench1):
-        return None
-    return (c1 / c0 - 1.0) - (bench1 / bench0 - 1.0)
+def excess_return_labels(dataset: MarketDataset, stocks, t0: Date, t1: Date):
+    """(labels, available): each stock's return minus the benchmark's over
+    [t0, t1]. A label is available where the stock trades at a close > 0 on
+    both dates and the benchmark closes on both, above 0 on t0."""
+    c0, tradeable0 = dataset.tradeable_closes(stocks, t0)
+    c1, tradeable1 = dataset.tradeable_closes(stocks, t1)
+    # a NaN close is tradeable, and its label is NaN
+    available = tradeable0 & tradeable1 & ~(c0 <= 0) & ~(c1 <= 0)
+    labels = np.full(len(available), np.nan)
+    if available.any():
+        # both dates have a bar, so both are on the calendar; NaN marks no close
+        index = dataset.calendar.index
+        bench0, bench1 = float(dataset.benchmark[index[t0]]), float(dataset.benchmark[index[t1]])
+        if not bench0 > 0 or math.isnan(bench1):
+            available[:] = False
+        else:
+            with np.errstate(all="ignore"):  # overflow gives inf or nan, as in Python
+                labels[available] = (c1[available] / c0[available] - 1.0) \
+                    - (bench1 / bench0 - 1.0)
+    return labels, available
 
 
 @dataclass
@@ -95,31 +103,37 @@ def _pooled_stats(panels):
     return compute_normalization(matrix, np.vstack([p.missing for p in panels]))
 
 
-def _labelled_rows(dataset: MarketDataset, panel):
-    """(stock, normalized non-label factors, LN_MCAP) of each panel stock
-    that has an LN_MCAP factor and trades on the panel's date; the panel is
-    normalized against itself."""
+def _panel_key(panel):
+    return panel.date, tuple(panel.stocks)
+
+
+def _labelled_rows(store: MarketStore, panel):
+    """(stocks, normalized non-label factors, LN_MCAP) of the panel stocks
+    that have an LN_MCAP factor and trade on the panel's date; the panel is
+    normalized against itself, once per store."""
     # a 0-row panel has no rows, and its normalization would only warn
-    normalized = normalize_panel(panel).matrix if panel.stocks else panel.matrix
-    ln_mcap = panel.matrix[:, LN_MCAP_INDEX].tolist()
-    for i, stock_id in enumerate(panel.stocks):
-        if not panel.missing[i, LN_MCAP_INDEX] \
-                and dataset.tradeable_close(stock_id, panel.date) is not None:
-            yield stock_id, normalized[i, _NON_LABEL_COLUMNS], ln_mcap[i]
+    normalized = store.memo(("panel", _panel_key(panel)), lambda: normalize_panel(panel).matrix) \
+        if panel.stocks else panel.matrix
+    _, tradeable = store.dataset.tradeable_closes(panel.stocks, panel.date)
+    keep = ~panel.missing[:, LN_MCAP_INDEX] & tradeable
+    # C order: least_squares_fit's bits depend on the layout of its matrix
+    return ([s for s, k in zip(panel.stocks, keep.tolist()) if k],
+            normalized[np.ix_(keep, _NON_LABEL_COLUMNS)], panel.matrix[keep, LN_MCAP_INDEX])
 
 
-def _linreg_scores(dataset: MarketDataset, panels) -> dict[str, float]:
+def _linreg_scores(store: MarketStore, panels) -> dict[str, float]:
     """Fitted minus observed log market cap on the last panel, fitted on the
     others."""
     *training, action = panels
-    samples = [(x, y) for panel in training for _, x, y in _labelled_rows(dataset, panel)]
-    if not samples:
+    _, rows, labels = zip(*(_labelled_rows(store, panel) for panel in training))
+    rows, labels = np.concatenate(rows), np.concatenate(labels)
+    if not len(labels):
         raise StrategyError(f"no regression samples for {action.date.isoformat()}")
-    rows, labels = zip(*samples)
-    X = np.column_stack([np.ones(len(rows)), np.array(rows)])
-    weights = least_squares_fit(X, np.array(labels))
-    return {stock_id: float(np.concatenate(([1.0], x)) @ weights) - actual
-            for stock_id, x, actual in _labelled_rows(dataset, action)}
+    X = np.column_stack([np.ones(len(rows)), rows])
+    weights = least_squares_fit(X, labels)
+    stocks, rows, actual = _labelled_rows(store, action)
+    return {stock_id: float(np.concatenate(([1.0], x)) @ weights) - y
+            for stock_id, x, y in zip(stocks, rows, actual.tolist())}
 
 
 def _flat_samples(dataset: MarketDataset, panels, normalized):
@@ -128,15 +142,14 @@ def _flat_samples(dataset: MarketDataset, panels, normalized):
     samples = []
     labels = []
     for panel, rows, horizon in zip(panels, normalized, panels[1:]):
-        for i, stock_id in enumerate(panel.stocks):
-            label = excess_return_label(dataset, stock_id, panel.date, horizon.date)
-            if label is None:
-                continue
-            samples.append(rows[i])
-            labels.append(label)
-    if not samples:
+        day_labels, available = excess_return_labels(dataset, panel.stocks, panel.date,
+                                                     horizon.date)
+        samples.append(rows[available])
+        labels.append(day_labels[available])
+    samples, labels = np.concatenate(samples), np.concatenate(labels)
+    if not len(labels):
         raise StrategyError(f"no projection samples for {panels[-1].date.isoformat()}")
-    return np.array(samples), np.array(labels)
+    return samples, labels
 
 
 def _sequences(panels, normalized):
@@ -155,11 +168,10 @@ def _sequence_samples(dataset: MarketDataset, panels, normalized):
     excess return from the last training day to the action day."""
     stocks, sequences = _sequences(panels[:-1], normalized[:-1])
     t0, t1 = panels[-2].date, panels[-1].date
-    labels = [excess_return_label(dataset, s, t0, t1) for s in stocks]
-    keep = [i for i, label in enumerate(labels) if label is not None]
-    if not keep:
+    labels, available = excess_return_labels(dataset, stocks, t0, t1)
+    if not available.any():
         raise StrategyError(f"no sequence samples for {t1.isoformat()}")
-    return sequences[keep], np.array([labels[i] for i in keep])
+    return sequences[available], labels[available]
 
 
 def _ranking(action_day: Date, scores: dict[str, float]) -> Ranking:
@@ -180,8 +192,12 @@ class _TrainingDay:
     inputs: np.ndarray
 
 
-def _training_day(kind, dataset, panels, seed) -> _TrainingDay:
-    stats = _pooled_stats(panels[:-1])
+def _training_day(kind, store, panels, seed) -> _TrainingDay:
+    # fcnn and lstm share each window's stats, not the matrices they normalize
+    window = panels[:-1]
+    stats = store.memo(("window", tuple(map(_panel_key, window))),
+                       lambda: _pooled_stats(window))
+    dataset = store.dataset
     normalized = [apply_normalization(p.matrix, p.missing, stats) for p in panels]
     if kind == "fcnn":
         samples, labels = _flat_samples(dataset, panels, normalized)
@@ -219,10 +235,10 @@ def rank_stocks(kind: str, store: MarketStore, days, w: int = DEFAULT_WINDOW,
             panels = [drop_sparse_rows(build_panel(store, universe, day))
                       for day in build_window(dataset.calendar, action_day, w) + [action_day]]
             if kind == "linreg":
-                rankings.append(_ranking(action_day, _linreg_scores(dataset, panels)))
+                rankings.append(_ranking(action_day, _linreg_scores(store, panels)))
             else:
                 seed = train_config.seed + i * SEED_STRIDE
-                training_days.append(_training_day(kind, dataset, panels, seed))
+                training_days.append(_training_day(kind, store, panels, seed))
         except StrategyError as exc:
             failure = StrategyError(f"{action_day.isoformat()}: {exc}")
             break

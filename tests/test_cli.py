@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main(): exit codes, outputs, determinism."""
 
+import io
 import json
 import warnings
 from collections import Counter
@@ -167,6 +168,25 @@ class TestBacktest:
             trees.append(tree_bytes(out_dir))
         assert len(trees[1]) == 12
         assert trees[1] == trees[0]
+
+    def test_each_strategy_alone_writes_what_one_run_of_all_three_writes(self, tmp_path):
+        """The store's normalization memo, shared by the strategies of a run,
+        changes none of the bytes a strategy writes or prints."""
+        def run(strategies):
+            config, out_dir = write_config(tmp_path, strategies=strategies,
+                                           out_name=strategies.replace(",", "-"),
+                                           train={"epochs": 2})
+            out = io.StringIO()
+            assert cmd_backtest(load_run_config(config), out=out) == 0
+            return tree_bytes(out_dir), out.getvalue().splitlines()
+
+        tree, lines = run("linreg,fcnn,lstm")
+        assert len(tree) == 12
+        for i, strategy in enumerate(("linreg", "fcnn", "lstm")):
+            alone, alone_lines = run(strategy)
+            assert alone == {name: data for name, data in tree.items()
+                             if name.startswith(f"{strategy}/")}
+            assert alone_lines == [lines[i]]
 
     def test_unknown_strategy_is_config_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, strategies="cnn")

@@ -261,9 +261,13 @@ RUN = b"[run]\nstart = 2015-09-01\nend = 2015-12-31\n"
     (b"seed = 1\n" + RUN, "{path}:1: a key before any section header"),
     (RUN + b"holdings\n", "{path}:4: neither 'key = value' nor a '[section]' header"),
     (RUN + b"out_dir = \xff\n", "{path}:4: byte 0xff is not UTF-8 text"),
+    # configparser ends a line at a lone \r too
+    (RUN.replace(b"\n", b"\r") + b"out_dir = \xff\r", "{path}:4: byte 0xff is not UTF-8 text"),
+    (RUN.replace(b"\n", b"\r\n") + b"\rout_dir = \xff\n", "{path}:5: byte 0xff is not UTF-8 text"),
+    (RUN.replace(b"\n", b"\r") + b"start = 2015-09-02\r", "{path}:4: duplicate key 'start' in [run]"),
     (RUN + b"out_dir = 100%\n", "[run] out_dir: '%' must be followed by '%' or '(', found: '%'"),
 ], ids=["duplicate_key", "duplicate_section", "no_section", "no_equals", "not_utf8",
-        "bad_interpolation"])
+        "not_utf8_cr", "not_utf8_crlf_cr", "duplicate_key_cr", "bad_interpolation"])
 def test_unparsable_file_is_config_error(tmp_path, text, message):
     path = tmp_path / "run.ini"
     path.write_bytes(text)

@@ -1,6 +1,7 @@
 """Indicators, the 47-factor vector, and cross-sectional normalization."""
 
 import math
+import warnings
 from datetime import date as Date
 
 import numpy as np
@@ -482,6 +483,52 @@ class TestNormalization:
         got = (stats.medians, stats.lower, stats.upper, stats.means, stats.stds)
         for a, b in zip(got, _per_column_normalization(matrix, missing)):
             assert a.tobytes() == b.tobytes()
+
+    # signed zeros, middle values whose doubling overflows, and (a third of
+    # the time) values a panel never holds: infinities and NaN
+    MEDIAN_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, 0.1, 9.5e307, 1.7e308, -1.7e308]
+    ODD_VALUES = [math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def _medians(matrix, missing):
+        """(compute_normalization's medians, np.ma.median's) as bytes; the
+        statistics after the medians warn on 0 rows and overflow here."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = compute_normalization(matrix, missing).medians
+            want = np.ma.median(np.ma.masked_array(matrix, missing), axis=0).filled(0.0)
+        return got.tobytes(), want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_medians_match_masked_median_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        values = self.MEDIAN_VALUES + (self.ODD_VALUES if seed % 3 == 2 else [])
+        for _ in range(100):
+            rows, cols = int(rng.integers(0, 10)), int(rng.integers(1, 7))
+            matrix = rng.choice(values, size=(rows, cols))
+            missing = rng.random((rows, cols)) < rng.uniform(0, 1)
+            got, want = self._medians(matrix, missing)
+            assert got == want, (matrix, missing)
+
+    @pytest.mark.parametrize("column,missing,median", [
+        ([3.0, 1.0, 2.0], [0, 0, 0], 2.0),
+        ([4.0, 1.0, 2.0, 3.0], [0, 0, 0, 0], 2.5),
+        ([-0.0, 5.0, -0.0], [0, 0, 0], 0.0),
+        ([-0.0, 0.0, 1.0, -1.0], [0, 0, 0, 0], 0.0),
+        ([1.0, 2.0], [1, 1], 0.0),  # nothing present
+        ([], [], 0.0),
+        ([-7.0], [0], -7.0),
+        ([1e308, 2.0, 1e308], [0, 0, 0], math.inf),  # 1e308 doubled, then halved
+        ([1e308, 2.0, 1e308], [0, 1, 0], math.inf),
+        ([8e307, 1.0, 8e307], [0, 0, 0], 8e307),
+    ], ids=["odd", "even", "odd_negative_zero", "even_signed_zeros", "all_missing",
+            "no_rows", "one_row", "odd_overflow", "even_overflow", "below_overflow"])
+    def test_median_cases(self, column, missing, median):
+        matrix = np.array(column, dtype=float).reshape(-1, 1)
+        got, want = self._medians(matrix, np.array(missing, dtype=bool).reshape(-1, 1))
+        # the sign of a zero median is np.ma.median's, whichever it is
+        assert got == want
+        assert np.frombuffer(got).tolist() == [median]
 
     def test_drop_sparse_rows(self):
         matrix = np.zeros((2, 47))

@@ -220,6 +220,16 @@ class TestLookupOracle:
         assert market.tradeable_close("NOPE", market.calendar.dates[0]) is None
         assert market.tradeable_close("S0000", Date(2015, 6, 28)) is None  # a Sunday
 
+    def test_array_form_matches_at_every_calendar_date(self, gapped_market):
+        market = close_zero_spells(gapped_market)
+        stocks = ["NOPE", *market.stocks[::-1]]
+        for d in [*market.calendar.dates, Date(2015, 6, 28)]:
+            closes, tradeable = market.tradeable_closes(stocks, d)
+            got = [c if ok else None for c, ok in zip(closes.tolist(), tradeable.tolist())]
+            assert got == [market.tradeable_close(stock_id, d) for stock_id in stocks]
+        closes, tradeable = market.tradeable_closes([], market.calendar.dates[0])
+        assert closes.shape == tradeable.shape == (0,)
+
 
 class TestCsvRoundTrip:
     def _write(self, tmp_path, market):
@@ -750,6 +760,28 @@ class TestLoaderOracle:
         assert kind is ParseError
         assert message == (f"{paths[0]}:2: column 'close': bad number 'oops'" if bad_close
                            else f"{paths[0]}:9: byte 0xff is not UTF-8 text")
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r", b"\r\n", b"mixed"],
+                             ids=["lf", "cr", "crlf", "mixed"])
+    def test_bad_byte_line_counts_every_line_end(self, tmp_path, ending):
+        """A byte that is not UTF-8 on line 4 names line 4, as a bad close on
+        line 3 names line 3, whether lines end at \\n, \\r or \\r\\n."""
+        def write(edits, bad_byte):
+            paths = write_sweep_case(tmp_path, edits)
+            lines = paths[0].read_bytes().splitlines()
+            if bad_byte:
+                lines[3] = lines[3].replace(b",0.2,", b",0.\xff2,")
+            ends = [b"\r", b"\r\n", b"\n"] * len(lines) if ending == b"mixed" \
+                else [ending] * len(lines)
+            paths[0].write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+            return paths
+
+        paths = write([], bad_byte=True)
+        assert assert_matches_oracle(paths) == \
+            (ParseError, f"{paths[0]}:4: byte 0xff is not UTF-8 text")
+        paths = write([("field", 0, 1, 2, "oops")], bad_byte=False)
+        assert assert_matches_oracle(paths) == \
+            (ParseError, f"{paths[0]}:3: column 'close': bad number 'oops'")
 
     @pytest.mark.parametrize("late", ["not-utf8", "huge-field"])
     def test_value_error_before_a_later_structural_error(self, tmp_path, monkeypatch, late):

@@ -331,6 +331,83 @@ class TestFusedGates:
                               per_gate_loss_and_gradients(model, batch, np.zeros(b))[0])
 
 
+def zero_initialised_backward(layer, da_seq, cache):
+    """LstmLayer.backward as it was: every sum, and the gradients flowing
+    into the last step, start from zero-filled arrays."""
+    h = layer.hidden_dim
+    gW_a = np.zeros_like(layer.W_a)
+    gW_x = np.zeros_like(layer.W_x)
+    gB = np.zeros_like(layer.B)
+    dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
+    da_next = np.zeros_like(da_seq[0])
+    dc_next = np.zeros_like(da_seq[0])
+    W_a_T = layer.W_a.swapaxes(-1, -2)
+    for t in range(len(cache) - 1, -1, -1):
+        x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
+        da = da_seq[t] + da_next
+        dc = da * g_o * (1.0 - tanh_c * tanh_c) + dc_next
+        dz = dz_seq[t]
+        dz[..., :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
+        dz[..., h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
+        dz[..., 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
+        dz[..., 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
+        dc_next = dc * g_f
+        gW_a += a_prev.swapaxes(-1, -2) @ dz
+        gW_x += x.swapaxes(-1, -2) @ dz
+        gB += dz.sum(axis=-2)
+        if t:
+            da_next = dz @ W_a_T
+    return dz_seq, [gW_a, gW_x, gB]
+
+
+def zero_signed_batch(rng, shape):
+    """Normal samples whose first two factors are 0.0 and -0.0, so some
+    gradient entries are exactly zero."""
+    batch = rng.normal(size=shape)
+    batch[..., 0], batch[..., 1] = 0.0, -0.0
+    return batch
+
+
+class TestBackwardSums:
+    """LstmLayer.backward starts each sum from the last step's terms; only
+    the sign of an exactly-zero entry may differ from zero-initialised sums."""
+
+    @pytest.mark.parametrize("k", [None, 6])
+    def test_gradients_equal_zero_initialised_sums(self, k, monkeypatch):
+        rng = np.random.default_rng(7)
+        models = [randomized_lstm(seed) for seed in SEEDS[:k or 1]]
+        model = stack(models) if k else models[0]
+        lead = (k,) if k else ()
+        batch = zero_signed_batch(rng, lead + (10, 3, 47))
+        labels = rng.normal(size=lead + (10,)) * 0.1
+        loss, grads = model.loss_and_gradients(batch, labels)
+        monkeypatch.setattr(LstmLayer, "backward", zero_initialised_backward)
+        want_loss, want_grads = model.loss_and_gradients(batch, labels)
+        assert np.array_equal(loss, want_loss)
+        for g, w in zip(grads, want_grads, strict=True):
+            assert g.shape == w.shape and np.array_equal(g, w)
+            differ = g.view(np.uint64) != w.view(np.uint64)
+            assert (g[differ] == 0.0).all()
+
+    def test_training_is_bit_identical(self, monkeypatch):
+        # Adam's first moment starts at +0.0 and its second takes g * g, so
+        # the sign of a zero gradient never reaches the parameters
+        rng = np.random.default_rng(8)
+        samples = zero_signed_batch(rng, (6, 23, 3, 47))
+        labels = rng.normal(size=(6, 23)) * 0.1
+        config = TrainConfig(epochs=2, batch_size=10, learning_rate=1e-2)
+
+        def trained():
+            model = stack([LstmModel.create(seed) for seed in SEEDS[:6]])
+            return train(model, samples, labels, config, SEEDS[:6])
+
+        model, losses = trained()
+        monkeypatch.setattr(LstmLayer, "backward", zero_initialised_backward)
+        want_model, want_losses = trained()
+        assert losses == want_losses
+        assert model.vector.tobytes() == want_model.vector.tobytes()
+
+
 def per_tensor_adam(model, samples, labels, config):
     """train's loop before the flat vector: Adam state per parameter array."""
     params = model.parameters()

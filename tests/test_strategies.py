@@ -1,5 +1,6 @@
 """Window protocol, labels, the three ranking strategies, target selection."""
 
+import dataclasses
 import math
 from bisect import bisect_right
 from datetime import date as Date
@@ -7,18 +8,20 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
-from conftest import (bar_rows, bars_of, benchmark_of, build_market, flat_market,
-                      snapshot_column, snapshots)
-from rollingquant import strategies
+from conftest import (bar_rows, bars_of, benchmark_of, build_market, close_zero_spells,
+                      flat_market, snapshot_column, snapshots)
+from rollingquant import factors, strategies
+from rollingquant.backtest import ScenarioConfig, run_scenario
 from rollingquant.errors import StrategyError, TrainingError, ValidationError
 from rollingquant.factors import MarketStore
 from rollingquant.marketdata import eligible_universe
 from rollingquant.numerics import TrainConfig
 from rollingquant.strategies import (
     SEED_STRIDE,
+    STRATEGY_KINDS,
     Ranking,
     build_window,
-    excess_return_label,
+    excess_return_labels,
     rank_stocks,
     select_targets,
 )
@@ -55,6 +58,27 @@ class TestBuildWindow:
             build_window(calendar_2015, Date(2015, 2, 27), 3)
 
 
+def excess_return_label(dataset, stock_id, t0, t1):
+    """One stock's label, value by value: the oracle for excess_return_labels.
+    Stock return minus benchmark return over [t0, t1]; None if unavailable."""
+    c0 = dataset.tradeable_close(stock_id, t0)
+    c1 = dataset.tradeable_close(stock_id, t1)
+    if c0 is None or c1 is None or c0 <= 0 or c1 <= 0:
+        return None
+    # both dates have a bar, so both are on the calendar; NaN marks no close
+    index = dataset.calendar.index
+    bench0, bench1 = float(dataset.benchmark[index[t0]]), float(dataset.benchmark[index[t1]])
+    if not bench0 > 0 or math.isnan(bench1):
+        return None
+    return (c1 / c0 - 1.0) - (bench1 / bench0 - 1.0)
+
+
+def label_of(dataset, stock_id, t0, t1):
+    """excess_return_labels of one stock, None where it has no label."""
+    labels, available = excess_return_labels(dataset, [stock_id], t0, t1)
+    return labels.item() if available.item() else None
+
+
 class TestExcessReturnLabel:
     def _market(self, stock_end, bench_end):
         market = flat_market({"A": 100.0})
@@ -66,12 +90,12 @@ class TestExcessReturnLabel:
 
     def test_cancellation(self):
         market = self._market(110.0, 3300.0)
-        label = excess_return_label(market, "A", Date(2015, 6, 30), Date(2015, 7, 31))
+        label = label_of(market, "A", Date(2015, 6, 30), Date(2015, 7, 31))
         assert label == pytest.approx(0.0, abs=1e-12)
 
     def test_forced_arithmetic(self):
         market = self._market(105.0, 2910.0)  # stock +5%, benchmark -3%
-        label = excess_return_label(market, "A", Date(2015, 6, 30), Date(2015, 7, 31))
+        label = label_of(market, "A", Date(2015, 6, 30), Date(2015, 7, 31))
         assert label == pytest.approx(0.08, abs=1e-12)
 
     def test_suspended_at_horizon_dropped(self):
@@ -79,14 +103,35 @@ class TestExcessReturnLabel:
         t1 = Date(2015, 7, 31)
         bars = bars_of(market, "A")
         bars.suspended[bars.dates.index(t1)] = True
-        assert excess_return_label(market, "A", Date(2015, 6, 30), t1) is None
+        assert label_of(market, "A", Date(2015, 6, 30), t1) is None
 
     def test_missing_bar_dropped(self):
         market = self._market(105.0, 2910.0)
         t1 = Date(2015, 7, 31)
         market = build_market([row for row in bar_rows(market) if row[1] != t1],
                               benchmark_of(market), snapshots(market))
-        assert excess_return_label(market, "A", Date(2015, 6, 30), t1) is None
+        assert label_of(market, "A", Date(2015, 6, 30), t1) is None
+
+    def test_arrays_match_the_scalar_oracle_bit_for_bit(self, gapped_market):
+        market = close_zero_spells(gapped_market)
+        days = market.calendar.month_last_days()
+        index = market.calendar.index
+        market.benchmark[index[days[14]]] = np.nan
+        market.benchmark[index[days[16]]] = 0.0
+        bars = bars_of(market, "S0006")
+        bars.close[bars.dates.index(days[18])] = np.nan
+        stocks = ["NOPE", *market.stocks]
+        pairs = [*zip(days, days[1:]), *zip(days, days[3:]), (days[-1], days[0]),
+                 (days[5], Date(2015, 6, 28))]  # a Sunday
+        available_anywhere = set()
+        for t0, t1 in pairs:
+            labels, available = excess_return_labels(market, stocks, t0, t1)
+            got = [x.hex() if ok else None for x, ok in zip(labels.tolist(), available.tolist())]
+            want = [None if label is None else label.hex()
+                    for label in (excess_return_label(market, s, t0, t1) for s in stocks)]
+            assert got == want, (t0, t1)
+            available_anywhere.update(x for x in got if x is not None)
+        assert "nan" in available_anywhere and len(available_anywhere) > 100
 
 
 class TestSelectTargets:
@@ -210,6 +255,56 @@ class TestWindowPanels:
         rank_day(kind, MarketStore(market), d, universe, w=3,
                  train_config=TrainConfig(epochs=1))
         assert built == build_window(market.calendar, d, 3) + [d]
+
+
+class TestNormalizationMemo:
+    """The store normalizes each (date, stocks) panel and each training
+    window once per run, for all the strategies of the run."""
+
+    @staticmethod
+    def _record_normalizations(monkeypatch):
+        """The (shape, bytes) of each compute_normalization input, from
+        normalize_panel and from the pooled window stats."""
+        inputs = []
+        compute = factors.compute_normalization
+
+        def recording(matrix, missing):
+            inputs.append((matrix.shape, matrix.tobytes(), missing.tobytes()))
+            return compute(matrix, missing)
+
+        monkeypatch.setattr(factors, "compute_normalization", recording)
+        monkeypatch.setattr(strategies, "compute_normalization", recording)
+        return inputs
+
+    def test_once_per_distinct_input_in_a_three_strategy_backtest(self, crash_market,
+                                                                  monkeypatch):
+        inputs = self._record_normalizations(monkeypatch)
+        store = MarketStore(crash_market)
+        config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31),
+                                train_config=TrainConfig(epochs=1))
+        for kind in STRATEGY_KINDS:
+            run_scenario(store, kind, config)
+        # a gapless market: every action day ranks the same universe, so
+        # linreg's panels are the 9 month ends from April to December, and
+        # fcnn and lstm share the 6 windows of July to December
+        assert len(inputs) == len(set(inputs)) == 9 + 6
+
+    @pytest.mark.parametrize("kind", ["linreg", "fcnn"])
+    def test_two_universes_on_one_date_share_nothing(self, kind, monkeypatch):
+        market = fresh_market(n_stocks=20)
+        d = Date(2015, 9, 30)
+        universe = eligible_universe(market, d)
+        smaller = set(sorted(universe)[5:])
+        config = TrainConfig(epochs=1, seed=4)
+        inputs = self._record_normalizations(monkeypatch)
+        both = rank_stocks(kind, MarketStore(market), [(d, universe), (d, smaller)],
+                           train_config=config)
+        assert len(inputs) == len(set(inputs)) == (8 if kind == "linreg" else 2)
+        alone = [rank_day(kind, MarketStore(market), d, u,
+                          train_config=dataclasses.replace(config, seed=4 + i * SEED_STRIDE))
+                 for i, u in enumerate((universe, smaller))]
+        assert [r.entries for r in both] == [r.entries for r in alone]
+        assert {s for s, _ in both[1].entries} == smaller
 
 
 class TestNoLookahead:
