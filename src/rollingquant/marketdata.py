@@ -236,15 +236,20 @@ def _utf8_line(line):
     return line
 
 
-def _read_rows(path, columns):
+def _open(path, errors):
     try:
-        # surrogateescape: the decoder reads a block ahead of the csv reader,
-        # so a byte that is not UTF-8 must fail only in _utf8_line, once the
-        # reader reaches its line, after every record before it
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+        return open(path, "r", encoding="utf-8", errors=errors, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
+
+
+def _read_rows(path, columns):
+    """The file's (line, record) pairs, blank lines skipped, after its
+    header; the first structural error in file order ends them."""
+    # surrogateescape: the decoder reads a block ahead of the csv reader,
+    # so a byte that is not UTF-8 must fail only in _utf8_line, once the
+    # reader reaches its line, after every record before it
+    with _open(path, "surrogateescape") as fh:
         reader = csv.reader(map(_utf8_line, fh))
         try:
             header = next(reader, None)
@@ -337,51 +342,68 @@ def _numbers(columns):
     return values if np.isfinite(values).all() else None
 
 
+def _chunks(path, columns, convert):
+    """The columns convert(rows) makes of each chunk of CHUNK_RECORDS rows of
+    the file, its blank rows left out, with no Python per record; None if
+    the file may hold an error: a header other than columns, a record with
+    another field count, a chunk that fails a mask, a key that two records
+    hold, or text that is not UTF-8 or that csv refuses."""
+    keys, parts = [], []
+    # strict: the decoder refuses a byte that is not UTF-8 in the block it
+    # reads ahead, before the records of that block are checked
+    with _open(path, "strict") as fh:
+        reader = csv.reader(fh)
+        try:
+            if [h.strip() for h in next(reader, ())] != columns:
+                return None
+            while rows := list(islice(reader, CHUNK_RECORDS)):
+                widths = set(map(len, rows))
+                if 0 in widths:  # a blank line holds no record
+                    widths.discard(0)
+                    rows = list(filter(None, rows))
+                if widths - {len(columns)}:
+                    return None
+                if rows:
+                    key, part = convert(rows)
+                    if part is None:
+                        return None
+                    keys.append(key)
+                    parts.append(part)
+        except (UnicodeDecodeError, csv.Error):
+            return None
+    keys = np.sort(np.concatenate([np.zeros(0, np.int64), *keys]))
+    return None if (keys[1:] == keys[:-1]).any() else parts
+
+
+def _first_error(path, columns, check, duplicate):
+    """Raise the first error of the file in file order, reading it record by
+    record: a structural error _read_rows raises, a bad record (check(path,
+    line, row) names it) or a record whose key an earlier one holds
+    (duplicate(row) names it)."""
+    # a record's key is its fields up to its date, as texts: a date passes
+    # the date check in one text only
+    width = columns.index("date") + 1
+    seen = set()
+    for line, row in _read_rows(path, columns):
+        check(path, line, row)
+        key = tuple(row[:width])
+        if key in seen:
+            raise ParseError(f"{path}:{line}: {duplicate(row)}")
+        seen.add(key)
+    raise RuntimeError(f"{path}: a chunk fails a check but no record does")
+
+
 def _read_table(path, columns, convert, check, duplicate, *empty):
     """The columns convert makes of the file's records, CHUNK_RECORDS at a
     time, each joined along its last axis; empty gives their dtypes and
     shapes without records.
 
     convert(rows) gives the records' int keys and their columns, None if a
-    record fails a mask; then check(path, line, row) names the first bad
-    record. The error raised is the first in file order: a record whose key
-    an earlier one holds (duplicate(key) names it), a bad record, or the
-    error that ends the file."""
-    failure = []
-
-    def records():
-        try:
-            yield from _read_rows(path, columns)
-        except DataError as exc:  # raised after the records read before it
-            failure.append(exc)
-
-    stream, keys, lines, parts = records(), [], [], []
-    while chunk := list(islice(stream, CHUNK_RECORDS)):
-        key, part = convert([row for _, row in chunk])
-        if part is None:
-            for n, (line, row) in enumerate(chunk):
-                try:
-                    check(path, line, row)
-                except DataError as exc:
-                    failure.insert(0, exc)
-                    chunk = chunk[:n]
-                    break
-            else:
-                raise RuntimeError(f"{path}: a record fails a mask but none of its checks")
-        keys.append(key[:len(chunk)])
-        lines.append(np.array([line for line, _ in chunk], dtype=np.int64))
-        parts.append(part)
-        if failure:
-            break
-    if keys:
-        key = np.concatenate(keys)
-        order = np.argsort(key, kind="stable")  # the records of a key stay in file order
-        repeat = key[order][1:] == key[order][:-1]
-        if repeat.any():
-            i = order[1:][repeat].min()
-            raise ParseError(f"{path}:{np.concatenate(lines)[i]}: {duplicate(key[i])}")
-    if failure:
-        raise failure[0]
+    record fails a mask. A file that _chunks refuses is read again, record
+    by record, and only then are lines counted, to name its first error."""
+    parts = _chunks(path, columns, convert)
+    if parts is None:
+        _first_error(path, columns, check, duplicate)
     return [np.concatenate(column, axis=-1) for column in zip(empty, *parts)]
 
 
@@ -428,24 +450,21 @@ def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
             return ordinals, None
         return ordinals, (ordinals, values[0])
 
-    def iso(day):
-        return Date.fromordinal(day).isoformat()
-
     empty = np.zeros(0, dtype=np.int64)
     bar_columns = _read_table(
-        bars_path, BARS_COLUMNS, bars, _check_bar, lambda key:
-        f"duplicate bar for ({list(bar_ids)[key // DAYS]}, {iso(key % DAYS)})",
+        bars_path, BARS_COLUMNS, bars, _check_bar,
+        lambda row: f"duplicate bar for ({row[0]}, {row[1]})",
         empty, empty, np.zeros((5, 0)), np.zeros(0, bool))
     if not bar_columns[0].size:
         raise ParseError(f"{bars_path}: no bars")
     snapshot_columns = _read_table(
-        fundamentals_path, FUNDAMENTALS_COLUMNS, snapshots, _check_snapshot, lambda key:
-        f"duplicate snapshot for ({list(snapshot_ids)[key // DAYS]}, {iso(key % DAYS)})",
+        fundamentals_path, FUNDAMENTALS_COLUMNS, snapshots, _check_snapshot,
+        lambda row: f"duplicate snapshot for ({row[0]}, {row[1]})",
         empty, empty, np.zeros((16, 0)), np.zeros(0, object))
     dataset = MarketDataset.from_columns(
         (list(bar_ids), *bar_columns), (list(snapshot_ids), *snapshot_columns), _read_table(
             benchmark_path, BENCHMARK_COLUMNS, benchmark_closes, _check_benchmark,
-            lambda day: f"duplicate benchmark date {iso(day)}", empty, np.zeros(0)))
+            lambda row: f"duplicate benchmark date {row[0]}", empty, np.zeros(0)))
     missing = np.flatnonzero(np.isnan(dataset.benchmark))
     if missing.size:
         d = dataset.calendar.dates[missing[0]]

@@ -55,7 +55,8 @@ def mse(predictions, labels):
 
 def least_squares_fit(X, y):
     """argmin_w ||Xw - y||^2 via normal equations with a tiny ridge term."""
-    X = np.asarray(X, dtype=float)
+    # C order: the products' bits depend on X's memory layout
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValidationError("least_squares_fit: shape mismatch")

@@ -116,7 +116,6 @@ def _labelled_rows(store: MarketStore, panel):
         if panel.stocks else panel.matrix
     _, tradeable = store.dataset.tradeable_closes(panel.stocks, panel.date)
     keep = ~panel.missing[:, LN_MCAP_INDEX] & tradeable
-    # C order: least_squares_fit's bits depend on the layout of its matrix
     return ([s for s, k in zip(panel.stocks, keep.tolist()) if k],
             normalized[np.ix_(keep, _NON_LABEL_COLUMNS)], panel.matrix[keep, LN_MCAP_INDEX])
 

@@ -804,6 +804,90 @@ class TestLoaderOracle:
             assert first in message
 
 
+class TestChunkBoundaries:
+    """Errors and records at the edges of the loader's chunks, against the
+    oracle. With chunks of 3 records the sweep's 8 bars are read as records
+    1-3 (lines 2-4), 4-6 and 7-8."""
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_three(self, monkeypatch):
+        monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+
+    @staticmethod
+    def bars_with_lines(paths, after, lines):
+        """Put lines, as bytes, into bars.csv after its line number after."""
+        text = paths[0].read_bytes().split(b"\n")
+        paths[0].write_bytes(b"\n".join(text[:after] + lines + text[after:]))
+        return paths
+
+    @pytest.mark.parametrize("record,line", [(3, 5), (2, 4), (5, 7), (6, 8)],
+                             ids=["first", "last", "second-last", "third-first"])
+    def test_first_error_at_a_chunk_edge(self, tmp_path, record, line):
+        # a later error in the next chunk, which must not be named
+        edits = [("field", 0, record, 2, "oops"), ("field", 0, 7, 4, "-1")]
+        paths = write_sweep_case(tmp_path, edits)
+        assert assert_matches_oracle(paths) == \
+            (ParseError, f"{paths[0]}:{line}: column 'close': bad number 'oops'")
+
+    @pytest.mark.parametrize("error", [False, True])
+    def test_quoted_newline_in_a_chunks_last_record(self, tmp_path, error):
+        """A stock id holding a newline in record 3 ends on line 5, so record
+        4, the next chunk's first, is on line 6."""
+        edits = [("field", 0, 2, 0, "x\ny")] + ([("field", 0, 3, 2, "oops")] if error else [])
+        paths = write_sweep_case(tmp_path, edits)
+        kind, got = assert_matches_oracle(paths)
+        if error:
+            assert (kind, got) == (ParseError, f"{paths[0]}:6: column 'close': bad number 'oops'")
+        else:
+            assert kind == "ok" and "x\ny" in got.stocks
+
+    @pytest.mark.parametrize("blank", [1, 3], ids=["one", "a-whole-chunk"])
+    @pytest.mark.parametrize("error", [False, True])
+    def test_blank_lines_on_a_chunk_boundary(self, tmp_path, blank, error):
+        paths = self.bars_with_lines(
+            write_sweep_case(tmp_path, [("field", 0, 3, 2, "oops")] if error else []),
+            4, [b""] * blank)
+        kind, got = assert_matches_oracle(paths)
+        if error:
+            assert (kind, got) == (
+                ParseError, f"{paths[0]}:{5 + blank}: column 'close': bad number 'oops'")
+        else:
+            assert kind == "ok"
+
+    @pytest.mark.parametrize("bad_close", [False, True])
+    def test_bad_byte_in_a_chunks_first_record(self, tmp_path, bad_close):
+        """A byte that is not UTF-8 in record 4 comes after a bad value in
+        record 2, in the chunk before it."""
+        paths = write_sweep_case(tmp_path, [("field", 0, 1, 2, "oops")] if bad_close else [])
+        lines = paths[0].read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b",0.2,", b",0.\xff2,")
+        paths[0].write_bytes(b"\n".join(lines))
+        assert assert_matches_oracle(paths) == (ParseError, (
+            f"{paths[0]}:3: column 'close': bad number 'oops'" if bad_close
+            else f"{paths[0]}:5: byte 0xff is not UTF-8 text"))
+
+    @pytest.mark.parametrize("file,edits,error", [
+        (0, [("field", 0, 4, 0, "A")], "6: duplicate bar for (A, 2015-06-01)"),
+        (0, [("field", 0, 6, 1, SWEEP_DAYS[1])], "8: duplicate bar for (B, 2015-06-02)"),
+        (2, [("field", 2, 3, 0, SWEEP_DAYS[0])], "5: duplicate benchmark date 2015-06-01"),
+    ], ids=["bars-first-chunk", "bars-second-chunk", "benchmark"])
+    def test_key_repeated_from_an_earlier_chunk(self, tmp_path, file, edits, error):
+        paths = write_sweep_case(tmp_path, edits)
+        assert assert_matches_oracle(paths) == (ParseError, f"{paths[file]}:{error}")
+
+    def test_header_only_bars(self, tmp_path):
+        paths = write_sweep_case(tmp_path, [])
+        paths[0].write_text(",".join(BARS_COLUMNS) + "\n")
+        assert assert_matches_oracle(paths) == (ParseError, f"{paths[0]}: no bars")
+
+    def test_non_ascii_stock_id_loads(self, tmp_path):
+        paths = write_sweep_case(tmp_path, [])
+        for path in paths[:2]:
+            path.write_bytes(re.sub(rb"^A,", "Ä股,".encode(), path.read_bytes(), flags=re.M))
+        kind, got = assert_matches_oracle(paths)
+        assert kind == "ok" and got.stocks == ["B", "Ä股"]
+
+
 def test_loader_peak_memory_within_oracle_bound(tmp_path):
     """The loader's traced allocation peak on a 25-stock generated market is
     at most 1.25 times the per-row oracle's."""

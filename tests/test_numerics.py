@@ -85,6 +85,20 @@ class TestLeastSquares:
             want = pinv_oracle(X, y)
             assert np.abs(got - want).max() < 1e-8
 
+    def test_weights_do_not_depend_on_the_layout_of_x(self):
+        """A C-ordered, a Fortran-ordered and a strided X give the same bits:
+        linreg's 75-by-47 shape, where the layout changed them before."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            X = rng.normal(0.0, 1.0, size=(75, 47))
+            y = rng.normal(0.0, 1.0, size=75)
+            strided = np.zeros((75, 94))
+            strided[:, ::2] = X
+            want = least_squares_fit(X, y).tobytes()
+            for layout in (np.asfortranarray(X), strided[:, ::2]):
+                assert not layout.flags.c_contiguous
+                assert least_squares_fit(layout, y).tobytes() == want
+
 
 def scalar_mlp_oracle(model, sample):
     """One sample through the dense network with explicit python loops."""
