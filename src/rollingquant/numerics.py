@@ -34,8 +34,9 @@ MLP_HIDDEN_SIZES = (32, 20, 10)
 LSTM_HIDDEN_SIZES = (32, 16, 8)
 SEQUENCE_LENGTH = 3
 RIDGE_LAMBDA = 1e-8
-# Entries of one parameter tensor perturbed per forward pass in
-# gradient_check; larger chunks cost memory for little further speed.
+# Entries of one parameter tensor perturbed per staged pass in
+# gradient_check. A pass keeps no cache, so its memory is the 2 * CHUNK
+# perturbed copies and their activations; larger chunks add little speed.
 GRADCHECK_CHUNK = 32
 
 
@@ -124,8 +125,55 @@ class TrainConfig:
             raise ValidationError("invalid training configuration")
 
 
-class MlpModel:
-    """Dense network, ReLU hidden layers, linear scalar output."""
+class _StagedModel:
+    """The forward pass as a sequence of stages, shared by both models.
+
+    Stage i maps its input to the next stage's input, the last stage's output
+    being the predictions, and reads only the parameters in
+    _stage_slots()[i]; so gradient_check, which perturbs one stage's
+    parameters at a time, can start from that stage's unperturbed input.
+    forward composes the stages and _forward_pass records them; each stage
+    keeps what its backward reads only when asked to.
+    """
+
+    def _parameter_slots(self):
+        """(container, key) holding each parameter, in parameters() order."""
+        for slots in self._stage_slots():
+            yield from slots
+
+    def parameters(self):
+        return [slot[key] for slot, key in self._parameter_slots()]
+
+    # each model defines _stage_count(), _stage_slots() (one list per stage),
+    # _stage_input(batch) (stage 0's input) and _stage(i, x, keep), which
+    # returns (stage i's output, what its backward reads when keep, else None)
+
+    def _run(self, x, first=0):
+        """Predictions from stage first's input x, keeping nothing for a backward."""
+        for i in range(first, self._stage_count()):
+            x = self._stage(i, x, False)[0]
+        return x
+
+    def forward(self, batch):
+        """Predictions for batch: an MLP's (b, input_dim) or an LSTM's
+        (b, T, input_dim) -> (b,); a stack's (K, b, input_dim) or
+        (K, b, T, input_dim) -> (K, b)."""
+        return self._run(self._stage_input(batch))
+
+    def _forward_pass(self, batch, keep=True):
+        """Validate batch; return (each stage's input, what each stage keeps
+        for its backward when keep, else Nones, predictions)."""
+        x = self._stage_input(batch)
+        inputs, kept = [], []
+        for i in range(self._stage_count()):
+            inputs.append(x)
+            x, saved = self._stage(i, x, keep)
+            kept.append(saved)
+        return inputs, kept, x
+
+
+class MlpModel(_StagedModel):
+    """Dense network, ReLU hidden layers, linear scalar output; one stage per layer."""
 
     def __init__(self, weights, biases, input_dim):
         self.weights = list(weights)  # (d_in, d_out) views into vector, (K, ...) stacked
@@ -141,39 +189,32 @@ class MlpModel:
         biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
         return cls(weights, biases, input_dim)
 
-    def _parameter_slots(self):
-        """(container, key) holding each parameter, in parameters() order."""
-        for i in range(len(self.weights)):
-            yield self.weights, i
-            yield self.biases, i
+    def _stage_count(self):
+        return len(self.weights)
 
-    def parameters(self):
-        return [slot[key] for slot, key in self._parameter_slots()]
+    def _stage_slots(self):
+        """Per layer, the (container, key) of its weights and biases."""
+        return [[(self.weights, i), (self.biases, i)] for i in range(len(self.weights))]
 
     def member(self, k):
         """Member k of a stacked model, as a model of its own."""
         return MlpModel([w[k] for w in self.weights], [b[k] for b in self.biases],
                         self.input_dim)
 
-    def _forward_pass(self, batch):
-        """Validate batch ((b, d), or (K, b, d) for a stack); return (each
-        layer's input, pre-ReLU values, predictions)."""
+    def _stage_input(self, batch):
+        """batch, validated: (b, d), or (K, b, d) for a stack."""
         h = np.asarray(batch, dtype=float)
         if h.ndim not in (2, 3) or h.shape[-1] != self.input_dim:
             raise ValidationError(f"MlpModel.forward: expected batch of width {self.input_dim}")
-        activations = [h]
-        pre_relu = []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b[..., None, :]  # broadcast over the batch
-            if i != last:
-                pre_relu.append(h)
-                h = np.maximum(h, 0.0)
-                activations.append(h)
-        return activations, pre_relu, h[..., 0]
+        return h
 
-    def forward(self, batch):
-        return self._forward_pass(batch)[2]
+    def _stage(self, i, h, keep):
+        """Layer i on its input h: (its output, its pre-ReLU values when keep).
+        The last layer's output is the predictions."""
+        h = h @ self.weights[i] + self.biases[i][..., None, :]  # broadcast over the batch
+        if i == len(self.weights) - 1:
+            return h[..., 0], None
+        return np.maximum(h, 0.0), h if keep else None
 
     def loss_and_gradients(self, batch, labels):
         """(MSE loss, gradients aligned with parameters())."""
@@ -225,31 +266,31 @@ class LstmLayer:
         yield vars(self), "W_x"
         yield vars(self), "B"
 
-    def forward(self, x_seq):
-        """x_seq: (T, b, input_dim) -> (a_seq (T, b, hidden), cache).
+    def forward(self, x_seq, keep_cache=True):
+        """x_seq: (T, b, input_dim) -> (a_seq (T, b, hidden), cache); the
+        cache, which backward reads, is None unless keep_cache.
 
         Leading axes of stacked parameters broadcast and land between T and b,
         and a later layer accepts such a (T, ..., b, input_dim) sequence.
         """
         h = self.hidden_dim
-        state_shape = x_seq.shape[1:-1] + (h,)
-        a = np.zeros(state_shape)
-        c = np.zeros(state_shape)
+        a = c = np.zeros(x_seq.shape[1:-1] + (h,))
         B = self.B[..., None, :]  # broadcast over the batch
-        cache = []
-        a_steps = []
-        for x in x_seq:
+        cache = [] if keep_cache else None
+        for t, x in enumerate(x_seq):
             z = a @ self.W_a + x @ self.W_x + B
             c_tilde = np.tanh(z[..., :h])
             gates = _sigmoid(z[..., h:])
             g_u, g_f, g_o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
             c_new = g_u * c_tilde + g_f * c
             tanh_c = np.tanh(c_new)
-            a_new = g_o * tanh_c
-            cache.append((x, a, c, c_tilde, g_u, g_f, g_o, c_new, tanh_c))
+            if not t:  # the first step's shape has any axes the parameters broadcast
+                a_seq = np.empty((len(x_seq),) + tanh_c.shape)
+            a_new = np.multiply(g_o, tanh_c, out=a_seq[t])
+            if keep_cache:
+                cache.append((x, a, c, c_tilde, g_u, g_f, g_o, c_new, tanh_c))
             a, c = a_new, c_new
-            a_steps.append(a)
-        return np.stack(a_steps), cache
+        return a_seq, cache
 
     def backward(self, da_seq, cache):
         """da_seq: gradient w.r.t. each step's output a_t, (T, b, hidden) or
@@ -290,11 +331,12 @@ class LstmLayer:
         return dz_seq, [gW_a, gW_x, gB]
 
 
-class LstmModel:
+class LstmModel(_StagedModel):
     """Three stacked recurrent layers plus an affine scalar read-out.
 
     The first two layers pass full sequences downstream; the read-out sees
-    only the final step of the last layer.
+    only the final step of the last layer. Each layer is a stage, and the
+    read-out is the last.
     """
 
     def __init__(self, layers, readout_w, readout_b, input_dim, sequence_length):
@@ -318,15 +360,13 @@ class LstmModel:
         readout_b = np.zeros(1)
         return cls(layers, readout_w, readout_b, input_dim, sequence_length)
 
-    def _parameter_slots(self):
-        """(container, key) holding each parameter, in parameters() order."""
-        for layer in self.layers:
-            yield from layer._parameter_slots()
-        yield vars(self), "readout_w"
-        yield vars(self), "readout_b"
+    def _stage_count(self):
+        return len(self.layers) + 1
 
-    def parameters(self):
-        return [slot[key] for slot, key in self._parameter_slots()]
+    def _stage_slots(self):
+        """Per layer, then for the read-out, the (container, key) of each parameter."""
+        return [list(layer._parameter_slots()) for layer in self.layers] \
+            + [[(vars(self), "readout_w"), (vars(self), "readout_b")]]
 
     def member(self, k):
         """Member k of a stacked model, as a model of its own."""
@@ -335,9 +375,9 @@ class LstmModel:
         return LstmModel(layers, self.readout_w[k], self.readout_b[k], self.input_dim,
                          self.sequence_length)
 
-    def _forward_pass(self, batch):
-        """Validate batch ((b, T, d), or (K, b, T, d) for a stack); return
-        (last layer's sequence, per-layer caches, predictions)."""
+    def _stage_input(self, batch):
+        """batch ((b, T, d), or (K, b, T, d) for a stack), validated, as the
+        first layer's (T, b, d) or (T, K, b, d) sequence."""
         x_seq = np.asarray(batch, dtype=float)
         if x_seq.ndim not in (3, 4) \
                 or x_seq.shape[-2:] != (self.sequence_length, self.input_dim):
@@ -345,20 +385,18 @@ class LstmModel:
                 f"LstmModel.forward: expected (batch, {self.sequence_length}, "
                 f"{self.input_dim}) input"
             )
-        # (T, b, d), or (T, K, b, d) for a stack
-        x_seq = x_seq.transpose(x_seq.ndim - 2, *range(x_seq.ndim - 2), x_seq.ndim - 1)
-        caches = []
-        for layer in self.layers:
-            x_seq, cache = layer.forward(x_seq)
-            caches.append(cache)
-        return x_seq, caches, (x_seq[-1] @ self.readout_w + self.readout_b[..., None, :])[..., 0]
+        return x_seq.transpose(x_seq.ndim - 2, *range(x_seq.ndim - 2), x_seq.ndim - 1)
 
-    def forward(self, batch):
-        """batch: (b, T, input_dim) -> predictions (b,)."""
-        return self._forward_pass(batch)[2]
+    def _stage(self, i, x_seq, keep):
+        """Layer i, or the read-out after the last layer, on its input
+        sequence: (its output, the layer's cache when keep)."""
+        if i < len(self.layers):
+            return self.layers[i].forward(x_seq, keep)
+        return (x_seq[-1] @ self.readout_w + self.readout_b[..., None, :])[..., 0], None
 
     def loss_and_gradients(self, batch, labels):
-        x_seq, caches, preds = self._forward_pass(batch)
+        inputs, caches, preds = self._forward_pass(batch)
+        x_seq = inputs[-1]  # the last layer's output sequence
         labels = np.asarray(labels, dtype=float)
         loss = mse(preds, labels)
 
@@ -487,42 +525,59 @@ def gradient_check(model, batch, labels, step: float = 1e-5):
     moved by +-step. Its error against the analytic entry a from
     loss_and_gradients is |a - n| / max(1, |a| + |n|); the largest is returned,
     or math.inf if any error is NaN or infinite (an overflowed loss or
-    gradient), so that no tolerance passes it.
+    gradient), so that no tolerance passes it. step must be finite and
+    non-zero.
 
     Entries are evaluated a chunk of up to GRADCHECK_CHUNK at a time: a stack
     of 2k perturbed copies of the tensor (+step copies, then -step copies)
-    takes the tensor's place for one forward pass, which broadcasts over the
-    leading copy axis. The original array object, a view of the model's flat
-    vector, is then put back, so every parameter is restored exactly: same
-    objects, same contents.
+    takes the tensor's place, and only the forward's stages from the
+    tensor's own onward run, from that stage's unperturbed input (computed
+    once per check), broadcasting over the leading copy axis. Each copy thus
+    runs the operations forward runs, in the same order, and gets forward's
+    predictions bit for bit. The original array object, a view of the
+    model's flat vector, is then put back, so every parameter is restored
+    exactly: same objects, same contents, even when a stage raises.
     """
+    if not (math.isfinite(step) and step != 0.0):
+        raise ValidationError("gradient_check: step must be finite and non-zero")
     batch = np.asarray(batch, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.shape != batch.shape[:1]:
         raise ValidationError("gradient_check: labels do not match the batch")
     _, grads = model.loss_and_gradients(batch, labels)
+    inputs = model._forward_pass(batch, keep=False)[0]
+    tensors = [(stage, slot) for stage, slots in enumerate(model._stage_slots())
+               for slot in slots]
     worst = 0.0
-    for (slot, key), g in zip(model._parameter_slots(), grads):
+    for (stage, (slot, key)), g in zip(tensors, grads, strict=True):
         p = slot[key]
         flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for start in range(0, flat_p.size, GRADCHECK_CHUNK):
-            idx = np.arange(start, min(start + GRADCHECK_CHUNK, flat_p.size))
-            k = len(idx)
-            stack = np.tile(flat_p, (2 * k, 1))
-            stack[np.arange(k), idx] = flat_p[idx] + step
-            stack[np.arange(k, 2 * k), idx] = flat_p[idx] - step
-            slot[key] = stack.reshape((2 * k,) + p.shape)
+        n = flat_p.size
+        # rows of copies of the tensor, the first 2k of them a chunk's stack
+        copies = np.empty((2 * min(n, GRADCHECK_CHUNK), n))
+        copies[...] = flat_p
+        flat_copies = copies.reshape(-1)
+        preds = np.empty((2, n) + labels.shape)  # each entry's +step, then -step predictions
+        for start in range(0, n, GRADCHECK_CHUNK):
+            k = min(GRADCHECK_CHUNK, n - start)
+            # entry start + r, moved up in row r and down in row k + r, and
+            # put back after the chunk
+            up = flat_copies[start::n + 1][:k]
+            down = flat_copies[k * n + start::n + 1][:k]
+            up += step
+            down -= step
+            slot[key] = copies[:2 * k].reshape((2 * k,) + p.shape)
             try:
-                diff = model.forward(batch) - labels
+                preds[:, start:start + k] = model._run(inputs[stage], stage).reshape(2, k, -1)
             finally:
                 slot[key] = p
-            losses = np.mean(diff * diff, axis=-1)
-            numeric = (losses[:k] - losses[k:]) / (2.0 * step)
-            analytic = flat_g[idx]
-            err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
-            if not np.isfinite(err).all():
-                return math.inf
-            worst = max(worst, float(err.max()))
+            up[...] = down[...] = flat_p[start:start + k]
+        diff = preds - labels
+        losses = np.mean(diff * diff, axis=-1)
+        numeric = (losses[0] - losses[1]) / (2.0 * step)
+        analytic = g.reshape(-1)
+        err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
+        if not np.isfinite(err).all():
+            return math.inf
+        worst = float(err.max(initial=worst))
     return worst
-

@@ -3,7 +3,8 @@
 Oracles here are deliberately independent implementations: a pseudo-inverse
 solver for the least squares fit, scalar-loop evaluators for both network
 forward passes, the per-gate LSTM backpropagation the fused gates replaced,
-and Adam run per parameter array.
+Adam run per parameter array, and the gradient check that ran the whole
+forward for every chunk of perturbed entries.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 from conftest import broken_backward
 from rollingquant.errors import TrainingError, ValidationError
 from rollingquant.numerics import (
+    GRADCHECK_CHUNK,
     LstmLayer,
     LstmModel,
     MlpModel,
@@ -655,6 +657,29 @@ class TestStack:
         assert caught.value.member == 2
 
 
+FORWARD_MODELS = [
+    pytest.param(lambda seed: MlpModel.create(seed=seed), (47,), id="mlp"),
+    *(pytest.param(lambda seed, t=t: LstmModel.create(seed=seed, sequence_length=t), (t, 47),
+                   id=f"lstm-T{t}") for t in (1, 2, 3)),
+]
+
+
+class TestForwardEqualsTrainingPass:
+    """forward, which keeps nothing for a backward, gives the predictions of
+    the pass loss_and_gradients records, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [0, 7])
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("create,shape", FORWARD_MODELS)
+    def test_forward_bits_equal_recorded_pass(self, create, shape, k, rows):
+        lead = (k,) if k else ()
+        model = stack([create(seed) for seed in SEEDS[:k]]) if k else create(SEEDS[0])
+        batch = np.random.default_rng(rows).normal(size=lead + (rows,) + shape)
+        got = model.forward(batch)
+        assert got.shape == lead + (rows,)
+        assert got.tobytes() == model._forward_pass(batch)[2].tobytes()
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.5), ("beta2", -0.5), ("beta1", math.nan),
@@ -665,6 +690,66 @@ class TestTrainConfig:
 
     def test_zero_moment_decay_accepted(self):
         TrainConfig(beta1=0.0, beta2=0.0).validate()
+
+
+def oracle_gradient_check(model, batch, labels, step=1e-5):
+    """gradient_check as it was before it was staged: model.forward, every
+    stage of it, for each chunk of perturbed entries, and the errors chunk
+    by chunk."""
+    batch = np.asarray(batch, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    _, grads = model.loss_and_gradients(batch, labels)
+    worst = 0.0
+    for (slot, key), g in zip(model._parameter_slots(), grads):
+        p = slot[key]
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for start in range(0, flat_p.size, GRADCHECK_CHUNK):
+            idx = np.arange(start, min(start + GRADCHECK_CHUNK, flat_p.size))
+            k = len(idx)
+            copies = np.tile(flat_p, (2 * k, 1))
+            copies[np.arange(k), idx] = flat_p[idx] + step
+            copies[np.arange(k, 2 * k), idx] = flat_p[idx] - step
+            slot[key] = copies.reshape((2 * k,) + p.shape)
+            try:
+                diff = model.forward(batch) - labels
+            finally:
+                slot[key] = p
+            losses = np.mean(diff * diff, axis=-1)
+            numeric = (losses[:k] - losses[k:]) / (2.0 * step)
+            analytic = flat_g[idx]
+            err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
+            if not np.isfinite(err).all():
+                return math.inf
+            worst = max(worst, float(err.max()))
+    return worst
+
+
+class TestStagedCheckEqualsOracle:
+    """The staged check returns the oracle's float, by ==: each perturbed
+    copy runs the operations forward runs, in the same order. (The overflow
+    and corruption cases are in TestGradientCheck.)"""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_criterion_1_seeds(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(5, 47))
+        labels = rng.normal(size=5) * 0.05
+        seq = rng.normal(size=(5, 3, 47))
+        for create, x in ((lambda: MlpModel.create(seed=seed), batch),
+                          (lambda: LstmModel.create(seed=seed, hidden_sizes=(6, 5, 4)), seq)):
+            assert gradient_check(create(), x, labels) \
+                == oracle_gradient_check(create(), x, labels)
+
+    @pytest.mark.parametrize("create,shape", [
+        (lambda: LstmModel.create(seed=11), (5, 3, 47)),
+        (lambda: MlpModel.create(seed=14, input_dim=3, hidden_sizes=(2,)), (4, 3)),
+    ], ids=["full-lstm", "mlp-3-2-1"])
+    def test_models(self, create, shape):
+        rng = np.random.default_rng(11)
+        batch, labels = rng.normal(size=shape), rng.normal(size=shape[0])
+        assert gradient_check(create(), batch, labels) \
+            == oracle_gradient_check(create(), batch, labels)
 
 
 class TestGradientCheck:
@@ -686,7 +771,9 @@ class TestGradientCheck:
         rng = np.random.default_rng(12)
         model = MlpModel.create(seed=12)
         batch, labels = rng.normal(size=(5, 47)), rng.normal(size=5)
-        assert gradient_check(model, batch, labels) > 1e-3
+        err = gradient_check(model, batch, labels)
+        assert err > 1e-3
+        assert err == oracle_gradient_check(model, batch, labels)
 
     @pytest.mark.parametrize("create,shape", [
         (lambda: MlpModel.create(seed=13), (20, 47)),
@@ -712,15 +799,56 @@ class TestGradientCheck:
         _, fresh_losses = train(create(), samples, labels, config)
         assert losses == fresh_losses
 
+    @pytest.mark.parametrize("create,shape", [
+        (lambda: MlpModel.create(seed=13), (5, 47)),
+        (lambda: LstmModel.create(seed=13, hidden_sizes=(6, 5, 4)), (5, 3, 47)),
+    ], ids=["mlp", "lstm"])
+    def test_restores_parameters_when_a_stage_raises(self, create, shape, monkeypatch):
+        rng = np.random.default_rng(13)
+        batch, labels = rng.normal(size=shape), rng.normal(size=shape[0])
+        model = create()
+        before = model.parameters()
+        saved = [p.copy() for p in before]
+        stage = type(model)._stage
+        perturbed_calls = []
+
+        def failing(self, i, x, keep):
+            # the sixth stage run with a perturbed tensor in place: the second
+            # stage of the second chunk
+            if any(a is not b for a, b in zip(self.parameters(), before)):
+                perturbed_calls.append(i)
+                if len(perturbed_calls) == 6:
+                    raise RuntimeError("stage failed")
+            return stage(self, i, x, keep)
+
+        monkeypatch.setattr(type(model), "_stage", failing)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            gradient_check(model, batch, labels)
+        assert perturbed_calls[-1] == 1
+        after = model.parameters()
+        assert all(a is b for a, b in zip(after, before, strict=True))
+        assert all(np.shares_memory(a, model.vector) for a in after)
+        assert all(a.tobytes() == s.tobytes() for a, s in zip(after, saved))
+
     def test_non_finite_error_fails(self):
         # weights of 1e200 overflow the loss; a NaN error must not pass as 0.0
         model = MlpModel.create(seed=14, input_dim=3, hidden_sizes=(2,))
         for w in model.weights:
             w[...] = 1e200
         rng = np.random.default_rng(14)
+        batch, labels = rng.normal(size=(4, 3)), rng.normal(size=4)
         with np.errstate(over="ignore", invalid="ignore"):
-            err = gradient_check(model, rng.normal(size=(4, 3)), rng.normal(size=4))
+            err = gradient_check(model, batch, labels)
+            assert oracle_gradient_check(model, batch, labels) == err
         assert err == math.inf
+
+    @pytest.mark.parametrize("step", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_zero_or_non_finite_step_rejected(self, step):
+        # a step of 0 would divide 0 by 0 and report every gradient wrong
+        rng = np.random.default_rng(15)
+        model = MlpModel.create(seed=15, input_dim=3, hidden_sizes=(2,))
+        with pytest.raises(ValidationError, match="step must be finite and non-zero"):
+            gradient_check(model, rng.normal(size=(4, 3)), rng.normal(size=4), step=step)
 
     def test_single_weight_closed_form(self):
         # loss (wx - y)^2 has derivative 2wx^2 - 2xy
