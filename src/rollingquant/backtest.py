@@ -11,6 +11,7 @@ its last close to the end of the scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 
@@ -62,7 +63,8 @@ class Trade:
 
 
 def _round_lot(shares: float, lot: float) -> float:
-    if lot <= 0:
+    # shares / lot is inf when the lot is finer than the float spacing of shares: no rounding
+    if lot <= 0 or not math.isfinite(shares / lot):
         return shares
     return lot * int(shares / lot + 1e-12)
 
@@ -105,7 +107,7 @@ def rebalance(portfolio: Portfolio, targets: dict[str, float], prices: dict[str,
         cost = notional * (costs.commission_rate + costs.sell_tax_rate)
         portfolio.cash += notional - cost
         portfolio.holdings[stock_id] = portfolio.holdings.get(stock_id, 0.0) - shares
-        if portfolio.holdings[stock_id] <= 1e-12:
+        if portfolio.holdings[stock_id] <= 0:
             del portfolio.holdings[stock_id]
         trades.append(Trade(date, stock_id, "sell", shares, prices[stock_id], cost))
 

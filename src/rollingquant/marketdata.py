@@ -14,9 +14,11 @@ import csv
 import math
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date as Date
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +138,8 @@ class MarketDataset:
         repeat = np.flatnonzero(snapshot_keys[1:] == snapshot_keys[:-1])
         if repeat.size:
             key = int(snapshot_keys[repeat[0]])
-            raise ValidationError(f"duplicate snapshot for ({stocks[key // DAYS]}, "
-                                  f"{Date.fromordinal(key % DAYS).isoformat()})")
+            raise ValidationError(_FUNDAMENTALS.repeat_message.format(
+                stocks[key // DAYS], Date.fromordinal(key % DAYS).isoformat()))
         closes = np.full(len(ordinals), np.nan)
         closes[np.searchsorted(ordinals, benchmark[0])] = benchmark[1]
         return cls(
@@ -198,18 +200,51 @@ def eligible_universe(dataset: MarketDataset, d: Date):
 
 # --- CSV ingestion ---------------------------------------------------------
 
-BARS_COLUMNS = [
-    "stock_id", "date", "close", "prev_close", "volume",
-    "turnover_ratio", "market_cap", "is_suspended",
-]
-FUNDAMENTALS_COLUMNS = [
-    "stock_id", "date", "net_profit", "non_recurring_gain_loss", "net_assets",
-    "total_assets", "avg_total_assets", "long_term_debt", "operating_revenue",
-    "operate_income", "gross_profit", "net_cash_flow", "net_operate_cash_flow",
-    "net_profit_growth", "cash", "current_assets", "current_liabilities",
-    "equity", "industry_code",
-]
-BENCHMARK_COLUMNS = ["date", "close"]
+# the kinds of column; a record's checks run on its date, flag, numbers from
+# left to right and integer, then on its bounds, then on its key (id and date)
+ID, DATE, FLAG, NUMBER, INTEGER = "id", "date", "flag", "number", "integer"
+# the values that fail each bound
+_BOUNDS = {"> 0": lambda values: values <= 0, ">= 0": lambda values: values < 0}
+
+
+class _Table(NamedTuple):
+    """The rules of one CSV, each stated once, like the field constraints of
+    a Frictionless Data Table Schema: each column's kind, in file order; the
+    bounds in the order they are checked, each as (column, bound, the flag
+    column whose 1 exempts a record, or None); and the texts a failed bound
+    and a repeated key raise, formatted with the record's fields."""
+
+    kinds: dict
+    bounds: tuple = ()
+    bound_message: str = ""
+    repeat_message: str = ""
+
+    def checks(self):
+        """(column, kind or bound) of each check, in the order they run."""
+        return [(column, kind) for kind in (DATE, FLAG, NUMBER, INTEGER)
+                for column in self.kinds if self.kinds[column] == kind
+                ] + [(column, bound) for column, bound, _ in self.bounds]
+
+
+_BARS = _Table(
+    {"stock_id": ID, "date": DATE, **dict.fromkeys(
+        ["close", "prev_close", "volume", "turnover_ratio", "market_cap"], NUMBER),
+     "is_suspended": FLAG},
+    (("close", "> 0", "is_suspended"), ("market_cap", "> 0", "is_suspended"),
+     ("volume", ">= 0", None), ("turnover_ratio", ">= 0", None)),
+    "bar for {0} on {1} must be {bound}", "duplicate bar for ({0}, {1})")
+_FUNDAMENTALS = _Table(
+    {"stock_id": ID, "date": DATE, **dict.fromkeys([
+        "net_profit", "non_recurring_gain_loss", "net_assets", "total_assets",
+        "avg_total_assets", "long_term_debt", "operating_revenue", "operate_income",
+        "gross_profit", "net_cash_flow", "net_operate_cash_flow", "net_profit_growth",
+        "cash", "current_assets", "current_liabilities", "equity"], NUMBER),
+     "industry_code": INTEGER},
+    repeat_message="duplicate snapshot for ({0}, {1})")
+_BENCHMARK = _Table({"date": DATE, "close": NUMBER}, (("close", "> 0", None),),
+                    "benchmark close on {0} must be {bound}", "duplicate benchmark date {0}")
+BARS_COLUMNS, FUNDAMENTALS_COLUMNS, BENCHMARK_COLUMNS = (
+    list(table.kinds) for table in (_BARS, _FUNDAMENTALS, _BENCHMARK))
 
 
 def _parse_date(text, path, line, column):
@@ -272,199 +307,156 @@ def _read_rows(path, columns):
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _check_bar(path, line, row):
-    """Raise the first error of a bars.csv record, its key aside."""
-    d = _parse_date(row[1], path, line, "date")
-    suspended = row[7].strip()
-    if suspended not in ("0", "1"):
-        raise ParseError(f"{path}:{line}: column 'is_suspended': expected 0 or 1")
-    close, _, volume, turnover, market_cap = [
-        _parse_float(row[i], path, line, BARS_COLUMNS[i]) for i in range(2, 7)]
-    trading = suspended == "0"
-    if trading and (close <= 0 or market_cap <= 0) or volume < 0 or turnover < 0:
-        column = ("close" if trading and close <= 0
-                  else "market_cap" if trading and market_cap <= 0
-                  else "volume" if volume < 0 else "turnover_ratio")
-        bound = ">= 0" if column in ("volume", "turnover_ratio") else "> 0"
-        raise ValidationError(f"{path}:{line}: column '{column}': bar for "
-                              f"{row[0]} on {d.isoformat()} must be {bound}")
-
-
-def _check_snapshot(path, line, row):
-    """Raise the first error of a fundamentals.csv record, its key aside."""
-    _parse_date(row[1], path, line, "date")
-    for i in range(2, 18):
-        _parse_float(row[i], path, line, FUNDAMENTALS_COLUMNS[i])
-    try:
-        int(row[18])
-    except ValueError:
-        raise ParseError(
-            f"{path}:{line}: column 'industry_code': bad integer {row[18]!r}") from None
-
-
-def _check_benchmark(path, line, row):
-    """Raise the first error of a benchmark.csv record, its key aside."""
-    d = _parse_date(row[0], path, line, "date")
-    if _parse_float(row[1], path, line, "close") <= 0:
-        raise ValidationError(f"{path}:{line}: column 'close': "
-                              f"benchmark close on {d.isoformat()} must be > 0")
-
-
 # records read and converted at a time: one np.array call converts a chunk's
 # numbers, and only one chunk's text is held
 CHUNK_RECORDS = 1024
 
 
-def _codes(texts, table, code):
-    """table[text] per text as an int64 array; a text new to table enters it
-    as code(text), in order of first appearance."""
-    for text in dict.fromkeys(texts):
-        if text not in table:
-            table[text] = code(text)
-    return np.fromiter(map(table.__getitem__, texts), np.int64, len(texts))
-
-
-def _ordinal(text):
-    """The ordinal of a date that _parse_date accepts, or -1."""
-    try:
-        return iso_date(text).toordinal()
-    except ValueError:
-        return -1
-
-
-def _numbers(columns):
-    """The columns as one float64 array, or None if float() rejects a value
-    or one is not finite."""
-    try:
-        values = np.array(columns, dtype=np.float64)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _chunks(path, columns, convert):
-    """The columns convert(rows) makes of each chunk of CHUNK_RECORDS rows of
-    the file, its blank rows left out, with no Python per record; None if
-    the file may hold an error: a header other than columns, a record with
-    another field count, a chunk that fails a mask, a key that two records
-    hold, or text that is not UTF-8 or that csv refuses."""
-    keys, parts = [], []
-    # strict: the decoder refuses a byte that is not UTF-8 in the block it
-    # reads ahead, before the records of that block are checked
-    with _open(path, "strict") as fh:
-        reader = csv.reader(fh)
+def _lenient(parse, failed):
+    """parse, giving failed for a text that it refuses with ValueError."""
+    def parsed(text):
         try:
-            if [h.strip() for h in next(reader, ())] != columns:
-                return None
+            return parse(text)
+        except ValueError:
+            return failed
+    return parsed
+
+
+def _column(kind, texts, memo):
+    """A column's texts, of a kind other than NUMBER, as an array (id codes
+    in order of first appearance, date ordinals, True for a flag of 1, or
+    Python ints) and the mask of those whose check fails; memo keeps codes."""
+    if kind == INTEGER:
+        try:
+            values = np.array(list(map(int, texts)), dtype=object)
+        except ValueError:  # only in a chunk that holds an error
+            values = np.array(list(map(_lenient(int, None), texts)), dtype=object)
+        return values, np.equal(values, None)
+    code = {ID: lambda _: len(memo), DATE: _lenient(lambda text: iso_date(text).toordinal(), -1),
+            FLAG: lambda text: {"0": 0, "1": 1}.get(text.strip(), -1)}[kind]
+    for text in dict.fromkeys(texts):
+        if text not in memo:
+            memo[text] = code(text)
+    codes = np.fromiter(map(memo.__getitem__, texts), np.int64, len(texts))
+    return (codes == 1 if kind == FLAG else codes), codes < 0
+
+
+def _convert(table, rows, memos):
+    """The keys of a chunk of the table's records, their columns and the
+    (checks, records) mask of the checks each fails, with no Python per
+    record. The columns are in file order, the numbers as one (numbers,
+    records) array in the place of the first; memos[kind] is the memo
+    _column keeps for the column of that kind."""
+    numbers = [column for column, kind in table.kinds.items() if kind == NUMBER]
+    texts = dict(zip(table.kinds, zip(*rows) if rows else [()] * len(table.kinds)))
+    try:
+        matrix = np.array([texts[column] for column in numbers], dtype=np.float64)
+    except ValueError:  # only in a chunk that holds an error
+        matrix = np.array([list(map(_lenient(float, math.nan), texts[column]))
+                           for column in numbers])
+    values = dict(zip(numbers, matrix))
+    failed = {(column, NUMBER): bad for column, bad in zip(numbers, ~np.isfinite(matrix))}
+    key = 0
+    for column, kind in table.kinds.items():
+        if kind != NUMBER:
+            values[column], failed[column, kind] = _column(kind, texts[column], memos.get(kind))
+        if kind in (ID, DATE):  # a record's key is its id and date
+            key = key * DAYS + values[column]
+    for column, bound, exempt in table.bounds:
+        bad = _BOUNDS[bound](values[column])
+        failed[column, bound] = bad & ~values[exempt] if exempt else bad
+    columns = [matrix if column == numbers[0] else values[column]
+               for column in table.kinds if column not in numbers[1:]]
+    return key, columns, np.array([failed[check] for check in table.checks()])
+
+
+def _chunks(path, columns, found):
+    """The file's records, CHUNK_RECORDS at a time, its blank rows left out,
+    with no Python per record up to a chunk that may hold a structural error
+    (a header other than columns, a record with another field count, or text
+    that is not UTF-8 or that csv refuses); from there, as one chunk, those
+    _read_rows gives before its error, the record of which goes into found."""
+    count = 0
+    # strict: the decoder refuses a byte that is not UTF-8 in the block it
+    # reads ahead, and so also the records of that block before the byte
+    with _open(path, "strict") as fh, suppress(UnicodeDecodeError, csv.Error):
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, ())] == columns:
             while rows := list(islice(reader, CHUNK_RECORDS)):
                 widths = set(map(len, rows))
+                if widths - {0, len(columns)}:
+                    break
                 if 0 in widths:  # a blank line holds no record
-                    widths.discard(0)
                     rows = list(filter(None, rows))
-                if widths - {len(columns)}:
-                    return None
-                if rows:
-                    key, part = convert(rows)
-                    if part is None:
-                        return None
-                    keys.append(key)
-                    parts.append(part)
-        except (UnicodeDecodeError, csv.Error):
-            return None
-    keys = np.sort(np.concatenate([np.zeros(0, np.int64), *keys]))
-    return None if (keys[1:] == keys[:-1]).any() else parts
+                yield rows
+                count += len(rows)
+            else:
+                return
+    rows = []
+    try:
+        for _, row in islice(_read_rows(path, columns), count, None):
+            rows.append(row)
+    except ParseError:  # any check: _read_rows raises the error again at its record
+        found.append((count + len(rows), 0))
+    yield rows
 
 
-def _first_error(path, columns, check, duplicate):
-    """Raise the first error of the file in file order, reading it record by
-    record: a structural error _read_rows raises, a bad record (check(path,
-    line, row) names it) or a record whose key an earlier one holds
-    (duplicate(row) names it)."""
-    # a record's key is its fields up to its date, as texts: a date passes
-    # the date check in one text only
-    width = columns.index("date") + 1
-    seen = set()
-    for line, row in _read_rows(path, columns):
-        check(path, line, row)
-        key = tuple(row[:width])
-        if key in seen:
-            raise ParseError(f"{path}:{line}: {duplicate(row)}")
-        seen.add(key)
-    raise RuntimeError(f"{path}: a chunk fails a check but no record does")
+def _raise_error(path, table, record, check):
+    """Raise the error of the file's record-th record (from 0): one that
+    _read_rows raises as it counts the lines up to it, or else the failed
+    table.checks()[check] or, if check is len(table.checks()), a repeated key."""
+    line, row = next(islice(_read_rows(path, list(table.kinds)), record, None))
+    checks = table.checks()
+    if check == len(checks):
+        raise ParseError(f"{path}:{line}: " + table.repeat_message.format(*row))
+    column, rule = checks[check]
+    at, text = f"{path}:{line}: column '{column}': ", row[list(table.kinds).index(column)]
+    if rule in _BOUNDS:
+        raise ValidationError(at + table.bound_message.format(*row, bound=rule))
+    if rule in (FLAG, INTEGER):
+        raise ParseError(at + ("expected 0 or 1" if rule == FLAG else f"bad integer {text!r}"))
+    (_parse_date if rule == DATE else _parse_float)(text, path, line, column)
+    raise RuntimeError(f"{at}a chunk's check refuses {text!r}, its parser does not")
 
 
-def _read_table(path, columns, convert, check, duplicate, *empty):
-    """The columns convert makes of the file's records, CHUNK_RECORDS at a
-    time, each joined along its last axis; empty gives their dtypes and
-    shapes without records.
-
-    convert(rows) gives the records' int keys and their columns, None if a
-    record fails a mask. A file that _chunks refuses is read again, record
-    by record, and only then are lines counted, to name its first error."""
-    parts = _chunks(path, columns, convert)
-    if parts is None:
-        _first_error(path, columns, check, duplicate)
-    return [np.concatenate(column, axis=-1) for column in zip(empty, *parts)]
+def _read_table(path, table, days):
+    """[ids, *columns] of the file's records (see _convert), each column
+    joined along its last axis, or the file's first error in file order,
+    raised. The first bad record is the first that fails a check or, if
+    earlier, the first whose key repeats one before it: one sort of the
+    keys finds it. Only then is the file read again, to name it."""
+    memos = {ID: {}, DATE: days, FLAG: {}}
+    key, part, _ = _convert(table, [], memos)  # the columns' dtypes and shapes
+    keys, parts, found, count = [key], [part], [], 0
+    for rows in _chunks(path, list(table.kinds), found):
+        key, part, failed = _convert(table, rows, memos)
+        keys.append(key)
+        parts.append(part)
+        if failed.any():  # no record after the first that fails holds an earlier error
+            record, check = np.argwhere(failed.T)[0]
+            found.append((count + int(record), int(check)))
+            break
+        count += len(rows)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        found.append((int(repeats.min()), len(table.checks())))
+    if found:
+        _raise_error(path, table, *min(found))
+    return [list(memos[ID]), *(np.concatenate(column, axis=-1) for column in zip(*parts))]
 
 
 def load_dataset(bars_path, fundamentals_path, benchmark_path) -> MarketDataset:
     """Load and validate the three-CSV dataset described in the README."""
-    # stock id -> code, of bars and of snapshots; date text -> ordinal;
-    # is_suspended text -> 0, 1 or -1
-    bar_ids, snapshot_ids, days, flags = {}, {}, {}, {}
-
-    def bars(rows):
-        stock_id, day, *numbers, flag = zip(*rows)
-        codes = _codes(stock_id, bar_ids, lambda _: len(bar_ids))
-        ordinals = _codes(day, days, _ordinal)
-        suspended = _codes(flag, flags, lambda text: {"0": 0, "1": 1}.get(text.strip(), -1))
-        values = _numbers(numbers)
-        key = codes * DAYS + ordinals
-        if values is None or (ordinals < 0).any() or (suspended < 0).any():
-            return key, None
-        close, _, volume, turnover, market_cap = values
-        trading = suspended == 0
-        if (trading & ((close <= 0) | (market_cap <= 0)) | (volume < 0) | (turnover < 0)).any():
-            return key, None
-        return key, (codes, ordinals, values, ~trading)
-
-    def snapshots(rows):
-        stock_id, day, *numbers, industry = zip(*rows)
-        codes = _codes(stock_id, snapshot_ids, lambda _: len(snapshot_ids))
-        ordinals = _codes(day, days, _ordinal)
-        key = codes * DAYS + ordinals
-        values = _numbers(numbers)
-        try:
-            industry = np.array(list(map(int, industry)), dtype=object)
-        except ValueError:
-            return key, None
-        if values is None or (ordinals < 0).any():
-            return key, None
-        return key, (codes, ordinals, values, industry)
-
-    def benchmark_closes(rows):
-        day, close = zip(*rows)
-        ordinals = _codes(day, days, _ordinal)
-        values = _numbers([close])
-        if values is None or (ordinals < 0).any() or (values <= 0).any():
-            return ordinals, None
-        return ordinals, (ordinals, values[0])
-
-    empty = np.zeros(0, dtype=np.int64)
-    bar_columns = _read_table(
-        bars_path, BARS_COLUMNS, bars, _check_bar,
-        lambda row: f"duplicate bar for ({row[0]}, {row[1]})",
-        empty, empty, np.zeros((5, 0)), np.zeros(0, bool))
-    if not bar_columns[0].size:
+    days = {}  # date text -> ordinal, of the three files
+    bars = _read_table(bars_path, _BARS, days)
+    if not bars[1].size:
         raise ParseError(f"{bars_path}: no bars")
-    snapshot_columns = _read_table(
-        fundamentals_path, FUNDAMENTALS_COLUMNS, snapshots, _check_snapshot,
-        lambda row: f"duplicate snapshot for ({row[0]}, {row[1]})",
-        empty, empty, np.zeros((16, 0)), np.zeros(0, object))
-    dataset = MarketDataset.from_columns(
-        (list(bar_ids), *bar_columns), (list(snapshot_ids), *snapshot_columns), _read_table(
-            benchmark_path, BENCHMARK_COLUMNS, benchmark_closes, _check_benchmark,
-            lambda row: f"duplicate benchmark date {row[0]}", empty, np.zeros(0)))
+    snapshots = _read_table(fundamentals_path, _FUNDAMENTALS, days)
+    _, ordinals, closes = _read_table(benchmark_path, _BENCHMARK, days)
+    dataset = MarketDataset.from_columns(bars, snapshots, (ordinals, closes[0]))
     missing = np.flatnonzero(np.isnan(dataset.benchmark))
     if missing.size:
         d = dataset.calendar.dates[missing[0]]

@@ -18,7 +18,7 @@ from rollingquant.backtest import (
     run_scenario,
 )
 from rollingquant.errors import RebalanceError, StrategyError, ValidationError
-from rollingquant.exports import read_series_csv, write_series_csv
+from rollingquant.exports import read_series_csv, write_ranking_csv, write_series_csv
 from rollingquant.factors import MarketStore, apply_normalization, build_panel, drop_sparse_rows
 from rollingquant.marketdata import MarketDataset, action_days, eligible_universe
 from rollingquant.numerics import LstmModel, MlpModel, TrainConfig, train
@@ -188,6 +188,31 @@ class TestRunScenario:
         assert a.values == b.values
         assert [(t.stock_id, t.shares) for t in a.trades] == \
                [(t.stock_id, t.shares) for t in b.trades]
+
+    def test_capital_times_a_power_of_two_scales_every_amount(self, tmp_path):
+        """At capital C * 2**-60 each share count, cost and value is C's times
+        2**-60, exactly, so series.csv's dates and returns and ranking.csv are
+        the same bytes: no holding is dropped for being small."""
+        market = generate_synthetic_market(SyntheticMarketConfig(
+            seed=1, n_stocks=12, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
+            regime="crash", planted_signal_strength=0.5))[0]
+        store = MarketStore(market)
+        runs = []
+        for scale in (1.0, 2.0 ** -60):
+            config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31), holdings=5,
+                                    initial_capital=1e6 * scale,
+                                    costs=CostModel(commission_rate=0.0003, sell_tax_rate=0.001))
+            result = run_scenario(store, "linreg", config)
+            write_series_csv(result, tmp_path / "series.csv")
+            write_ranking_csv(result.rankings, tmp_path / "ranking.csv")
+            series = [row.split(",") for row in (tmp_path / "series.csv").read_text().splitlines()]
+            runs.append((
+                [row[:1] + row[2:] for row in series], (tmp_path / "ranking.csv").read_bytes(),
+                [value / scale for value in result.values],
+                [(t.date, t.stock_id, t.side, t.shares / scale, t.price, t.cost / scale)
+                 for t in result.trades]))
+        assert len(runs[0][3]) > 10
+        assert runs[1] == runs[0]
 
     def test_scenario_training_seed_is_used(self, crash_market):
         rankings = []

@@ -127,6 +127,18 @@ class TestBacktest:
         assert len(trees[0]) == 12
         assert trees[1] == trees[0]
 
+    def test_lot_finer_than_float_spacing_trades_fractional_shares(self, tmp_path):
+        # shares / 1e-320 is inf, which int() cannot round to whole lots
+        trees = []
+        for lot in ("0", "1e-320"):
+            config, out_dir = write_config(tmp_path, strategies="linreg,fcnn,lstm",
+                                           out_name=f"lot{lot}", train={"epochs": 1},
+                                           costs={"lot_size": lot})
+            assert main(["backtest", "--config", str(config)]) == 0
+            trees.append(tree_bytes(out_dir))
+        assert len(trees[0]) == 12
+        assert trees[1] == trees[0]
+
     def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
         computed = Counter()
         compute_panel = MarketStore._compute_panel

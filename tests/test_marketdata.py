@@ -888,6 +888,28 @@ class TestChunkBoundaries:
         assert kind == "ok" and got.stocks == ["B", "Ä股"]
 
 
+@pytest.mark.parametrize("edit,error,calls", [
+    (("field", 0, 7, 1, SWEEP_DAYS[2]), "9: duplicate bar for (B, 2015-06-03)", 0),
+    (("field", 0, 7, 2, "oops"), "9: column 'close': bad number 'oops'", 1),
+], ids=["repeated-key", "bad-close"])
+def test_naming_an_error_checks_no_record_in_python(tmp_path, monkeypatch, edit, error, calls):
+    """An error in the last chunk is found by the chunks' masks and named by
+    reading up to its record: _parse_float parses its one field at most."""
+    monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+    parsed = []
+
+    def parse_float(*args):
+        parsed.append(args)
+        return _parse_float(*args)
+
+    monkeypatch.setattr(marketdata, "_parse_float", parse_float)
+    paths = write_sweep_case(tmp_path, [edit])
+    with pytest.raises(DataError) as caught:
+        load_dataset(*paths)
+    assert str(caught.value) == f"{paths[0]}:{error}"
+    assert len(parsed) == calls
+
+
 def test_loader_peak_memory_within_oracle_bound(tmp_path):
     """The loader's traced allocation peak on a 25-stock generated market is
     at most 1.25 times the per-row oracle's."""
