@@ -44,7 +44,6 @@ def _writing(path):
 
 
 def cmd_gen_data(config, out=None):
-    out = out if out is not None else sys.stdout
     if config.synthetic is None:
         raise ConfigError("gen-data requires data.source = synthetic")
     dataset, _ = generate_synthetic_market(config.synthetic)
@@ -60,7 +59,6 @@ def cmd_gen_data(config, out=None):
 
 
 def cmd_backtest(config, out=None):
-    out = out if out is not None else sys.stdout
     if config.synthetic is None:
         dataset = load_dataset(config.bars_path, config.fundamentals_path,
                                config.benchmark_path)
@@ -88,7 +86,6 @@ def cmd_backtest(config, out=None):
 
 
 def cmd_gradcheck(seed: int, out=None):
-    out = out if out is not None else sys.stdout
     if seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
@@ -107,7 +104,6 @@ def cmd_gradcheck(seed: int, out=None):
 def cmd_report(series_path, out_path, strategy: str, risk_free_annual: float,
                out=None):
     """Re-render report.json from a previously written series.csv."""
-    out = out if out is not None else sys.stdout
     if not math.isfinite(risk_free_annual):
         raise ConfigError(f"--risk-free must be a finite number, got {risk_free_annual}")
     report = build_report(strategy, *read_series_csv(series_path), risk_free_annual)

@@ -71,6 +71,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _path(text: str) -> Path:
+    """Path(text), rejecting the NUL character no system call accepts."""
+    if "\0" in text:
+        raise ValueError(f"a path cannot hold a NUL character, got {text!r}")
+    return Path(text)
+
+
 def _strategies(text: str) -> list[str]:
     strategies = [s.strip() for s in text.split(",") if s.strip()]
     if not strategies:
@@ -88,7 +95,7 @@ def _strategies(text: str) -> list[str]:
 _RUN_KEYS = {  # RunConfig, and the master seed
     "seed": _seed,
     "strategies": _strategies,
-    "out_dir": Path,
+    "out_dir": _path,
     "risk_free_annual": _finite_float,
 }
 _SCENARIO_KEYS = {
@@ -107,7 +114,7 @@ _TRAIN_KEYS = {
 }
 _COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
               "lot_size": _finite_float}
-_DATA_KEYS = {"source": str, "bars": Path, "fundamentals": Path, "benchmark": Path}
+_DATA_KEYS = {"source": str, "bars": _path, "fundamentals": _path, "benchmark": _path}
 _SYNTHETIC_KEYS = {
     "n_stocks": int,
     "start": _iso_date("data.start"),

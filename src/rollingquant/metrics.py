@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date
 
 import numpy as np
@@ -97,28 +97,13 @@ class ScenarioReport:
     monthly: list[MonthlyRow]
 
     def to_json(self) -> str:
-        def num(x):
-            if not math.isfinite(x):
-                return "undefined"
-            return float(f"{x:.17g}")
+        """The fields as JSON, each number as %.17g or "undefined" when not finite."""
+        def value(x):
+            if isinstance(x, (str, list)):  # a name, a month, or the monthly rows
+                return x
+            return float(f"{x:.17g}") if math.isfinite(x) else "undefined"
 
-        doc = {
-            "strategy": self.strategy,
-            "sharpe_ratio": num(self.sharpe_ratio),
-            "net_return": num(self.net_return),
-            "benchmark_return": num(self.benchmark_return),
-            "similarity": num(self.similarity),
-            "risk_free_annual": num(self.risk_free_annual),
-            "monthly": [
-                {
-                    "month": row.month,
-                    "portfolio_return": num(row.portfolio_return),
-                    "benchmark_return": num(row.benchmark_return),
-                    "sharpe": num(row.sharpe),
-                }
-                for row in self.monthly
-            ],
-        }
+        doc = asdict(self, dict_factory=lambda fields: {k: value(v) for k, v in fields})
         return json.dumps(doc, indent=2) + "\n"
 
 

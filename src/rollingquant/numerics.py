@@ -32,7 +32,6 @@ from .errors import TrainingError, ValidationError
 
 MLP_HIDDEN_SIZES = (32, 20, 10)
 LSTM_HIDDEN_SIZES = (32, 16, 8)
-SEQUENCE_LENGTH = 3
 RIDGE_LAMBDA = 1e-8
 # Entries of one parameter tensor perturbed per staged pass in
 # gradient_check. A pass keeps no cache, so its memory is the 2 * CHUNK
@@ -155,9 +154,8 @@ class _StagedModel:
         return x
 
     def forward(self, batch):
-        """Predictions for batch: an MLP's (b, input_dim) or an LSTM's
-        (b, T, input_dim) -> (b,); a stack's (K, b, input_dim) or
-        (K, b, T, input_dim) -> (K, b)."""
+        """Predictions for batch: an MLP's (b, d) or an LSTM's (b, T, d) ->
+        (b,); a stack's (K, b, d) or (K, b, T, d) -> (K, b)."""
         return self._run(self._stage_input(batch))
 
     def _forward_pass(self, batch, keep=True):
@@ -175,10 +173,9 @@ class _StagedModel:
 class MlpModel(_StagedModel):
     """Dense network, ReLU hidden layers, linear scalar output; one stage per layer."""
 
-    def __init__(self, weights, biases, input_dim):
+    def __init__(self, weights, biases):
         self.weights = list(weights)  # (d_in, d_out) views into vector, (K, ...) stacked
         self.biases = list(biases)    # (d_out,) views into vector
-        self.input_dim = input_dim
         _flatten(self)
 
     @classmethod
@@ -187,7 +184,7 @@ class MlpModel(_StagedModel):
         dims = [input_dim, *hidden_sizes, 1]
         weights = [_glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
         biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        return cls(weights, biases, input_dim)
+        return cls(weights, biases)
 
     def _stage_count(self):
         return len(self.weights)
@@ -198,14 +195,14 @@ class MlpModel(_StagedModel):
 
     def member(self, k):
         """Member k of a stacked model, as a model of its own."""
-        return MlpModel([w[k] for w in self.weights], [b[k] for b in self.biases],
-                        self.input_dim)
+        return MlpModel([w[k] for w in self.weights], [b[k] for b in self.biases])
 
     def _stage_input(self, batch):
         """batch, validated: (b, d), or (K, b, d) for a stack."""
         h = np.asarray(batch, dtype=float)
-        if h.ndim not in (2, 3) or h.shape[-1] != self.input_dim:
-            raise ValidationError(f"MlpModel.forward: expected batch of width {self.input_dim}")
+        d = self.weights[0].shape[-2]
+        if h.ndim not in (2, 3) or h.shape[-1] != d:
+            raise ValidationError(f"MlpModel.forward: expected batch of width {d}")
         return h
 
     def _stage(self, i, h, keep):
@@ -241,12 +238,11 @@ class LstmLayer:
 
     GATE_NAMES = ("c", "u", "f", "o")
 
-    def __init__(self, W_a, W_x, B, input_dim, hidden_dim):
+    def __init__(self, W_a, W_x, B):
         self.W_a = W_a
         self.W_x = W_x
         self.B = B
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
+        self.hidden_dim = W_a.shape[-2]
 
     @classmethod
     def create(cls, rng, input_dim, hidden_dim):
@@ -258,7 +254,7 @@ class LstmLayer:
 
         W_a = fused(hidden_dim)
         W_x = fused(input_dim)
-        return cls(W_a, W_x, np.zeros(4 * hidden_dim), input_dim, hidden_dim)
+        return cls(W_a, W_x, np.zeros(4 * hidden_dim))
 
     def _parameter_slots(self):
         """(container, key) holding W_a, W_x and B, in that order."""
@@ -339,17 +335,14 @@ class LstmModel(_StagedModel):
     read-out is the last.
     """
 
-    def __init__(self, layers, readout_w, readout_b, input_dim, sequence_length):
+    def __init__(self, layers, readout_w, readout_b):
         self.layers = layers
         self.readout_w = readout_w  # (hidden_last, 1)
         self.readout_b = readout_b  # (1,)
-        self.input_dim = input_dim
-        self.sequence_length = sequence_length
         _flatten(self)
 
     @classmethod
-    def create(cls, seed: int, input_dim: int = 47,
-               hidden_sizes=LSTM_HIDDEN_SIZES, sequence_length: int = SEQUENCE_LENGTH):
+    def create(cls, seed: int, input_dim: int = 47, hidden_sizes=LSTM_HIDDEN_SIZES):
         rng = np.random.default_rng(seed)
         layers = []
         d = input_dim
@@ -358,7 +351,7 @@ class LstmModel(_StagedModel):
             d = h
         readout_w = _glorot_uniform(rng, d, 1)
         readout_b = np.zeros(1)
-        return cls(layers, readout_w, readout_b, input_dim, sequence_length)
+        return cls(layers, readout_w, readout_b)
 
     def _stage_count(self):
         return len(self.layers) + 1
@@ -370,21 +363,16 @@ class LstmModel(_StagedModel):
 
     def member(self, k):
         """Member k of a stacked model, as a model of its own."""
-        layers = [LstmLayer(layer.W_a[k], layer.W_x[k], layer.B[k], layer.input_dim,
-                            layer.hidden_dim) for layer in self.layers]
-        return LstmModel(layers, self.readout_w[k], self.readout_b[k], self.input_dim,
-                         self.sequence_length)
+        layers = [LstmLayer(layer.W_a[k], layer.W_x[k], layer.B[k]) for layer in self.layers]
+        return LstmModel(layers, self.readout_w[k], self.readout_b[k])
 
     def _stage_input(self, batch):
         """batch ((b, T, d), or (K, b, T, d) for a stack), validated, as the
         first layer's (T, b, d) or (T, K, b, d) sequence."""
         x_seq = np.asarray(batch, dtype=float)
-        if x_seq.ndim not in (3, 4) \
-                or x_seq.shape[-2:] != (self.sequence_length, self.input_dim):
-            raise ValidationError(
-                f"LstmModel.forward: expected (batch, {self.sequence_length}, "
-                f"{self.input_dim}) input"
-            )
+        d = self.layers[0].W_x.shape[-2]
+        if x_seq.ndim not in (3, 4) or x_seq.shape[-1] != d or x_seq.shape[-2] == 0:
+            raise ValidationError(f"LstmModel.forward: expected (batch, T >= 1, {d}) input")
         return x_seq.transpose(x_seq.ndim - 2, *range(x_seq.ndim - 2), x_seq.ndim - 1)
 
     def _stage(self, i, x_seq, keep):

@@ -243,13 +243,13 @@ def rank_stocks(kind: str, store: MarketStore, days, w: int = DEFAULT_WINDOW,
             break
     if training_days:
         # every training day comes before the failing day, so its errors come first
-        rankings = _train_and_rank(kind, training_days, w, train_config)
+        rankings = _train_and_rank(kind, training_days, train_config)
     if failure is not None:
         raise failure
     return rankings
 
 
-def _train_and_rank(kind, training_days, w, train_config):
+def _train_and_rank(kind, training_days, train_config):
     """Train the days in stacks of one training-set shape and rank each day
     with its member; raise the error of the earliest day that fails."""
     errors = {}  # day index -> the error ranking that day alone raises
@@ -265,7 +265,7 @@ def _train_and_rank(kind, training_days, w, train_config):
         if kind == "fcnn":
             model = stack([MlpModel.create(seed=day.seed) for day in group])
         else:
-            model = stack([LstmModel.create(seed=day.seed, sequence_length=w) for day in group])
+            model = stack([LstmModel.create(seed=day.seed) for day in group])
         try:
             model, _ = train(model, np.stack([day.samples for day in group]),
                              np.stack([day.labels for day in group]), train_config,

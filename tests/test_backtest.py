@@ -369,7 +369,7 @@ def ranking_alone(kind, store, d, universe, w, config):
     else:
         samples, labels = strategies._sequence_samples(dataset, panels, normalized)
         stocks, inputs = strategies._sequences(panels[1:], normalized[1:])
-        model = LstmModel.create(seed=config.seed, sequence_length=w)
+        model = LstmModel.create(seed=config.seed)
     model, _ = train(model, samples, labels, config)
     scores = {stock_id: float(p) for stock_id, p in zip(stocks, model.forward(inputs))}
     return len(samples), Ranking(d, sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))

@@ -362,6 +362,39 @@ class TestBadInputExitCodes:
                "float range; lower it\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,section,key", [
+        ("backtest", "data", "bars"),
+        ("backtest", "data", "fundamentals"),
+        ("backtest", "data", "benchmark"),
+        ("backtest", "run", "out_dir"),
+        ("gen-data", "run", "out_dir"),
+    ])
+    def test_nul_in_a_path_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                           command, section, key):
+        def no_data(*args):
+            raise AssertionError("data loaded or generated")
+
+        monkeypatch.setattr(cli, "load_dataset", no_data)
+        monkeypatch.setattr(cli, "generate_synthetic_market", no_data)
+        paths = {"bars": "bars.csv", "fundamentals": "f.csv", "benchmark": "b.csv",
+                 "out_dir": "out"}
+        paths[key] = "x\0" + paths[key]
+        source = "csv" if command == "backtest" and section == "data" else "synthetic"
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\nstart = 2015-07-01\nend = 2015-12-31\nout_dir = {paths['out_dir']}\n\n"
+            f"[data]\nsource = {source}\nstart = 2014-01-01\nend = 2015-12-31\n"
+            + "".join(f"{k} = {paths[k]}\n" for k in ("bars", "fundamentals", "benchmark")),
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main([command, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"config error: [{section}] {key}: a path cannot hold a NUL character, " \
+                      f"got {paths[key]!r}\n"
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unwritable_output_fails_before_any_scenario(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")

@@ -167,7 +167,7 @@ class TestMlpForward:
 
     def test_relu_clamps_negative_preactivation(self):
         model = MlpModel(weights=[np.array([[1.0]]), np.array([[1.0]])],
-                         biases=[np.zeros(1), np.zeros(1)], input_dim=1)
+                         biases=[np.zeros(1), np.zeros(1)])
         assert model.forward(np.array([[-3.0]]))[0] == 0.0
         assert model.forward(np.array([[3.0]]))[0] == 3.0
 
@@ -226,8 +226,22 @@ class TestLstmForward:
 
     def test_wrong_shape_rejected(self):
         model = LstmModel.create(seed=0)
-        with pytest.raises(ValidationError):
-            model.forward(np.zeros((2, 4, 47)))
+        for shape in [(2, 3, 46), (2, 47), (2, 0, 47)]:  # width 46, 2-D, T = 0
+            with pytest.raises(ValidationError, match=r"expected \(batch, T >= 1, 47\)"):
+                model.forward(np.zeros(shape))
+        # no parameter depends on T, so T = 4 runs as T = 3 does
+        assert model.forward(np.zeros((2, 4, 47))).shape == (2,)
+
+    def test_one_model_forwards_each_length(self):
+        model = LstmModel.create(seed=SEEDS[0])
+        stacked = stack([LstmModel.create(seed=s) for s in SEEDS[:3]])
+        for t in (1, 2, 3, 5):
+            batch = np.random.default_rng(t).normal(size=(4, t, 47))
+            got = model.forward(batch)
+            assert got.tobytes() == model._forward_pass(batch)[2].tobytes()
+            for k, seed in enumerate(SEEDS[:3]):
+                assert stacked.member(k).forward(batch).tobytes() \
+                    == LstmModel.create(seed=seed).forward(batch).tobytes()
 
 
 def per_gate_loss_and_gradients(model, batch, labels):
@@ -659,8 +673,8 @@ class TestStack:
 
 FORWARD_MODELS = [
     pytest.param(lambda seed: MlpModel.create(seed=seed), (47,), id="mlp"),
-    *(pytest.param(lambda seed, t=t: LstmModel.create(seed=seed, sequence_length=t), (t, 47),
-                   id=f"lstm-T{t}") for t in (1, 2, 3)),
+    *(pytest.param(lambda seed: LstmModel.create(seed=seed), (t, 47), id=f"lstm-T{t}")
+      for t in (1, 2, 3)),
 ]
 
 
@@ -853,7 +867,7 @@ class TestGradientCheck:
     def test_single_weight_closed_form(self):
         # loss (wx - y)^2 has derivative 2wx^2 - 2xy
         w, x, y = 1.5, 2.0, 0.5
-        model = MlpModel(weights=[np.array([[w]])], biases=[np.zeros(1)], input_dim=1)
+        model = MlpModel(weights=[np.array([[w]])], biases=[np.zeros(1)])
         _, grads = model.loss_and_gradients(np.array([[x]]), np.array([y]))
         assert grads[0][0, 0] == pytest.approx(2 * w * x * x - 2 * x * y, abs=1e-15)
 
