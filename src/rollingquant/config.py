@@ -72,7 +72,10 @@ def _finite_float(text: str) -> float:
 
 
 def _path(text: str) -> Path:
-    """Path(text), rejecting the NUL character no system call accepts."""
+    """Path(text), rejecting empty text, which Path would take as the working
+    directory, and the NUL character no system call accepts."""
+    if not text.strip():
+        raise ValueError("a path cannot be empty")
     if "\0" in text:
         raise ValueError(f"a path cannot hold a NUL character, got {text!r}")
     return Path(text)
@@ -207,7 +210,10 @@ def load_run_config(path, seed_override: int | None = None,
         raise ConfigError(str(exc)) from None
     options = {"strategies": list(STRATEGY_KINDS), "out_dir": Path("out")} | run
     if out_override is not None:
-        options["out_dir"] = Path(out_override)
+        try:
+            options["out_dir"] = _path(str(out_override))
+        except ValueError as exc:
+            raise ConfigError(f"--out: {exc}") from None
 
     source = _values(parser, "data", _DATA_KEYS).get("source", "synthetic")
     if source == "csv":

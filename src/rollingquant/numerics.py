@@ -33,9 +33,11 @@ from .errors import TrainingError, ValidationError
 MLP_HIDDEN_SIZES = (32, 20, 10)
 LSTM_HIDDEN_SIZES = (32, 16, 8)
 RIDGE_LAMBDA = 1e-8
-# Entries of one parameter tensor perturbed per staged pass in
-# gradient_check. A pass keeps no cache, so its memory is the 2 * CHUNK
-# perturbed copies and their activations; larger chunks add little speed.
+# gradient_check's central-difference step, and the entries of one parameter
+# tensor it perturbs per staged pass. A pass keeps no cache, so its memory is
+# the 2 * CHUNK perturbed copies and their activations; larger chunks add
+# little speed.
+GRADCHECK_STEP = 1e-5
 GRADCHECK_CHUNK = 32
 
 
@@ -125,14 +127,14 @@ class TrainConfig:
 
 
 class _StagedModel:
-    """The forward pass as a sequence of stages, shared by both models.
+    """The forward and backward passes as a sequence of stages, shared by both models.
 
     Stage i maps its input to the next stage's input, the last stage's output
     being the predictions, and reads only the parameters in
     _stage_slots()[i]; so gradient_check, which perturbs one stage's
     parameters at a time, can start from that stage's unperturbed input.
-    forward composes the stages and _forward_pass records them; each stage
-    keeps what its backward reads only when asked to.
+    forward composes the stages and _forward_pass records them, with what
+    each stage's backward reads when asked; loss_and_gradients runs those.
     """
 
     def _parameter_slots(self):
@@ -144,8 +146,10 @@ class _StagedModel:
         return [slot[key] for slot, key in self._parameter_slots()]
 
     # each model defines _stage_count(), _stage_slots() (one list per stage),
-    # _stage_input(batch) (stage 0's input) and _stage(i, x, keep), which
-    # returns (stage i's output, what its backward reads when keep, else None)
+    # _stage_input(batch) (stage 0's input), _stage(i, x, keep) -> (stage i's
+    # output, what its backward reads when keep, else None), and
+    # _stage_backward(i, x, kept, grad) -> (the gradient w.r.t. x, None for
+    # stage 0; the parameter gradients, in _stage_slots()[i] order)
 
     def _run(self, x, first=0):
         """Predictions from stage first's input x, keeping nothing for a backward."""
@@ -168,6 +172,18 @@ class _StagedModel:
             x, saved = self._stage(i, x, keep)
             kept.append(saved)
         return inputs, kept, x
+
+    def loss_and_gradients(self, batch, labels):
+        """(MSE loss, gradients aligned with parameters()); grad is the
+        gradient w.r.t. the output of the stage whose backward runs next."""
+        inputs, kept, preds = self._forward_pass(batch)
+        labels = np.asarray(labels, dtype=float)
+        loss = mse(preds, labels)
+        grad = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
+        grads = [None] * len(inputs)
+        for i in reversed(range(len(inputs))):
+            grad, grads[i] = self._stage_backward(i, inputs[i], kept[i], grad)
+        return loss, [g for stage_grads in grads for g in stage_grads]
 
 
 class MlpModel(_StagedModel):
@@ -213,20 +229,13 @@ class MlpModel(_StagedModel):
             return h[..., 0], None
         return np.maximum(h, 0.0), h if keep else None
 
-    def loss_and_gradients(self, batch, labels):
-        """(MSE loss, gradients aligned with parameters())."""
-        activations, pre_relu, preds = self._forward_pass(batch)
-        labels = np.asarray(labels, dtype=float)
-        loss = mse(preds, labels)
-
-        grads = [None] * (2 * len(self.weights))
-        delta = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = activations[i].swapaxes(-1, -2) @ delta
-            grads[2 * i + 1] = delta.sum(axis=-2)
-            if i > 0:
-                delta = (delta @ self.weights[i].swapaxes(-1, -2)) * (pre_relu[i - 1] > 0)
-        return loss, grads
+    def _stage_backward(self, i, h, pre_relu, grad):
+        """Layer i's backward; grad, w.r.t. its output, is not yet masked by
+        the ReLU, and is (..., b, 1) for the last layer."""
+        if pre_relu is not None:
+            grad = grad * (pre_relu > 0)
+        grad_h = grad @ self.weights[i].swapaxes(-1, -2) if i else None
+        return grad_h, [h.swapaxes(-1, -2) @ grad, grad.sum(axis=-2)]
 
 
 class LstmLayer:
@@ -382,29 +391,16 @@ class LstmModel(_StagedModel):
             return self.layers[i].forward(x_seq, keep)
         return (x_seq[-1] @ self.readout_w + self.readout_b[..., None, :])[..., 0], None
 
-    def loss_and_gradients(self, batch, labels):
-        inputs, caches, preds = self._forward_pass(batch)
-        x_seq = inputs[-1]  # the last layer's output sequence
-        labels = np.asarray(labels, dtype=float)
-        loss = mse(preds, labels)
-
-        dpred = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
-        g_readout_w = x_seq[-1].swapaxes(-1, -2) @ dpred
-        g_readout_b = dpred.sum(axis=-2)
-        da_seq = np.zeros_like(x_seq)
-        da_seq[-1] = dpred @ self.readout_w.swapaxes(-1, -2)
-        layer_grads = []
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            dz_seq, grads = layer.backward(da_seq, caches[i])
-            layer_grads.append(grads)
-            if i:  # the model's input needs no gradient
-                da_seq = dz_seq @ layer.W_x.swapaxes(-1, -2)
-        grads = []
-        for g in reversed(layer_grads):
-            grads.extend(g)
-        grads.extend((g_readout_w, g_readout_b))
-        return loss, grads
+    def _stage_backward(self, i, x_seq, cache, grad):
+        """Layer i's backward on its cache, or the read-out's; grad is
+        (T, ..., b, hidden) for a layer, (..., b, 1) for the read-out."""
+        if i == len(self.layers):  # only the last step reaches the read-out
+            da_seq = np.zeros_like(x_seq)
+            da_seq[-1] = grad @ self.readout_w.swapaxes(-1, -2)
+            return da_seq, [x_seq[-1].swapaxes(-1, -2) @ grad, grad.sum(axis=-2)]
+        layer = self.layers[i]
+        dz_seq, grads = layer.backward(grad, cache)
+        return (dz_seq @ layer.W_x.swapaxes(-1, -2) if i else None), grads
 
 
 def _adam_step(rows, m, v, g_rows, step, config):
@@ -504,17 +500,16 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     return model, losses if lead else losses[0]
 
 
-def gradient_check(model, batch, labels, step: float = 1e-5):
+def gradient_check(model, batch, labels):
     """Max relative error of analytic vs central finite-difference gradients.
 
     For every entry of every tensor in parameters(), the numeric derivative
-    n = (L(+step) - L(-step)) / (2 * step) is the central difference of the
-    MSE loss L of model.forward(batch) against labels, with that one entry
-    moved by +-step. Its error against the analytic entry a from
-    loss_and_gradients is |a - n| / max(1, |a| + |n|); the largest is returned,
-    or math.inf if any error is NaN or infinite (an overflowed loss or
-    gradient), so that no tolerance passes it. step must be finite and
-    non-zero.
+    n = (L(+step) - L(-step)) / (2 * step), step being GRADCHECK_STEP, is the
+    central difference of the MSE loss L of model.forward(batch) against
+    labels, with that one entry moved by +-step. Its error against the
+    analytic entry a from loss_and_gradients is |a - n| / max(1, |a| + |n|);
+    the largest is returned, or math.inf if any error is NaN or infinite (an
+    overflowed loss or gradient), so that no tolerance passes it.
 
     Entries are evaluated a chunk of up to GRADCHECK_CHUNK at a time: a stack
     of 2k perturbed copies of the tensor (+step copies, then -step copies)
@@ -526,8 +521,6 @@ def gradient_check(model, batch, labels, step: float = 1e-5):
     model's flat vector, is then put back, so every parameter is restored
     exactly: same objects, same contents, even when a stage raises.
     """
-    if not (math.isfinite(step) and step != 0.0):
-        raise ValidationError("gradient_check: step must be finite and non-zero")
     batch = np.asarray(batch, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.shape != batch.shape[:1]:
@@ -552,8 +545,8 @@ def gradient_check(model, batch, labels, step: float = 1e-5):
             # put back after the chunk
             up = flat_copies[start::n + 1][:k]
             down = flat_copies[k * n + start::n + 1][:k]
-            up += step
-            down -= step
+            up += GRADCHECK_STEP
+            down -= GRADCHECK_STEP
             slot[key] = copies[:2 * k].reshape((2 * k,) + p.shape)
             try:
                 preds[:, start:start + k] = model._run(inputs[stage], stage).reshape(2, k, -1)
@@ -562,7 +555,7 @@ def gradient_check(model, batch, labels, step: float = 1e-5):
             up[...] = down[...] = flat_p[start:start + k]
         diff = preds - labels
         losses = np.mean(diff * diff, axis=-1)
-        numeric = (losses[0] - losses[1]) / (2.0 * step)
+        numeric = (losses[0] - losses[1]) / (2.0 * GRADCHECK_STEP)
         analytic = g.reshape(-1)
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
         if not np.isfinite(err).all():

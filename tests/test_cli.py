@@ -362,6 +362,32 @@ class TestBadInputExitCodes:
                "float range; lower it\n")
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def run_with_paths(tmp_path, monkeypatch, command, paths, *args):
+        """main([command, ...args]) run from tmp_path on a config holding
+        paths, whose data a csv backtest loads; every call to load or
+        generate data is recorded and fails. Returns (exit code, calls)."""
+        calls = []
+
+        def no_data(*args):
+            calls.append(args)
+            raise AssertionError("data loaded or generated")
+
+        monkeypatch.setattr(cli, "load_dataset", no_data)
+        monkeypatch.setattr(cli, "generate_synthetic_market", no_data)
+        source = "csv" if command == "backtest" else "synthetic"
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\nstart = 2015-07-01\nend = 2015-12-31\nout_dir = {paths['out_dir']}\n\n"
+            f"[data]\nsource = {source}\nstart = 2014-01-01\nend = 2015-12-31\n"
+            + "".join(f"{k} = {paths[k]}\n" for k in ("bars", "fundamentals", "benchmark")),
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return main([command, "--config", str(config), *args]), calls
+
+    PATHS = {"bars": "bars.csv", "fundamentals": "f.csv", "benchmark": "b.csv",
+             "out_dir": "out"}
+
     @pytest.mark.parametrize("command,section,key", [
         ("backtest", "data", "bars"),
         ("backtest", "data", "fundamentals"),
@@ -371,29 +397,35 @@ class TestBadInputExitCodes:
     ])
     def test_nul_in_a_path_is_config_error(self, tmp_path, capsys, monkeypatch,
                                            command, section, key):
-        def no_data(*args):
-            raise AssertionError("data loaded or generated")
-
-        monkeypatch.setattr(cli, "load_dataset", no_data)
-        monkeypatch.setattr(cli, "generate_synthetic_market", no_data)
-        paths = {"bars": "bars.csv", "fundamentals": "f.csv", "benchmark": "b.csv",
-                 "out_dir": "out"}
-        paths[key] = "x\0" + paths[key]
-        source = "csv" if command == "backtest" and section == "data" else "synthetic"
-        config = tmp_path / "run.ini"
-        config.write_text(
-            f"[run]\nstart = 2015-07-01\nend = 2015-12-31\nout_dir = {paths['out_dir']}\n\n"
-            f"[data]\nsource = {source}\nstart = 2014-01-01\nend = 2015-12-31\n"
-            + "".join(f"{k} = {paths[k]}\n" for k in ("bars", "fundamentals", "benchmark")),
-            encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        code = main([command, "--config", str(config)])
+        paths = self.PATHS | {key: "x\0" + self.PATHS[key]}
+        code, calls = self.run_with_paths(tmp_path, monkeypatch, command, paths)
         err = capsys.readouterr().err
-        assert code == 1
+        assert (code, calls) == (1, [])
         assert err == f"config error: [{section}] {key}: a path cannot hold a NUL character, " \
                       f"got {paths[key]!r}\n"
         assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [config]
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    @pytest.mark.parametrize("command,key", [
+        ("backtest", "[data] bars"),
+        ("backtest", "[data] fundamentals"),
+        ("backtest", "[data] benchmark"),
+        ("backtest", "[run] out_dir"),
+        ("gen-data", "[run] out_dir"),
+        ("backtest", "--out"),
+        ("gen-data", "--out"),
+    ])
+    def test_empty_path_is_config_error(self, tmp_path, capsys, monkeypatch, command, key):
+        # Path("") is the working directory, where gen-data would write its CSVs
+        if key == "--out":
+            paths, args = self.PATHS, ("--out", "")
+        else:
+            paths, args = self.PATHS | {key.split()[1]: ""}, ()
+        code, calls = self.run_with_paths(tmp_path, monkeypatch, command, paths, *args)
+        err = capsys.readouterr().err
+        assert (code, calls) == (1, [])
+        assert err == f"config error: {key}: a path cannot be empty\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
     def test_unwritable_output_fails_before_any_scenario(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "file"
