@@ -5,13 +5,15 @@ backpropagation, a normal-equations least-squares solver, mini-batch Adam
 training, and a central-finite-difference gradient checker. Everything is
 float64 and deterministic given seeds.
 
-Each model keeps all its parameters in one flat float64 vector (`vector`),
-and every array parameters() returns is a reshaped view into it, so Adam
-updates the whole model with one set of elementwise operations per step.
-An LSTM layer fuses its four gates: W_a (hidden, 4 hidden), W_x (input,
-4 hidden) and B (4 hidden,) hold the gates' columns in c, u, f, o order, so
-a time step takes two matmuls forward and three backward, plus one matmul
-per layer for the gradient its inputs get.
+Both models lay out their parameters one way: `stages` holds one list per
+stage (an MLP layer's [W, b], an LSTM layer's [W_a, W_x, B], the LSTM
+read-out's [w, b]), and each array in it is a reshaped view of the model's
+one flat float64 vector (`vector`), so Adam updates the whole model with one
+set of elementwise operations per step. An LSTM layer fuses its four gates:
+W_a (hidden, 4 hidden), W_x (input, 4 hidden) and B (4 hidden,) hold the
+gates' columns in GATE_NAMES order, so a time step takes two matmuls forward
+and three backward, plus one matmul per layer for the gradient its inputs
+get.
 
 stack() turns K models of one shape into one stacked model: its vector is
 (K, P), row k being model k's, and each parameter is a (K, ...) view. The
@@ -81,21 +83,14 @@ def _sigmoid(x):
     return np.divide(1.0, s, out=s)
 
 
-def _flatten(model):
-    """Copy the model's parameters into one flat float64 vector and make it
-    the model's vector."""
-    _bind(model, np.concatenate([slot[key] for slot, key in model._parameter_slots()],
-                                axis=None, dtype=float))
-
-
 def _bind(model, vector):
     """Make vector, (P,) or a stack's (K, P), the model's vector, with a
-    reshaped view of it in each parameter slot, in slot order."""
+    reshaped view of it in place of each parameter array, in stages order."""
     offset = 0
-    for slot, key in model._parameter_slots():
-        p = slot[key]
-        slot[key] = vector[..., offset:offset + p.size].reshape(vector.shape[:-1] + p.shape)
-        offset += p.size
+    for arrays in model.stages:
+        for j, p in enumerate(arrays):
+            arrays[j] = vector[..., offset:offset + p.size].reshape(vector.shape[:-1] + p.shape)
+            offset += p.size
     model.vector = vector
 
 
@@ -127,33 +122,36 @@ class TrainConfig:
 
 
 class _StagedModel:
-    """The forward and backward passes as a sequence of stages, shared by both models.
+    """A model as a sequence of stages, its parameters laid out once for both models.
 
-    Stage i maps its input to the next stage's input, the last stage's output
-    being the predictions, and reads only the parameters in
-    _stage_slots()[i]; so gradient_check, which perturbs one stage's
-    parameters at a time, can start from that stage's unperturbed input.
-    forward composes the stages and _forward_pass records them, with what
-    each stage's backward reads when asked; loss_and_gradients runs those.
+    stages[i] lists stage i's parameter arrays, each a view of the flat
+    vector, copied from the given arrays. Stage i maps its input to the next
+    stage's input, the last stage's output being the predictions, and reads
+    only stages[i]; so gradient_check, which perturbs one stage's parameters
+    at a time, can start from that stage's unperturbed input. forward
+    composes the stages and _forward_pass records them, with what each
+    stage's backward reads when asked; loss_and_gradients runs those.
     """
 
-    def _parameter_slots(self):
-        """(container, key) holding each parameter, in parameters() order."""
-        for slots in self._stage_slots():
-            yield from slots
+    def __init__(self, stages):
+        self.stages = [list(arrays) for arrays in stages]
+        _bind(self, np.concatenate(self.parameters(), axis=None, dtype=float))
 
     def parameters(self):
-        return [slot[key] for slot, key in self._parameter_slots()]
+        return [p for arrays in self.stages for p in arrays]
 
-    # each model defines _stage_count(), _stage_slots() (one list per stage),
-    # _stage_input(batch) (stage 0's input), _stage(i, x, keep) -> (stage i's
-    # output, what its backward reads when keep, else None), and
-    # _stage_backward(i, x, kept, grad) -> (the gradient w.r.t. x, None for
-    # stage 0; the parameter gradients, in _stage_slots()[i] order)
+    def member(self, k):
+        """Member k of a stacked model, as a model of its own."""
+        return type(self)([[p[k] for p in arrays] for arrays in self.stages])
+
+    # each model defines create, _stage_input(batch) (stage 0's input),
+    # _stage(i, x, keep) -> (stage i's output, what its backward reads when
+    # keep, else None), and _stage_backward(i, x, kept, grad) -> (the
+    # gradient w.r.t. x, None for stage 0; the gradients of stages[i])
 
     def _run(self, x, first=0):
         """Predictions from stage first's input x, keeping nothing for a backward."""
-        for i in range(first, self._stage_count()):
+        for i in range(first, len(self.stages)):
             x = self._stage(i, x, False)[0]
         return x
 
@@ -167,7 +165,7 @@ class _StagedModel:
         for its backward when keep, else Nones, predictions)."""
         x = self._stage_input(batch)
         inputs, kept = [], []
-        for i in range(self._stage_count()):
+        for i in range(len(self.stages)):
             inputs.append(x)
             x, saved = self._stage(i, x, keep)
             kept.append(saved)
@@ -187,36 +185,20 @@ class _StagedModel:
 
 
 class MlpModel(_StagedModel):
-    """Dense network, ReLU hidden layers, linear scalar output; one stage per layer."""
-
-    def __init__(self, weights, biases):
-        self.weights = list(weights)  # (d_in, d_out) views into vector, (K, ...) stacked
-        self.biases = list(biases)    # (d_out,) views into vector
-        _flatten(self)
+    """Dense network, ReLU hidden layers, linear scalar output; one stage per
+    layer, [W (d_in, d_out), b (d_out,)]."""
 
     @classmethod
     def create(cls, seed: int, input_dim: int = 47, hidden_sizes=MLP_HIDDEN_SIZES):
         rng = np.random.default_rng(seed)
         dims = [input_dim, *hidden_sizes, 1]
-        weights = [_glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-        biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        return cls(weights, biases)
-
-    def _stage_count(self):
-        return len(self.weights)
-
-    def _stage_slots(self):
-        """Per layer, the (container, key) of its weights and biases."""
-        return [[(self.weights, i), (self.biases, i)] for i in range(len(self.weights))]
-
-    def member(self, k):
-        """Member k of a stacked model, as a model of its own."""
-        return MlpModel([w[k] for w in self.weights], [b[k] for b in self.biases])
+        return cls([[_glorot_uniform(rng, d_in, d_out), np.zeros(d_out)]
+                    for d_in, d_out in zip(dims, dims[1:])])
 
     def _stage_input(self, batch):
         """batch, validated: (b, d), or (K, b, d) for a stack."""
         h = np.asarray(batch, dtype=float)
-        d = self.weights[0].shape[-2]
+        d = self.stages[0][0].shape[-2]
         if h.ndim not in (2, 3) or h.shape[-1] != d:
             raise ValidationError(f"MlpModel.forward: expected batch of width {d}")
         return h
@@ -224,8 +206,9 @@ class MlpModel(_StagedModel):
     def _stage(self, i, h, keep):
         """Layer i on its input h: (its output, its pre-ReLU values when keep).
         The last layer's output is the predictions."""
-        h = h @ self.weights[i] + self.biases[i][..., None, :]  # broadcast over the batch
-        if i == len(self.weights) - 1:
+        W, b = self.stages[i]
+        h = h @ W + b[..., None, :]  # broadcast over the batch
+        if i == len(self.stages) - 1:
             return h[..., 0], None
         return np.maximum(h, 0.0), h if keep else None
 
@@ -234,152 +217,118 @@ class MlpModel(_StagedModel):
         the ReLU, and is (..., b, 1) for the last layer."""
         if pre_relu is not None:
             grad = grad * (pre_relu > 0)
-        grad_h = grad @ self.weights[i].swapaxes(-1, -2) if i else None
+        grad_h = grad @ self.stages[i][0].swapaxes(-1, -2) if i else None
         return grad_h, [h.swapaxes(-1, -2) @ grad, grad.sum(axis=-2)]
 
 
-class LstmLayer:
-    """One recurrent layer: candidate + update/forget/output gates, fused.
+# the fused gates: gate g's columns of an LSTM layer's W_a, W_x and B start
+# at GATE_NAMES.index(g) * hidden
+GATE_NAMES = ("c", "u", "f", "o")
 
-    W_a (hidden, 4 hidden), W_x (input, 4 hidden) and B (4 hidden,) are its
-    only parameters; gate g's columns start at GATE_NAMES.index(g) * hidden.
+
+def _lstm_layer(rng, input_dim, hidden):
+    """A new recurrent layer's [W_a (hidden, 4 hidden), W_x (input_dim,
+    4 hidden), B (4 hidden,)]: candidate + update/forget/output gates, fused."""
+    # one draw per gate in GATE_NAMES order, W_a's before W_x's, so a seed
+    # gives the weights it always has
+    def fused(fan_in):
+        draws = _glorot_uniform(rng, fan_in, hidden, (len(GATE_NAMES),))
+        return draws.transpose(1, 0, 2).reshape(fan_in, -1)
+
+    W_a = fused(hidden)
+    W_x = fused(input_dim)
+    return [W_a, W_x, np.zeros(4 * hidden)]
+
+
+def _lstm_forward(W_a, W_x, B, x_seq, keep):
+    """x_seq: (T, b, input_dim) -> (a_seq (T, b, hidden), cache); the cache,
+    which _lstm_backward reads, is None unless keep.
+
+    Leading axes of stacked parameters broadcast and land between T and b,
+    and a later layer accepts such a (T, ..., b, input_dim) sequence.
     """
+    h = W_a.shape[-2]
+    a = c = np.zeros(x_seq.shape[1:-1] + (h,))
+    B = B[..., None, :]  # broadcast over the batch
+    cache = [] if keep else None
+    for t, x in enumerate(x_seq):
+        z = a @ W_a + x @ W_x + B
+        c_tilde = np.tanh(z[..., :h])
+        gates = _sigmoid(z[..., h:])
+        g_u, g_f, g_o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
+        c_new = g_u * c_tilde + g_f * c
+        tanh_c = np.tanh(c_new)
+        if not t:  # the first step's shape has any axes the parameters broadcast
+            a_seq = np.empty((len(x_seq),) + tanh_c.shape)
+        a_new = np.multiply(g_o, tanh_c, out=a_seq[t])
+        if keep:
+            cache.append((x, a, c, c_tilde, g_u, g_f, g_o, c_new, tanh_c))
+        a, c = a_new, c_new
+    return a_seq, cache
 
-    GATE_NAMES = ("c", "u", "f", "o")
 
-    def __init__(self, W_a, W_x, B):
-        self.W_a = W_a
-        self.W_x = W_x
-        self.B = B
-        self.hidden_dim = W_a.shape[-2]
+def _lstm_backward(W_a, da_seq, cache):
+    """da_seq: gradient w.r.t. each step's output a_t, (T, b, hidden) or a
+    stack's (T, K, b, hidden); cache: the layer's from _lstm_forward.
 
-    @classmethod
-    def create(cls, rng, input_dim, hidden_dim):
-        # one draw per gate in GATE_NAMES order, W_a's before W_x's, so a
-        # seed gives the weights it always has
-        def fused(fan_in):
-            draws = _glorot_uniform(rng, fan_in, hidden_dim, (len(cls.GATE_NAMES),))
-            return draws.transpose(1, 0, 2).reshape(fan_in, -1)
-
-        W_a = fused(hidden_dim)
-        W_x = fused(input_dim)
-        return cls(W_a, W_x, np.zeros(4 * hidden_dim))
-
-    def _parameter_slots(self):
-        """(container, key) holding W_a, W_x and B, in that order."""
-        yield vars(self), "W_a"
-        yield vars(self), "W_x"
-        yield vars(self), "B"
-
-    def forward(self, x_seq, keep_cache=True):
-        """x_seq: (T, b, input_dim) -> (a_seq (T, b, hidden), cache); the
-        cache, which backward reads, is None unless keep_cache.
-
-        Leading axes of stacked parameters broadcast and land between T and b,
-        and a later layer accepts such a (T, ..., b, input_dim) sequence.
-        """
-        h = self.hidden_dim
-        a = c = np.zeros(x_seq.shape[1:-1] + (h,))
-        B = self.B[..., None, :]  # broadcast over the batch
-        cache = [] if keep_cache else None
-        for t, x in enumerate(x_seq):
-            z = a @ self.W_a + x @ self.W_x + B
-            c_tilde = np.tanh(z[..., :h])
-            gates = _sigmoid(z[..., h:])
-            g_u, g_f, g_o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
-            c_new = g_u * c_tilde + g_f * c
-            tanh_c = np.tanh(c_new)
-            if not t:  # the first step's shape has any axes the parameters broadcast
-                a_seq = np.empty((len(x_seq),) + tanh_c.shape)
-            a_new = np.multiply(g_o, tanh_c, out=a_seq[t])
-            if keep_cache:
-                cache.append((x, a, c, c_tilde, g_u, g_f, g_o, c_new, tanh_c))
-            a, c = a_new, c_new
-        return a_seq, cache
-
-    def backward(self, da_seq, cache):
-        """da_seq: gradient w.r.t. each step's output a_t, (T, b, hidden) or
-        a stack's (T, K, b, hidden).
-
-        Returns (dz_seq, [gW_a, gW_x, gB]): dz_seq[t] is the
-        gradient w.r.t. step t's fused pre-activations, so the gradient
-        w.r.t. the layer's inputs is dz_seq @ W_x.T.
-        """
-        h = self.hidden_dim
-        dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
-        W_a_T = self.W_a.swapaxes(-1, -2)
-        last = len(cache) - 1
-        # the last step starts each sum: nothing flows back into it, and
-        # adding zeros would only turn its -0.0 entries into +0.0
-        for t in range(last, -1, -1):
-            x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
-            da = da_seq[t] if t == last else da_seq[t] + da_next
-            dc = da * g_o * (1.0 - tanh_c * tanh_c)
-            if t < last:
-                dc += dc_next
-            dz = dz_seq[t]
-            dz[..., :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
-            dz[..., h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
-            dz[..., 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
-            dz[..., 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
-            dc_next = dc * g_f
-            if t == last:
-                gW_a = a_prev.swapaxes(-1, -2) @ dz
-                gW_x = x.swapaxes(-1, -2) @ dz
-                gB = dz.sum(axis=-2)
-            else:
-                gW_a += a_prev.swapaxes(-1, -2) @ dz
-                gW_x += x.swapaxes(-1, -2) @ dz
-                gB += dz.sum(axis=-2)
-            if t:  # step 0's previous output is the zero initial state
-                da_next = dz @ W_a_T
-        return dz_seq, [gW_a, gW_x, gB]
+    Returns (dz_seq, [gW_a, gW_x, gB]): dz_seq[t] is the gradient w.r.t.
+    step t's fused pre-activations, so the gradient w.r.t. the layer's
+    inputs is dz_seq @ W_x.T.
+    """
+    h = W_a.shape[-2]
+    dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
+    W_a_T = W_a.swapaxes(-1, -2)
+    last = len(cache) - 1
+    # the last step starts each sum: nothing flows back into it, and
+    # adding zeros would only turn its -0.0 entries into +0.0
+    for t in range(last, -1, -1):
+        x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
+        da = da_seq[t] if t == last else da_seq[t] + da_next
+        dc = da * g_o * (1.0 - tanh_c * tanh_c)
+        if t < last:
+            dc += dc_next
+        dz = dz_seq[t]
+        dz[..., :h] = dc * g_u * (1.0 - c_tilde * c_tilde)
+        dz[..., h:2 * h] = dc * c_tilde * g_u * (1.0 - g_u)
+        dz[..., 2 * h:3 * h] = dc * c_prev * g_f * (1.0 - g_f)
+        dz[..., 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
+        dc_next = dc * g_f
+        if t == last:
+            gW_a = a_prev.swapaxes(-1, -2) @ dz
+            gW_x = x.swapaxes(-1, -2) @ dz
+            gB = dz.sum(axis=-2)
+        else:
+            gW_a += a_prev.swapaxes(-1, -2) @ dz
+            gW_x += x.swapaxes(-1, -2) @ dz
+            gB += dz.sum(axis=-2)
+        if t:  # step 0's previous output is the zero initial state
+            da_next = dz @ W_a_T
+    return dz_seq, [gW_a, gW_x, gB]
 
 
 class LstmModel(_StagedModel):
     """Three stacked recurrent layers plus an affine scalar read-out.
 
     The first two layers pass full sequences downstream; the read-out sees
-    only the final step of the last layer. Each layer is a stage, and the
-    read-out is the last.
+    only the final step of the last layer. Each layer is a stage,
+    [W_a, W_x, B], and the read-out is the last, [w (hidden_last, 1), b (1,)].
     """
-
-    def __init__(self, layers, readout_w, readout_b):
-        self.layers = layers
-        self.readout_w = readout_w  # (hidden_last, 1)
-        self.readout_b = readout_b  # (1,)
-        _flatten(self)
 
     @classmethod
     def create(cls, seed: int, input_dim: int = 47, hidden_sizes=LSTM_HIDDEN_SIZES):
         rng = np.random.default_rng(seed)
-        layers = []
+        stages = []
         d = input_dim
         for h in hidden_sizes:
-            layers.append(LstmLayer.create(rng, d, h))
+            stages.append(_lstm_layer(rng, d, h))
             d = h
-        readout_w = _glorot_uniform(rng, d, 1)
-        readout_b = np.zeros(1)
-        return cls(layers, readout_w, readout_b)
-
-    def _stage_count(self):
-        return len(self.layers) + 1
-
-    def _stage_slots(self):
-        """Per layer, then for the read-out, the (container, key) of each parameter."""
-        return [list(layer._parameter_slots()) for layer in self.layers] \
-            + [[(vars(self), "readout_w"), (vars(self), "readout_b")]]
-
-    def member(self, k):
-        """Member k of a stacked model, as a model of its own."""
-        layers = [LstmLayer(layer.W_a[k], layer.W_x[k], layer.B[k]) for layer in self.layers]
-        return LstmModel(layers, self.readout_w[k], self.readout_b[k])
+        return cls(stages + [[_glorot_uniform(rng, d, 1), np.zeros(1)]])
 
     def _stage_input(self, batch):
         """batch ((b, T, d), or (K, b, T, d) for a stack), validated, as the
         first layer's (T, b, d) or (T, K, b, d) sequence."""
         x_seq = np.asarray(batch, dtype=float)
-        d = self.layers[0].W_x.shape[-2]
+        d = self.stages[0][1].shape[-2]
         if x_seq.ndim not in (3, 4) or x_seq.shape[-1] != d or x_seq.shape[-2] == 0:
             raise ValidationError(f"LstmModel.forward: expected (batch, T >= 1, {d}) input")
         return x_seq.transpose(x_seq.ndim - 2, *range(x_seq.ndim - 2), x_seq.ndim - 1)
@@ -387,20 +336,21 @@ class LstmModel(_StagedModel):
     def _stage(self, i, x_seq, keep):
         """Layer i, or the read-out after the last layer, on its input
         sequence: (its output, the layer's cache when keep)."""
-        if i < len(self.layers):
-            return self.layers[i].forward(x_seq, keep)
-        return (x_seq[-1] @ self.readout_w + self.readout_b[..., None, :])[..., 0], None
+        if i < len(self.stages) - 1:
+            return _lstm_forward(*self.stages[i], x_seq, keep)
+        w, b = self.stages[i]
+        return (x_seq[-1] @ w + b[..., None, :])[..., 0], None
 
     def _stage_backward(self, i, x_seq, cache, grad):
         """Layer i's backward on its cache, or the read-out's; grad is
         (T, ..., b, hidden) for a layer, (..., b, 1) for the read-out."""
-        if i == len(self.layers):  # only the last step reaches the read-out
+        if i == len(self.stages) - 1:  # only the last step reaches the read-out
             da_seq = np.zeros_like(x_seq)
-            da_seq[-1] = grad @ self.readout_w.swapaxes(-1, -2)
+            da_seq[-1] = grad @ self.stages[i][0].swapaxes(-1, -2)
             return da_seq, [x_seq[-1].swapaxes(-1, -2) @ grad, grad.sum(axis=-2)]
-        layer = self.layers[i]
-        dz_seq, grads = layer.backward(grad, cache)
-        return (dz_seq @ layer.W_x.swapaxes(-1, -2) if i else None), grads
+        W_a, W_x, _ = self.stages[i]
+        dz_seq, grads = _lstm_backward(W_a, grad, cache)
+        return (dz_seq @ W_x.swapaxes(-1, -2) if i else None), grads
 
 
 def _adam_step(rows, m, v, g_rows, step, config):
@@ -527,11 +477,11 @@ def gradient_check(model, batch, labels):
         raise ValidationError("gradient_check: labels do not match the batch")
     _, grads = model.loss_and_gradients(batch, labels)
     inputs = model._forward_pass(batch, keep=False)[0]
-    tensors = [(stage, slot) for stage, slots in enumerate(model._stage_slots())
-               for slot in slots]
+    tensors = [(stage, arrays, j) for stage, arrays in enumerate(model.stages)
+               for j in range(len(arrays))]
     worst = 0.0
-    for (stage, (slot, key)), g in zip(tensors, grads, strict=True):
-        p = slot[key]
+    for (stage, arrays, j), g in zip(tensors, grads, strict=True):
+        p = arrays[j]
         flat_p = p.reshape(-1)
         n = flat_p.size
         # rows of copies of the tensor, the first 2k of them a chunk's stack
@@ -547,11 +497,11 @@ def gradient_check(model, batch, labels):
             down = flat_copies[k * n + start::n + 1][:k]
             up += GRADCHECK_STEP
             down -= GRADCHECK_STEP
-            slot[key] = copies[:2 * k].reshape((2 * k,) + p.shape)
+            arrays[j] = copies[:2 * k].reshape((2 * k,) + p.shape)
             try:
                 preds[:, start:start + k] = model._run(inputs[stage], stage).reshape(2, k, -1)
             finally:
-                slot[key] = p
+                arrays[j] = p
             up[...] = down[...] = flat_p[start:start + k]
         diff = preds - labels
         losses = np.mean(diff * diff, axis=-1)

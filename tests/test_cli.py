@@ -139,6 +139,39 @@ class TestBacktest:
         assert len(trees[0]) == 12
         assert trees[1] == trees[0]
 
+    def test_stock_never_eligible_changes_nothing(self, tmp_path):
+        """A stock ZZZ with 10 bars, on the market's last 10 dates, and one
+        snapshot never has the 252 bars before an action day that eligibility
+        asks for, so adding it to the CSVs leaves all 12 files the same bytes."""
+        gen = tmp_path / "gen.ini"
+        gen.write_text("[run]\nseed = 0\nstart = 2015-07-01\nend = 2015-12-31\n\n"
+                       "[data]\nsource = synthetic\nn_stocks = 12\nstart = 2014-01-01\n"
+                       "end = 2015-12-31\nregime = crash\n", encoding="utf-8")
+        trees = []
+        for name in ("market", "with-zzz"):
+            data = tmp_path / name
+            assert main(["gen-data", "--config", str(gen), "--out", str(data)]) == 0
+            if name == "with-zzz":
+                bars = (data / "bars.csv").read_text(encoding="utf-8").splitlines()
+                zzz_bars = ["ZZZ," + line.split(",", 1)[1] for line in bars[-10:]]
+                snapshot = (data / "fundamentals.csv").read_text(encoding="utf-8") \
+                    .splitlines()[-1].split(",")
+                zzz_snapshot = ",".join(["ZZZ", zzz_bars[0].split(",")[1], *snapshot[2:]])
+                with open(data / "bars.csv", "a", encoding="utf-8") as f:
+                    f.write("\n".join(zzz_bars) + "\n")
+                with open(data / "fundamentals.csv", "a", encoding="utf-8") as f:
+                    f.write(zzz_snapshot + "\n")
+            config = data / "backtest.ini"
+            config.write_text("[run]\nseed = 0\nstrategies = linreg,fcnn,lstm\n"
+                              "start = 2015-07-01\nend = 2015-12-31\nholdings = 5\n"
+                              f"out_dir = {data / 'out'}\n\n[data]\nsource = csv\n"
+                              "bars = bars.csv\nfundamentals = fundamentals.csv\n"
+                              "benchmark = benchmark.csv\n", encoding="utf-8")
+            assert main(["backtest", "--config", str(config)]) == 0
+            trees.append(tree_bytes(data / "out"))
+        assert len(trees[0]) == 12
+        assert trees[1] == trees[0]
+
     def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
         computed = Counter()
         compute_panel = MarketStore._compute_panel

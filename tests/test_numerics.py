@@ -16,13 +16,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import broken_backward
+from rollingquant import numerics
 from rollingquant.errors import TrainingError, ValidationError
 from rollingquant.numerics import (
+    GATE_NAMES,
     GRADCHECK_CHUNK,
-    LstmLayer,
     LstmModel,
     MlpModel,
     TrainConfig,
+    _lstm_backward,
+    _lstm_forward,
+    _lstm_layer,
     gradient_check,
     least_squares_fit,
     mse,
@@ -106,8 +110,8 @@ class TestLeastSquares:
 def scalar_mlp_oracle(model, sample):
     """One sample through the dense network with explicit python loops."""
     h = list(sample)
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(model.stages) - 1
+    for i, (w, b) in enumerate(model.stages):
         out = []
         for j in range(w.shape[1]):
             z = b[j] + sum(h[k] * w[k, j] for k in range(w.shape[0]))
@@ -116,28 +120,26 @@ def scalar_mlp_oracle(model, sample):
     return h[0]
 
 
-GATES = LstmLayer.GATE_NAMES
-
-
-def gate(layer, fused, name):
-    """Writable view of gate name's columns of one of layer's fused arrays."""
-    h = layer.hidden_dim
-    i = GATES.index(name)
+def gate(fused, name):
+    """Writable view of gate name's columns of one of a layer's fused arrays
+    (W_a, W_x or B), each 4 hidden wide."""
+    h = fused.shape[-1] // len(GATE_NAMES)
+    i = GATE_NAMES.index(name)
     return fused[..., i * h:(i + 1) * h]
 
 
 def scalar_lstm_oracle(model, sequence):
     """One 3-step sequence through the stacked recurrence, scalar loops."""
     seq = [list(step) for step in sequence]
-    for layer in model.layers:
-        h = layer.hidden_dim
+    for W_a, W_x, B in model.stages[:-1]:
+        h = W_a.shape[-2]
         a = [0.0] * h
         c = [0.0] * h
         outputs = []
         for x in seq:
             def affine(g, j):
-                w_a, w_x = gate(layer, layer.W_a, g), gate(layer, layer.W_x, g)
-                z = gate(layer, layer.B, g)[j]
+                w_a, w_x = gate(W_a, g), gate(W_x, g)
+                z = gate(B, g)[j]
                 z += sum(a[k] * w_a[k, j] for k in range(h))
                 z += sum(x[k] * w_x[k, j] for k in range(len(x)))
                 return z
@@ -154,21 +156,20 @@ def scalar_lstm_oracle(model, sequence):
             outputs.append(list(a))
         seq = outputs
     final = seq[-1]
-    return model.readout_b[0] + sum(v * model.readout_w[k, 0]
-                                    for k, v in enumerate(final))
+    readout_w, readout_b = model.stages[-1]
+    return readout_b[0] + sum(v * readout_w[k, 0] for k, v in enumerate(final))
 
 
 class TestMlpForward:
     def test_zero_parameters_zero_output(self):
         model = MlpModel.create(seed=0)
-        for w in model.weights:
+        for w, _ in model.stages:
             w[:] = 0.0
         batch = np.random.default_rng(0).normal(size=(4, 47))
         assert np.array_equal(model.forward(batch), np.zeros(4))
 
     def test_relu_clamps_negative_preactivation(self):
-        model = MlpModel(weights=[np.array([[1.0]]), np.array([[1.0]])],
-                         biases=[np.zeros(1), np.zeros(1)])
+        model = MlpModel([[np.array([[1.0]]), np.zeros(1)], [np.array([[1.0]]), np.zeros(1)]])
         assert model.forward(np.array([[-3.0]]))[0] == 0.0
         assert model.forward(np.array([[3.0]]))[0] == 3.0
 
@@ -188,32 +189,32 @@ class TestMlpForward:
 
 def zeroed_lstm(seed=0):
     model = LstmModel.create(seed=seed)
-    for layer in model.layers:
-        layer.W_a[:] = 0.0
-        layer.W_x[:] = 0.0
-        layer.B[:] = 0.0
-    model.readout_w[:] = 0.0
+    for W_a, W_x, B in model.stages[:-1]:
+        W_a[:] = 0.0
+        W_x[:] = 0.0
+        B[:] = 0.0
+    model.stages[-1][0][:] = 0.0
     return model
 
 
 class TestLstmForward:
     def test_zero_parameters_yield_readout_bias(self):
         model = zeroed_lstm()
-        model.readout_b[0] = 0.75
+        model.stages[-1][1][0] = 0.75
         batch = np.random.default_rng(0).normal(size=(5, 3, 47))
         assert np.allclose(model.forward(batch), 0.75, atol=1e-15)
 
     def test_gate_saturation(self):
         # update gate pinned open, forget gate pinned shut: c_1 = c-tilde_1
         rng = np.random.default_rng(4)
-        layer = LstmLayer.create(rng, 47, 8)
-        layer.W_a[:] = 0.0
-        gate(layer, layer.W_x, "u")[:] = 0.0
-        gate(layer, layer.W_x, "f")[:] = 0.0
-        gate(layer, layer.B, "u")[:] = 50.0
-        gate(layer, layer.B, "f")[:] = -50.0
+        W_a, W_x, B = _lstm_layer(rng, 47, 8)
+        W_a[:] = 0.0
+        gate(W_x, "u")[:] = 0.0
+        gate(W_x, "f")[:] = 0.0
+        gate(B, "u")[:] = 50.0
+        gate(B, "f")[:] = -50.0
         x_seq = rng.normal(size=(1, 2, 47))
-        _, cache = layer.forward(x_seq)
+        _, cache = _lstm_forward(W_a, W_x, B, x_seq, True)
         _, _, _, c_tilde, _, _, _, c_new, _ = cache[0]
         assert np.abs(c_new - c_tilde).max() < 1e-12
 
@@ -253,12 +254,12 @@ def per_gate_loss_and_gradients(model, batch, labels):
     """
     x_seq = np.transpose(np.asarray(batch, dtype=float), (1, 0, 2))
     params, caches = [], []
-    for layer in model.layers:
-        w_a = {g: np.ascontiguousarray(gate(layer, layer.W_a, g)) for g in GATES}
-        w_x = {g: np.ascontiguousarray(gate(layer, layer.W_x, g)) for g in GATES}
-        b = {g: gate(layer, layer.B, g).copy() for g in GATES}
+    for W_a, W_x, B in model.stages[:-1]:
+        w_a = {g: np.ascontiguousarray(gate(W_a, g)) for g in GATE_NAMES}
+        w_x = {g: np.ascontiguousarray(gate(W_x, g)) for g in GATE_NAMES}
+        b = {g: gate(B, g).copy() for g in GATE_NAMES}
         params.append((w_a, w_x, b))
-        a = np.zeros(x_seq.shape[1:-1] + (layer.hidden_dim,))
+        a = np.zeros(x_seq.shape[1:-1] + (W_a.shape[-2],))
         c = np.zeros_like(a)
         cache, a_steps = [], []
         for x in x_seq:
@@ -274,18 +275,19 @@ def per_gate_loss_and_gradients(model, batch, labels):
         caches.append(cache)
         x_seq = np.stack(a_steps)
     final = x_seq[-1]
-    preds = (final @ model.readout_w + model.readout_b)[:, 0]
+    readout_w, readout_b = model.stages[-1]
+    preds = (final @ readout_w + readout_b)[:, 0]
     labels = np.asarray(labels, dtype=float)
     loss = float(np.mean((preds - labels) ** 2))
 
     dpred = (2.0 / len(labels)) * (preds - labels)[:, None]
     da_seq = np.zeros_like(x_seq)
-    da_seq[-1] = dpred @ model.readout_w.T
+    da_seq[-1] = dpred @ readout_w.T
     layer_grads = []
     for (w_a, w_x, b), cache in zip(reversed(params), reversed(caches)):
-        gw_a = {g: np.zeros_like(w_a[g]) for g in GATES}
-        gw_x = {g: np.zeros_like(w_x[g]) for g in GATES}
-        gb = {g: np.zeros_like(b[g]) for g in GATES}
+        gw_a = {g: np.zeros_like(w_a[g]) for g in GATE_NAMES}
+        gw_x = {g: np.zeros_like(w_x[g]) for g in GATE_NAMES}
+        gb = {g: np.zeros_like(b[g]) for g in GATE_NAMES}
         dx_seq = np.empty((len(cache),) + cache[0][0].shape)
         da_next = np.zeros_like(da_seq[0])
         dc_next = np.zeros_like(da_seq[0])
@@ -302,14 +304,14 @@ def per_gate_loss_and_gradients(model, batch, labels):
             dc_next = dc * g_f
             da_next = np.zeros_like(da)
             dx = np.zeros_like(x)
-            for g in GATES:
+            for g in GATE_NAMES:
                 gw_a[g] += a_prev.T @ dz[g]
                 gw_x[g] += x.T @ dz[g]
                 gb[g] += dz[g].sum(axis=0)
                 da_next += dz[g] @ w_a[g].T
                 dx += dz[g] @ w_x[g].T
             dx_seq[t] = dx
-        layer_grads.append([t for g in GATES for t in (gw_a[g], gw_x[g], gb[g])])
+        layer_grads.append([t for g in GATE_NAMES for t in (gw_a[g], gw_x[g], gb[g])])
         da_seq = dx_seq
     grads = [t for layer in reversed(layer_grads) for t in layer]
     return preds, loss, grads + [final.T @ dpred, dpred.sum(axis=0)]
@@ -318,20 +320,21 @@ def per_gate_loss_and_gradients(model, batch, labels):
 def per_gate_split(model, grads):
     """Fused gradients re-cut into per_gate_loss_and_gradients' order."""
     out = []
-    for i, layer in enumerate(model.layers):
+    layers = len(model.stages) - 1
+    for i in range(layers):
         fused = grads[3 * i:3 * i + 3]
-        for g in GATES:
-            out.extend(gate(layer, f, g) for f in fused)
-    return out + list(grads[3 * len(model.layers):])
+        for g in GATE_NAMES:
+            out.extend(gate(f, g) for f in fused)
+    return out + list(grads[3 * layers:])
 
 
 def randomized_lstm(seed):
     """A default-size LSTM whose biases are not zero."""
     model = LstmModel.create(seed=seed)
     rng = np.random.default_rng(seed)
-    for layer in model.layers:
-        layer.B[:] = rng.normal(0.0, 0.3, size=layer.B.shape)
-    model.readout_b[:] = 0.1
+    for _, _, B in model.stages[:-1]:
+        B[:] = rng.normal(0.0, 0.3, size=B.shape)
+    model.stages[-1][1][:] = 0.1
     return model
 
 
@@ -349,7 +352,7 @@ class TestFusedGates:
         loss, grads = model.loss_and_gradients(batch, labels)
         assert loss == want_loss
         got = per_gate_split(model, grads)
-        assert len(got) == len(want_grads) == 12 * len(model.layers) + 2
+        assert len(got) == len(want_grads) == 12 * (len(model.stages) - 1) + 2
         for g, w in zip(got, want_grads):
             assert g.shape == w.shape
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
@@ -362,17 +365,18 @@ class TestFusedGates:
                               per_gate_loss_and_gradients(model, batch, np.zeros(b))[0])
 
 
-def zero_initialised_backward(layer, da_seq, cache):
-    """LstmLayer.backward as it was: every sum, and the gradients flowing
-    into the last step, start from zero-filled arrays."""
-    h = layer.hidden_dim
-    gW_a = np.zeros_like(layer.W_a)
-    gW_x = np.zeros_like(layer.W_x)
-    gB = np.zeros_like(layer.B)
+def zero_initialised_backward(W_a, da_seq, cache):
+    """_lstm_backward as it was: every sum, and the gradients flowing into
+    the last step, start from zero-filled arrays, shaped as W_a, W_x and B."""
+    h = W_a.shape[-2]
+    x0 = cache[0][0]  # (..., b, input): W_x is (..., input, 4 hidden)
+    gW_a = np.zeros_like(W_a)
+    gW_x = np.zeros(x0.shape[:-2] + (x0.shape[-1], 4 * h))
+    gB = np.zeros(da_seq.shape[1:-2] + (4 * h,))
     dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
     da_next = np.zeros_like(da_seq[0])
     dc_next = np.zeros_like(da_seq[0])
-    W_a_T = layer.W_a.swapaxes(-1, -2)
+    W_a_T = W_a.swapaxes(-1, -2)
     for t in range(len(cache) - 1, -1, -1):
         x, a_prev, c_prev, c_tilde, g_u, g_f, g_o, c_new, tanh_c = cache[t]
         da = da_seq[t] + da_next
@@ -400,7 +404,7 @@ def zero_signed_batch(rng, shape):
 
 
 class TestBackwardSums:
-    """LstmLayer.backward starts each sum from the last step's terms; only
+    """_lstm_backward starts each sum from the last step's terms; only
     the sign of an exactly-zero entry may differ from zero-initialised sums."""
 
     @pytest.mark.parametrize("k", [None, 6])
@@ -412,7 +416,7 @@ class TestBackwardSums:
         batch = zero_signed_batch(rng, lead + (10, 3, 47))
         labels = rng.normal(size=lead + (10,)) * 0.1
         loss, grads = model.loss_and_gradients(batch, labels)
-        monkeypatch.setattr(LstmLayer, "backward", zero_initialised_backward)
+        monkeypatch.setattr(numerics, "_lstm_backward", zero_initialised_backward)
         want_loss, want_grads = model.loss_and_gradients(batch, labels)
         assert np.array_equal(loss, want_loss)
         for g, w in zip(grads, want_grads, strict=True):
@@ -433,7 +437,7 @@ class TestBackwardSums:
             return train(model, samples, labels, config, SEEDS[:6])
 
         model, losses = trained()
-        monkeypatch.setattr(LstmLayer, "backward", zero_initialised_backward)
+        monkeypatch.setattr(numerics, "_lstm_backward", zero_initialised_backward)
         want_model, want_losses = trained()
         assert losses == want_losses
         assert model.vector.tobytes() == want_model.vector.tobytes()
@@ -511,7 +515,7 @@ class TestFlatVector:
 class TestTrain:
     def test_already_at_minimum(self):
         model = MlpModel.create(seed=0)
-        for w in model.weights:
+        for w, _ in model.stages:
             w[:] = 0.0
         samples = np.random.default_rng(0).normal(size=(20, 47))
         labels = np.zeros(20)
@@ -604,6 +608,23 @@ class TestStack:
             assert losses[i] == single_losses
             assert np.array_equal(model.vector[i], single.vector)
             assert np.array_equal(model.member(i).forward(samples[i]), single.forward(samples[i]))
+
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_member_is_a_model_of_its_own(self, create, shape):
+        model = stack([create(seed) for seed in SEEDS[:3]])
+        stacked = model.vector.copy()
+        for k, seed in enumerate(SEEDS[:3]):
+            member = model.member(k)
+            assert type(member) is type(model)
+            assert views_of_vector(member)
+            assert not np.shares_memory(member.vector, model.vector)
+            assert member.vector.tobytes() == model.vector[k].tobytes()
+            assert [p.shape for p in member.parameters()] \
+                == [p.shape for p in create(seed).parameters()]
+            for p in member.parameters():
+                p[...] = 7.0
+            assert (member.vector == 7.0).all()
+            assert model.vector.tobytes() == stacked.tobytes()
 
     def test_needs_one_seed_per_member(self):
         model = stack([MlpModel.create(seed=s) for s in SEEDS[:2]])
@@ -704,13 +725,13 @@ def oracle_loss_and_gradients(model, batch, labels):
     loss = mse(preds, labels)
     if isinstance(model, MlpModel):
         activations, pre_relu = inputs, kept
-        grads = [None] * (2 * len(model.weights))
+        grads = [None] * (2 * len(model.stages))
         delta = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
-        for i in range(len(model.weights) - 1, -1, -1):
+        for i in range(len(model.stages) - 1, -1, -1):
             grads[2 * i] = activations[i].swapaxes(-1, -2) @ delta
             grads[2 * i + 1] = delta.sum(axis=-2)
             if i > 0:
-                delta = (delta @ model.weights[i].swapaxes(-1, -2)) * (pre_relu[i - 1] > 0)
+                delta = (delta @ model.stages[i][0].swapaxes(-1, -2)) * (pre_relu[i - 1] > 0)
         return loss, grads
 
     x_seq = inputs[-1]  # the last layer's output sequence
@@ -718,14 +739,14 @@ def oracle_loss_and_gradients(model, batch, labels):
     g_readout_w = x_seq[-1].swapaxes(-1, -2) @ dpred
     g_readout_b = dpred.sum(axis=-2)
     da_seq = np.zeros_like(x_seq)
-    da_seq[-1] = dpred @ model.readout_w.swapaxes(-1, -2)
+    da_seq[-1] = dpred @ model.stages[-1][0].swapaxes(-1, -2)
     layer_grads = []
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        dz_seq, grads = layer.backward(da_seq, kept[i])
+    for i in range(len(model.stages) - 2, -1, -1):
+        W_a, W_x, _ = model.stages[i]
+        dz_seq, grads = _lstm_backward(W_a, da_seq, kept[i])
         layer_grads.append(grads)
         if i:  # the model's input needs no gradient
-            da_seq = dz_seq @ layer.W_x.swapaxes(-1, -2)
+            da_seq = dz_seq @ W_x.swapaxes(-1, -2)
     grads = []
     for g in reversed(layer_grads):
         grads.extend(g)
@@ -775,7 +796,8 @@ def oracle_gradient_check(model, batch, labels, step=1e-5):
     labels = np.asarray(labels, dtype=float)
     _, grads = model.loss_and_gradients(batch, labels)
     worst = 0.0
-    for (slot, key), g in zip(model._parameter_slots(), grads):
+    slots = [(arrays, j) for arrays in model.stages for j in range(len(arrays))]
+    for (slot, key), g in zip(slots, grads):
         p = slot[key]
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
@@ -908,7 +930,7 @@ class TestGradientCheck:
     def test_non_finite_error_fails(self):
         # weights of 1e200 overflow the loss; a NaN error must not pass as 0.0
         model = MlpModel.create(seed=14, input_dim=3, hidden_sizes=(2,))
-        for w in model.weights:
+        for w, _ in model.stages:
             w[...] = 1e200
         rng = np.random.default_rng(14)
         batch, labels = rng.normal(size=(4, 3)), rng.normal(size=4)
@@ -920,7 +942,7 @@ class TestGradientCheck:
     def test_single_weight_closed_form(self):
         # loss (wx - y)^2 has derivative 2wx^2 - 2xy
         w, x, y = 1.5, 2.0, 0.5
-        model = MlpModel(weights=[np.array([[w]])], biases=[np.zeros(1)])
+        model = MlpModel([[np.array([[w]]), np.zeros(1)]])
         _, grads = model.loss_and_gradients(np.array([[x]]), np.array([y]))
         assert grads[0][0, 0] == pytest.approx(2 * w * x * x - 2 * x * y, abs=1e-15)
 
