@@ -380,6 +380,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     fails on non-finite labels or on its first non-finite loss (divergence);
     every member still trains to the end, and then the lowest failing
     member's error is raised with its index as `member` (0 for one model).
+    model is trained in place, so it holds the trained members either way.
 
     Divergence is detected from the losses, so numpy's floating-point
     warnings are silenced here.

@@ -82,16 +82,10 @@ class Ranking:
     entries: list[tuple[str, float]]  # (stock_id, score), descending score
 
 
-def _sorted_entries(scores: dict[str, float]) -> list[tuple[str, float]]:
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 def select_targets(ranking: Ranking, k: int) -> dict[str, float]:
     """Top min(k, |ranking|) stocks at weight 1/k each; remainder stays cash."""
     if k < 1:
         raise ValidationError("holdings count must be >= 1")
-    if not ranking.entries:
-        raise StrategyError(f"empty ranking on {ranking.date.isoformat()}")
     return {stock: 1.0 / k for stock, _ in ranking.entries[:k]}
 
 
@@ -120,9 +114,9 @@ def _labelled_rows(store: MarketStore, panel):
             normalized[np.ix_(keep, _NON_LABEL_COLUMNS)], panel.matrix[keep, LN_MCAP_INDEX])
 
 
-def _linreg_scores(store: MarketStore, panels) -> dict[str, float]:
-    """Fitted minus observed log market cap on the last panel, fitted on the
-    others."""
+def _linreg_ranking(store: MarketStore, panels) -> Ranking:
+    """The last panel's stocks scored by fitted minus observed log market
+    cap, fitted on the other panels."""
     *training, action = panels
     _, rows, labels = zip(*(_labelled_rows(store, panel) for panel in training))
     rows, labels = np.concatenate(rows), np.concatenate(labels)
@@ -131,8 +125,8 @@ def _linreg_scores(store: MarketStore, panels) -> dict[str, float]:
     X = np.column_stack([np.ones(len(rows)), rows])
     weights = least_squares_fit(X, labels)
     stocks, rows, actual = _labelled_rows(store, action)
-    return {stock_id: float(np.concatenate(([1.0], x)) @ weights) - y
-            for stock_id, x, y in zip(stocks, rows, actual.tolist())}
+    return _ranking(action.date, stocks, lambda: [
+        float(np.concatenate(([1.0], x)) @ weights) - y for x, y in zip(rows, actual.tolist())])
 
 
 def _flat_samples(dataset: MarketDataset, panels, normalized):
@@ -173,10 +167,16 @@ def _sequence_samples(dataset: MarketDataset, panels, normalized):
     return sequences[available], labels[available]
 
 
-def _ranking(action_day: Date, scores: dict[str, float]) -> Ranking:
-    if not scores:
+def _ranking(action_day: Date, stocks, score) -> Ranking:
+    """The stocks by the scores score() gives them, highest first and ties by
+    id. A day with no stocks is a degenerate panel, and calls no score()."""
+    if not stocks:
         raise StrategyError(f"degenerate panel on {action_day.isoformat()}")
-    return Ranking(date=action_day, entries=_sorted_entries(scores))
+    return Ranking(action_day, sorted(zip(stocks, score()), key=lambda kv: (-kv[1], kv[0])))
+
+
+def _dated(action_day: Date, exc: StrategyError) -> StrategyError:
+    return StrategyError(f"{action_day.isoformat()}: {exc}")
 
 
 @dataclass
@@ -226,60 +226,50 @@ def rank_stocks(kind: str, store: MarketStore, days, w: int = DEFAULT_WINDOW,
         raise ValidationError(f"unknown strategy kind {kind!r}")
     train_config = train_config or TrainConfig()
     dataset = store.dataset
-    rankings = []
-    training_days = []
-    failure = None  # the first day whose training set cannot be built
+    outcomes = []  # one per day read: its Ranking, _TrainingDay or error
     for i, (action_day, universe) in enumerate(days):
         try:
             panels = [drop_sparse_rows(build_panel(store, universe, day))
                       for day in build_window(dataset.calendar, action_day, w) + [action_day]]
-            if kind == "linreg":
-                rankings.append(_ranking(action_day, _linreg_scores(store, panels)))
-            else:
-                seed = train_config.seed + i * SEED_STRIDE
-                training_days.append(_training_day(kind, store, panels, seed))
+            seed = train_config.seed + i * SEED_STRIDE
+            outcomes.append(_linreg_ranking(store, panels) if kind == "linreg"
+                            else _training_day(kind, store, panels, seed))
         except StrategyError as exc:
-            failure = StrategyError(f"{action_day.isoformat()}: {exc}")
+            outcomes.append(_dated(action_day, exc))
             break
-    if training_days:
-        # every training day comes before the failing day, so its errors come first
-        rankings = _train_and_rank(kind, training_days, train_config)
-    if failure is not None:
-        raise failure
-    return rankings
+    _train_and_rank(kind, outcomes, train_config)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
-def _train_and_rank(kind, training_days, train_config):
-    """Train the days in stacks of one training-set shape and rank each day
-    with its member; raise the error of the earliest day that fails."""
-    errors = {}  # day index -> the error ranking that day alone raises
+def _train_and_rank(kind, outcomes, train_config):
+    """Replace each _TrainingDay of outcomes with its Ranking, or with the
+    error ranking that day alone raises, training the days in stacks of one
+    training-set shape. A stack's days after its failing day are left as
+    they are: they come after an error."""
     groups = {}
-    for i, day in enumerate(training_days):
-        if not day.stocks:
-            errors[i] = StrategyError(
-                f"{day.date.isoformat()}: degenerate panel on {day.date.isoformat()}")
-        groups.setdefault(day.samples.shape, []).append(i)
-    rankings = [None] * len(training_days)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, _TrainingDay):
+            groups.setdefault(outcome.samples.shape, []).append(i)
+    model_class = MlpModel if kind == "fcnn" else LstmModel
     for members in groups.values():
-        group = [training_days[i] for i in members]
-        if kind == "fcnn":
-            model = stack([MlpModel.create(seed=day.seed) for day in group])
-        else:
-            model = stack([LstmModel.create(seed=day.seed) for day in group])
+        group = [outcomes[i] for i in members]
+        model = stack([model_class.create(seed=day.seed) for day in group])
         try:
-            model, _ = train(model, np.stack([day.samples for day in group]),
-                             np.stack([day.labels for day in group]), train_config,
-                             [day.seed for day in group])
+            # model trains in place, so the members before a failing one are trained
+            train(model, np.stack([day.samples for day in group]),
+                  np.stack([day.labels for day in group]), train_config,
+                  [day.seed for day in group])
         except (TrainingError, ValidationError) as exc:
             if not hasattr(exc, "member"):
                 raise
-            errors[members[exc.member]] = exc
-            continue
+            outcomes[members[exc.member]] = exc
+            group = group[:exc.member]
         for k, (i, day) in enumerate(zip(members, group)):
-            if i not in errors:
-                predictions = model.member(k).forward(day.inputs)
-                rankings[i] = _ranking(day.date, {stock_id: float(p) for stock_id, p
-                                                  in zip(day.stocks, predictions)})
-    if errors:
-        raise errors[min(errors)]
-    return rankings
+            try:
+                outcomes[i] = _ranking(day.date, day.stocks,
+                                       lambda: model.member(k).forward(day.inputs).tolist())
+            except StrategyError as exc:
+                outcomes[i] = _dated(day.date, exc)

@@ -51,6 +51,9 @@ _VALUE_DISCOUNT = 0.50
 _QUALITY_DISCOUNT = 0.08
 # Std of the independent observation noise on fundamental line items.
 _FUNDAMENTAL_NOISE = 0.2
+# The largest n_stocks times calendar days of start..end; generation holds
+# about 75 bytes per stock-day.
+_MAX_STOCK_DAYS = 10_000_000
 
 
 @dataclass
@@ -72,6 +75,10 @@ class SyntheticMarketConfig:
             raise ConfigError(f"unknown regime {self.regime!r}; choose one of {REGIMES}")
         if self.start >= self.end:
             raise ConfigError("start must precede end")
+        days = (self.end - self.start).days + 1
+        if self.n_stocks * days > _MAX_STOCK_DAYS:
+            raise ConfigError(f"n_stocks times the {days} calendar days of start..end "
+                              f"must be <= {_MAX_STOCK_DAYS:,}")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be >= 0")
 

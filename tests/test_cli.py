@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import re
 import warnings
 from collections import Counter
 from datetime import date as Date
@@ -62,6 +64,38 @@ def csv_config(tmp_path):
 def tree_bytes(root: Path):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+CSV_NAMES = ("bars.csv", "fundamentals.csv", "benchmark.csv")
+
+
+def crash_market_tree(data: Path, edit=None, data_end="2015-12-31"):
+    """The 12-file output tree of a backtest of all three strategies,
+    holdings 5, July-December 2015, on the CSVs that gen-data writes to data
+    for the seed-0 12-stock crash market to data_end, after edit(data)."""
+    gen = data.with_suffix(".ini")
+    gen.write_text("[run]\nseed = 0\nstart = 2015-07-01\nend = 2015-12-31\n\n"
+                   "[data]\nsource = synthetic\nn_stocks = 12\nstart = 2014-01-01\n"
+                   f"end = {data_end}\nregime = crash\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(gen), "--out", str(data)]) == 0
+    if edit is not None:
+        edit(data)
+    config = data / "backtest.ini"
+    config.write_text("[run]\nseed = 0\nstrategies = linreg,fcnn,lstm\n"
+                      "start = 2015-07-01\nend = 2015-12-31\nholdings = 5\n"
+                      f"out_dir = {data / 'out'}\n\n[data]\nsource = csv\n"
+                      "bars = bars.csv\nfundamentals = fundamentals.csv\n"
+                      "benchmark = benchmark.csv\n", encoding="utf-8")
+    assert main(["backtest", "--config", str(config)]) == 0
+    return tree_bytes(data / "out")
+
+
+def edit_records(data: Path, change, *names):
+    """Rewrite each named CSV in data with change(its records), header kept."""
+    for name in names:
+        header, *records = (data / name).read_text(encoding="utf-8").splitlines()
+        (data / name).write_text("\n".join([header, *change(records)]) + "\n",
+                                 encoding="utf-8")
 
 
 class TestGenData:
@@ -143,34 +177,54 @@ class TestBacktest:
         """A stock ZZZ with 10 bars, on the market's last 10 dates, and one
         snapshot never has the 252 bars before an action day that eligibility
         asks for, so adding it to the CSVs leaves all 12 files the same bytes."""
-        gen = tmp_path / "gen.ini"
-        gen.write_text("[run]\nseed = 0\nstart = 2015-07-01\nend = 2015-12-31\n\n"
-                       "[data]\nsource = synthetic\nn_stocks = 12\nstart = 2014-01-01\n"
-                       "end = 2015-12-31\nregime = crash\n", encoding="utf-8")
-        trees = []
-        for name in ("market", "with-zzz"):
-            data = tmp_path / name
-            assert main(["gen-data", "--config", str(gen), "--out", str(data)]) == 0
-            if name == "with-zzz":
-                bars = (data / "bars.csv").read_text(encoding="utf-8").splitlines()
-                zzz_bars = ["ZZZ," + line.split(",", 1)[1] for line in bars[-10:]]
-                snapshot = (data / "fundamentals.csv").read_text(encoding="utf-8") \
-                    .splitlines()[-1].split(",")
-                zzz_snapshot = ",".join(["ZZZ", zzz_bars[0].split(",")[1], *snapshot[2:]])
-                with open(data / "bars.csv", "a", encoding="utf-8") as f:
-                    f.write("\n".join(zzz_bars) + "\n")
-                with open(data / "fundamentals.csv", "a", encoding="utf-8") as f:
-                    f.write(zzz_snapshot + "\n")
-            config = data / "backtest.ini"
-            config.write_text("[run]\nseed = 0\nstrategies = linreg,fcnn,lstm\n"
-                              "start = 2015-07-01\nend = 2015-12-31\nholdings = 5\n"
-                              f"out_dir = {data / 'out'}\n\n[data]\nsource = csv\n"
-                              "bars = bars.csv\nfundamentals = fundamentals.csv\n"
-                              "benchmark = benchmark.csv\n", encoding="utf-8")
-            assert main(["backtest", "--config", str(config)]) == 0
-            trees.append(tree_bytes(data / "out"))
-        assert len(trees[0]) == 12
-        assert trees[1] == trees[0]
+        def add_zzz(data):
+            bars = (data / "bars.csv").read_text(encoding="utf-8").splitlines()
+            zzz_bars = ["ZZZ," + line.split(",", 1)[1] for line in bars[-10:]]
+            snapshot = (data / "fundamentals.csv").read_text(encoding="utf-8") \
+                .splitlines()[-1].split(",")
+            zzz_snapshot = ",".join(["ZZZ", zzz_bars[0].split(",")[1], *snapshot[2:]])
+            with open(data / "bars.csv", "a", encoding="utf-8") as f:
+                f.write("\n".join(zzz_bars) + "\n")
+            with open(data / "fundamentals.csv", "a", encoding="utf-8") as f:
+                f.write(zzz_snapshot + "\n")
+
+        tree = crash_market_tree(tmp_path / "market")
+        assert len(tree) == 12
+        assert crash_market_tree(tmp_path / "with-zzz", add_zzz) == tree
+
+    def test_renaming_every_stock_renames_only(self, tmp_path):
+        """S0007 -> XS0007 keeps the order of the ids, so the renamed run's
+        files, with the names mapped back, are the same bytes."""
+        def rename(data):
+            edit_records(data, lambda records: ["X" + line for line in records],
+                         "bars.csv", "fundamentals.csv")
+
+        tree = crash_market_tree(tmp_path / "market")
+        renamed = crash_market_tree(tmp_path / "renamed", rename)
+        assert any(b"XS0" in content for content in renamed.values())
+        assert {name: re.sub(rb"\bXS(\d{4})\b", rb"S\1", content)
+                for name, content in renamed.items()} == tree
+
+    def test_record_order_changes_nothing(self, tmp_path):
+        def shuffle(data):
+            edit_records(data, lambda records: random.Random(0).sample(records, len(records)),
+                         *CSV_NAMES)
+
+        tree = crash_market_tree(tmp_path / "market")
+        assert crash_market_tree(tmp_path / "shuffled", shuffle) == tree
+
+    def test_records_after_the_run_change_nothing(self, tmp_path):
+        """A market generated to 2016-03-31 and the same market cut at the
+        run's end, 2015-12-31, give the same bytes."""
+        def cut(data):
+            for name in CSV_NAMES:
+                header = (data / name).read_text(encoding="utf-8").split("\n", 1)[0]
+                column = header.split(",").index("date")
+                edit_records(data, lambda records: [
+                    line for line in records if line.split(",")[column] <= "2015-12-31"], name)
+
+        tree = crash_market_tree(tmp_path / "market", data_end="2016-03-31")
+        assert crash_market_tree(tmp_path / "cut", cut, data_end="2016-03-31") == tree
 
     def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
         computed = Counter()
@@ -394,6 +448,22 @@ class TestBadInputExitCodes:
             1, "config error: [data] noise_level = 50.0 takes a close or market cap out of "
                "float range; lower it\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "backtest"])
+    @pytest.mark.parametrize("n_stocks", [10**15, 10**30])
+    def test_oversized_synthetic_market_is_config_error(self, tmp_path, capsys, command,
+                                                         n_stocks):
+        # rejected before any array is allocated: 10**15 stocks would ask
+        # for petabytes, and 10**30 for more array dimensions than numpy has
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\nstart = 2015-07-01\nend = 2015-12-31\nout_dir = {tmp_path / 'out'}\n"
+            f"\n[data]\nsource = synthetic\nn_stocks = {n_stocks}\nstart = 2014-01-01\n"
+            "end = 2015-12-31\n", encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "config error: n_stocks times the 730 calendar " \
+                                          "days of start..end must be <= 10,000,000\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     @staticmethod
     def run_with_paths(tmp_path, monkeypatch, command, paths, *args):

@@ -427,6 +427,30 @@ class TestErrorOrder:
                         train_config=TrainConfig(epochs=1, seed=5))
         assert trained[:2] == [5, 5 + SEED_STRIDE]
 
+    @pytest.mark.parametrize("kind,days_read", [("linreg", 2), ("fcnn", 3), ("lstm", 3)])
+    def test_degenerate_day_before_an_unbuildable_day(self, crash_market, monkeypatch, kind,
+                                                      days_read):
+        # August's action-day panel is empty and September's universe cannot
+        # be built: linreg fails on August as it reads it, fcnn and lstm only
+        # after training, so they read September too; each raises August's
+        build_panel = strategies.build_panel
+
+        def empty_in_august(store, universe, day):
+            return build_panel(store, set() if day == self.DAYS[1] else universe, day)
+
+        read = []
+
+        def days():
+            for d, universe in self._days(crash_market, failing=2):
+                read.append(d)
+                yield d, universe
+
+        monkeypatch.setattr(strategies, "build_panel", empty_in_august)
+        with pytest.raises(StrategyError, match=r"^2015-08-31: degenerate panel on 2015-08-31$"):
+            rank_stocks(kind, MarketStore(crash_market), days(),
+                        train_config=TrainConfig(epochs=1, seed=5))
+        assert read == self.DAYS[:days_read]
+
     @pytest.mark.parametrize("kind", ["fcnn", "lstm"])
     @pytest.mark.parametrize("diverging_day,degenerate_day,error", [
         (1, 4, "^training diverged at epoch 1$"),

@@ -28,6 +28,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             _config(n_stocks=3).validate()
 
+    @pytest.mark.parametrize("n_stocks", [10**15, 10**30])
+    def test_too_many_stock_days(self, n_stocks):
+        with pytest.raises(ConfigError, match=r"^n_stocks times the 730 calendar days "):
+            _config(n_stocks=n_stocks).validate()
+
+    def test_stock_days_bound(self):
+        # 10,000 stocks over 1,000 days is the bound; one day more is over it
+        _config(n_stocks=10_000, start=Date(2014, 1, 1), end=Date(2016, 9, 26)).validate()
+        with pytest.raises(ConfigError, match="n_stocks"):
+            _config(n_stocks=10_000, start=Date(2014, 1, 1), end=Date(2016, 9, 27)).validate()
+
     def test_unknown_regime(self):
         with pytest.raises(ConfigError, match="regime"):
             _config(regime="sideways").validate()
