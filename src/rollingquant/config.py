@@ -228,7 +228,10 @@ def load_run_config(path, seed_override: int | None = None,
         options["synthetic"] = SyntheticMarketConfig(
             seed=scenario.train_config.seed + SEED_OFFSET_DATA,
             **{"n_stocks": 300} | synthetic)
-        options["synthetic"].validate()
+        try:
+            options["synthetic"].validate()
+        except ConfigError as exc:
+            raise ConfigError(f"[data] {exc}") from None
     else:
         raise ConfigError("data.source must be 'csv' or 'synthetic'")
     return RunConfig(scenario=scenario, **options)

@@ -341,12 +341,13 @@ def _column(kind, texts, memo):
     return (codes == 1 if kind == FLAG else codes), codes < 0
 
 
-def _convert(table, rows, memos):
+def _convert(table, checks, rows, memos):
     """The keys of a chunk of the table's records, their columns and the
-    (checks, records) mask of the checks each fails, with no Python per
-    record. The columns are in file order, the numbers as one (numbers,
-    records) array in the place of the first; memos[kind] is the memo
-    _column keeps for the column of that kind."""
+    (checks, records) mask of the checks each fails, checks being
+    table.checks(), with no Python per record. The columns are in file
+    order, the numbers as one (numbers, records) array in the place of the
+    first; memos[kind] is the memo _column keeps for the column of that
+    kind."""
     numbers = [column for column, kind in table.kinds.items() if kind == NUMBER]
     texts = dict(zip(table.kinds, zip(*rows) if rows else [()] * len(table.kinds)))
     try:
@@ -367,7 +368,7 @@ def _convert(table, rows, memos):
         failed[column, bound] = bad & ~values[exempt] if exempt else bad
     columns = [matrix if column == numbers[0] else values[column]
                for column in table.kinds if column not in numbers[1:]]
-    return key, columns, np.array([failed[check] for check in table.checks()])
+    return key, columns, np.array([failed[check] for check in checks])
 
 
 def _chunks(path, columns, found):
@@ -401,12 +402,12 @@ def _chunks(path, columns, found):
     yield rows
 
 
-def _raise_error(path, table, record, check):
+def _raise_error(path, table, checks, record, check):
     """Raise the error of the file's record-th record (from 0): one that
     _read_rows raises as it counts the lines up to it, or else the failed
-    table.checks()[check] or, if check is len(table.checks()), a repeated key."""
+    checks[check] of table.checks() or, if check is len(checks), a repeated
+    key."""
     line, row = next(islice(_read_rows(path, list(table.kinds)), record, None))
-    checks = table.checks()
     if check == len(checks):
         raise ParseError(f"{path}:{line}: " + table.repeat_message.format(*row))
     column, rule = checks[check]
@@ -426,10 +427,11 @@ def _read_table(path, table, days):
     earlier, the first whose key repeats one before it: one sort of the
     keys finds it. Only then is the file read again, to name it."""
     memos = {ID: {}, DATE: days, FLAG: {}}
-    key, part, _ = _convert(table, [], memos)  # the columns' dtypes and shapes
+    checks = table.checks()
+    key, part, _ = _convert(table, checks, [], memos)  # the columns' dtypes and shapes
     keys, parts, found, count = [key], [part], [], 0
     for rows in _chunks(path, list(table.kinds), found):
-        key, part, failed = _convert(table, rows, memos)
+        key, part, failed = _convert(table, checks, rows, memos)
         keys.append(key)
         parts.append(part)
         if failed.any():  # no record after the first that fails holds an earlier error
@@ -442,9 +444,9 @@ def _read_table(path, table, days):
     ordered = keys[order]
     repeats = order[1:][ordered[1:] == ordered[:-1]]
     if repeats.size:
-        found.append((int(repeats.min()), len(table.checks())))
+        found.append((int(repeats.min()), len(checks)))
     if found:
-        _raise_error(path, table, *min(found))
+        _raise_error(path, table, checks, *min(found))
     return [list(memos[ID]), *(np.concatenate(column, axis=-1) for column in zip(*parts))]
 
 

@@ -46,6 +46,13 @@ GRADCHECK_CHUNK = 32
 def mse(predictions, labels):
     """Mean squared error along the last axis: a float for (b,) inputs, one
     per member for a stack's (K, b)."""
+    return _mse_and_residual(predictions, labels)[0]
+
+
+def _mse_and_residual(predictions, labels):
+    """(mse(predictions, labels), the residual predictions - labels it is
+    taken from); np.add.reduce(...) / n is what np.mean computes, without
+    its Python wrapper."""
     predictions = np.asarray(predictions, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if predictions.shape != labels.shape:
@@ -53,8 +60,8 @@ def mse(predictions, labels):
     if predictions.size == 0:
         raise ValidationError("mse: empty input")
     diff = predictions - labels
-    loss = np.mean(diff * diff, axis=-1)
-    return float(loss) if loss.ndim == 0 else loss
+    loss = np.add.reduce(diff * diff, axis=-1) / diff.shape[-1]
+    return (float(loss) if loss.ndim == 0 else loss), diff
 
 
 def least_squares_fit(X, y):
@@ -175,9 +182,8 @@ class _StagedModel:
         """(MSE loss, gradients aligned with parameters()); grad is the
         gradient w.r.t. the output of the stage whose backward runs next."""
         inputs, kept, preds = self._forward_pass(batch)
-        labels = np.asarray(labels, dtype=float)
-        loss = mse(preds, labels)
-        grad = (2.0 / labels.shape[-1]) * (preds - labels)[..., None]
+        loss, diff = _mse_and_residual(preds, labels)
+        grad = (2.0 / diff.shape[-1]) * diff[..., None]
         grads = [None] * len(inputs)
         for i in reversed(range(len(inputs))):
             grad, grads[i] = self._stage_backward(i, inputs[i], kept[i], grad)
@@ -218,7 +224,7 @@ class MlpModel(_StagedModel):
         if pre_relu is not None:
             grad = grad * (pre_relu > 0)
         grad_h = grad @ self.stages[i][0].swapaxes(-1, -2) if i else None
-        return grad_h, [h.swapaxes(-1, -2) @ grad, grad.sum(axis=-2)]
+        return grad_h, [h.swapaxes(-1, -2) @ grad, np.add.reduce(grad, axis=-2)]
 
 
 # the fused gates: gate g's columns of an LSTM layer's W_a, W_x and B start
@@ -296,11 +302,11 @@ def _lstm_backward(W_a, da_seq, cache):
         if t == last:
             gW_a = a_prev.swapaxes(-1, -2) @ dz
             gW_x = x.swapaxes(-1, -2) @ dz
-            gB = dz.sum(axis=-2)
+            gB = np.add.reduce(dz, axis=-2)
         else:
             gW_a += a_prev.swapaxes(-1, -2) @ dz
             gW_x += x.swapaxes(-1, -2) @ dz
-            gB += dz.sum(axis=-2)
+            gB += np.add.reduce(dz, axis=-2)
         if t:  # step 0's previous output is the zero initial state
             da_next = dz @ W_a_T
     return dz_seq, [gW_a, gW_x, gB]
@@ -347,27 +353,35 @@ class LstmModel(_StagedModel):
         if i == len(self.stages) - 1:  # only the last step reaches the read-out
             da_seq = np.zeros_like(x_seq)
             da_seq[-1] = grad @ self.stages[i][0].swapaxes(-1, -2)
-            return da_seq, [x_seq[-1].swapaxes(-1, -2) @ grad, grad.sum(axis=-2)]
+            return da_seq, [x_seq[-1].swapaxes(-1, -2) @ grad, np.add.reduce(grad, axis=-2)]
         W_a, W_x, _ = self.stages[i]
         dz_seq, grads = _lstm_backward(W_a, grad, cache)
         return (dz_seq @ W_x.swapaxes(-1, -2) if i else None), grads
 
 
-def _adam_step(rows, m, v, g_rows, step, config):
+def _adam_step(rows, m, v, g_rows, step, config, scratch):
     """Adam update number step of each member row of the flat vector from
     that member's flat gradient row.
 
     Adam is elementwise, so one update of a row gives the same bits as one
-    update per parameter array; a row at a time keeps its temporaries small.
+    update per parameter array. A row at a time keeps its temporaries small,
+    and they are written into scratch, two rows as long as a member's, so an
+    update allocates nothing.
     """
     bc1 = 1.0 - config.beta1 ** step
     bc2 = 1.0 - config.beta2 ** step
+    a, b = scratch
     for row, m_k, v_k, g in zip(rows, m, v, g_rows):
         m_k *= config.beta1
-        m_k += (1.0 - config.beta1) * g
+        m_k += np.multiply(1.0 - config.beta1, g, out=a)
         v_k *= config.beta2
-        v_k += (1.0 - config.beta2) * g * g
-        row -= config.learning_rate * (m_k / bc1) / (np.sqrt(v_k / bc2) + 1e-8)
+        np.multiply(1.0 - config.beta2, g, out=a)
+        v_k += np.multiply(a, g, out=a)
+        # row -= lr * (m_k / bc1) / (sqrt(v_k / bc2) + 1e-8)
+        np.multiply(config.learning_rate, np.divide(m_k, bc1, out=a), out=a)
+        np.sqrt(np.divide(v_k, bc2, out=b), out=b)
+        b += 1e-8
+        row -= np.divide(a, b, out=a)
 
 
 def train(model, samples, labels, config: TrainConfig, seeds=None):
@@ -422,6 +436,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
 
     m = np.zeros_like(rows)
     v = np.zeros_like(rows)
+    scratch = np.empty((2, rows.shape[-1]))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     step = 0
     losses = [[] for _ in seeds]
@@ -438,7 +453,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
                 g_rows = (np.concatenate([x[k] for x in grads], axis=None)
                           for k in range(len(grads[0]))) if lead \
                     else [np.concatenate(grads, axis=None)]
-                _adam_step(rows, m, v, g_rows, step, config)
+                _adam_step(rows, m, v, g_rows, step, config, scratch)
                 del grads, g_rows  # so that the next step's gradients do not coexist with these
             epoch_loss = mse(model.forward(unstacked(samples)), unstacked(labels))
             check(epoch_loss, epoch)

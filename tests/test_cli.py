@@ -461,8 +461,30 @@ class TestBadInputExitCodes:
             f"\n[data]\nsource = synthetic\nn_stocks = {n_stocks}\nstart = 2014-01-01\n"
             "end = 2015-12-31\n", encoding="utf-8")
         assert main([command, "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "config error: n_stocks times the 730 calendar " \
-                                          "days of start..end must be <= 10,000,000\n"
+        assert capsys.readouterr().err == "config error: [data] n_stocks times the 730 " \
+                                          "calendar days of start..end must be <= 10,000,000\n"
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("command", ["gen-data", "backtest"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_stocks", 5, "n_stocks must be >= 10"),
+        ("planted_signal_strength", 1.5, "planted_signal_strength must be in [0, 1]"),
+        ("regime", "boom", "unknown regime 'boom'; choose one of "),
+        ("start", "2016-01-01", "start must precede end"),
+        ("noise_level", -1, "noise_level must be >= 0"),
+        ("n_stocks", 20_000, "n_stocks times the 730 calendar days "),
+    ], ids=["n_stocks", "strength", "regime", "dates", "noise", "stock-days"])
+    def test_synthetic_market_error_names_data_section(self, tmp_path, capsys, command,
+                                                       key, value, message):
+        data = {"source": "synthetic", "start": "2014-01-01", "end": "2015-12-31", key: value}
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\nstart = 2015-07-01\nend = 2015-12-31\nout_dir = {tmp_path / 'out'}\n"
+            "\n[data]\n" + "".join(f"{k} = {v}\n" for k, v in data.items()), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [data] " + message)
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert list(tmp_path.iterdir()) == [config]
 
     @staticmethod

@@ -68,6 +68,20 @@ class TestModelLoss:
         with pytest.raises(ValidationError, match="mse: shape mismatch"):
             model.loss_and_gradients(batch, np.zeros(labels_shape))
 
+    def test_empty_batch_rejected(self, model, batch_shape):
+        with pytest.raises(ValidationError, match="mse: empty input"):
+            model.loss_and_gradients(np.zeros((0,) + batch_shape[1:]), np.zeros(0))
+
+    def test_stack_losses_are_each_members_mse(self, model, batch_shape):
+        rng = np.random.default_rng(2)
+        batches, labels = rng.normal(size=(3,) + batch_shape), rng.normal(size=(3, 5))
+        stacked = stack([type(model).create(seed) for seed in range(3)])
+        losses, _ = stacked.loss_and_gradients(batches, labels)
+        predictions = stacked.forward(batches)
+        assert losses.shape == (3,)
+        for k in range(3):
+            assert losses[k] == mse(predictions[k], labels[k])
+
 
 def pinv_oracle(X, y):
     """Independent solver: SVD pseudo-inverse, no normal equations."""
