@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, ValidationError
 from .marketdata import (BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset,
                          _parse_date, _parse_float, _read_rows)
 
@@ -72,7 +72,8 @@ def write_series_csv(result, path):
 def read_series_csv(path):
     """(dates, portfolio returns, benchmark returns) of a written series.csv,
     without its first row, which has no returns; a later row must have them,
-    and every row a numeric portfolio_value and a date after the previous row's."""
+    each at or above -1, and every row a numeric portfolio_value and a date
+    after the previous row's."""
     dates, portfolio_returns, benchmark_returns = [], [], []
     previous = None
     for i, (line_no, (day, value, portfolio, bench)) in enumerate(
@@ -86,8 +87,13 @@ def read_series_csv(path):
         if i == 0 and portfolio == "":
             continue  # the first row has no previous valuation
         dates.append(d)
-        portfolio_returns.append(_parse_float(portfolio, path, line_no, "portfolio_daily_return"))
-        benchmark_returns.append(_parse_float(bench, path, line_no, "benchmark_daily_return"))
+        for text, column, returns in zip((portfolio, bench), SERIES_COLUMNS[2:],
+                                         (portfolio_returns, benchmark_returns)):
+            r = _parse_float(text, path, line_no, column)
+            if r < -1.0:  # neither the portfolio nor the benchmark can lose more than all
+                raise ValidationError(f"{path}:{line_no}: column '{column}': daily return "
+                                      f"on {d.isoformat()} must be >= -1")
+            returns.append(r)
     if not dates:
         raise DataError(f"{path}: no return rows")
     return dates, portfolio_returns, benchmark_returns

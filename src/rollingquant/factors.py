@@ -4,11 +4,13 @@
 windows: 1/3/6/12 months = 21/63/126/252 days; the 2-year turnover baseline
 uses up to 504 days (at least 252 required). Missing or non-computable
 values are masked and later imputed with the cross-sectional median.
+Overflow and x/0 give inf or NaN, and every non-finite factor is missing:
+the store and the normalizations run whole under np.errstate(all="ignore").
 
 A MarketStore computes each date's panel once for the whole market from the
 dataset's (stocks, T) matrices: window statistics reduce gathered (stocks, w)
 windows along their last axis, and ratios are column arithmetic over the
-snapshot rows. It also keeps the normalizations the strategies share.
+snapshot rows. One memo keeps the panels and the strategies' normalizations.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ class MarketStore:
     store is in use: build one per run, and never keep one on the dataset.
     """
 
+    @np.errstate(all="ignore")
     def __init__(self, dataset: MarketDataset):
         self.dataset = dataset
         self.close, self.market_cap, self.turnover = \
@@ -132,22 +135,18 @@ class MarketStore:
                                   np.nan)
         # returns[:, t] belongs to the bar at t + 1; the return into a close
         # <= 0 is NaN, not a -100% move
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.returns = self.close[:, 1:] / self.close[:, :-1] - 1.0
-            self.benchmark_returns = self.benchmark[:, 1:] / self.benchmark[:, :-1] - 1.0
+        self.returns = self.close[:, 1:] / self.close[:, :-1] - 1.0
+        self.benchmark_returns = self.benchmark[:, 1:] / self.benchmark[:, :-1] - 1.0
         self.returns[self.close[:, 1:] <= 0] = np.nan
         # (stocks, T, 3): MACD, DEA and DIF, the last three factors in order;
         # each value depends only on the closes up to its date
         self.macd = np.stack(macd_series(self.close)[::-1], axis=-1)
-        self._panels: dict[Date, tuple[np.ndarray, np.ndarray]] = {}
         self._memo = {}
 
     def panel(self, d: Date):
         """(values, missing) of every stock on d, from data at or before d, in
         dataset.stocks order, then one all-missing row."""
-        if d not in self._panels:
-            self._panels[d] = self._compute_panel(d)
-        return self._panels[d]
+        return self.memo(("factors", d), lambda: self._compute_panel(d))
 
     def memo(self, key, compute):
         """compute(), called once per key for the store's run; callers must
@@ -157,6 +156,7 @@ class MarketStore:
             self._memo[key] = compute()
         return self._memo[key]
 
+    @np.errstate(all="ignore")
     def _compute_panel(self, d: Date):
         dataset = self.dataset
         rows, pos = dataset.bars_on(d)
@@ -172,12 +172,11 @@ class MarketStore:
         fundamentals[snaps >= 0] = dataset.snapshot_values[snaps[snaps >= 0]]
         columns = dict(zip(FUNDAMENTALS_COLUMNS[2:18], fundamentals.T))
         columns["market_cap"] = mcap
-        with np.errstate(all="ignore"):  # overflow and x/0 give inf or nan, as in Python
-            columns["net_profit_cut"] = columns["net_profit"] - columns["non_recurring_gain_loss"]
-            columns["growth_times_profit"] = columns["net_profit_growth"] * columns["net_profit"]
-            for name, (num, den) in _RATIOS.items():
-                ratio = columns[num] / columns[den]
-                values[:, FACTOR_INDEX[name]] = np.where(np.isfinite(columns[den]), ratio, np.nan)
+        columns["net_profit_cut"] = columns["net_profit"] - columns["non_recurring_gain_loss"]
+        columns["growth_times_profit"] = columns["net_profit_growth"] * columns["net_profit"]
+        for name, (num, den) in _RATIOS.items():
+            ratio = columns[num] / columns[den]
+            values[:, FACTOR_INDEX[name]] = np.where(np.isfinite(columns[den]), ratio, np.nan)
 
         # the two-year turnover base over min(pos + 1, 504) bars, one length at
         # a time: padding to one length would change the summation order
@@ -278,6 +277,7 @@ def _column_medians(matrix: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return medians
 
 
+@np.errstate(all="ignore")
 def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> NormalizationStats:
     """Median-impute, winsorize at +-5 population sigmas, z-score.
 
@@ -295,13 +295,13 @@ def compute_normalization(matrix: np.ndarray, missing: np.ndarray) -> Normalizat
     return NormalizationStats(medians, lower, upper, means, stds)
 
 
+@np.errstate(all="ignore")
 def apply_normalization(matrix: np.ndarray, missing: np.ndarray,
                         stats: NormalizationStats) -> np.ndarray:
     filled = np.where(missing, stats.medians[None, :], matrix)
     clipped = np.clip(filled, stats.lower[None, :], stats.upper[None, :])
-    safe = np.where(stats.stds > 0, stats.stds, 1.0)
-    normalized = (clipped - stats.means[None, :]) / safe[None, :]
-    normalized[:, stats.stds == 0] = 0.0
+    normalized = (clipped - stats.means[None, :]) / stats.stds[None, :]
+    normalized[:, stats.stds == 0] = 0.0  # a constant column
     return normalized
 
 

@@ -30,7 +30,10 @@ def annualized_return(returns: np.ndarray) -> float:
     total = float(np.prod(1.0 + returns))
     if total <= 0:
         return -1.0
-    return total ** (TRADING_DAYS_PER_YEAR / n) - 1.0
+    try:
+        return total ** (TRADING_DAYS_PER_YEAR / n) - 1.0
+    except OverflowError:  # where numpy would give inf
+        return math.inf
 
 
 def sharpe_ratio(returns: np.ndarray, benchmark_returns: np.ndarray,
@@ -107,6 +110,7 @@ class ScenarioReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
+@np.errstate(all="ignore")  # an overflowing statistic is inf or NaN, rendered "undefined"
 def build_report(strategy: str, dates: list[Date], returns, benchmark_returns,
                  risk_free_annual: float = DEFAULT_RISK_FREE_ANNUAL) -> ScenarioReport:
     """dates[i] is the day of returns[i] and of benchmark_returns[i]."""

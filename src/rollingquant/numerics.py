@@ -365,12 +365,13 @@ def _adam_step(rows, m, v, g_rows, step, config, scratch):
 
     Adam is elementwise, so one update of a row gives the same bits as one
     update per parameter array. A row at a time keeps its temporaries small,
-    and they are written into scratch, two rows as long as a member's, so an
-    update allocates nothing.
+    and they are written into scratch, one row as long as a member's, and
+    into each gradient row once Adam has read it, so an update allocates
+    nothing and the caller must not read g_rows again.
     """
     bc1 = 1.0 - config.beta1 ** step
     bc2 = 1.0 - config.beta2 ** step
-    a, b = scratch
+    a = scratch
     for row, m_k, v_k, g in zip(rows, m, v, g_rows):
         m_k *= config.beta1
         m_k += np.multiply(1.0 - config.beta1, g, out=a)
@@ -379,9 +380,9 @@ def _adam_step(rows, m, v, g_rows, step, config, scratch):
         v_k += np.multiply(a, g, out=a)
         # row -= lr * (m_k / bc1) / (sqrt(v_k / bc2) + 1e-8)
         np.multiply(config.learning_rate, np.divide(m_k, bc1, out=a), out=a)
-        np.sqrt(np.divide(v_k, bc2, out=b), out=b)
-        b += 1e-8
-        row -= np.divide(a, b, out=a)
+        np.sqrt(np.divide(v_k, bc2, out=g), out=g)  # g is read no more
+        g += 1e-8
+        row -= np.divide(a, g, out=a)
 
 
 def train(model, samples, labels, config: TrainConfig, seeds=None):
@@ -436,7 +437,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
 
     m = np.zeros_like(rows)
     v = np.zeros_like(rows)
-    scratch = np.empty((2, rows.shape[-1]))
+    scratch = np.empty(rows.shape[-1])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     step = 0
     losses = [[] for _ in seeds]

@@ -243,15 +243,26 @@ class TestBacktest:
         assert len(computed) == 7
         assert set(computed.values()) == {1}
 
-    def test_close_zero_suspension_raises_no_warning(self, tmp_path, gapped_market):
-        # a bar at close 0 makes the next daily return inf; the return
-        # statistics and the beta of every window holding it are masked, and
-        # computing them printed numpy's "invalid value" warnings
+    @pytest.mark.parametrize("case", ["close_zero_suspension", "close_1e300",
+                                      "market_cap_1e-300"])
+    def test_valid_extreme_bars_raise_no_warning(self, tmp_path, gapped_market, case):
+        # valid bars whose factors overflow or divide by 0: each such factor
+        # is inf or NaN, and so missing, and numpy prints no warning
         bars = bars_of(gapped_market, "S0004")
-        for column in (bars.close, bars.prev_close, bars.market_cap, bars.volume,
-                       bars.turnover):
-            column[400] = 0.0
-        bars.suspended[400] = True
+        if case == "close_zero_suspension":
+            # the next daily return is inf: the return statistics and the beta
+            # of every window holding it are masked
+            for column in (bars.close, bars.prev_close, bars.market_cap, bars.volume,
+                           bars.turnover):
+                column[400] = 0.0
+            bars.suspended[400] = True
+        elif case == "close_1e300":
+            # returns near 1e298 overflow the squares of the RET_STD windows
+            bars.close[400:404], bars.market_cap[400:404] = 1e300, 1e308
+        else:
+            # ratios over a market cap of 1e-300 (EP, BP, SP, ...) overflow the
+            # squares of the normalization
+            bars.market_cap[400:] = 1e-300
         write_dataset(gapped_market, tmp_path)
         trees = []
         for action in ("ignore", "error"):
@@ -342,6 +353,22 @@ class TestReport:
             f"config error: --risk-free must be a finite number, got {rate}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("rows", [
+        # the annualized return overflows a Python float's power
+        "2015-09-02,1000100,0.1,0.2\n2015-09-03,1000200,1e308,1e308\n",
+        # the product of the daily growth factors overflows
+        "2015-09-02,1000100,1e308,0.1\n2015-09-03,1000200,1e308,0.1\n",
+    ], ids=["annualized_return", "product"])
+    def test_overflowing_series_reports_undefined(self, tmp_path, capsys, rows):
+        series = tmp_path / "series.csv"
+        series.write_text("date,portfolio_value,portfolio_daily_return,"
+                          "benchmark_daily_return\n2015-09-01,1000000,,\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["report", "--series", str(series), "--out", str(tmp_path / "r.json")])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert json.loads((tmp_path / "r.json").read_text())["sharpe_ratio"] == "undefined"
+
     def test_empty_series_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "series.csv"
         empty.write_text("date,portfolio_value,portfolio_daily_return,"
@@ -374,9 +401,18 @@ class TestReport:
          "2015-09-01,1000000,,\n2015-09-02,abc,0.0001,0.001\n"
          "2015-09-03,1000200,0.0001,0.001\n",
          "data error: {path}:3: column 'portfolio_value': bad number 'abc'"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n2015-09-02,1000100,-1,-1\n2015-09-03,1000200,-2,-2\n",
+         "data error: {path}:4: column 'portfolio_daily_return': daily return on 2015-09-03 "
+         "must be >= -1"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n2015-09-02,1000100,0.0001,-1.5\n",
+         "data error: {path}:3: column 'benchmark_daily_return': daily return on 2015-09-02 "
+         "must be >= -1"),
         (None, "data error: cannot read {path}"),
     ], ids=["wrong_header", "bad_number", "quoted_newline", "blank_return_after_first_row",
-            "dates_not_increasing", "bad_portfolio_value", "missing_file"])
+            "dates_not_increasing", "bad_portfolio_value", "portfolio_return_below_minus_1",
+            "benchmark_return_below_minus_1", "missing_file"])
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
         series = tmp_path / "series.csv"
         if text is not None:

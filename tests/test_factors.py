@@ -492,7 +492,8 @@ class TestNormalization:
     @staticmethod
     def _medians(matrix, missing):
         """(compute_normalization's medians, np.ma.median's) as bytes; the
-        statistics after the medians warn on 0 rows and overflow here."""
+        statistics after the medians warn on 0 rows ("Mean of empty slice",
+        which np.errstate does not cover)."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = compute_normalization(matrix, missing).medians
