@@ -94,6 +94,10 @@ def rebalance(portfolio: Portfolio, targets: dict[str, float], prices: dict[str,
         current = portfolio.holdings.get(stock_id, 0.0)
         desired = targets.get(stock_id, 0.0) * value / prices[stock_id]
         delta = desired - current
+        # a price so small that value / price overflows orders inf shares
+        if not math.isfinite(delta):
+            raise RebalanceError(f"the order for {stock_id} on {date.isoformat()} is {delta} "
+                                 f"shares at a price of {prices[stock_id]}")
         if delta < 0:
             sells.append((stock_id, min(-delta, current)))
         elif delta > 0:

@@ -70,10 +70,10 @@ def write_series_csv(result, path):
 
 
 def read_series_csv(path):
-    """(dates, portfolio returns, benchmark returns) of a written series.csv,
-    without its first row, which has no returns; a later row must have them,
-    each at or above -1, and every row a numeric portfolio_value and a date
-    after the previous row's."""
+    """(dates, portfolio returns, benchmark returns) of a written series.csv.
+    A first row whose two returns are empty is skipped; every other row must
+    have both, each at or above -1, and every row a numeric portfolio_value
+    and a date after the previous row's."""
     dates, portfolio_returns, benchmark_returns = [], [], []
     previous = None
     for i, (line_no, (day, value, portfolio, bench)) in enumerate(
@@ -84,8 +84,11 @@ def read_series_csv(path):
                              f"does not follow {previous.isoformat()}")
         previous = d
         _parse_float(value, path, line_no, "portfolio_value")
-        if i == 0 and portfolio == "":
-            continue  # the first row has no previous valuation
+        if i == 0 and portfolio == "":  # the first row has no previous valuation
+            if bench != "":
+                raise ParseError(f"{path}:{line_no}: column 'benchmark_daily_return': "
+                                 f"{bench!r} beside an empty portfolio_daily_return")
+            continue
         dates.append(d)
         for text, column, returns in zip((portfolio, bench), SERIES_COLUMNS[2:],
                                          (portfolio_returns, benchmark_returns)):

@@ -49,8 +49,10 @@ _VALUE_DRIFT = 0.03
 # a linear fit cannot attribute, keeping the residual centred on value.
 _VALUE_DISCOUNT = 0.50
 _QUALITY_DISCOUNT = 0.08
-# Std of the independent observation noise on fundamental line items.
-_FUNDAMENTAL_NOISE = 0.2
+# Std of each stock-snapshot's 11 observation noise draws, in draw order:
+# the log-noise of ten line items, and at index 7 the quality ratio's
+# additive noise.
+_NOISE_STDS = np.array([0.2, 0.05, 0.2, 0.2, 0.2, 0.2, 0.2, 0.02, 0.2, 0.2, 0.2])
 # The largest n_stocks times calendar days of start..end; generation holds
 # about 75 bytes per stock-day.
 _MAX_STOCK_DAYS = 10_000_000
@@ -79,26 +81,16 @@ class SyntheticMarketConfig:
         if self.n_stocks * days > _MAX_STOCK_DAYS:
             raise ConfigError(f"n_stocks times the {days} calendar days of start..end "
                               f"must be <= {_MAX_STOCK_DAYS:,}")
+        if len(_weekday_dates(self.start, self.end)) < 40:
+            raise ConfigError("date range too short to generate a market")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be >= 0")
 
 
 def _weekday_dates(start: Date, end: Date):
-    out = []
-    d = start
-    one = timedelta(days=1)
-    while d <= end:
-        if d.weekday() < 5:
-            out.append(d)
-        d += one
-    return out
-
-
-def _group_by_month(dates):
-    months: dict[tuple[int, int], list[Date]] = {}
-    for d in dates:
-        months.setdefault((d.year, d.month), []).append(d)
-    return [months[k] for k in sorted(months)]
+    # counted, not stepped past end, which may be the last date there is
+    days = (start + timedelta(days=i) for i in range((end - start).days + 1))
+    return [d for d in days if d.weekday() < 5]
 
 
 def generate_synthetic_market(config: SyntheticMarketConfig):
@@ -107,24 +99,21 @@ def generate_synthetic_market(config: SyntheticMarketConfig):
     config.validate()
     rng = np.random.default_rng(config.seed)
 
-    dates = _weekday_dates(config.start, config.end)
-    if len(dates) < 40:
-        raise ConfigError("date range too short to generate a market")
-    months = _group_by_month(dates)
-    n_months = len(months)
+    calendar = TradingCalendar(_weekday_dates(config.start, config.end))
+    n_days = len(calendar.dates)
     n = config.n_stocks
+    # each month's [start, end) positions in the calendar
+    ends = [calendar.index[d] + 1 for d in calendar.month_last_days()]
+    months = list(zip([0] + ends[:-1], ends))
 
     # Benchmark path with exact monthly compounding.
     template = _MONTH_TEMPLATES[config.regime]
-    month_targets = [template[(j - n_months) % len(template)] for j in range(n_months)]
-    bench_log = np.empty(len(dates))
-    pos = 0
-    for target, month_days in zip(month_targets, months):
-        k = len(month_days)
-        noise = rng.normal(0.0, 0.006, size=k)
+    bench_log = np.empty(n_days)
+    for j, (lo, hi) in enumerate(months):
+        noise = rng.normal(0.0, 0.006, size=hi - lo)
         noise -= noise.mean()
-        bench_log[pos:pos + k] = math.log1p(target) / k + noise
-        pos += k
+        target = template[(j - len(months)) % len(template)]
+        bench_log[lo:hi] = math.log1p(target) / (hi - lo) + noise
     bench_close = 3000.0 * np.exp(np.cumsum(bench_log))
 
     # Per-stock statics.
@@ -144,67 +133,58 @@ def generate_synthetic_market(config: SyntheticMarketConfig):
 
     # Daily stock log returns: benchmark + latent drift + idiosyncratic noise.
     monthly_drift = strength * (_QUALITY_DRIFT * quality + _VALUE_DRIFT * value)
-    stock_log = np.empty((n, len(dates)))
-    pos = 0
+    stock_log = np.empty((n, n_days))
     # a large noise_level overflows; the check below reports it
     with np.errstate(all="ignore"):
-        for month_days in months:
-            k = len(month_days)
-            idio = rng.normal(0.0, config.noise_level, size=(n, k))
-            stock_log[:, pos:pos + k] = bench_log[pos:pos + k][None, :] \
-                + (monthly_drift / k)[:, None] + idio
-            pos += k
+        for lo, hi in months:
+            idio = rng.normal(0.0, config.noise_level, size=(n, hi - lo))
+            stock_log[:, lo:hi] = bench_log[lo:hi][None, :] \
+                + (monthly_drift / (hi - lo))[:, None] + idio
         closes = close0[:, None] * np.exp(np.cumsum(stock_log, axis=1))
         market_cap = closes * shares[:, None]
     for column in (closes, market_cap):
         if not (np.isfinite(column).all() and (column > 0).all()):
             raise ConfigError(f"[data] noise_level = {config.noise_level} takes a close or "
                               "market cap out of float range; lower it")
-    turnover = base_turnover[:, None] * np.exp(rng.normal(0.0, 0.25, size=(n, len(dates))))
+    turnover = base_turnover[:, None] * np.exp(rng.normal(0.0, 0.25, size=(n, n_days)))
 
     stock_ids = [f"S{i:04d}" for i in range(n)]
     prev_close = np.hstack([close0[:, None], closes[:, :-1]])
     volume = turnover * shares[:, None]
 
-    # Quarterly fundamentals at month-end trading days. Profitability ratios
-    # carry the quality signal; every line item gets its own observation
-    # noise.
-    calendar = TradingCalendar(dates)
+    # Quarterly fundamentals at month-end trading days, as (stocks, snapshots)
+    # arrays. Profitability ratios carry the quality signal; every line item
+    # gets its own observation noise, drawn in one block.
     snapshot_days = calendar.month_last_days()[::3]
-    snapshots = []
-    for i in range(n):
-        margin = 0.10 * (1.0 + 0.5 * strength * tq[i])
-        gross = 0.30 * (1.0 + 0.3 * strength * tq[i])
-        for snap_day in snapshot_days:
-            j = calendar.index[snap_day]
-            scale = float(scale0[i]) * float(closes[i, j] / close0[i])
-
-            def noisy(base):
-                return base * float(np.exp(rng.normal(0.0, _FUNDAMENTAL_NOISE)))
-
-            revenue = noisy(0.7 * scale)
-            net_profit = margin * revenue * float(np.exp(rng.normal(0.0, 0.05)))
-            total_assets = noisy(scale)
-            net_assets = noisy(0.5 * scale)
-            # in FUNDAMENTALS_COLUMNS[2:18] order, total_assets kept >=
-            # net_assets; the draws keep their order
-            snapshots.append([
-                net_profit, 0.1 * net_profit, net_assets, total_assets + net_assets,
-                total_assets + net_assets, noisy(0.25 * scale), revenue, 0.15 * revenue,
-                gross * revenue, noisy(0.12 * scale), noisy(0.13 * scale),
-                0.05 + 0.10 * strength * float(quality[i]) + float(rng.normal(0.0, 0.02)),
-                noisy(0.10 * scale), noisy(0.30 * scale), noisy(0.15 * scale), net_assets])
-
     k = len(snapshot_days)
+    noise = rng.normal(0.0, _NOISE_STDS, size=(n, k, 11))
+    factor = np.exp(noise)
+    scale = scale0[:, None] * (closes[:, [calendar.index[d] for d in snapshot_days]]
+                               / close0[:, None])
+    margin = (0.10 * (1.0 + 0.5 * strength * tq))[:, None]
+    gross = (0.30 * (1.0 + 0.3 * strength * tq))[:, None]
+    revenue = 0.7 * scale * factor[..., 0]
+    net_profit = margin * revenue * factor[..., 1]
+    total_assets = scale * factor[..., 2]
+    net_assets = 0.5 * scale * factor[..., 3]
+    # in FUNDAMENTALS_COLUMNS[2:18] order, total_assets kept >= net_assets
+    line_items = [
+        net_profit, 0.1 * net_profit, net_assets, total_assets + net_assets,
+        total_assets + net_assets, 0.25 * scale * factor[..., 4], revenue, 0.15 * revenue,
+        gross * revenue, 0.12 * scale * factor[..., 5], 0.13 * scale * factor[..., 6],
+        0.05 + 0.10 * strength * quality[:, None] + noise[..., 7],
+        0.10 * scale * factor[..., 8], 0.30 * scale * factor[..., 9],
+        0.15 * scale * factor[..., 10], net_assets]
+
     dataset = MarketDataset(
         stocks=stock_ids, calendar=calendar,
-        bar_days=np.tile(np.arange(len(dates)), (n, 1)),
+        bar_days=np.tile(np.arange(n_days), (n, 1)),
         close=closes, prev_close=prev_close, volume=volume, turnover=turnover,
-        market_cap=market_cap, suspended=np.zeros((n, len(dates)), dtype=bool),
+        market_cap=market_cap, suspended=np.zeros((n, n_days), dtype=bool),
         benchmark=bench_close,
         snapshot_bounds=np.arange(n + 1) * k,
         snapshot_days=np.tile([d.toordinal() for d in snapshot_days], n),
-        snapshot_values=np.array(snapshots, dtype=float),
+        snapshot_values=np.stack(line_items, axis=-1).reshape(n * k, 16),
         industry=np.repeat(industry, k).astype(object),
     )
     latent_quality = quality + (_VALUE_DRIFT / _QUALITY_DRIFT) * value

@@ -89,6 +89,13 @@ class TestRebalance:
         with pytest.raises(RebalanceError):
             rebalance(Portfolio(cash=100.0), {"A": 1.0}, {}, CostModel(), D0)
 
+    def test_order_of_infinite_shares_rejected(self):
+        # 0.5 of 1000 over a subnormal price of 1e-320 overflows to inf shares
+        with pytest.raises(RebalanceError, match=r"^the order for A on 2015-06-30 is inf "
+                                                 r"shares at a price of 1e-320$"):
+            rebalance(Portfolio(cash=1000.0), {"A": 0.5, "B": 0.5},
+                      {"A": 1e-320, "B": 10.0}, CostModel(), D0)
+
     def test_negative_cost_rates_rejected(self):
         with pytest.raises(ValidationError):
             rebalance(Portfolio(cash=100.0), {"A": 1.0}, {"A": 1.0},

@@ -69,10 +69,10 @@ def tree_bytes(root: Path):
 CSV_NAMES = ("bars.csv", "fundamentals.csv", "benchmark.csv")
 
 
-def crash_market_tree(data: Path, edit=None, data_end="2015-12-31"):
-    """The 12-file output tree of a backtest of all three strategies,
-    holdings 5, July-December 2015, on the CSVs that gen-data writes to data
-    for the seed-0 12-stock crash market to data_end, after edit(data)."""
+def crash_market_config(data: Path, edit=None, data_end="2015-12-31"):
+    """A backtest config of all three strategies, holdings 5, July-December
+    2015, out_dir data/out, on the CSVs that gen-data writes to data for the
+    seed-0 12-stock crash market to data_end, after edit(data)."""
     gen = data.with_suffix(".ini")
     gen.write_text("[run]\nseed = 0\nstart = 2015-07-01\nend = 2015-12-31\n\n"
                    "[data]\nsource = synthetic\nn_stocks = 12\nstart = 2014-01-01\n"
@@ -86,7 +86,12 @@ def crash_market_tree(data: Path, edit=None, data_end="2015-12-31"):
                       f"out_dir = {data / 'out'}\n\n[data]\nsource = csv\n"
                       "bars = bars.csv\nfundamentals = fundamentals.csv\n"
                       "benchmark = benchmark.csv\n", encoding="utf-8")
-    assert main(["backtest", "--config", str(config)]) == 0
+    return config
+
+
+def crash_market_tree(data: Path, edit=None, data_end="2015-12-31"):
+    """The 12-file output tree of crash_market_config's backtest."""
+    assert main(["backtest", "--config", str(crash_market_config(data, edit, data_end))]) == 0
     return tree_bytes(data / "out")
 
 
@@ -225,6 +230,23 @@ class TestBacktest:
 
         tree = crash_market_tree(tmp_path / "market", data_end="2016-03-31")
         assert crash_market_tree(tmp_path / "cut", cut, data_end="2016-03-31") == tree
+
+    def test_subnormal_close_is_numeric_error(self, tmp_path, capsys):
+        """S0003's close at 1e-320 from 2015-03-02 on is valid, but a weight of
+        the portfolio over it is inf shares: exit 3 before any file is written."""
+        def tiny_close(record):
+            stock_id, day, _, rest = record.split(",", 3)
+            if stock_id == "S0003" and day >= "2015-03-02":
+                return f"{stock_id},{day},1e-320,{rest}"
+            return record
+
+        config = crash_market_config(tmp_path / "market", lambda data: edit_records(
+            data, lambda records: map(tiny_close, records), "bars.csv"))
+        capsys.readouterr()
+        assert main(["backtest", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == ("numeric error: the order for S0003 on 2015-11-30 "
+                                           "is inf shares at a price of 1e-320\n")
+        assert not [p for p in (tmp_path / "market" / "out").rglob("*") if p.is_file()]
 
     def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
         computed = Counter()
@@ -409,10 +431,14 @@ class TestReport:
          "2015-09-01,1000000,,\n2015-09-02,1000100,0.0001,-1.5\n",
          "data error: {path}:3: column 'benchmark_daily_return': daily return on 2015-09-02 "
          "must be >= -1"),
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,oops\n2015-09-02,1000100,0.0001,0.001\n",
+         "data error: {path}:2: column 'benchmark_daily_return': 'oops' beside an empty "
+         "portfolio_daily_return"),
         (None, "data error: cannot read {path}"),
     ], ids=["wrong_header", "bad_number", "quoted_newline", "blank_return_after_first_row",
             "dates_not_increasing", "bad_portfolio_value", "portfolio_return_below_minus_1",
-            "benchmark_return_below_minus_1", "missing_file"])
+            "benchmark_return_below_minus_1", "benchmark_return_on_first_row", "missing_file"])
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
         series = tmp_path / "series.csv"
         if text is not None:
@@ -509,7 +535,9 @@ class TestBadInputExitCodes:
         ("start", "2016-01-01", "start must precede end"),
         ("noise_level", -1, "noise_level must be >= 0"),
         ("n_stocks", 20_000, "n_stocks times the 730 calendar days "),
-    ], ids=["n_stocks", "strength", "regime", "dates", "noise", "stock-days"])
+        # 23 weekdays in January and 15 to February 20
+        ("end", "2014-02-20", "date range too short to generate a market"),
+    ], ids=["n_stocks", "strength", "regime", "dates", "noise", "stock-days", "short-range"])
     def test_synthetic_market_error_names_data_section(self, tmp_path, capsys, command,
                                                        key, value, message):
         data = {"source": "synthetic", "start": "2014-01-01", "end": "2015-12-31", key: value}

@@ -2,13 +2,15 @@
 
 import math
 from datetime import date as Date
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import bar_rows, bars_of, benchmark_of, snapshots
+from conftest import bar_rows, bars_of, benchmark_of, snapshots, weekdays
+from rollingquant import synthetic
 from rollingquant.errors import ConfigError
-from rollingquant.marketdata import action_days
+from rollingquant.marketdata import MarketDataset, TradingCalendar, action_days
 from rollingquant.synthetic import (
     REGIMES,
     SyntheticMarketConfig,
@@ -50,6 +52,17 @@ class TestValidation:
     def test_inverted_range(self):
         with pytest.raises(ConfigError):
             _config(start=Date(2016, 1, 1)).validate()
+
+    def test_range_too_short(self):
+        # 2015-01-05..2015-02-27 holds 40 weekdays, the fewest a market needs
+        _config(start=Date(2015, 1, 5), end=Date(2015, 2, 27)).validate()
+        with pytest.raises(ConfigError, match="^date range too short to generate a market$"):
+            _config(start=Date(2015, 1, 5), end=Date(2015, 2, 26)).validate()
+
+    def test_range_to_the_last_date(self):
+        market, _ = generate_synthetic_market(_config(start=Date(9999, 11, 1),
+                                                      end=Date(9999, 12, 31)))
+        assert market.calendar.dates[-1] == Date(9999, 12, 31)
 
     def test_all_regimes_generate(self):
         for regime in REGIMES:
@@ -131,3 +144,141 @@ class TestShape:
         market, _ = generate_synthetic_market(_config())
         for stock_id in market.stocks:
             assert len(bars_of(market, stock_id).dates) == len(market.calendar.dates)
+
+
+def oracle_generate(config: SyntheticMarketConfig):
+    """The generator as it was before its whole-array draws: a loop over
+    (stock, snapshot) drawing each line item's noise as it goes, and months
+    grouped from the dates. The bits generate_synthetic_market must give."""
+    rng = np.random.default_rng(config.seed)
+
+    dates = weekdays(config.start, config.end)
+    grouped: dict[tuple[int, int], list[Date]] = {}
+    for d in dates:
+        grouped.setdefault((d.year, d.month), []).append(d)
+    months = [grouped[k] for k in sorted(grouped)]
+    n_months = len(months)
+    n = config.n_stocks
+
+    template = synthetic._MONTH_TEMPLATES[config.regime]
+    month_targets = [template[(j - n_months) % len(template)] for j in range(n_months)]
+    bench_log = np.empty(len(dates))
+    pos = 0
+    for target, month_days in zip(month_targets, months):
+        k = len(month_days)
+        noise = rng.normal(0.0, 0.006, size=k)
+        noise -= noise.mean()
+        bench_log[pos:pos + k] = math.log1p(target) / k + noise
+        pos += k
+    bench_close = 3000.0 * np.exp(np.cumsum(bench_log))
+
+    strength = config.planted_signal_strength
+    quality = rng.normal(0.0, 1.0, size=n)
+    value = rng.normal(0.0, 1.0, size=n)
+    tq = np.tanh(quality)
+    close0 = rng.uniform(10.0, 100.0, size=n)
+    shares_base = np.exp(rng.normal(17.0, 0.05, size=n))
+    shares = shares_base * np.exp(-strength * (synthetic._VALUE_DISCOUNT * value
+                                               + synthetic._QUALITY_DISCOUNT * quality))
+    scale0 = close0 * shares
+    base_turnover = np.exp(rng.normal(math.log(0.02), 0.4, size=n))
+    industry = rng.integers(0, 10, size=n)
+
+    monthly_drift = strength * (synthetic._QUALITY_DRIFT * quality
+                                + synthetic._VALUE_DRIFT * value)
+    stock_log = np.empty((n, len(dates)))
+    pos = 0
+    for month_days in months:
+        k = len(month_days)
+        idio = rng.normal(0.0, config.noise_level, size=(n, k))
+        stock_log[:, pos:pos + k] = bench_log[pos:pos + k][None, :] \
+            + (monthly_drift / k)[:, None] + idio
+        pos += k
+    closes = close0[:, None] * np.exp(np.cumsum(stock_log, axis=1))
+    market_cap = closes * shares[:, None]
+    turnover = base_turnover[:, None] * np.exp(rng.normal(0.0, 0.25, size=(n, len(dates))))
+
+    stock_ids = [f"S{i:04d}" for i in range(n)]
+    prev_close = np.hstack([close0[:, None], closes[:, :-1]])
+    volume = turnover * shares[:, None]
+
+    calendar = TradingCalendar(dates)
+    snapshot_days = calendar.month_last_days()[::3]
+    snapshots = []
+    for i in range(n):
+        margin = 0.10 * (1.0 + 0.5 * strength * tq[i])
+        gross = 0.30 * (1.0 + 0.3 * strength * tq[i])
+        for snap_day in snapshot_days:
+            j = calendar.index[snap_day]
+            scale = float(scale0[i]) * float(closes[i, j] / close0[i])
+
+            def noisy(base):
+                return base * float(np.exp(rng.normal(0.0, 0.2)))
+
+            revenue = noisy(0.7 * scale)
+            net_profit = margin * revenue * float(np.exp(rng.normal(0.0, 0.05)))
+            total_assets = noisy(scale)
+            net_assets = noisy(0.5 * scale)
+            snapshots.append([
+                net_profit, 0.1 * net_profit, net_assets, total_assets + net_assets,
+                total_assets + net_assets, noisy(0.25 * scale), revenue, 0.15 * revenue,
+                gross * revenue, noisy(0.12 * scale), noisy(0.13 * scale),
+                0.05 + 0.10 * strength * float(quality[i]) + float(rng.normal(0.0, 0.02)),
+                noisy(0.10 * scale), noisy(0.30 * scale), noisy(0.15 * scale), net_assets])
+
+    k = len(snapshot_days)
+    dataset = MarketDataset(
+        stocks=stock_ids, calendar=calendar,
+        bar_days=np.tile(np.arange(len(dates)), (n, 1)),
+        close=closes, prev_close=prev_close, volume=volume, turnover=turnover,
+        market_cap=market_cap, suspended=np.zeros((n, len(dates)), dtype=bool),
+        benchmark=bench_close,
+        snapshot_bounds=np.arange(n + 1) * k,
+        snapshot_days=np.tile([d.toordinal() for d in snapshot_days], n),
+        snapshot_values=np.array(snapshots, dtype=float),
+        industry=np.repeat(industry, k).astype(object),
+    )
+    latent_quality = quality + (synthetic._VALUE_DRIFT / synthetic._QUALITY_DRIFT) * value
+    return dataset, latent_quality
+
+
+ARRAYS = ("bar_days", "close", "prev_close", "volume", "turnover", "market_cap", "suspended",
+          "benchmark", "snapshot_bounds", "snapshot_days", "snapshot_values", "industry")
+# a full two-year range; one that starts and ends inside a month; the 40
+# weekdays of the shortest range
+RANGES = [(Date(2014, 1, 1), Date(2015, 12, 31)), (Date(2014, 3, 12), Date(2015, 8, 19)),
+          (Date(2015, 1, 5), Date(2015, 2, 27))]
+
+
+class TestGeneratorOracle:
+    """The whole-array generator gives the loop oracle's arrays, bit for bit
+    and dtype for dtype, on every regime, size, strength and noise level."""
+
+    @staticmethod
+    def assert_same_market(config):
+        (got, got_latent), (want, want_latent) = (
+            generate_synthetic_market(config), oracle_generate(config))
+        assert got.stocks == want.stocks
+        assert got.calendar.dates == want.calendar.dates
+        for name in ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert np.array_equal(a, b), name
+        assert got_latent.dtype == want_latent.dtype
+        assert np.array_equal(got_latent, want_latent)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n_stocks", [10, 12, 25])
+    def test_small_markets_match_oracle(self, regime, n_stocks):
+        cases = product(RANGES, (0.0, 0.5, 1.0), (0.0, 0.01))
+        for seed, ((start, end), strength, noise_level) in enumerate(cases):
+            self.assert_same_market(SyntheticMarketConfig(
+                seed=seed, n_stocks=n_stocks, start=start, end=end, regime=regime,
+                planted_signal_strength=strength, noise_level=noise_level))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_300_stocks_match_oracle(self, regime):
+        for seed, strength, noise_level in ((0, 0.5, 0.01), (1, 1.0, 0.0)):
+            self.assert_same_market(_config(seed=seed, n_stocks=300, regime=regime,
+                                            planted_signal_strength=strength,
+                                            noise_level=noise_level))
