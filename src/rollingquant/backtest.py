@@ -52,6 +52,15 @@ class Portfolio:
         return total
 
 
+def _value(portfolio: Portfolio, prices, date: Date) -> float:
+    """The portfolio's valuation at prices on date. One that overflows to inf
+    or nan is a RebalanceError: no return or order can be taken from it."""
+    value = portfolio.valuation(prices)
+    if not math.isfinite(value):
+        raise RebalanceError(f"the portfolio value on {date.isoformat()} is {value}")
+    return value
+
+
 @dataclass
 class Trade:
     date: Date
@@ -82,7 +91,7 @@ def rebalance(portfolio: Portfolio, targets: dict[str, float], prices: dict[str,
         if stock_id not in prices:
             raise RebalanceError(f"no price for {stock_id} on {date.isoformat()}")
 
-    value = portfolio.valuation(prices)
+    value = _value(portfolio, prices, date)
     trades: list[Trade] = []
 
     # Sells first (full exits and trims), so buys see the freed-up cash.
@@ -194,7 +203,7 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
             prices = {s: last_close[s] for s in names if s in last_close}
             trades.extend(rebalance(portfolio, targets[d], prices, config.costs, d,
                                     prices.keys() - traded))
-        values.append(portfolio.valuation(last_close))
+        values.append(_value(portfolio, last_close, d))
 
     # days is a run of the calendar
     first = dataset.calendar.index[days[0]]

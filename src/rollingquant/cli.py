@@ -127,15 +127,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="generate synthetic market CSVs")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", default=None, help="output directory override")
-    gen.add_argument("--seed", type=int, default=None, help="master seed override")
-
-    bt = sub.add_parser("backtest", help="run scenario backtests")
-    bt.add_argument("--config", required=True)
-    bt.add_argument("--out", default=None)
-    bt.add_argument("--seed", type=int, default=None)
+    # the commands that run from a config file
+    for name, command, text in (("gen-data", cmd_gen_data, "generate synthetic market CSVs"),
+                                ("backtest", cmd_backtest, "run scenario backtests")):
+        run = sub.add_parser(name, help=text)
+        run.set_defaults(run=command)
+        run.add_argument("--config", required=True)
+        run.add_argument("--out", default=None, help="output directory override")
+        run.add_argument("--seed", type=int, default=None, help="master seed override")
 
     gc = sub.add_parser("gradcheck", help="verify analytic gradients")
     gc.add_argument("--seed", type=int, default=0)
@@ -151,12 +150,8 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "gen-data":
-            config = load_run_config(args.config, args.seed, args.out)
-            return cmd_gen_data(config)
-        if args.command == "backtest":
-            config = load_run_config(args.config, args.seed, args.out)
-            return cmd_backtest(config)
+        if "run" in args:
+            return args.run(load_run_config(args.config, args.seed, args.out))
         if args.command == "gradcheck":
             return cmd_gradcheck(args.seed)
         return cmd_report(args.series, args.out, args.strategy, args.risk_free)

@@ -117,7 +117,7 @@ _TRAIN_KEYS = {
 }
 _COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
               "lot_size": _finite_float}
-_DATA_KEYS = {"source": str, "bars": _path, "fundamentals": _path, "benchmark": _path}
+_FILE_KEYS = {"bars": _path, "fundamentals": _path, "benchmark": _path}
 _SYNTHETIC_KEYS = {
     "n_stocks": int,
     "start": _iso_date("data.start"),
@@ -126,28 +126,34 @@ _SYNTHETIC_KEYS = {
     "planted_signal_strength": _finite_float,
     "noise_level": _finite_float,
 }
-_SECTION_KEYS = {
+_SECTION_KEYS = {  # in the order load_run_config reads them
     "run": _RUN_KEYS | _SCENARIO_KEYS,
-    "data": _DATA_KEYS | _SYNTHETIC_KEYS,
+    "data": {"source": str} | _FILE_KEYS | _SYNTHETIC_KEYS,
     "train": _TRAIN_KEYS,
     "costs": _COST_KEYS,
 }
 
 
-def _values(parser, name: str, table, required=()) -> dict:
-    """The keys of table that section [name] sets, parsed."""
+def _section(parser, name: str) -> dict:
+    """The keys section [name] sets, each parsed by its _SECTION_KEYS entry;
+    a section the file lacks sets none."""
     section = parser[name] if name in parser else {}
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"missing required key '{key}' in section [{name}]")
+    table = _SECTION_KEYS[name]
     values = {}
-    for key, parse in table.items():
-        if key in section:
-            try:
-                values[key] = parse(section[key].strip())
-            except (ValueError, configparser.Error) as exc:  # Error: bad interpolation
-                raise ConfigError(f"[{name}] {key}: {exc}") from None
+    for key in section:  # with those merged in from [DEFAULT]
+        if key not in table:
+            raise ConfigError(f"unknown key '{key}' in [{name}]")
+        try:
+            values[key] = table[key](section[key].strip())
+        except (ValueError, configparser.Error) as exc:  # Error: bad interpolation
+            raise ConfigError(f"[{name}] {key}: {exc}") from None
     return values
+
+
+def _require(values: dict, name: str, keys):
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"missing required key '{key}' in section [{name}]")
 
 
 def _syntax_error(path, exc: configparser.Error) -> ConfigError:
@@ -181,16 +187,10 @@ def load_run_config(path, seed_override: int | None = None,
     for name in parser.sections():  # [DEFAULT] is not among them
         if name not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{name}]")
-    for name, table in _SECTION_KEYS.items():
-        # a section's keys include those merged in from [DEFAULT]
-        for key in parser[name] if name in parser else ():
-            if key not in table:
-                raise ConfigError(f"unknown key '{key}' in [{name}]")
 
-    run = _values(parser, "run", _RUN_KEYS)
-    scenario = _values(parser, "run", _SCENARIO_KEYS, required=("start", "end"))
-    train = _values(parser, "train", _TRAIN_KEYS)
-    costs = _values(parser, "costs", _COST_KEYS)
+    run, data, train, costs = (_section(parser, name) for name in _SECTION_KEYS)
+    scenario = {key: run.pop(key) for key in _SCENARIO_KEYS if key in run}
+    _require(scenario, "run", ("start", "end"))
     if scenario["start"] >= scenario["end"]:
         raise ConfigError("run.start must precede run.end")
     if seed_override is not None:
@@ -215,19 +215,15 @@ def load_run_config(path, seed_override: int | None = None,
         except ValueError as exc:
             raise ConfigError(f"--out: {exc}") from None
 
-    source = _values(parser, "data", _DATA_KEYS).get("source", "synthetic")
+    source = data.get("source", "synthetic")
     if source == "csv":
-        files = _values(parser, "data", _DATA_KEYS,
-                        required=("bars", "fundamentals", "benchmark"))
-        base = Path(path).parent
-        options.update(bars_path=base / files["bars"],
-                       fundamentals_path=base / files["fundamentals"],
-                       benchmark_path=base / files["benchmark"])
+        _require(data, "data", _FILE_KEYS)
+        options.update({f"{key}_path": Path(path).parent / data[key] for key in _FILE_KEYS})
     elif source == "synthetic":
-        synthetic = _values(parser, "data", _SYNTHETIC_KEYS, required=("start", "end"))
+        _require(data, "data", ("start", "end"))
         options["synthetic"] = SyntheticMarketConfig(
             seed=scenario.train_config.seed + SEED_OFFSET_DATA,
-            **{"n_stocks": 300} | synthetic)
+            **{"n_stocks": 300} | {key: data[key] for key in _SYNTHETIC_KEYS if key in data})
         try:
             options["synthetic"].validate()
         except ConfigError as exc:

@@ -14,7 +14,6 @@ one kind of rank_stocks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -57,23 +56,20 @@ def build_window(calendar: TradingCalendar, action_day: Date, w: int) -> list[Da
 def excess_return_labels(dataset: MarketDataset, stocks, t0: Date, t1: Date):
     """(labels, available): each stock's return minus the benchmark's over
     [t0, t1]. A label is available where the stock trades at a close > 0 on
-    both dates and the benchmark closes on both, above 0 on t0."""
+    both dates, the benchmark closes above 0 on t0, and the label is finite:
+    a NaN close or benchmark, or a return that overflows, leaves none."""
     c0, tradeable0 = dataset.tradeable_closes(stocks, t0)
     c1, tradeable1 = dataset.tradeable_closes(stocks, t1)
-    # a NaN close is tradeable, and its label is NaN
-    available = tradeable0 & tradeable1 & ~(c0 <= 0) & ~(c1 <= 0)
-    labels = np.full(len(available), np.nan)
-    if available.any():
+    traded = tradeable0 & tradeable1 & (c0 > 0) & (c1 > 0)
+    labels = np.full(len(traded), np.nan)
+    if traded.any():
         # both dates have a bar, so both are on the calendar; NaN marks no close
         index = dataset.calendar.index
         bench0, bench1 = float(dataset.benchmark[index[t0]]), float(dataset.benchmark[index[t1]])
-        if not bench0 > 0 or math.isnan(bench1):
-            available[:] = False
-        else:
+        if bench0 > 0:
             with np.errstate(all="ignore"):  # overflow gives inf or nan, as in Python
-                labels[available] = (c1[available] / c0[available] - 1.0) \
-                    - (bench1 / bench0 - 1.0)
-    return labels, available
+                labels[traded] = (c1[traded] / c0[traded] - 1.0) - (bench1 / bench0 - 1.0)
+    return labels, np.isfinite(labels)
 
 
 @dataclass

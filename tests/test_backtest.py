@@ -96,6 +96,12 @@ class TestRebalance:
             rebalance(Portfolio(cash=1000.0), {"A": 0.5, "B": 0.5},
                       {"A": 1e-320, "B": 10.0}, CostModel(), D0)
 
+    def test_overflowing_valuation_rejected(self):
+        # 1e308 in cash and 1e308 in A overflow to inf before any order is sized
+        with pytest.raises(RebalanceError, match=r"^the portfolio value on 2015-06-30 is inf$"):
+            rebalance(Portfolio(cash=1e308, holdings={"A": 1e307}), {"A": 1.0},
+                      {"A": 10.0}, CostModel(), D0)
+
     def test_negative_cost_rates_rejected(self):
         with pytest.raises(ValidationError):
             rebalance(Portfolio(cash=100.0), {"A": 1.0}, {"A": 1.0},

@@ -248,6 +248,42 @@ class TestBacktest:
                                            "is inf shares at a price of 1e-320\n")
         assert not [p for p in (tmp_path / "market" / "out").rglob("*") if p.is_file()]
 
+    def test_overflowing_label_is_no_training_sample(self, tmp_path, capsys):
+        """S0003's closes of 1e-300 on 2015-05-29 and 1e300 on 2015-06-30 are
+        valid, but its return between them overflows to inf: that label is
+        left out of training, and the run writes its 12 finite files."""
+        closes = {"2015-05-29": "1e-300", "2015-06-30": "1e300"}
+
+        def overflow(record):
+            stock_id, day, _, rest = record.split(",", 3)
+            if stock_id == "S0003" and day in closes:
+                return f"{stock_id},{day},{closes[day]},{rest}"
+            return record
+
+        tree = crash_market_tree(tmp_path / "market", lambda data: edit_records(
+            data, lambda records: map(overflow, records), "bars.csv"))
+        assert len(tree) == 12
+        assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("regime,day", [("crash", "2015-08-05"),
+                                            ("inflection", "2015-11-09")])
+    def test_overflowing_portfolio_value_is_numeric_error(self, tmp_path, capsys, regime,
+                                                          day):
+        """A capital of 1.797e308 is valid, but the fcnn portfolio grows past
+        the largest float: exit 3 naming the day, where an inf value would be
+        written to series.csv. linreg's files, written before, are kept."""
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 0\nstart = 2015-07-01\nend = 2015-12-30\n"
+                          "holdings = 5\ninitial_capital = 1.797e308\n"
+                          f"out_dir = {tmp_path / 'out'}\n\n[data]\nsource = synthetic\n"
+                          "n_stocks = 12\nstart = 2014-01-01\nend = 2015-12-30\n"
+                          f"regime = {regime}\n", encoding="utf-8")
+        assert main(["backtest", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == \
+            f"numeric error: the portfolio value on {day} is inf\n"
+        assert (tmp_path / "out" / "linreg" / "series.csv").exists()
+        assert not (tmp_path / "out" / "fcnn" / "series.csv").exists()
+
     def test_strategies_share_each_factor_row(self, tmp_path, monkeypatch):
         computed = Counter()
         compute_panel = MarketStore._compute_panel

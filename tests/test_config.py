@@ -171,6 +171,24 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text
     assert not (tmp_path / "out").exists()
 
 
+CSV_FILES = {"source": "csv", "bars": "b.csv", "fundamentals": "f.csv", "benchmark": "x.csv"}
+
+
+@pytest.mark.parametrize("data,message", [
+    (CSV_FILES | {"n_stocks": "abc"},
+     "[data] n_stocks: invalid literal for int() with base 10: 'abc'"),
+    (CSV_FILES | {"noise_level": "oops"},
+     "[data] noise_level: could not convert string to float: 'oops'"),
+    ({"source": "synthetic", "bars": ""}, "[data] bars: a path cannot be empty"),
+], ids=["csv-n_stocks", "csv-noise_level", "synthetic-bars"])
+def test_data_key_of_the_other_source_is_parsed(tmp_path, capsys, data, message):
+    # every key [data] sets is parsed, whichever source the run reads
+    path = write_ini(tmp_path, run={"out_dir": tmp_path / "out"}, data=data)
+    assert main(["backtest", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # YYYY-MM-DD texts that strptime("%Y-%m-%d") reads, and one that
 # date.fromisoformat reads from Python 3.11 on
 NOT_ISO_DATES = ["2015-6-3", "2015-06- 3", "\u0662\u0660\u0661\u0665-06-03", "20150603"]

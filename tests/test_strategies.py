@@ -60,7 +60,8 @@ class TestBuildWindow:
 
 def excess_return_label(dataset, stock_id, t0, t1):
     """One stock's label, value by value: the oracle for excess_return_labels.
-    Stock return minus benchmark return over [t0, t1]; None if unavailable."""
+    Stock return minus benchmark return over [t0, t1]; None if unavailable
+    or not finite."""
     c0 = dataset.tradeable_close(stock_id, t0)
     c1 = dataset.tradeable_close(stock_id, t1)
     if c0 is None or c1 is None or c0 <= 0 or c1 <= 0:
@@ -68,9 +69,10 @@ def excess_return_label(dataset, stock_id, t0, t1):
     # both dates have a bar, so both are on the calendar; NaN marks no close
     index = dataset.calendar.index
     bench0, bench1 = float(dataset.benchmark[index[t0]]), float(dataset.benchmark[index[t1]])
-    if not bench0 > 0 or math.isnan(bench1):
+    if not bench0 > 0:
         return None
-    return (c1 / c0 - 1.0) - (bench1 / bench0 - 1.0)
+    label = (c1 / c0 - 1.0) - (bench1 / bench0 - 1.0)
+    return label if math.isfinite(label) else None
 
 
 def label_of(dataset, stock_id, t0, t1):
@@ -112,6 +114,16 @@ class TestExcessReturnLabel:
                               benchmark_of(market), snapshots(market))
         assert label_of(market, "A", Date(2015, 6, 30), t1) is None
 
+    @pytest.mark.parametrize("close0,close1", [(1e-300, 1e300), (100.0, np.nan)],
+                             ids=["overflow", "nan_close"])
+    def test_non_finite_label_dropped(self, close0, close1):
+        # a label training cannot take is no label: the stock is left out
+        market = self._market(close1, 2910.0)
+        t0 = Date(2015, 6, 30)
+        bars = bars_of(market, "A")
+        bars.close[bars.dates.index(t0)] = close0
+        assert label_of(market, "A", t0, Date(2015, 7, 31)) is None
+
     def test_arrays_match_the_scalar_oracle_bit_for_bit(self, gapped_market):
         market = close_zero_spells(gapped_market)
         days = market.calendar.month_last_days()
@@ -131,7 +143,7 @@ class TestExcessReturnLabel:
                     for label in (excess_return_label(market, s, t0, t1) for s in stocks)]
             assert got == want, (t0, t1)
             available_anywhere.update(x for x in got if x is not None)
-        assert "nan" in available_anywhere and len(available_anywhere) > 100
+        assert len(available_anywhere) > 100
 
 
 class TestSelectTargets:
