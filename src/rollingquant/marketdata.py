@@ -428,8 +428,7 @@ def _read_table(path, table, days):
     keys finds it. Only then is the file read again, to name it."""
     memos = {ID: {}, DATE: days, FLAG: {}}
     checks = table.checks()
-    key, part, _ = _convert(table, checks, [], memos)  # the columns' dtypes and shapes
-    keys, parts, found, count = [key], [part], [], 0
+    keys, parts, found, count = [], [], [], 0
     for rows in _chunks(path, list(table.kinds), found):
         key, part, failed = _convert(table, checks, rows, memos)
         keys.append(key)
@@ -439,6 +438,9 @@ def _read_table(path, table, days):
             found.append((count + int(record), int(check)))
             break
         count += len(rows)
+    if not keys:  # no record: an empty chunk gives the columns' dtypes and shapes
+        key, part, _ = _convert(table, checks, [], memos)
+        keys, parts = [key], [part]
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]

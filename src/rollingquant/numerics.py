@@ -8,12 +8,13 @@ float64 and deterministic given seeds.
 Both models lay out their parameters one way: `stages` holds one list per
 stage (an MLP layer's [W, b], an LSTM layer's [W_a, W_x, B], the LSTM
 read-out's [w, b]), and each array in it is a reshaped view of the model's
-one flat float64 vector (`vector`), so Adam updates the whole model with one
-set of elementwise operations per step. An LSTM layer fuses its four gates:
-W_a (hidden, 4 hidden), W_x (input, 4 hidden) and B (4 hidden,) hold the
-gates' columns in GATE_NAMES order, so a time step takes two matmuls forward
-and three backward, plus one matmul per layer for the gradient its inputs
-get.
+one flat float64 vector (`vector`). The gradients share that layout: a
+backward writes them into views of one vector shaped like `vector`, so Adam
+updates the whole model from it with one set of elementwise operations per
+step. An LSTM layer fuses its four gates: W_a (hidden, 4 hidden), W_x
+(input, 4 hidden) and B (4 hidden,) hold the gates' columns in GATE_NAMES
+order, so a time step takes two matmuls forward and three backward, plus one
+matmul per layer for the gradient its inputs get.
 
 stack() turns K models of one shape into one stacked model: its vector is
 (K, P), row k being model k's, and each parameter is a (K, ...) view. The
@@ -90,14 +91,21 @@ def _sigmoid(x):
     return np.divide(1.0, s, out=s)
 
 
+def _layout(stages, vector, lead=0):
+    """Per stage, views of vector, (P,) or a stack's (K, P), one per array p
+    of stages in order, shaped as vector's lead axes then p.shape[lead:]."""
+    views, end = [], 0
+    for arrays in stages:
+        views.append([])
+        for p in arrays:
+            start, end = end, end + math.prod(p.shape[lead:])
+            views[-1].append(vector[..., start:end].reshape(vector.shape[:-1] + p.shape[lead:]))
+    return views
+
+
 def _bind(model, vector):
-    """Make vector, (P,) or a stack's (K, P), the model's vector, with a
-    reshaped view of it in place of each parameter array, in stages order."""
-    offset = 0
-    for arrays in model.stages:
-        for j, p in enumerate(arrays):
-            arrays[j] = vector[..., offset:offset + p.size].reshape(vector.shape[:-1] + p.shape)
-            offset += p.size
+    """Make vector ((P,), or a stack's (K, P)) the model's, each parameter a view of it."""
+    model.stages = _layout(model.stages, vector)
     model.vector = vector
 
 
@@ -141,7 +149,7 @@ class _StagedModel:
     """
 
     def __init__(self, stages):
-        self.stages = [list(arrays) for arrays in stages]
+        self.stages = stages
         _bind(self, np.concatenate(self.parameters(), axis=None, dtype=float))
 
     def parameters(self):
@@ -153,8 +161,8 @@ class _StagedModel:
 
     # each model defines create, _stage_input(batch) (stage 0's input),
     # _stage(i, x, keep) -> (stage i's output, what its backward reads when
-    # keep, else None), and _stage_backward(i, x, kept, grad) -> (the
-    # gradient w.r.t. x, None for stage 0; the gradients of stages[i])
+    # keep, else None), and _stage_backward(i, x, kept, grad, out) -> the
+    # gradient w.r.t. x (None for stage 0), writing stages[i]'s into out
 
     def _run(self, x, first=0):
         """Predictions from stage first's input x, keeping nothing for a backward."""
@@ -178,16 +186,18 @@ class _StagedModel:
             kept.append(saved)
         return inputs, kept, x
 
-    def loss_and_gradients(self, batch, labels):
-        """(MSE loss, gradients aligned with parameters()); grad is the
-        gradient w.r.t. the output of the stage whose backward runs next."""
+    def loss_and_gradients(self, batch, labels, out=None):
+        """(MSE loss, gradients aligned with parameters()), written into out's
+        per-stage views of a vector laid out as the parameters (_layout), or a
+        fresh one's; grad is w.r.t. the output of the next stage back."""
         inputs, kept, preds = self._forward_pass(batch)
         loss, diff = _mse_and_residual(preds, labels)
+        if out is None:
+            out = _layout(self.stages, np.empty_like(self.vector), self.vector.ndim - 1)
         grad = (2.0 / diff.shape[-1]) * diff[..., None]
-        grads = [None] * len(inputs)
         for i in reversed(range(len(inputs))):
-            grad, grads[i] = self._stage_backward(i, inputs[i], kept[i], grad)
-        return loss, [g for stage_grads in grads for g in stage_grads]
+            grad = self._stage_backward(i, inputs[i], kept[i], grad, out[i])
+        return loss, [g for stage_grads in out for g in stage_grads]
 
 
 class MlpModel(_StagedModel):
@@ -218,13 +228,14 @@ class MlpModel(_StagedModel):
             return h[..., 0], None
         return np.maximum(h, 0.0), h if keep else None
 
-    def _stage_backward(self, i, h, pre_relu, grad):
+    def _stage_backward(self, i, h, pre_relu, grad, out):
         """Layer i's backward; grad, w.r.t. its output, is not yet masked by
         the ReLU, and is (..., b, 1) for the last layer."""
         if pre_relu is not None:
             grad = grad * (pre_relu > 0)
-        grad_h = grad @ self.stages[i][0].swapaxes(-1, -2) if i else None
-        return grad_h, [h.swapaxes(-1, -2) @ grad, np.add.reduce(grad, axis=-2)]
+        np.matmul(h.swapaxes(-1, -2), grad, out=out[0])
+        np.add.reduce(grad, axis=-2, out=out[1])
+        return grad @ self.stages[i][0].swapaxes(-1, -2) if i else None
 
 
 # the fused gates: gate g's columns of an LSTM layer's W_a, W_x and B start
@@ -254,11 +265,15 @@ def _lstm_forward(W_a, W_x, B, x_seq, keep):
     and a later layer accepts such a (T, ..., b, input_dim) sequence.
     """
     h = W_a.shape[-2]
-    a = c = np.zeros(x_seq.shape[1:-1] + (h,))
+    # the state has every lead axis from the start, so z can be summed in place
+    lead = np.broadcast_shapes(x_seq.shape[1:-2], W_a.shape[:-2], W_x.shape[:-2], B.shape[:-1])
+    a = c = np.zeros(lead + x_seq.shape[-2:-1] + (h,))
     B = B[..., None, :]  # broadcast over the batch
     cache = [] if keep else None
     for t, x in enumerate(x_seq):
-        z = a @ W_a + x @ W_x + B
+        z = a @ W_a
+        z += x @ W_x
+        z += B
         c_tilde = np.tanh(z[..., :h])
         gates = _sigmoid(z[..., h:])
         g_u, g_f, g_o = gates[..., :h], gates[..., h:2 * h], gates[..., 2 * h:]
@@ -273,13 +288,13 @@ def _lstm_forward(W_a, W_x, B, x_seq, keep):
     return a_seq, cache
 
 
-def _lstm_backward(W_a, da_seq, cache):
+def _lstm_backward(W_a, da_seq, cache, out=(None, None, None)):
     """da_seq: gradient w.r.t. each step's output a_t, (T, b, hidden) or a
     stack's (T, K, b, hidden); cache: the layer's from _lstm_forward.
 
     Returns (dz_seq, [gW_a, gW_x, gB]): dz_seq[t] is the gradient w.r.t.
     step t's fused pre-activations, so the gradient w.r.t. the layer's
-    inputs is dz_seq @ W_x.T.
+    inputs is dz_seq @ W_x.T. Given out, the gradients are written into it.
     """
     h = W_a.shape[-2]
     dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
@@ -300,9 +315,9 @@ def _lstm_backward(W_a, da_seq, cache):
         dz[..., 3 * h:] = da * tanh_c * g_o * (1.0 - g_o)
         dc_next = dc * g_f
         if t == last:
-            gW_a = a_prev.swapaxes(-1, -2) @ dz
-            gW_x = x.swapaxes(-1, -2) @ dz
-            gB = np.add.reduce(dz, axis=-2)
+            gW_a = np.matmul(a_prev.swapaxes(-1, -2), dz, out=out[0])
+            gW_x = np.matmul(x.swapaxes(-1, -2), dz, out=out[1])
+            gB = np.add.reduce(dz, axis=-2, out=out[2])
         else:
             gW_a += a_prev.swapaxes(-1, -2) @ dz
             gW_x += x.swapaxes(-1, -2) @ dz
@@ -347,27 +362,29 @@ class LstmModel(_StagedModel):
         w, b = self.stages[i]
         return (x_seq[-1] @ w + b[..., None, :])[..., 0], None
 
-    def _stage_backward(self, i, x_seq, cache, grad):
+    def _stage_backward(self, i, x_seq, cache, grad, out):
         """Layer i's backward on its cache, or the read-out's; grad is
         (T, ..., b, hidden) for a layer, (..., b, 1) for the read-out."""
         if i == len(self.stages) - 1:  # only the last step reaches the read-out
             da_seq = np.zeros_like(x_seq)
             da_seq[-1] = grad @ self.stages[i][0].swapaxes(-1, -2)
-            return da_seq, [x_seq[-1].swapaxes(-1, -2) @ grad, np.add.reduce(grad, axis=-2)]
+            np.matmul(x_seq[-1].swapaxes(-1, -2), grad, out=out[0])
+            np.add.reduce(grad, axis=-2, out=out[1])
+            return da_seq
         W_a, W_x, _ = self.stages[i]
-        dz_seq, grads = _lstm_backward(W_a, grad, cache)
-        return (dz_seq @ W_x.swapaxes(-1, -2) if i else None), grads
+        dz_seq = _lstm_backward(W_a, grad, cache, out)[0]
+        return dz_seq @ W_x.swapaxes(-1, -2) if i else None
 
 
 def _adam_step(rows, m, v, g_rows, step, config, scratch):
     """Adam update number step of each member row of the flat vector from
-    that member's flat gradient row.
+    the same row of the flat gradient vector g_rows, read in place.
 
     Adam is elementwise, so one update of a row gives the same bits as one
     update per parameter array. A row at a time keeps its temporaries small,
     and they are written into scratch, one row as long as a member's, and
     into each gradient row once Adam has read it, so an update allocates
-    nothing and the caller must not read g_rows again.
+    nothing and overwrites g_rows: the next backward writes it anew.
     """
     bc1 = 1.0 - config.beta1 ** step
     bc2 = 1.0 - config.beta2 ** step
@@ -396,6 +413,8 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     every member still trains to the end, and then the lowest failing
     member's error is raised with its index as `member` (0 for one model).
     model is trained in place, so it holds the trained members either way.
+    Each step's backward writes into one gradient vector, made per call and
+    laid out as model.vector, whose rows Adam then reads and overwrites.
 
     Divergence is detected from the losses, so numpy's floating-point
     warnings are silenced here.
@@ -438,6 +457,8 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     m = np.zeros_like(rows)
     v = np.zeros_like(rows)
     scratch = np.empty(rows.shape[-1])
+    g_rows = np.empty_like(rows)  # the gradient vector, a row per member
+    out = _layout(model.stages, g_rows.reshape(model.vector.shape), len(lead))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     step = 0
     losses = [[] for _ in seeds]
@@ -446,16 +467,10 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
             orders = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, config.batch_size):
                 idx = orders[:, start:start + config.batch_size]
-                loss, grads = model.loss_and_gradients(batch(samples, idx), batch(labels, idx))
+                loss = model.loss_and_gradients(batch(samples, idx), batch(labels, idx), out)[0]
                 check(loss, epoch)
                 step += 1
-                # a stack's flat gradient rows are made one at a time, as
-                # Adam takes them
-                g_rows = (np.concatenate([x[k] for x in grads], axis=None)
-                          for k in range(len(grads[0]))) if lead \
-                    else [np.concatenate(grads, axis=None)]
                 _adam_step(rows, m, v, g_rows, step, config, scratch)
-                del grads, g_rows  # so that the next step's gradients do not coexist with these
             epoch_loss = mse(model.forward(unstacked(samples)), unstacked(labels))
             check(epoch_loss, epoch)
             for member_losses, x in zip(losses, per_member(epoch_loss)):

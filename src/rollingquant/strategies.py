@@ -82,7 +82,7 @@ def select_targets(ranking: Ranking, k: int) -> dict[str, float]:
     """Top min(k, |ranking|) stocks at weight 1/k each; remainder stays cash."""
     if k < 1:
         raise ValidationError("holdings count must be >= 1")
-    return {stock: 1.0 / k for stock, _ in ranking.entries[:k]}
+    return {stock: 1 / k for stock, _ in ranking.entries[:k]}
 
 
 def _pooled_stats(panels):

@@ -231,6 +231,22 @@ class TestBacktest:
         tree = crash_market_tree(tmp_path / "market", data_end="2016-03-31")
         assert crash_market_tree(tmp_path / "cut", cut, data_end="2016-03-31") == tree
 
+    def test_holdings_beyond_the_float_range_stay_in_cash(self, tmp_path, capsys):
+        """holdings = 10**400 is a valid count whose weight 1 / k rounds to
+        0.0, as 10**20's does: every portfolio stays in cash, and the run
+        writes its 12 files."""
+        config = crash_market_config(tmp_path / "market")
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "holdings = 5\n", f"holdings = {10 ** 400}\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["backtest", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"net_return=(\S+)", out) == ["0.000000"] * 3
+        tree = tree_bytes(tmp_path / "market" / "out")
+        assert len(tree) == 12
+        for strategy in ("linreg", "fcnn", "lstm"):
+            assert json.loads(tree[f"{strategy}/report.json"])["net_return"] == 0.0
+
     def test_subnormal_close_is_numeric_error(self, tmp_path, capsys):
         """S0003's close at 1e-320 from 2015-03-02 on is valid, but a weight of
         the portfolio over it is inf shares: exit 3 before any file is written."""

@@ -256,6 +256,15 @@ class TestCsvRoundTrip:
             load_dataset(*paths)
         assert str(caught.value) == f"{paths[0]}: no bars"
 
+    def test_header_only_fundamentals_loads(self, tmp_path):
+        paths = self._write(tmp_path, flat_market({"A": 10.0}))
+        paths[1].write_text(paths[1].read_text().splitlines()[0] + "\n")
+        loaded = load_dataset(*paths)
+        assert loaded.snapshot_values.shape == (0, 16)
+        assert loaded.snapshot_values.dtype == np.float64
+        assert loaded.snapshot_days.shape == (0,)
+        assert loaded.snapshot_days.dtype == np.int64
+
     def test_snapshot_of_stock_without_bars_accepted(self, tmp_path):
         dates = weekdays(Date(2015, 6, 1), Date(2015, 6, 5))
         market = build_market([make_bar("A", d, 10.0) for d in dates],

@@ -379,14 +379,14 @@ class TestFusedGates:
                               per_gate_loss_and_gradients(model, batch, np.zeros(b))[0])
 
 
-def zero_initialised_backward(W_a, da_seq, cache):
+def zero_initialised_backward(W_a, da_seq, cache, out):
     """_lstm_backward as it was: every sum, and the gradients flowing into
-    the last step, start from zero-filled arrays, shaped as W_a, W_x and B."""
+    the last step, start from zero-filled arrays, here out's, shaped as W_a,
+    W_x and B."""
     h = W_a.shape[-2]
-    x0 = cache[0][0]  # (..., b, input): W_x is (..., input, 4 hidden)
-    gW_a = np.zeros_like(W_a)
-    gW_x = np.zeros(x0.shape[:-2] + (x0.shape[-1], 4 * h))
-    gB = np.zeros(da_seq.shape[1:-2] + (4 * h,))
+    gW_a, gW_x, gB = out
+    for g in out:
+        g[...] = 0.0
     dz_seq = np.empty(da_seq.shape[:-1] + (4 * h,))
     da_next = np.zeros_like(da_seq[0])
     dc_next = np.zeros_like(da_seq[0])
@@ -671,8 +671,8 @@ class TestStack:
         loss_and_gradients = MlpModel.loss_and_gradients
         calls = []
 
-        def failing(self, batch, labels):
-            loss, grads = loss_and_gradients(self, batch, labels)
+        def failing(self, batch, labels, out=None):
+            loss, grads = loss_and_gradients(self, batch, labels, out)
             calls.append(None)
             marker = np.asarray(batch)[..., 0, 0]
             fails = (marker == 2.0) & (len(calls) >= 2) | (marker == 1.0) & (len(calls) >= 8)
@@ -705,6 +705,57 @@ class TestStack:
         with pytest.raises(ValidationError, match="non-finite labels") as caught:
             train(model, np.zeros((3, 4, 47)), labels, TrainConfig(epochs=1), SEEDS[:3])
         assert caught.value.member == 2
+
+
+class TestGradientLayout:
+    """loss_and_gradients writes the gradients into one vector shaped like
+    model.vector and laid out as parameters() lays out the parameters."""
+
+    @staticmethod
+    def task(create, shape, k):
+        lead = (k,) if k else ()
+        model = stack([create(seed) for seed in SEEDS[:k]]) if k else create(SEEDS[0])
+        rng = np.random.default_rng(30)
+        return model, rng.normal(size=lead + (7,) + shape), rng.normal(size=lead + (7,)) * 0.1
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_gradients_are_views_of_one_vector(self, create, shape, k):
+        model, batch, labels = self.task(create, shape, k)
+        grads = model.loss_and_gradients(batch, labels)[1]
+        vector = grads[0].base
+        assert vector.shape == model.vector.shape
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        assert all(np.shares_memory(g, vector) for g in grads)
+        # numbered entries come back in vector order from the views in turn
+        vector[...] = np.arange(vector.size).reshape(vector.shape)
+        lead = vector.shape[:-1]
+        assert np.array_equal(np.concatenate([g.reshape(lead + (-1,)) for g in grads], axis=-1),
+                              vector)
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_calls_without_out_share_no_memory(self, create, shape, k):
+        model, batch, labels = self.task(create, shape, k)
+        first = model.loss_and_gradients(batch, labels)[1]
+        second = model.loss_and_gradients(batch, labels)[1]
+        assert not any(np.shares_memory(g, h) for g in first for h in second)
+        assert not any(np.shares_memory(g, p) for g in first for p in model.parameters())
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_call_with_out_writes_into_it(self, create, shape, k):
+        model, batch, labels = self.task(create, shape, k)
+        vector = np.full_like(model.vector, np.nan)
+        out = numerics._layout(model.stages, vector, model.vector.ndim - 1)
+        loss, grads = model.loss_and_gradients(batch, labels, out)
+        want_loss, want_grads = model.loss_and_gradients(batch, labels)
+        assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert all(g is o for g, o in zip(grads, [o for stage in out for o in stage],
+                                          strict=True))
+        assert not np.isnan(vector).any()
+        for g, w in zip(grads, want_grads, strict=True):
+            assert g.tobytes() == w.tobytes()
 
 
 FORWARD_MODELS = [

@@ -375,8 +375,8 @@ class TestErrorOrder:
             target = seeds.index(5 + day * SEED_STRIDE) if 5 + day * SEED_STRIDE in seeds else -1
             steps = []
 
-            def poisoned(batch, batch_labels):
-                loss, grads = loss_and_gradients(batch, batch_labels)
+            def poisoned(batch, batch_labels, out=None):
+                loss, grads = loss_and_gradients(batch, batch_labels, out)
                 steps.append(None)
                 if len(steps) >= from_step:
                     loss = np.where(np.arange(len(loss)) == target, np.nan, loss)
