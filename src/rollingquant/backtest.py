@@ -179,8 +179,10 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
     """
     dataset = store.dataset
     days = dataset.calendar.days_between(config.start, config.end)
-    if not days:
-        raise ValidationError("scenario range contains no trading days")
+    if len(days) < 3:  # 2 daily returns, the fewest a report takes
+        raise ValidationError(f"a report needs at least 3 trading days in the scenario range "
+                              f"{config.start.isoformat()}..{config.end.isoformat()}, "
+                              f"got {len(days)}")
     rankings = rank_scenario(store, strategy, config)
     targets = {r.date: select_targets(r, config.holdings) for r in rankings}
 

@@ -43,15 +43,6 @@ class RunConfig:
             train, seed=train.seed + SEED_OFFSET_STRATEGY[strategy]))
 
 
-def _iso_date(key: str):
-    def parse(text: str):
-        try:
-            return iso_date(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected YYYY-MM-DD, got {text!r}") from None
-    return parse
-
-
 def _seed(text) -> int:
     """The master seed from the file's text or the --seed integer."""
     try:
@@ -102,8 +93,8 @@ _RUN_KEYS = {  # RunConfig, and the master seed
     "risk_free_annual": _finite_float,
 }
 _SCENARIO_KEYS = {
-    "start": _iso_date("run.start"),
-    "end": _iso_date("run.end"),
+    "start": iso_date,
+    "end": iso_date,
     "window": int,
     "holdings": int,
     "initial_capital": _finite_float,
@@ -120,8 +111,8 @@ _COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
 _FILE_KEYS = {"bars": _path, "fundamentals": _path, "benchmark": _path}
 _SYNTHETIC_KEYS = {
     "n_stocks": int,
-    "start": _iso_date("data.start"),
-    "end": _iso_date("data.end"),
+    "start": iso_date,
+    "end": iso_date,
     "regime": str,
     "planted_signal_strength": _finite_float,
     "noise_level": _finite_float,

@@ -73,7 +73,7 @@ def read_series_csv(path):
     """(dates, portfolio returns, benchmark returns) of a written series.csv.
     A first row whose two returns are empty is skipped; every other row must
     have both, each at or above -1, and every row a numeric portfolio_value
-    and a date after the previous row's."""
+    and a date after the previous row's. At least 2 rows must hold returns."""
     dates, portfolio_returns, benchmark_returns = [], [], []
     previous = None
     for i, (line_no, (day, value, portfolio, bench)) in enumerate(
@@ -97,8 +97,8 @@ def read_series_csv(path):
                 raise ValidationError(f"{path}:{line_no}: column '{column}': daily return "
                                       f"on {d.isoformat()} must be >= -1")
             returns.append(r)
-    if not dates:
-        raise DataError(f"{path}: no return rows")
+    if len(dates) < 2:  # the fewest returns a report's statistics take
+        raise DataError(f"{path}: a report needs at least 2 return rows, got {len(dates)}")
     return dates, portfolio_returns, benchmark_returns
 
 

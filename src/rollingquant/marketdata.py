@@ -29,10 +29,13 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 def iso_date(text: str) -> Date:
     """The date of a YYYY-MM-DD text of ASCII digits; ValueError for any
-    other text, such as 2015-6-3."""
-    if not _ISO_DATE.fullmatch(text):
-        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    return Date.fromisoformat(text)
+    other text, such as 2015-6-3 or 2015-02-30."""
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return Date.fromisoformat(text)
+        except ValueError:  # no such day
+            pass
+    raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
 
 
 class TradingCalendar:

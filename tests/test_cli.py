@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bars_of, broken_backward, flat_market, run_cli
-from rollingquant import cli
+from rollingquant import backtest, cli
 from rollingquant.cli import cmd_backtest, main
 from rollingquant.config import load_run_config
 from rollingquant.errors import DataError
@@ -450,7 +450,7 @@ class TestReport:
         code = main(["report", "--series", str(empty),
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "no return rows" in capsys.readouterr().err
+        assert "a report needs at least 2 return rows, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         ("date,value,portfolio_daily_return,benchmark_daily_return\n"
@@ -487,10 +487,15 @@ class TestReport:
          "2015-09-01,1000000,,oops\n2015-09-02,1000100,0.0001,0.001\n",
          "data error: {path}:2: column 'benchmark_daily_return': 'oops' beside an empty "
          "portfolio_daily_return"),
+        # one return, where a report's statistics take 2
+        ("date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
+         "2015-09-01,1000000,,\n2015-09-02,1000100,0.0001,0.001\n",
+         "data error: {path}: a report needs at least 2 return rows, got 1\n"),
         (None, "data error: cannot read {path}"),
     ], ids=["wrong_header", "bad_number", "quoted_newline", "blank_return_after_first_row",
             "dates_not_increasing", "bad_portfolio_value", "portfolio_return_below_minus_1",
-            "benchmark_return_below_minus_1", "benchmark_return_on_first_row", "missing_file"])
+            "benchmark_return_below_minus_1", "benchmark_return_on_first_row", "one_return_row",
+            "missing_file"])
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
         series = tmp_path / "series.csv"
         if text is not None:
@@ -498,6 +503,7 @@ class TestReport:
         code = main(["report", "--series", str(series), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith(message.format(path=series))
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestBadInputExitCodes:
@@ -523,9 +529,12 @@ class TestBadInputExitCodes:
         ("benchmark.csv", lambda line: line + b"1" * 200_000,
          "{path}:400: field larger than field limit (131072)"),
         ("series.csv", lambda line: b"\xff" + line, "{path}:400: byte 0xff is not UTF-8 text"),
-    ], ids=["bars_not_utf8", "benchmark_field_too_large", "series_not_utf8"])
-    def test_undecodable_csv_is_data_error(self, tmp_path, name, damage, message):
-        # line 400 lies past the first chunk that the reader decodes
+        ("bars.csv", lambda line: re.sub(rb"^([^,]*,[^,]*,)[^,]*", rb"\1oops", line),
+         "{path}:400: column 'close': bad number 'oops'"),
+    ], ids=["bars_not_utf8", "benchmark_field_too_large", "series_not_utf8", "bars_bad_number"])
+    def test_bad_csv_line_is_data_error(self, tmp_path, name, damage, message):
+        # line 400 lies past the first chunk that the reader decodes; a run
+        # that fails on it writes nothing under out
         write_dataset(flat_market({"A": 10.0}), tmp_path)
         (tmp_path / "series.csv").write_text(
             "date,portfolio_value,portfolio_daily_return,benchmark_daily_return\n"
@@ -536,10 +545,33 @@ class TestBadInputExitCodes:
         lines[399] = damage(lines[399])
         path.write_bytes(b"\n".join(lines))
         if name == "series.csv":
-            done = run_cli("report", "--series", str(path), "--out", str(tmp_path / "r.json"))
+            done = run_cli("report", "--series", str(path),
+                           "--out", str(tmp_path / "out" / "r.json"))
         else:
             done = run_cli("backtest", "--config", str(csv_config(tmp_path)))
         assert (done.returncode, done.stderr) == (2, f"data error: {message.format(path=path)}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("start,days", [
+        ("2015-12-30", 2), ("2015-12-31", 1), ("2016-01-02", 0)])
+    def test_scenario_of_fewer_than_3_trading_days_is_data_error(self, tmp_path, capsys,
+                                                                  monkeypatch, start, days):
+        # the market ends on 2015-12-31; fewer than 2 daily returns make no
+        # report, which is found before any strategy ranks
+        def no_ranking(*args):
+            raise AssertionError("a strategy ranked")
+
+        monkeypatch.setattr(backtest, "rank_stocks", no_ranking)
+        write_dataset(flat_market({"A": 10.0}), tmp_path)
+        config = csv_config(tmp_path)
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "start = 2015-07-01\nend = 2015-12-31", f"start = {start}\nend = 2016-01-03"),
+            encoding="utf-8")
+        assert main(["backtest", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: a report needs at least 3 trading days in the scenario range "
+            f"{start}..2016-01-03, got {days}\n")
+        assert tree_bytes(tmp_path / "out") == {}
 
     def test_market_without_bars_is_data_error(self, tmp_path):
         write_dataset(flat_market({"A": 10.0}), tmp_path)

@@ -194,14 +194,14 @@ def test_data_key_of_the_other_source_is_parsed(tmp_path, capsys, data, message)
 NOT_ISO_DATES = ["2015-6-3", "2015-06- 3", "\u0662\u0660\u0661\u0665-06-03", "20150603"]
 
 
-@pytest.mark.parametrize("text", NOT_ISO_DATES)
+@pytest.mark.parametrize("text", NOT_ISO_DATES + ["2015-02-30"])
 @pytest.mark.parametrize("section,key", [("run", "start"), ("run", "end"), ("data", "start"),
                                          ("data", "end")])
 def test_date_not_in_yyyy_mm_dd_is_config_error(tmp_path, section, key, text):
     path = write_ini(tmp_path, **{section: {key: text}})
     with pytest.raises(ConfigError) as caught:
         load_run_config(path)
-    assert str(caught.value) == f"{section}.{key}: expected YYYY-MM-DD, got {text!r}"
+    assert str(caught.value) == f"[{section}] {key}: not a YYYY-MM-DD date: {text!r}"
 
 
 # a 25-stock crash market on which three holdings turn over completely
