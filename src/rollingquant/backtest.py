@@ -1,12 +1,12 @@
-"""Monthly-rebalance portfolio simulation in two passes.
+"""Monthly-rebalance portfolio simulation in two passes over one scenario.
 
-The ranking pass (rank_scenario) ranks every action day of the scenario
-range; the trading loop only reads those rankings. Trades fill at action-day
-closes; the portfolio is valued every trading day at each holding's last
-tradeable close. A holding that does not trade on an action day keeps its
-shares at its last close. It is sold only on a later action day on which it
-trades and is not a target, so a holding whose bars have ended is carried at
-its last close to the end of the scenario.
+scenario derives a range's days, benchmark returns and eligible universes
+once per run. The ranking pass ranks each action day; the trading loop only
+reads those rankings. Trades fill at action-day closes; the portfolio is
+valued every trading day at each holding's last tradeable close. A holding
+that does not trade on an action day keeps its shares at its last close. It
+is sold only on a later action day on which it trades and is not a target,
+so a holding whose bars have ended is carried at its last close to the end.
 """
 
 from __future__ import annotations
@@ -163,27 +163,35 @@ class BacktestResult:
     rankings: list[Ranking]  # one per action day
 
 
-def rank_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> list[Ranking]:
-    """One ranking per action day of the scenario range, in date order, each
-    of its eligible universe; rank_stocks derives each day's training seed."""
-    days = ((d, eligible_universe(store.dataset, d))
-            for d in action_days(store.dataset.calendar, config.start, config.end))
-    return rank_stocks(strategy, store, days, config.window, config.train_config)
+def scenario(store: MarketStore, config: ScenarioConfig):
+    """(trading days, benchmark daily returns over them, each action day with
+    its eligible universe) of the scenario range, computed once per store
+    and range: a run's strategies share them, so none may change them."""
+    def compute():
+        dataset = store.dataset
+        days = dataset.calendar.days_between(config.start, config.end)
+        if len(days) < 3:  # 2 daily returns, the fewest a report takes
+            raise ValidationError(f"a report needs at least 3 trading days in the scenario range "
+                                  f"{config.start.isoformat()}..{config.end.isoformat()}, "
+                                  f"got {len(days)}")
+        first = dataset.calendar.index[days[0]]  # days is a run of the calendar
+        bench = dataset.benchmark[first:first + len(days)].tolist()
+        universes = [(d, eligible_universe(dataset, d))
+                     for d in action_days(dataset.calendar, config.start, config.end)]
+        return days, [b1 / b0 - 1.0 for b0, b1 in zip(bench, bench[1:])], universes
+    return store.memo(("scenario", config.start, config.end), compute)
 
 
 def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> BacktestResult:
     """Simulate one strategy over the scenario range on the run's store.
 
-    All action days are ranked first; the daily loop then trades each day's
-    top holdings. The store shares factor rows with the run's other scenarios.
+    Each action day of the scenario is ranked first, on its eligible
+    universe; the daily loop then trades each day's top holdings. The store
+    shares the scenario and factor rows with the run's other strategies.
     """
     dataset = store.dataset
-    days = dataset.calendar.days_between(config.start, config.end)
-    if len(days) < 3:  # 2 daily returns, the fewest a report takes
-        raise ValidationError(f"a report needs at least 3 trading days in the scenario range "
-                              f"{config.start.isoformat()}..{config.end.isoformat()}, "
-                              f"got {len(days)}")
-    rankings = rank_scenario(store, strategy, config)
+    days, bench_returns, universes = scenario(store, config)
+    rankings = rank_stocks(strategy, store, universes, config.window, config.train_config)
     targets = {r.date: select_targets(r, config.holdings) for r in rankings}
 
     portfolio = Portfolio(cash=config.initial_capital)
@@ -207,16 +215,11 @@ def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> B
                                     prices.keys() - traded))
         values.append(_value(portfolio, last_close, d))
 
-    # days is a run of the calendar
-    first = dataset.calendar.index[days[0]]
-    bench = dataset.benchmark[first:first + len(days)].tolist()
-    bench_returns = [b1 / b0 - 1.0 for b0, b1 in zip(bench, bench[1:])]
-
     return BacktestResult(
         dates=list(days),
         values=values,
         daily_returns=[v1 / v0 - 1.0 for v0, v1 in zip(values, values[1:])],
-        benchmark_returns=bench_returns,
+        benchmark_returns=list(bench_returns),
         trades=trades,
         rankings=rankings,
     )

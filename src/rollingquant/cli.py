@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backtest import run_scenario
+from .backtest import run_scenario, scenario
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
 from .exports import (
@@ -64,12 +64,12 @@ def cmd_backtest(config, out=None):
                                config.benchmark_path)
     else:
         dataset, _ = generate_synthetic_market(config.synthetic)
+    store = MarketStore(dataset)  # one for all strategies: the scenario and factor rows once
+    scenario(store, config.scenario)  # a range too short to report on fails before any mkdir
     strategy_dirs = [Path(config.out_dir) / strategy for strategy in config.strategies]
-    with _writing(config.out_dir):  # an unwritable --out fails before any scenario runs
+    with _writing(config.out_dir):  # an unwritable --out fails before any strategy ranks
         for strategy_dir in strategy_dirs:
             strategy_dir.mkdir(parents=True, exist_ok=True)
-    # one store for all strategies, so each factor row is computed once
-    store = MarketStore(dataset)
     for strategy, strategy_dir in zip(config.strategies, strategy_dirs):
         result = run_scenario(store, strategy, config.scenario_config(strategy))
         report = build_report(strategy, result.dates[1:], result.daily_returns,
@@ -86,8 +86,6 @@ def cmd_backtest(config, out=None):
 
 
 def cmd_gradcheck(seed: int, out=None):
-    if seed < 0:
-        raise ConfigError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(5, 47))
     labels = rng.normal(size=5) * 0.05
@@ -150,6 +148,8 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if (getattr(args, "seed", None) or 0) < 0:  # report takes no --seed
+            raise ConfigError("--seed must be a non-negative integer")
         if "run" in args:
             return args.run(load_run_config(args.config, args.seed, args.out))
         if args.command == "gradcheck":

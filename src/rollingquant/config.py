@@ -43,14 +43,14 @@ class RunConfig:
             train, seed=train.seed + SEED_OFFSET_STRATEGY[strategy]))
 
 
-def _seed(text) -> int:
-    """The master seed from the file's text or the --seed integer."""
+def _seed(text: str) -> int:
+    """The master seed from the file's text; main checks --seed itself."""
     try:
         seed = int(text)
     except ValueError:
         seed = -1
     if seed < 0:
-        raise ConfigError("run.seed must be a non-negative integer")
+        raise ValueError("must be a non-negative integer")
     return seed
 
 
@@ -75,12 +75,12 @@ def _path(text: str) -> Path:
 def _strategies(text: str) -> list[str]:
     strategies = [s.strip() for s in text.split(",") if s.strip()]
     if not strategies:
-        raise ConfigError("run.strategies must name at least one strategy")
+        raise ValueError("must name at least one strategy")
     for i, s in enumerate(strategies):
         if s not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy {s!r}; choose from {STRATEGY_KINDS}")
+            raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGY_KINDS}")
         if s in strategies[:i]:
-            raise ConfigError(f"run.strategies names {s!r} twice")
+            raise ValueError(f"names {s!r} twice")
     return strategies
 
 
@@ -185,7 +185,7 @@ def load_run_config(path, seed_override: int | None = None,
     if scenario["start"] >= scenario["end"]:
         raise ConfigError("run.start must precede run.end")
     if seed_override is not None:
-        run["seed"] = _seed(seed_override)
+        run["seed"] = seed_override
     if "seed" in run:
         train["seed"] = run.pop("seed")
     scenario = ScenarioConfig(**scenario, costs=CostModel(**costs),

@@ -330,10 +330,7 @@ def _column(kind, texts, memo):
     in order of first appearance, date ordinals, True for a flag of 1, or
     Python ints) and the mask of those whose check fails; memo keeps codes."""
     if kind == INTEGER:
-        try:
-            values = np.array(list(map(int, texts)), dtype=object)
-        except ValueError:  # only in a chunk that holds an error
-            values = np.array(list(map(_lenient(int, None), texts)), dtype=object)
+        values = np.array(list(map(_lenient(int, None), texts)), dtype=object)
         return values, np.equal(values, None)
     code = {ID: lambda _: len(memo), DATE: _lenient(lambda text: iso_date(text).toordinal(), -1),
             FLAG: lambda text: {"0": 0, "1": 1}.get(text.strip(), -1)}[kind]

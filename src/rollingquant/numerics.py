@@ -535,8 +535,7 @@ def gradient_check(model, batch, labels):
             finally:
                 arrays[j] = p
             up[...] = down[...] = flat_p[start:start + k]
-        diff = preds - labels
-        losses = np.mean(diff * diff, axis=-1)
+        losses = mse(preds, np.broadcast_to(labels, preds.shape))
         numeric = (losses[0] - losses[1]) / (2.0 * GRADCHECK_STEP)
         analytic = g.reshape(-1)
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))

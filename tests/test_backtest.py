@@ -13,16 +13,16 @@ from rollingquant.backtest import (
     CostModel,
     Portfolio,
     ScenarioConfig,
-    rank_scenario,
     rebalance,
     run_scenario,
+    scenario,
 )
 from rollingquant.errors import RebalanceError, StrategyError, ValidationError
 from rollingquant.exports import read_series_csv, write_ranking_csv, write_series_csv
 from rollingquant.factors import MarketStore, apply_normalization, build_panel, drop_sparse_rows
 from rollingquant.marketdata import MarketDataset, action_days, eligible_universe
 from rollingquant.numerics import LstmModel, MlpModel, TrainConfig, train
-from rollingquant.strategies import SEED_STRIDE, Ranking, build_window
+from rollingquant.strategies import SEED_STRIDE, Ranking, build_window, rank_stocks
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 D0 = Date(2015, 6, 30)
@@ -313,7 +313,7 @@ class TestRunScenario:
         lookups = []
         ranked = []
         tradeable_close = MarketDataset.tradeable_close
-        rank_scenario = backtest.rank_scenario
+        rank_stocks = backtest.rank_stocks
 
         def record(dataset, stock_id, d):
             if ranked:
@@ -321,12 +321,12 @@ class TestRunScenario:
             return tradeable_close(dataset, stock_id, d)
 
         def rank_then_record(*args):
-            rankings = rank_scenario(*args)
+            rankings = rank_stocks(*args)
             ranked.append(True)
             return rankings
 
         monkeypatch.setattr(MarketDataset, "tradeable_close", record)
-        monkeypatch.setattr(backtest, "rank_scenario", rank_then_record)
+        monkeypatch.setattr(backtest, "rank_stocks", rank_then_record)
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
                                 holdings=5, train_config=TrainConfig(seed=3))
         result = run_scenario(MarketStore(crash_market), "linreg", config)
@@ -397,7 +397,9 @@ class TestRankingPass:
         market = request.getfixturevalue(market_name)
         config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31),
                                 train_config=TrainConfig(epochs=3, seed=11))
-        rankings = rank_scenario(MarketStore(market), kind, config)
+        store = MarketStore(market)
+        rankings = rank_stocks(kind, store, scenario(store, config)[2], config.window,
+                               config.train_config)
         alone = [ranking_alone(kind, MarketStore(market), d, eligible_universe(market, d),
                                config.window,
                                replace(config.train_config, seed=11 + i * SEED_STRIDE))

@@ -372,10 +372,27 @@ class TestBacktest:
                              if name.startswith(f"{strategy}/")}
             assert alone_lines == [lines[i]]
 
+    def test_each_action_day_is_made_eligible_once_a_run(self, tmp_path, monkeypatch):
+        # the three strategies share the run's scenario and its universes
+        days = []
+        eligible_universe = backtest.eligible_universe
+
+        def record(dataset, d):
+            days.append(d)
+            return eligible_universe(dataset, d)
+
+        monkeypatch.setattr(backtest, "eligible_universe", record)
+        config, _ = write_config(tmp_path, strategies="linreg,fcnn,lstm", train={"epochs": 1})
+        assert main(["backtest", "--config", str(config)]) == 0
+        assert [(d.year, d.month) for d in days] == [(2015, 9), (2015, 10), (2015, 11),
+                                                     (2015, 12)]
+
     def test_unknown_strategy_is_config_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, strategies="cnn")
         assert main(["backtest", "--config", str(config)]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: [run] strategies: unknown strategy 'cnn'; "
+            "choose from ('linreg', 'fcnn', 'lstm')\n")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["backtest", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -572,6 +589,7 @@ class TestBadInputExitCodes:
             "data error: a report needs at least 3 trading days in the scenario range "
             f"{start}..2016-01-03, got {days}\n")
         assert tree_bytes(tmp_path / "out") == {}
+        assert not (tmp_path / "out").exists()
 
     def test_market_without_bars_is_data_error(self, tmp_path):
         write_dataset(flat_market({"A": 10.0}), tmp_path)

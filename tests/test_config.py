@@ -154,7 +154,7 @@ BAD_VALUE_CASES = [
     ("train", "beta1", "-0.5", "invalid training configuration"),
     ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
     ("run", "initial_capital", "-5", "run.initial_capital must be > 0"),
-    ("run", "strategies", "linreg, fcnn, linreg", "run.strategies names 'linreg' twice"),
+    ("run", "strategies", "linreg, fcnn, linreg", "[run] strategies: names 'linreg' twice"),
 ]
 
 
@@ -294,9 +294,9 @@ def test_unparsable_file_is_config_error(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("command,seed,message", [
-    ("backtest", None, "run.seed must be a non-negative integer"),
-    ("gen-data", "-5", "run.seed must be a non-negative integer"),
-    ("backtest", "-5", "run.seed must be a non-negative integer"),
+    ("backtest", None, "[run] seed: must be a non-negative integer"),
+    ("gen-data", "-5", "--seed must be a non-negative integer"),
+    ("backtest", "-5", "--seed must be a non-negative integer"),
     ("gradcheck", "-1", "--seed must be a non-negative integer"),
 ], ids=["run.seed=-3", "gen-data--seed=-5", "backtest--seed=-5", "gradcheck--seed=-1"])
 def test_negative_seed_is_config_error(tmp_path, command, seed, message):
