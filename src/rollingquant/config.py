@@ -62,6 +62,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _checked(parse, holds, rule: str):
+    """A parser: parse(text), then a ValueError 'must be <rule>' unless
+    holds(value)."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(f"must be {rule}")
+        return value
+    return parse_checked
+
+
+_COUNT = _checked(int, lambda x: x >= 1, ">= 1")
+_POSITIVE = _checked(_finite_float, lambda x: x > 0, "> 0")
+_NON_NEGATIVE = _checked(_finite_float, lambda x: x >= 0, ">= 0")
+_DECAY = _checked(_finite_float, lambda x: 0 <= x < 1, ">= 0 and < 1")
+
+
 def _path(text: str) -> Path:
     """Path(text), rejecting empty text, which Path would take as the working
     directory, and the NUL character no system call accepts."""
@@ -95,19 +112,19 @@ _RUN_KEYS = {  # RunConfig, and the master seed
 _SCENARIO_KEYS = {
     "start": iso_date,
     "end": iso_date,
-    "window": int,
-    "holdings": int,
-    "initial_capital": _finite_float,
+    "window": _COUNT,
+    "holdings": _COUNT,
+    "initial_capital": _POSITIVE,
 }
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": _finite_float,
-    "beta1": _finite_float,
-    "beta2": _finite_float,
+_TRAIN_KEYS = {  # the values TrainConfig.validate accepts
+    "epochs": _COUNT,
+    "batch_size": _COUNT,
+    "learning_rate": _POSITIVE,
+    "beta1": _DECAY,
+    "beta2": _DECAY,
 }
-_COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
-              "lot_size": _finite_float}
+_COST_KEYS = {"commission_rate": _NON_NEGATIVE, "sell_tax_rate": _NON_NEGATIVE,
+              "lot_size": _NON_NEGATIVE}
 _FILE_KEYS = {"bars": _path, "fundamentals": _path, "benchmark": _path}
 _SYNTHETIC_KEYS = {
     "n_stocks": int,
@@ -190,13 +207,8 @@ def load_run_config(path, seed_override: int | None = None,
         train["seed"] = run.pop("seed")
     scenario = ScenarioConfig(**scenario, costs=CostModel(**costs),
                               train_config=TrainConfig(**train))
-    if scenario.window < 1 or scenario.holdings < 1:
-        raise ConfigError("run.window and run.holdings must be >= 1")
-    if not scenario.initial_capital > 0:
-        raise ConfigError("run.initial_capital must be > 0")
-    try:
+    try:  # each rate is >= 0, but their sum may reach 1
         scenario.costs.validate()
-        scenario.train_config.validate()
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     options = {"strategies": list(STRATEGY_KINDS), "out_dir": Path("out")} | run

@@ -16,12 +16,13 @@ step. An LSTM layer fuses its four gates: W_a (hidden, 4 hidden), W_x
 order, so a time step takes two matmuls forward and three backward, plus one
 matmul per layer for the gradient its inputs get.
 
-stack() turns K models of one shape into one stacked model: its vector is
-(K, P), row k being model k's, and each parameter is a (K, ...) view. The
-forward and backward passes broadcast over that leading axis (a transpose
-swaps the last two axes, as numpy 1.24 has no .mT), batches are (K, b, ...),
-and member k's numbers are bit for bit those of model k alone, so train()
-fits K models in one loop of K-wide steps.
+stack() turns K models of one shape into one stacked model, laid out
+parameter-major: its flat (K * P,) vector holds each array of parameters()
+as its K members' copies back to back, so each parameter and gradient is a
+C-contiguous (K, ...) view. The forward and backward passes broadcast over
+that leading axis (a transpose swaps the last two axes, as numpy 1.24 has
+no .mT), batches are (K, b, ...), and member k's numbers are bit for bit
+those of model k alone, so train() fits K models in one loop of K-wide steps.
 """
 
 from __future__ import annotations
@@ -91,32 +92,36 @@ def _sigmoid(x):
     return np.divide(1.0, s, out=s)
 
 
-def _layout(stages, vector, lead=0):
-    """Per stage, views of vector, (P,) or a stack's (K, P), one per array p
-    of stages in order, shaped as vector's lead axes then p.shape[lead:]."""
+def _layout(stages, vector, lead=()):
+    """Per stage, consecutive C-contiguous views of the flat vector, one per
+    array p of stages in order, shaped lead + p.shape."""
     views, end = [], 0
     for arrays in stages:
         views.append([])
         for p in arrays:
-            start, end = end, end + math.prod(p.shape[lead:])
-            views[-1].append(vector[..., start:end].reshape(vector.shape[:-1] + p.shape[lead:]))
+            start, end = end, end + math.prod(lead) * p.size
+            views[-1].append(vector[start:end].reshape(lead + p.shape))
     return views
 
 
-def _bind(model, vector):
-    """Make vector ((P,), or a stack's (K, P)) the model's, each parameter a view of it."""
-    model.stages = _layout(model.stages, vector)
+def _bind(model, vector, lead=()):
+    """Make the flat vector the model's, its arrays views of it (_layout);
+    lead is a stack's (K,), () for one model."""
+    model.stages = _layout(model.stages, vector, lead)
     model.vector = vector
+    model.lead = lead
 
 
 def stack(models):
     """The K models, all of one shape, as one stacked model.
 
-    Its vector is (K, P) with row k a copy of models[k].vector, and each
-    parameter a (K, ...) view of it; member k computes what models[k] does.
-    The first model becomes the stack; the others are left as they were.
+    Its flat (K * P,) vector holds, for each array of parameters() in order,
+    the K models' copies back to back, and each parameter is a (K, ...) view
+    of it; member k computes what models[k] does. The first model becomes
+    the stack; the others are left as they were.
     """
-    _bind(models[0], np.stack([m.vector for m in models]))
+    copies = [p for member_copies in zip(*(m.parameters() for m in models)) for p in member_copies]
+    _bind(models[0], np.concatenate(copies, axis=None), (len(models),))
     return models[0]
 
 
@@ -193,7 +198,7 @@ class _StagedModel:
         inputs, kept, preds = self._forward_pass(batch)
         loss, diff = _mse_and_residual(preds, labels)
         if out is None:
-            out = _layout(self.stages, np.empty_like(self.vector), self.vector.ndim - 1)
+            out = _layout(self.stages, np.empty_like(self.vector))
         grad = (2.0 / diff.shape[-1]) * diff[..., None]
         for i in reversed(range(len(inputs))):
             grad = self._stage_backward(i, inputs[i], kept[i], grad, out[i])
@@ -376,30 +381,32 @@ class LstmModel(_StagedModel):
         return dz_seq @ W_x.swapaxes(-1, -2) if i else None
 
 
-def _adam_step(rows, m, v, g_rows, step, config, scratch):
-    """Adam update number step of each member row of the flat vector from
-    the same row of the flat gradient vector g_rows, read in place.
+def _adam_step(vector, m, v, g, step, config, scratch):
+    """Adam update number step of the flat vector from the flat gradient
+    vector g, read in place, a chunk as long as scratch at a time.
 
-    Adam is elementwise, so one update of a row gives the same bits as one
-    update per parameter array. A row at a time keeps its temporaries small,
-    and they are written into scratch, one row as long as a member's, and
-    into each gradient row once Adam has read it, so an update allocates
-    nothing and overwrites g_rows: the next backward writes it anew.
+    Adam is elementwise, so one update of a chunk gives the same bits as one
+    update per parameter array. A chunk at a time keeps its temporaries
+    small, and they are written into scratch and into each gradient chunk
+    once Adam has read it, so an update allocates nothing and overwrites g:
+    the next backward writes it anew.
     """
     bc1 = 1.0 - config.beta1 ** step
     bc2 = 1.0 - config.beta2 ** step
     a = scratch
-    for row, m_k, v_k, g in zip(rows, m, v, g_rows):
+    for start in range(0, len(vector), len(a)):
+        chunk = slice(start, start + len(a))
+        p, m_k, v_k, g_k = vector[chunk], m[chunk], v[chunk], g[chunk]
         m_k *= config.beta1
-        m_k += np.multiply(1.0 - config.beta1, g, out=a)
+        m_k += np.multiply(1.0 - config.beta1, g_k, out=a)
         v_k *= config.beta2
-        np.multiply(1.0 - config.beta2, g, out=a)
-        v_k += np.multiply(a, g, out=a)
-        # row -= lr * (m_k / bc1) / (sqrt(v_k / bc2) + 1e-8)
+        np.multiply(1.0 - config.beta2, g_k, out=a)
+        v_k += np.multiply(a, g_k, out=a)
+        # p -= lr * (m_k / bc1) / (sqrt(v_k / bc2) + 1e-8)
         np.multiply(config.learning_rate, np.divide(m_k, bc1, out=a), out=a)
-        np.sqrt(np.divide(v_k, bc2, out=g), out=g)  # g is read no more
-        g += 1e-8
-        row -= np.divide(a, g, out=a)
+        np.sqrt(np.divide(v_k, bc2, out=g_k), out=g_k)  # g_k is read no more
+        g_k += 1e-8
+        p -= np.divide(a, g_k, out=a)
 
 
 def train(model, samples, labels, config: TrainConfig, seeds=None):
@@ -413,8 +420,9 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     every member still trains to the end, and then the lowest failing
     member's error is raised with its index as `member` (0 for one model).
     model is trained in place, so it holds the trained members either way.
-    Each step's backward writes into one gradient vector, made per call and
-    laid out as model.vector, whose rows Adam then reads and overwrites.
+    Each step's backward writes into one flat gradient vector, made per call
+    and laid out as model.vector, which Adam then reads and overwrites a
+    member's length at a time.
 
     Divergence is detected from the losses, so numpy's floating-point
     warnings are silenced here.
@@ -422,7 +430,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     config.validate()
     samples = np.asarray(samples, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    lead = model.vector.shape[:-1]  # (K,) for a stack, () for one model
+    lead = model.lead  # (K,) for a stack, () for one model
     if seeds is None:
         seeds = () if lead else (config.seed,)
     if labels.shape[:-1] != lead or len(seeds) != math.prod(lead) \
@@ -444,7 +452,6 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     n = labels.shape[-1]
     samples = samples.reshape((len(seeds), n) + samples.shape[labels.ndim:])
     labels = labels.reshape(len(seeds), n)
-    rows = model.vector.reshape(len(seeds), -1)
     # each member's first error, the one it raises when trained alone
     errors = [None if np.isfinite(member_labels).all()
               else ValidationError("train: non-finite labels") for member_labels in labels]
@@ -454,11 +461,11 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
             if not math.isfinite(x) and errors[k] is None:
                 errors[k] = TrainingError(f"training diverged at epoch {epoch + 1}")
 
-    m = np.zeros_like(rows)
-    v = np.zeros_like(rows)
-    scratch = np.empty(rows.shape[-1])
-    g_rows = np.empty_like(rows)  # the gradient vector, a row per member
-    out = _layout(model.stages, g_rows.reshape(model.vector.shape), len(lead))
+    m = np.zeros_like(model.vector)
+    v = np.zeros_like(model.vector)
+    g = np.empty_like(model.vector)
+    scratch = np.empty(len(g) // len(seeds))  # one member's length
+    out = _layout(model.stages, g)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     step = 0
     losses = [[] for _ in seeds]
@@ -470,7 +477,7 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
                 loss = model.loss_and_gradients(batch(samples, idx), batch(labels, idx), out)[0]
                 check(loss, epoch)
                 step += 1
-                _adam_step(rows, m, v, g_rows, step, config, scratch)
+                _adam_step(model.vector, m, v, g, step, config, scratch)
             epoch_loss = mse(model.forward(unstacked(samples)), unstacked(labels))
             check(epoch_loss, epoch)
             for member_losses, x in zip(losses, per_member(epoch_loss)):

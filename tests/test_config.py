@@ -141,19 +141,22 @@ def test_unknown_section_is_config_error(tmp_path):
 
 
 BAD_VALUE_CASES = [
-    ("costs", "commission_rate", "-0.001", "cost rates and lot size must be >= 0"),
-    ("costs", "sell_tax_rate", "-0.001", "cost rates and lot size must be >= 0"),
-    ("costs", "lot_size", "-100", "cost rates and lot size must be >= 0"),
+    ("costs", "commission_rate", "-0.001", "[costs] commission_rate: must be >= 0"),
+    ("costs", "sell_tax_rate", "-0.001", "[costs] sell_tax_rate: must be >= 0"),
+    ("costs", "lot_size", "-100", "[costs] lot_size: must be >= 0"),
     ("costs", "commission_rate", "nan",
      "[costs] commission_rate: expected a finite number, got 'nan'"),
     ("run", "window", "2.5", "[run] window: invalid literal for int() with base 10: '2.5'"),
-    ("train", "epochs", "0", "invalid training configuration"),
-    ("train", "learning_rate", "0", "invalid training configuration"),
-    ("train", "beta1", "1.0", "invalid training configuration"),
-    ("train", "beta2", "1.0", "invalid training configuration"),
-    ("train", "beta1", "-0.5", "invalid training configuration"),
-    ("run", "initial_capital", "0", "run.initial_capital must be > 0"),
-    ("run", "initial_capital", "-5", "run.initial_capital must be > 0"),
+    ("run", "window", "0", "[run] window: must be >= 1"),
+    ("run", "holdings", "-1", "[run] holdings: must be >= 1"),
+    ("train", "epochs", "0", "[train] epochs: must be >= 1"),
+    ("train", "batch_size", "-2", "[train] batch_size: must be >= 1"),
+    ("train", "learning_rate", "0", "[train] learning_rate: must be > 0"),
+    ("train", "beta1", "1.0", "[train] beta1: must be >= 0 and < 1"),
+    ("train", "beta2", "1.0", "[train] beta2: must be >= 0 and < 1"),
+    ("train", "beta1", "-0.5", "[train] beta1: must be >= 0 and < 1"),
+    ("run", "initial_capital", "0", "[run] initial_capital: must be > 0"),
+    ("run", "initial_capital", "-5", "[run] initial_capital: must be > 0"),
     ("run", "strategies", "linreg, fcnn, linreg", "[run] strategies: names 'linreg' twice"),
 ]
 

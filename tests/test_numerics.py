@@ -485,22 +485,44 @@ def per_tensor_adam(model, samples, labels, config):
     return losses
 
 
+ADAM_MODELS = [
+    pytest.param(lambda seed: MlpModel.create(seed=seed), (60, 47), id="mlp"),
+    pytest.param(lambda seed: LstmModel.create(seed=seed, hidden_sizes=(6, 5, 4)), (60, 3, 47),
+                 id="lstm"),
+]
+
+
 class TestFlatAdam:
-    @pytest.mark.parametrize("create,shape", [
-        (lambda: MlpModel.create(seed=15), (60, 47)),
-        (lambda: LstmModel.create(seed=15, hidden_sizes=(6, 5, 4)), (60, 3, 47)),
-    ], ids=["mlp", "lstm"])
+    @pytest.mark.parametrize("create,shape", ADAM_MODELS)
     def test_bits_equal_per_tensor_adam(self, create, shape):
         # Adam is elementwise: one update of the flat vector is the same
         # arithmetic, entry by entry, as one update per parameter array
         rng = np.random.default_rng(15)
         samples, labels = rng.normal(size=shape), rng.normal(size=shape[0]) * 0.1
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2, seed=4)
-        model, losses = train(create(), samples, labels, config)
-        oracle = create()
+        model, losses = train(create(15), samples, labels, config)
+        oracle = create(15)
         assert losses == per_tensor_adam(oracle, samples, labels, config)
         for p, q in zip(model.parameters(), oracle.parameters()):
             assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("create,shape", ADAM_MODELS)
+    def test_stack_bits_equal_per_tensor_adam_per_member(self, create, shape):
+        # the stack's Adam walks its parameter-major vector a member's length
+        # at a time, so each chunk mixes members; each member still ends with
+        # the bits of per-array Adam on it alone
+        rng = np.random.default_rng(18)
+        samples, labels = rng.normal(size=(3,) + shape), rng.normal(size=(3, shape[0])) * 0.1
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2)
+        seeds = SEEDS[:3]
+        model, losses = train(stack([create(seed) for seed in seeds]), samples, labels,
+                              config, seeds)
+        for k, seed in enumerate(seeds):
+            oracle = create(seed)
+            assert losses[k] == per_tensor_adam(oracle, samples[k], labels[k],
+                                                 dataclasses.replace(config, seed=seed))
+            for p, q in zip(model.parameters(), oracle.parameters(), strict=True):
+                assert np.array_equal(p[k], q)
 
 
 def views_of_vector(model):
@@ -592,7 +614,7 @@ class TestStack:
         batches = rng.normal(size=(k, 7) + shape)
         labels = rng.normal(size=(k, 7)) * 0.1
         model = stack([create(seed) for seed in SEEDS[:k]])
-        assert model.vector.shape[0] == k
+        assert model.lead == (k,) and model.vector.shape == (k * create(SEEDS[0]).vector.size,)
         assert views_of_vector(model)
         predictions = model.forward(batches)
         losses, grads = model.loss_and_gradients(batches, labels)
@@ -620,7 +642,7 @@ class TestStack:
             single, single_losses = train(create(seed), samples[i], labels[i],
                                           dataclasses.replace(config, seed=seed))
             assert losses[i] == single_losses
-            assert np.array_equal(model.vector[i], single.vector)
+            assert np.array_equal(model.member(i).vector, single.vector)
             assert np.array_equal(model.member(i).forward(samples[i]), single.forward(samples[i]))
 
     @pytest.mark.parametrize("create,shape", STACKABLE)
@@ -632,13 +654,34 @@ class TestStack:
             assert type(member) is type(model)
             assert views_of_vector(member)
             assert not np.shares_memory(member.vector, model.vector)
-            assert member.vector.tobytes() == model.vector[k].tobytes()
+            assert member.vector.tobytes() == create(seed).vector.tobytes()
             assert [p.shape for p in member.parameters()] \
                 == [p.shape for p in create(seed).parameters()]
             for p in member.parameters():
                 p[...] = 7.0
             assert (member.vector == 7.0).all()
             assert model.vector.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("create,shape", STACKABLE)
+    def test_stacked_arrays_are_contiguous(self, create, shape, k):
+        # parameter-major: each array's K member copies lie back to back, so
+        # every (K, ...) parameter and gradient is one C-contiguous block
+        rng = np.random.default_rng(40 + k)
+        batches, labels = rng.normal(size=(k, 7) + shape), rng.normal(size=(k, 7)) * 0.1
+        model = stack([create(seed) for seed in SEEDS[:k]])
+        given = np.empty_like(model.vector)
+        grads_into_given = model.loss_and_gradients(
+            batches, labels, numerics._layout(model.stages, given))[1]
+        fresh = model.loss_and_gradients(batches, labels)[1]
+        shapes = [(k,) + p.shape for p in create(SEEDS[0]).parameters()]
+        for arrays, vector in [(model.parameters(), model.vector),
+                               (grads_into_given, given), (fresh, fresh[0].base)]:
+            assert [a.shape for a in arrays] == shapes
+            assert all(a.flags.c_contiguous for a in arrays)
+            # numbered entries come back in vector order from the arrays in turn
+            vector[...] = np.arange(vector.size)
+            assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), vector)
 
     def test_needs_one_seed_per_member(self):
         model = stack([MlpModel.create(seed=s) for s in SEEDS[:2]])
@@ -663,7 +706,7 @@ class TestStack:
         for i in (0, 2):
             single, _ = train(MlpModel.create(seed=SEEDS[i]), samples[i], labels[i],
                               dataclasses.replace(config, seed=SEEDS[i]))
-            assert np.array_equal(model.vector[i], single.vector)
+            assert np.array_equal(model.member(i).vector, single.vector)
 
     def test_lowest_failing_member_wins(self, monkeypatch):
         # member 2 fails from step 2 (epoch 1), member 1 from step 8 (epoch 3
@@ -728,10 +771,8 @@ class TestGradientLayout:
         assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
         assert all(np.shares_memory(g, vector) for g in grads)
         # numbered entries come back in vector order from the views in turn
-        vector[...] = np.arange(vector.size).reshape(vector.shape)
-        lead = vector.shape[:-1]
-        assert np.array_equal(np.concatenate([g.reshape(lead + (-1,)) for g in grads], axis=-1),
-                              vector)
+        vector[...] = np.arange(vector.size)
+        assert np.array_equal(np.concatenate([g.reshape(-1) for g in grads]), vector)
 
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("create,shape", STACKABLE)
@@ -747,7 +788,7 @@ class TestGradientLayout:
     def test_call_with_out_writes_into_it(self, create, shape, k):
         model, batch, labels = self.task(create, shape, k)
         vector = np.full_like(model.vector, np.nan)
-        out = numerics._layout(model.stages, vector, model.vector.ndim - 1)
+        out = numerics._layout(model.stages, vector)
         loss, grads = model.loss_and_gradients(batch, labels, out)
         want_loss, want_grads = model.loss_and_gradients(batch, labels)
         assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
