@@ -7,6 +7,8 @@ valued every trading day at each holding's last tradeable close. A holding
 that does not trade on an action day keeps its shares at its last close. It
 is sold only on a later action day on which it trades and is not a target,
 so a holding whose bars have ended is carried at its last close to the end.
+A ScenarioConfig and its CostModel check their ranges when built, so a
+rebalance trusts the costs it is given.
 """
 
 from __future__ import annotations
@@ -15,29 +17,31 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 
-from .errors import RebalanceError, ValidationError
+from .errors import ConfigError, RebalanceError, ValidationError, require
 from .factors import MarketStore
 from .marketdata import action_days, eligible_universe
+from .metrics import MIN_REPORT_RETURNS
 from .numerics import TrainConfig
 from .strategies import DEFAULT_HOLDINGS, DEFAULT_WINDOW, Ranking, rank_stocks, select_targets
 
 DEFAULT_INITIAL_CAPITAL = 1_000_000.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
     commission_rate: float = 0.0
     sell_tax_rate: float = 0.0
     lot_size: float = 0.0  # 0 means fractional shares
 
-    def validate(self):
-        # written so that a NaN fails too
-        if not (self.commission_rate >= 0 and self.sell_tax_rate >= 0 and self.lot_size >= 0):
-            raise ValidationError("cost rates and lot size must be >= 0")
+    def __post_init__(self):
+        require(commission_rate=(self.commission_rate >= 0, ">= 0"),
+                sell_tax_rate=(self.sell_tax_rate >= 0, ">= 0"),
+                lot_size=(self.lot_size >= 0, ">= 0"))
+        require(lot_size=(math.isfinite(self.lot_size), "finite"))
         # at a sum of 1 a sale pays all its proceeds in costs, and a portfolio
         # sold out is worth 0, which no daily return can divide by
         if not self.commission_rate + self.sell_tax_rate < 1:
-            raise ValidationError("[costs] commission_rate + sell_tax_rate must be below 1")
+            raise ConfigError("commission_rate + sell_tax_rate must be below 1")
 
 
 @dataclass
@@ -84,7 +88,6 @@ def rebalance(portfolio: Portfolio, targets: dict[str, float], prices: dict[str,
 
     frozen stocks cannot be traded this day and keep their current shares.
     """
-    costs.validate()
     if sum(targets.values()) > 1.0 + 1e-9:
         raise ValidationError("target weights must sum to at most 1")
     for stock_id in set(portfolio.holdings) | set(targets):
@@ -141,7 +144,7 @@ def rebalance(portfolio: Portfolio, targets: dict[str, float], prices: dict[str,
     return trades
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     start: Date
     end: Date
@@ -151,6 +154,10 @@ class ScenarioConfig:
     costs: CostModel = field(default_factory=CostModel)
     # action day i trains with train_config.seed + i * strategies.SEED_STRIDE
     train_config: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        require(window=(self.window >= 1, ">= 1"), holdings=(self.holdings >= 1, ">= 1"),
+                initial_capital=(self.initial_capital > 0, "> 0"))
 
 
 @dataclass
@@ -170,10 +177,10 @@ def scenario(store: MarketStore, config: ScenarioConfig):
     def compute():
         dataset = store.dataset
         days = dataset.calendar.days_between(config.start, config.end)
-        if len(days) < 3:  # 2 daily returns, the fewest a report takes
-            raise ValidationError(f"a report needs at least 3 trading days in the scenario range "
-                                  f"{config.start.isoformat()}..{config.end.isoformat()}, "
-                                  f"got {len(days)}")
+        if len(days) < MIN_REPORT_RETURNS + 1:  # a return is taken between two days
+            raise ValidationError(f"a report needs at least {MIN_REPORT_RETURNS + 1} trading days "
+                                  f"in the scenario range {config.start.isoformat()}.."
+                                  f"{config.end.isoformat()}, got {len(days)}")
         first = dataset.calendar.index[days[0]]  # days is a run of the calendar
         bench = dataset.benchmark[first:first + len(days)].tolist()
         universes = [(d, eligible_universe(dataset, d))

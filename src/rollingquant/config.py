@@ -1,7 +1,9 @@
 """Run configuration parsed from an INI-style config file.
 
 Sections and keys mirror the run-config fields; see README for a full
-example. A master seed drives every random stream through fixed offsets,
+example. Every section is parsed first; then each dataclass checks its own
+ranges as it is built, and a value it rejects is reported under its
+section. A master seed drives every random stream through fixed offsets,
 so a run is a pure function of (config bytes, input data bytes).
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .backtest import CostModel, ScenarioConfig
-from .errors import ConfigError, ValidationError, not_utf8
+from .errors import ConfigError, not_utf8
 from .marketdata import iso_date
 from .metrics import DEFAULT_RISK_FREE_ANNUAL
 from .numerics import TrainConfig
@@ -62,23 +64,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _checked(parse, holds, rule: str):
-    """A parser: parse(text), then a ValueError 'must be <rule>' unless
-    holds(value)."""
-    def parse_checked(text: str):
-        value = parse(text)
-        if not holds(value):
-            raise ValueError(f"must be {rule}")
-        return value
-    return parse_checked
-
-
-_COUNT = _checked(int, lambda x: x >= 1, ">= 1")
-_POSITIVE = _checked(_finite_float, lambda x: x > 0, "> 0")
-_NON_NEGATIVE = _checked(_finite_float, lambda x: x >= 0, ">= 0")
-_DECAY = _checked(_finite_float, lambda x: 0 <= x < 1, ">= 0 and < 1")
-
-
 def _path(text: str) -> Path:
     """Path(text), rejecting empty text, which Path would take as the working
     directory, and the NUL character no system call accepts."""
@@ -112,19 +97,14 @@ _RUN_KEYS = {  # RunConfig, and the master seed
 _SCENARIO_KEYS = {
     "start": iso_date,
     "end": iso_date,
-    "window": _COUNT,
-    "holdings": _COUNT,
-    "initial_capital": _POSITIVE,
+    "window": int,
+    "holdings": int,
+    "initial_capital": _finite_float,
 }
-_TRAIN_KEYS = {  # the values TrainConfig.validate accepts
-    "epochs": _COUNT,
-    "batch_size": _COUNT,
-    "learning_rate": _POSITIVE,
-    "beta1": _DECAY,
-    "beta2": _DECAY,
-}
-_COST_KEYS = {"commission_rate": _NON_NEGATIVE, "sell_tax_rate": _NON_NEGATIVE,
-              "lot_size": _NON_NEGATIVE}
+_TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rate": _finite_float,
+               "beta1": _finite_float, "beta2": _finite_float}
+_COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
+              "lot_size": _finite_float}
 _FILE_KEYS = {"bars": _path, "fundamentals": _path, "benchmark": _path}
 _SYNTHETIC_KEYS = {
     "n_stocks": int,
@@ -162,6 +142,14 @@ def _require(values: dict, name: str, keys):
     for key in keys:
         if key not in values:
             raise ConfigError(f"missing required key '{key}' in section [{name}]")
+
+
+def _build(name: str, cls, **fields):
+    """cls(**fields), the ConfigError of a field it rejects naming [name]."""
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def _syntax_error(path, exc: configparser.Error) -> ConfigError:
@@ -205,12 +193,9 @@ def load_run_config(path, seed_override: int | None = None,
         run["seed"] = seed_override
     if "seed" in run:
         train["seed"] = run.pop("seed")
-    scenario = ScenarioConfig(**scenario, costs=CostModel(**costs),
-                              train_config=TrainConfig(**train))
-    try:  # each rate is >= 0, but their sum may reach 1
-        scenario.costs.validate()
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = _build("run", ScenarioConfig, **scenario,
+                      train_config=_build("train", TrainConfig, **train),
+                      costs=_build("costs", CostModel, **costs))
     options = {"strategies": list(STRATEGY_KINDS), "out_dir": Path("out")} | run
     if out_override is not None:
         try:
@@ -224,13 +209,9 @@ def load_run_config(path, seed_override: int | None = None,
         options.update({f"{key}_path": Path(path).parent / data[key] for key in _FILE_KEYS})
     elif source == "synthetic":
         _require(data, "data", ("start", "end"))
-        options["synthetic"] = SyntheticMarketConfig(
-            seed=scenario.train_config.seed + SEED_OFFSET_DATA,
+        options["synthetic"] = _build(
+            "data", SyntheticMarketConfig, seed=scenario.train_config.seed + SEED_OFFSET_DATA,
             **{"n_stocks": 300} | {key: data[key] for key in _SYNTHETIC_KEYS if key in data})
-        try:
-            options["synthetic"].validate()
-        except ConfigError as exc:
-            raise ConfigError(f"[data] {exc}") from None
     else:
         raise ConfigError("data.source must be 'csv' or 'synthetic'")
     return RunConfig(scenario=scenario, **options)

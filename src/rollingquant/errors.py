@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
-NumericError -> 3.
+NumericError -> 3. require states the range rules a config dataclass
+checks when it is built.
 """
 
 from pathlib import Path
@@ -41,6 +42,14 @@ class StrategyError(NumericError):
 
 class RebalanceError(NumericError):
     """Portfolio could not be traded to targets."""
+
+
+def require(**rules):
+    """ConfigError 'name: must be <rule>' for the first name=(holds, rule)
+    whose holds is false; write each test so that a NaN fails it."""
+    for name, (holds, rule) in rules.items():
+        if not holds:
+            raise ConfigError(f"{name}: must be {rule}")
 
 
 def not_utf8(path) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DataError, ParseError, ValidationError
 from .marketdata import (BARS_COLUMNS, BENCHMARK_COLUMNS, FUNDAMENTALS_COLUMNS, MarketDataset,
                          _parse_date, _parse_float, _read_rows)
+from .metrics import MIN_REPORT_RETURNS
 
 
 SERIES_COLUMNS = ["date", "portfolio_value", "portfolio_daily_return", "benchmark_daily_return"]
@@ -73,7 +74,8 @@ def read_series_csv(path):
     """(dates, portfolio returns, benchmark returns) of a written series.csv.
     A first row whose two returns are empty is skipped; every other row must
     have both, each at or above -1, and every row a numeric portfolio_value
-    and a date after the previous row's. At least 2 rows must hold returns."""
+    and a date after the previous row's. At least MIN_REPORT_RETURNS rows must
+    hold returns."""
     dates, portfolio_returns, benchmark_returns = [], [], []
     previous = None
     for i, (line_no, (day, value, portfolio, bench)) in enumerate(
@@ -97,8 +99,9 @@ def read_series_csv(path):
                 raise ValidationError(f"{path}:{line_no}: column '{column}': daily return "
                                       f"on {d.isoformat()} must be >= -1")
             returns.append(r)
-    if len(dates) < 2:  # the fewest returns a report's statistics take
-        raise DataError(f"{path}: a report needs at least 2 return rows, got {len(dates)}")
+    if len(dates) < MIN_REPORT_RETURNS:
+        raise DataError(f"{path}: a report needs at least {MIN_REPORT_RETURNS} return rows, "
+                        f"got {len(dates)}")
     return dates, portfolio_returns, benchmark_returns
 
 

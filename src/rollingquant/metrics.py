@@ -19,6 +19,7 @@ from .errors import ValidationError
 
 TRADING_DAYS_PER_YEAR = 252
 DEFAULT_RISK_FREE_ANNUAL = 0.03
+MIN_REPORT_RETURNS = 2  # the fewest daily returns a report's statistics take
 
 
 def net_return(returns: np.ndarray) -> float:
@@ -118,10 +119,8 @@ def build_report(strategy: str, dates: list[Date], returns, benchmark_returns,
     benchmark_returns = np.asarray(benchmark_returns, dtype=float)
     if not len(dates) == len(returns) == len(benchmark_returns):
         raise ValidationError("dates, returns and benchmark returns lengths differ")
-    if len(returns) == 0:
-        raise ValidationError("empty return series")
-    if len(returns) < 2:
-        raise ValidationError("need at least 2 observations")
+    if len(returns) < MIN_REPORT_RETURNS:
+        raise ValidationError(f"need at least {MIN_REPORT_RETURNS} observations")
     return ScenarioReport(
         strategy=strategy,
         sharpe_ratio=sharpe_ratio(returns, benchmark_returns, risk_free_annual),

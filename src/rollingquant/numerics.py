@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, require
 
 MLP_HIDDEN_SIZES = (32, 20, 10)
 LSTM_HIDDEN_SIZES = (32, 16, 8)
@@ -125,7 +125,7 @@ def stack(models):
     return models[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 10
@@ -134,11 +134,11 @@ class TrainConfig:
     beta2: float = 0.999
     seed: int = 0
 
-    def validate(self):
-        # written so that a NaN fails too
-        if not (self.epochs >= 1 and self.batch_size >= 1 and self.learning_rate > 0
-                and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValidationError("invalid training configuration")
+    def __post_init__(self):
+        require(epochs=(self.epochs >= 1, ">= 1"), batch_size=(self.batch_size >= 1, ">= 1"),
+                learning_rate=(self.learning_rate > 0, "> 0"),
+                beta1=(0 <= self.beta1 < 1, ">= 0 and < 1"),
+                beta2=(0 <= self.beta2 < 1, ">= 0 and < 1"))
 
 
 class _StagedModel:
@@ -427,7 +427,6 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     Divergence is detected from the losses, so numpy's floating-point
     warnings are silenced here.
     """
-    config.validate()
     samples = np.asarray(samples, dtype=float)
     labels = np.asarray(labels, dtype=float)
     lead = model.lead  # (K,) for a stack, () for one model

@@ -17,7 +17,8 @@ planted_signal_strength:
   a valuation residual measures. Discounted stocks earn excess drift.
 
 Fundamental line items are observed with independent multiplicative noise.
-The generator fills the dataset's arrays directly.
+The generator fills the dataset's arrays directly, from a config that
+checked its settings when it was built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _NOISE_STDS = np.array([0.2, 0.05, 0.2, 0.2, 0.2, 0.2, 0.2, 0.02, 0.2, 0.2, 0.2]
 _MAX_STOCK_DAYS = 10_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticMarketConfig:
     seed: int
     n_stocks: int
@@ -68,7 +69,7 @@ class SyntheticMarketConfig:
     planted_signal_strength: float = 0.5
     noise_level: float = 0.01  # daily idiosyncratic log-return std
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_stocks < 10:
             raise ConfigError("n_stocks must be >= 10")
         if not 0.0 <= self.planted_signal_strength <= 1.0:
@@ -83,7 +84,7 @@ class SyntheticMarketConfig:
                               f"must be <= {_MAX_STOCK_DAYS:,}")
         if len(_weekday_dates(self.start, self.end)) < 40:
             raise ConfigError("date range too short to generate a market")
-        if self.noise_level < 0:
+        if not self.noise_level >= 0:  # so that a NaN fails too
             raise ConfigError("noise_level must be >= 0")
 
 
@@ -96,7 +97,6 @@ def _weekday_dates(start: Date, end: Date):
 def generate_synthetic_market(config: SyntheticMarketConfig):
     """(dataset, latent quality): the market, and each stock's planted
     excess drift in units of the quality driver, in dataset.stocks order."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
 
     calendar = TradingCalendar(_weekday_dates(config.start, config.end))

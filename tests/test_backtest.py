@@ -17,7 +17,7 @@ from rollingquant.backtest import (
     run_scenario,
     scenario,
 )
-from rollingquant.errors import RebalanceError, StrategyError, ValidationError
+from rollingquant.errors import ConfigError, RebalanceError, StrategyError, ValidationError
 from rollingquant.exports import read_series_csv, write_ranking_csv, write_series_csv
 from rollingquant.factors import MarketStore, apply_normalization, build_panel, drop_sparse_rows
 from rollingquant.marketdata import MarketDataset, action_days, eligible_universe
@@ -103,9 +103,9 @@ class TestRebalance:
                       {"A": 10.0}, CostModel(), D0)
 
     def test_negative_cost_rates_rejected(self):
-        with pytest.raises(ValidationError):
-            rebalance(Portfolio(cash=100.0), {"A": 1.0}, {"A": 1.0},
-                      CostModel(commission_rate=-0.1), D0)
+        # rebalance takes a CostModel as valid: one with a negative rate cannot be built
+        with pytest.raises(ConfigError, match=r"^commission_rate: must be >= 0$"):
+            CostModel(commission_rate=-0.1)
 
 
 class TestMarkToMarket:

@@ -1,5 +1,6 @@
 """INI parsing: where each key lands, the defaults of absent keys, unknown
-sections and keys, bad values, and the seed derivation."""
+sections and keys, bad values and the order they are reported in, the seed
+derivation, and the range rules the config dataclasses check when built."""
 
 import csv
 import io
@@ -174,6 +175,27 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sections,message", [
+    ({"run": {"window": "0"}, "data": {"n_stocks": "x"}},
+     "[data] n_stocks: invalid literal for int() with base 10: 'x'"),
+    ({"train": {"epochs": "0"}, "costs": {"lot_size": "-"}},
+     "[costs] lot_size: could not convert string to float: '-'"),
+    ({"run": {"holdings": "0"}, "train": {"beta1": "1"}}, "[train] beta1: must be >= 0 and < 1"),
+    ({"train": {"epochs": "0"}, "costs": {"commission_rate": "-1"}},
+     "[train] epochs: must be >= 1"),
+    ({"run": {"window": "0"}, "costs": {"commission_rate": "-1"}},
+     "[costs] commission_rate: must be >= 0"),
+    ({"run": {"window": "0"}, "data": {"n_stocks": "3"}}, "[run] window: must be >= 1"),
+], ids=["run-range/data-parse", "train-range/costs-parse", "run-range/train-range",
+        "train-range/costs-range", "run-range/costs-range", "run-range/data-range"])
+def test_every_section_parses_before_any_range_is_checked(tmp_path, capsys, sections, message):
+    # all parse errors first, then the [train], [costs], [run] and [data] ranges
+    sections = sections | {"run": sections.get("run", {}) | {"out_dir": tmp_path / "out"}}
+    assert main(["backtest", "--config", str(write_ini(tmp_path, **sections))]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 CSV_FILES = {"source": "csv", "bars": "b.csv", "fundamentals": "f.csv", "benchmark": "x.csv"}
 
 
@@ -332,3 +354,64 @@ def test_training_seeds_follow_the_derivation(tmp_path, monkeypatch):
     # master + strategy offset + action day index * 10,007; linreg trains nothing
     assert seeds == [4 + offset + i * 10_007
                      for offset in (200_000, 300_000) for i in range(4)]
+
+
+# Every range rule of the config dataclasses: (a valid instance, the field
+# set to a value the rule rejects, the message). The CLI reports each under
+# its section; built directly, each raises the message alone.
+TRAIN = TrainConfig()
+COSTS = CostModel()
+SCENARIO = minimal_config().scenario
+SYNTHETIC = minimal_config().synthetic
+RANGE_RULES = [
+    (TRAIN, "epochs", 0, "epochs: must be >= 1"),
+    (TRAIN, "batch_size", 0, "batch_size: must be >= 1"),
+    (TRAIN, "learning_rate", 0.0, "learning_rate: must be > 0"),
+    (TRAIN, "learning_rate", math.nan, "learning_rate: must be > 0"),
+    *((TRAIN, beta, value, f"{beta}: must be >= 0 and < 1")
+      for beta in ("beta1", "beta2") for value in (-0.5, 1.0, math.nan)),
+    *((COSTS, key, value, f"{key}: must be >= 0")
+      for key in ("commission_rate", "sell_tax_rate", "lot_size") for value in (-0.1, math.nan)),
+    (COSTS, "lot_size", math.inf, "lot_size: must be finite"),
+    (COSTS, "commission_rate", 1.0, "commission_rate + sell_tax_rate must be below 1"),
+    (COSTS, "sell_tax_rate", math.inf, "commission_rate + sell_tax_rate must be below 1"),
+    (SCENARIO, "window", 0, "window: must be >= 1"),
+    (SCENARIO, "holdings", 0, "holdings: must be >= 1"),
+    (SCENARIO, "initial_capital", 0.0, "initial_capital: must be > 0"),
+    (SCENARIO, "initial_capital", math.nan, "initial_capital: must be > 0"),
+    (SYNTHETIC, "n_stocks", 9, "n_stocks must be >= 10"),
+    *((SYNTHETIC, "planted_signal_strength", value, "planted_signal_strength must be in [0, 1]")
+      for value in (-0.1, 1.1, math.nan)),
+    (SYNTHETIC, "regime", "sideways",
+     "unknown regime 'sideways'; choose one of ('inflection', 'fluctuating-decline', 'crash')"),
+    (SYNTHETIC, "start", Date(2015, 12, 31), "start must precede end"),
+    (SYNTHETIC, "n_stocks", 13_699,
+     "n_stocks times the 730 calendar days of start..end must be <= 10,000,000"),
+    (SYNTHETIC, "start", Date(2015, 11, 7), "date range too short to generate a market"),
+    (SYNTHETIC, "noise_level", -0.01, "noise_level must be >= 0"),
+    (SYNTHETIC, "noise_level", math.nan, "noise_level must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("valid,key,value,message", RANGE_RULES,
+                         ids=[f"{type(c).__name__}.{k}={v}" for c, k, v, _ in RANGE_RULES])
+def test_config_dataclass_cannot_be_built_out_of_range(valid, key, value, message):
+    with pytest.raises(ConfigError) as built:
+        type(valid)(**vars(valid) | {key: value})
+    with pytest.raises(ConfigError) as replaced:
+        replace(valid, **{key: value})
+    assert str(built.value) == str(replaced.value) == message
+
+
+@pytest.mark.parametrize("valid,key,value", [
+    (TRAIN, "epochs", 1), (TRAIN, "batch_size", 1), (TRAIN, "learning_rate", 5e-324),
+    (TRAIN, "beta1", 0.0), (TRAIN, "beta2", 0.0),
+    (COSTS, "commission_rate", 0.0), (COSTS, "lot_size", 0.0), (COSTS, "lot_size", 1e300),
+    (replace(COSTS, sell_tax_rate=0.5), "commission_rate", 0.49999),
+    (SCENARIO, "window", 1), (SCENARIO, "holdings", 1), (SCENARIO, "initial_capital", 5e-324),
+    (SYNTHETIC, "n_stocks", 10), (SYNTHETIC, "n_stocks", 13_698),
+    (SYNTHETIC, "planted_signal_strength", 0.0), (SYNTHETIC, "planted_signal_strength", 1.0),
+    (SYNTHETIC, "start", Date(2015, 11, 6)), (SYNTHETIC, "noise_level", 0.0),
+], ids=lambda x: type(x).__name__ if hasattr(x, "__dataclass_fields__") else str(x))
+def test_config_dataclass_takes_a_value_at_its_bound(valid, key, value):
+    assert getattr(replace(valid, **{key: value}), key) == value

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from conftest import broken_backward
 from rollingquant import numerics
-from rollingquant.errors import TrainingError, ValidationError
+from rollingquant.errors import ConfigError, TrainingError, ValidationError
 from rollingquant.numerics import (
     GATE_NAMES,
     GRADCHECK_CHUNK,
@@ -887,11 +887,12 @@ class TestTrainConfig:
         ("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.5), ("beta2", -0.5), ("beta1", math.nan),
     ])
     def test_moment_decay_outside_unit_interval_rejected(self, field, value):
-        with pytest.raises(ValidationError, match="invalid training configuration"):
-            TrainConfig(**{field: value}).validate()
+        with pytest.raises(ConfigError, match=rf"^{field}: must be >= 0 and < 1$"):
+            TrainConfig(**{field: value})
 
     def test_zero_moment_decay_accepted(self):
-        TrainConfig(beta1=0.0, beta2=0.0).validate()
+        config = TrainConfig(beta1=0.0, beta2=0.0)
+        assert (config.beta1, config.beta2) == (0.0, 0.0)
 
 
 def oracle_gradient_check(model, batch, labels, step=1e-5):

@@ -27,37 +27,37 @@ def _config(**overrides):
 
 class TestValidation:
     def test_too_few_stocks(self):
-        with pytest.raises(ConfigError):
-            _config(n_stocks=3).validate()
+        with pytest.raises(ConfigError, match=r"^n_stocks must be >= 10$"):
+            _config(n_stocks=3)
 
     @pytest.mark.parametrize("n_stocks", [10**15, 10**30])
     def test_too_many_stock_days(self, n_stocks):
         with pytest.raises(ConfigError, match=r"^n_stocks times the 730 calendar days "):
-            _config(n_stocks=n_stocks).validate()
+            _config(n_stocks=n_stocks)
 
     def test_stock_days_bound(self):
         # 10,000 stocks over 1,000 days is the bound; one day more is over it
-        _config(n_stocks=10_000, start=Date(2014, 1, 1), end=Date(2016, 9, 26)).validate()
+        _config(n_stocks=10_000, start=Date(2014, 1, 1), end=Date(2016, 9, 26))
         with pytest.raises(ConfigError, match="n_stocks"):
-            _config(n_stocks=10_000, start=Date(2014, 1, 1), end=Date(2016, 9, 27)).validate()
+            _config(n_stocks=10_000, start=Date(2014, 1, 1), end=Date(2016, 9, 27))
 
     def test_unknown_regime(self):
         with pytest.raises(ConfigError, match="regime"):
-            _config(regime="sideways").validate()
+            _config(regime="sideways")
 
     def test_strength_out_of_range(self):
-        with pytest.raises(ConfigError):
-            _config(planted_signal_strength=1.5).validate()
+        with pytest.raises(ConfigError, match=r"^planted_signal_strength must be in \[0, 1\]$"):
+            _config(planted_signal_strength=1.5)
 
     def test_inverted_range(self):
-        with pytest.raises(ConfigError):
-            _config(start=Date(2016, 1, 1)).validate()
+        with pytest.raises(ConfigError, match="^start must precede end$"):
+            _config(start=Date(2016, 1, 1))
 
     def test_range_too_short(self):
         # 2015-01-05..2015-02-27 holds 40 weekdays, the fewest a market needs
-        _config(start=Date(2015, 1, 5), end=Date(2015, 2, 27)).validate()
+        _config(start=Date(2015, 1, 5), end=Date(2015, 2, 27))
         with pytest.raises(ConfigError, match="^date range too short to generate a market$"):
-            _config(start=Date(2015, 1, 5), end=Date(2015, 2, 26)).validate()
+            _config(start=Date(2015, 1, 5), end=Date(2015, 2, 26))
 
     def test_range_to_the_last_date(self):
         market, _ = generate_synthetic_market(_config(start=Date(9999, 11, 1),
