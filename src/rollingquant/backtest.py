@@ -156,7 +156,8 @@ class ScenarioConfig:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        require(window=(self.window >= 1, ">= 1"), holdings=(self.holdings >= 1, ">= 1"),
+        require(start=(self.start < self.end, "before end"),
+                window=(self.window >= 1, ">= 1"), holdings=(self.holdings >= 1, ">= 1"),
                 initial_capital=(self.initial_capital > 0, "> 0"))
 
 

@@ -45,7 +45,7 @@ def _writing(path):
 
 def cmd_gen_data(config, out=None):
     if config.synthetic is None:
-        raise ConfigError("gen-data requires data.source = synthetic")
+        raise ConfigError("gen-data requires [data] source = synthetic")
     dataset, _ = generate_synthetic_market(config.synthetic)
     with _writing(config.out_dir):
         write_dataset(dataset, config.out_dir)

@@ -74,6 +74,12 @@ def _path(text: str) -> Path:
     return Path(text)
 
 
+def _source(text: str) -> str:
+    if text not in ("csv", "synthetic"):
+        raise ValueError("must be 'csv' or 'synthetic'")
+    return text
+
+
 def _strategies(text: str) -> list[str]:
     strategies = [s.strip() for s in text.split(",") if s.strip()]
     if not strategies:
@@ -116,7 +122,7 @@ _SYNTHETIC_KEYS = {
 }
 _SECTION_KEYS = {  # in the order load_run_config reads them
     "run": _RUN_KEYS | _SCENARIO_KEYS,
-    "data": {"source": str} | _FILE_KEYS | _SYNTHETIC_KEYS,
+    "data": {"source": _source} | _FILE_KEYS | _SYNTHETIC_KEYS,
     "train": _TRAIN_KEYS,
     "costs": _COST_KEYS,
 }
@@ -187,8 +193,6 @@ def load_run_config(path, seed_override: int | None = None,
     run, data, train, costs = (_section(parser, name) for name in _SECTION_KEYS)
     scenario = {key: run.pop(key) for key in _SCENARIO_KEYS if key in run}
     _require(scenario, "run", ("start", "end"))
-    if scenario["start"] >= scenario["end"]:
-        raise ConfigError("run.start must precede run.end")
     if seed_override is not None:
         run["seed"] = seed_override
     if "seed" in run:
@@ -203,15 +207,12 @@ def load_run_config(path, seed_override: int | None = None,
         except ValueError as exc:
             raise ConfigError(f"--out: {exc}") from None
 
-    source = data.get("source", "synthetic")
-    if source == "csv":
+    if data.get("source", "synthetic") == "csv":
         _require(data, "data", _FILE_KEYS)
         options.update({f"{key}_path": Path(path).parent / data[key] for key in _FILE_KEYS})
-    elif source == "synthetic":
+    else:
         _require(data, "data", ("start", "end"))
         options["synthetic"] = _build(
             "data", SyntheticMarketConfig, seed=scenario.train_config.seed + SEED_OFFSET_DATA,
             **{"n_stocks": 300} | {key: data[key] for key in _SYNTHETIC_KEYS if key in data})
-    else:
-        raise ConfigError("data.source must be 'csv' or 'synthetic'")
     return RunConfig(scenario=scenario, **options)

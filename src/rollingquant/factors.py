@@ -193,8 +193,10 @@ class MarketStore:
             values[ok, FACTOR_INDEX[f"RET_{n_months}M"]] = close[ok] / start[ok] - 1.0
             # a window holding a close <= 0 holds a non-finite return: no statistics
             ok = pos >= w
-            ok[ok] = np.isfinite(_windows(self.returns, rows[ok], pos[ok] - 1, w)).all(axis=1)
             returns = _windows(self.returns, rows[ok], pos[ok] - 1, w)
+            finite = np.isfinite(returns).all(axis=1)
+            ok[ok] = finite
+            returns = returns[finite]
             product = returns * _windows(self.turnover, rows[ok], pos[ok], w)
             values[ok, FACTOR_INDEX[f"RETTO_MEAN_{n_months}M"]] = product.mean(axis=1)
             # by distance in trading days from the action day, 0 on the day itself
@@ -318,14 +320,7 @@ def drop_sparse_rows(panel: FactorPanel) -> FactorPanel:
     )
 
 
-def normalize_panel(panel: FactorPanel) -> FactorPanel:
-    """Normalized copy of a raw panel (sparse rows dropped first)."""
-    panel = drop_sparse_rows(panel)
+def normalize_panel(panel: FactorPanel) -> np.ndarray:
+    """The panel's matrix normalized against itself, row for row."""
     stats = compute_normalization(panel.matrix, panel.missing)
-    matrix = apply_normalization(panel.matrix, panel.missing, stats)
-    return FactorPanel(
-        date=panel.date,
-        stocks=list(panel.stocks),
-        matrix=matrix,
-        missing=np.zeros_like(panel.missing),
-    )
+    return apply_normalization(panel.matrix, panel.missing, stats)

@@ -415,14 +415,16 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
     A stacked model trains its K members in lockstep on samples (K, n, ...)
     and labels (K, n), member k drawing its batch order from seeds[k] in
     place of config.seed; losses[k] are its losses. Each member ends with the
-    parameters and losses it gets when trained alone, bit for bit. A member
-    fails on non-finite labels or on its first non-finite loss (divergence);
-    every member still trains to the end, and then the lowest failing
-    member's error is raised with its index as `member` (0 for one model).
-    model is trained in place, so it holds the trained members either way.
-    Each step's backward writes into one flat gradient vector, made per call
-    and laid out as model.vector, which Adam then reads and overwrites a
-    member's length at a time.
+    parameters and losses it gets when trained alone, bit for bit. One model
+    takes samples (n, ...) and labels (n,), and its batches keep that shape,
+    so no matmul of its gets a stack axis. A member fails on non-finite
+    labels or on its first non-finite loss (divergence); every member still
+    trains to the end, and then the lowest failing member's error is raised
+    with its index as `member` (0 for one model). model is trained in place,
+    so it holds the trained members either way. Each step's backward writes
+    into one flat gradient vector, made per call and laid out as
+    model.vector, which Adam then reads and overwrites a member's length at
+    a time.
 
     Divergence is detected from the losses, so numpy's floating-point
     warnings are silenced here.
@@ -436,29 +438,21 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
             or samples.shape[:labels.ndim] != labels.shape or labels.shape[-1] == 0:
         raise ValidationError("train: empty or mismatched training set")
 
-    # one model is handled as a stack of one, and given its batches without
-    # the stack axis; its loss is the one member's
-    def unstacked(a):
-        return a if lead else a[0]
-
-    def batch(a, idx):
-        """Rows idx[k] of each member k of a."""
-        return a[np.arange(len(idx))[:, None], idx] if lead else a[0][idx[0]]
-
-    def per_member(loss):
-        return loss if lead else [loss]
-
     n = labels.shape[-1]
-    samples = samples.reshape((len(seeds), n) + samples.shape[labels.ndim:])
-    labels = labels.reshape(len(seeds), n)
     # each member's first error, the one it raises when trained alone
     errors = [None if np.isfinite(member_labels).all()
-              else ValidationError("train: non-finite labels") for member_labels in labels]
+              else ValidationError("train: non-finite labels")
+              for member_labels in labels.reshape(-1, n)]
+    members = np.arange(len(seeds))[:, None]
 
     def check(loss, epoch):
-        for k, x in enumerate(per_member(loss)):
+        """loss as one value per member, each member's first non-finite one
+        recorded as its error."""
+        values = loss if lead else (loss,)
+        for k, x in enumerate(values):
             if not math.isfinite(x) and errors[k] is None:
                 errors[k] = TrainingError(f"training diverged at epoch {epoch + 1}")
+        return values
 
     m = np.zeros_like(model.vector)
     v = np.zeros_like(model.vector)
@@ -473,13 +467,12 @@ def train(model, samples, labels, config: TrainConfig, seeds=None):
             orders = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, config.batch_size):
                 idx = orders[:, start:start + config.batch_size]
-                loss = model.loss_and_gradients(batch(samples, idx), batch(labels, idx), out)[0]
-                check(loss, epoch)
+                rows = (members, idx) if lead else idx[0]  # rows idx[k] of member k
+                check(model.loss_and_gradients(samples[rows], labels[rows], out)[0], epoch)
                 step += 1
                 _adam_step(model.vector, m, v, g, step, config, scratch)
-            epoch_loss = mse(model.forward(unstacked(samples)), unstacked(labels))
-            check(epoch_loss, epoch)
-            for member_losses, x in zip(losses, per_member(epoch_loss)):
+            epoch_loss = check(mse(model.forward(samples), labels), epoch)
+            for member_losses, x in zip(losses, epoch_loss):
                 member_losses.append(float(x))
     for k, exc in enumerate(errors):
         if exc is not None:

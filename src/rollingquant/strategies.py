@@ -102,7 +102,7 @@ def _labelled_rows(store: MarketStore, panel):
     that have an LN_MCAP factor and trade on the panel's date; the panel is
     normalized against itself, once per store."""
     # a 0-row panel has no rows, and its normalization would only warn
-    normalized = store.memo(("panel", _panel_key(panel)), lambda: normalize_panel(panel).matrix) \
+    normalized = store.memo(("panel", _panel_key(panel)), lambda: normalize_panel(panel)) \
         if panel.stocks else panel.matrix
     _, tradeable = store.dataset.tradeable_closes(panel.stocks, panel.date)
     keep = ~panel.missing[:, LN_MCAP_INDEX] & tradeable

@@ -16,7 +16,13 @@ from conftest import bars_of, build_market, make_bar, make_snapshot, snapshot_co
 from rollingquant.backtest import CostModel, ScenarioConfig, run_scenario
 from rollingquant.cli import cmd_backtest
 from rollingquant.config import load_run_config
-from rollingquant.factors import FACTOR_INDEX, MarketStore, build_panel, normalize_panel
+from rollingquant.factors import (
+    FACTOR_INDEX,
+    MarketStore,
+    build_panel,
+    drop_sparse_rows,
+    normalize_panel,
+)
 from rollingquant.marketdata import action_days, eligible_universe
 from rollingquant.metrics import build_report, net_return, similarity_to_benchmark
 from rollingquant.numerics import (
@@ -263,9 +269,10 @@ def test_criterion_10_factor_totality(crash_market):
     checked = 0
     for d in action_days(crash_market.calendar, Date(2015, 1, 1), Date(2015, 12, 31)):
         universe = eligible_universe(crash_market, d)
-        panel = normalize_panel(build_panel(MarketStore(crash_market), universe, d))
-        checked += panel.matrix.size
-        all_finite = all_finite and bool(np.isfinite(panel.matrix).all())
+        matrix = normalize_panel(drop_sparse_rows(build_panel(MarketStore(crash_market),
+                                                              universe, d)))
+        checked += matrix.size
+        all_finite = all_finite and bool(np.isfinite(matrix).all())
 
     # RET_3M must compound three consecutive RET_1M-style 21-day segments
     rng = np.random.default_rng(10)

@@ -653,6 +653,24 @@ class TestBadInputExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command,run,data,message", [
+        ("backtest", "start = 2015-12-31\nend = 2015-12-31\n", "source = synthetic\n",
+         "[run] start: must be before end"),
+        ("backtest", "start = 2015-07-01\nend = 2015-12-31\n", "source = bogus\n",
+         "[data] source: must be 'csv' or 'synthetic'"),
+        ("gen-data", "start = 2015-07-01\nend = 2015-12-31\n",
+         "source = csv\nbars = b.csv\nfundamentals = f.csv\nbenchmark = x.csv\n",
+         "gen-data requires [data] source = synthetic"),
+    ], ids=["run-dates", "data-source", "gen-data-source"])
+    def test_config_error_names_section_and_key(self, tmp_path, capsys, command, run, data,
+                                                message):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\n{run}out_dir = {tmp_path / 'out'}\n\n[data]\n{data}"
+                          "start = 2014-01-01\nend = 2015-12-31\n", encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     @staticmethod
     def run_with_paths(tmp_path, monkeypatch, command, paths, *args):
         """main([command, ...args]) run from tmp_path on a config holding

@@ -186,8 +186,17 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, section, key, text
     ({"run": {"window": "0"}, "costs": {"commission_rate": "-1"}},
      "[costs] commission_rate: must be >= 0"),
     ({"run": {"window": "0"}, "data": {"n_stocks": "3"}}, "[run] window: must be >= 1"),
+    ({"run": {"start": "2016-01-01"}, "train": {"epochs": "0"}}, "[train] epochs: must be >= 1"),
+    ({"run": {"start": "2016-01-01"}, "costs": {"commission_rate": "-1"}},
+     "[costs] commission_rate: must be >= 0"),
+    ({"run": {"window": "0"}, "data": {"source": "bogus"}},
+     "[data] source: must be 'csv' or 'synthetic'"),
+    ({"data": {"source": "bogus"}, "train": {"epochs": "x"}},
+     "[data] source: must be 'csv' or 'synthetic'"),
 ], ids=["run-range/data-parse", "train-range/costs-parse", "run-range/train-range",
-        "train-range/costs-range", "run-range/costs-range", "run-range/data-range"])
+        "train-range/costs-range", "run-range/costs-range", "run-range/data-range",
+        "run-order/train-range", "run-order/costs-range", "run-range/data-source",
+        "data-source/train-parse"])
 def test_every_section_parses_before_any_range_is_checked(tmp_path, capsys, sections, message):
     # all parse errors first, then the [train], [costs], [run] and [data] ranges
     sections = sections | {"run": sections.get("run", {}) | {"out_dir": tmp_path / "out"}}
@@ -375,6 +384,7 @@ RANGE_RULES = [
     (COSTS, "lot_size", math.inf, "lot_size: must be finite"),
     (COSTS, "commission_rate", 1.0, "commission_rate + sell_tax_rate must be below 1"),
     (COSTS, "sell_tax_rate", math.inf, "commission_rate + sell_tax_rate must be below 1"),
+    (SCENARIO, "start", Date(2015, 12, 31), "start: must be before end"),
     (SCENARIO, "window", 0, "window: must be >= 1"),
     (SCENARIO, "holdings", 0, "holdings: must be >= 1"),
     (SCENARIO, "initial_capital", 0.0, "initial_capital: must be > 0"),
@@ -408,7 +418,8 @@ def test_config_dataclass_cannot_be_built_out_of_range(valid, key, value, messag
     (TRAIN, "beta1", 0.0), (TRAIN, "beta2", 0.0),
     (COSTS, "commission_rate", 0.0), (COSTS, "lot_size", 0.0), (COSTS, "lot_size", 1e300),
     (replace(COSTS, sell_tax_rate=0.5), "commission_rate", 0.49999),
-    (SCENARIO, "window", 1), (SCENARIO, "holdings", 1), (SCENARIO, "initial_capital", 5e-324),
+    (SCENARIO, "start", Date(2015, 12, 30)), (SCENARIO, "window", 1), (SCENARIO, "holdings", 1),
+    (SCENARIO, "initial_capital", 5e-324),
     (SYNTHETIC, "n_stocks", 10), (SYNTHETIC, "n_stocks", 13_698),
     (SYNTHETIC, "planted_signal_strength", 0.0), (SYNTHETIC, "planted_signal_strength", 1.0),
     (SYNTHETIC, "start", Date(2015, 11, 6)), (SYNTHETIC, "noise_level", 0.0),

@@ -582,18 +582,41 @@ class TestTrain:
             assert np.array_equal(a, b)
 
     def test_rejects_non_finite_labels(self):
+        # the one model is member 0, whichever of its labels is not finite
         model = MlpModel.create(seed=0)
-        with pytest.raises(ValidationError):
-            train(model, np.zeros((2, 47)), np.array([1.0, math.nan]), TrainConfig())
+        with pytest.raises(ValidationError, match="non-finite labels") as caught:
+            train(model, np.zeros((3, 47)), np.array([1.0, 2.0, math.nan]), TrainConfig())
+        assert caught.value.member == 0
+        assert model.lead == ()
+
+    def test_one_model_trains_on_batches_without_a_stack_axis(self, monkeypatch):
+        calls = []
+        loss_and_gradients, forward = MlpModel.loss_and_gradients, MlpModel.forward
+
+        def recording_loss(self, batch, labels, out=None):
+            calls.append((self.lead, batch.shape, labels.shape))
+            return loss_and_gradients(self, batch, labels, out)
+
+        def recording_forward(self, batch):
+            calls.append((self.lead, batch.shape))
+            return forward(self, batch)
+
+        monkeypatch.setattr(MlpModel, "loss_and_gradients", recording_loss)
+        monkeypatch.setattr(MlpModel, "forward", recording_forward)
+        train(MlpModel.create(seed=0), np.zeros((7, 47)), np.zeros(7),
+              TrainConfig(epochs=1, batch_size=4))
+        assert calls == [((), (4, 47), (4,)), ((), (3, 47), (3,)), ((), (7, 47))]
 
     def test_divergence_raises(self):
         rng = np.random.default_rng(8)
         samples = rng.normal(size=(10, 47))
         labels = rng.normal(size=10) * 1e150
         model = MlpModel.create(seed=0)
-        with pytest.raises(TrainingError, match=r"^training diverged at epoch 1$"):
+        with pytest.raises(TrainingError, match=r"^training diverged at epoch 1$") as caught:
             train(model, samples, labels,
                   TrainConfig(epochs=50, learning_rate=1e100))
+        assert caught.value.member == 0
+        assert model.lead == ()
 
 
 SEEDS = [3 + 10_007 * k for k in range(6)]
