@@ -1,14 +1,14 @@
-"""Monthly-rebalance portfolio simulation in two passes over one scenario.
+"""Monthly-rebalance portfolio simulation: rankings in, portfolio out.
 
 scenario derives a range's days, benchmark returns and eligible universes
-once per run. The ranking pass ranks each action day; the trading loop only
-reads those rankings. Trades fill at action-day closes; the portfolio is
-valued every trading day at each holding's last tradeable close. A holding
-that does not trade on an action day keeps its shares at its last close. It
-is sold only on a later action day on which it trades and is not a target,
-so a holding whose bars have ended is carried at its last close to the end.
-A ScenarioConfig and its CostModel check their ranges when built, so a
-rebalance trusts the costs it is given.
+once per run. run_scenario ranks each action day, then trade trades the
+rankings; trade takes any ranker's rankings. Trades fill at action-day
+closes; the portfolio is valued every trading day at each holding's last
+tradeable close. A holding that does not trade on an action day keeps its
+shares at its last close. It is sold only on a later action day on which it
+trades and is not a target, so a holding whose bars have ended is carried at
+its last close to the end. A ScenarioConfig and its CostModel check their
+ranges when built, so a rebalance trusts the costs it is given.
 """
 
 from __future__ import annotations
@@ -191,15 +191,19 @@ def scenario(store: MarketStore, config: ScenarioConfig):
 
 
 def run_scenario(store: MarketStore, strategy: str, config: ScenarioConfig) -> BacktestResult:
-    """Simulate one strategy over the scenario range on the run's store.
-
-    Each action day of the scenario is ranked first, on its eligible
-    universe; the daily loop then trades each day's top holdings. The store
-    shares the scenario and factor rows with the run's other strategies.
-    """
-    dataset = store.dataset
-    days, bench_returns, universes = scenario(store, config)
+    """Rank each action day of the scenario with strategy, on its eligible
+    universe, then trade the rankings. The store shares the scenario and
+    factor rows with the run's other strategies."""
+    _, _, universes = scenario(store, config)
     rankings = rank_stocks(strategy, store, universes, config.window, config.train_config)
+    return trade(store, rankings, config)
+
+
+def trade(store: MarketStore, rankings: list[Ranking], config: ScenarioConfig) -> BacktestResult:
+    """Trade any ranker's rankings over the scenario range: on each ranking's
+    action day, rebalance to its top holdings at equal weight."""
+    dataset = store.dataset
+    days, bench_returns, _ = scenario(store, config)
     targets = {r.date: select_targets(r, config.holdings) for r in rankings}
 
     portfolio = Portfolio(cash=config.initial_capital)

@@ -30,7 +30,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .marketdata import MarketDataset, TradingCalendar
 
 REGIMES = ("inflection", "fluctuating-decline", "crash")
@@ -70,22 +70,18 @@ class SyntheticMarketConfig:
     noise_level: float = 0.01  # daily idiosyncratic log-return std
 
     def __post_init__(self):
-        if self.n_stocks < 10:
-            raise ConfigError("n_stocks must be >= 10")
-        if not 0.0 <= self.planted_signal_strength <= 1.0:
-            raise ConfigError("planted_signal_strength must be in [0, 1]")
-        if self.regime not in REGIMES:
-            raise ConfigError(f"unknown regime {self.regime!r}; choose one of {REGIMES}")
-        if self.start >= self.end:
-            raise ConfigError("start must precede end")
+        require(n_stocks=(self.n_stocks >= 10, ">= 10"),
+                planted_signal_strength=(0.0 <= self.planted_signal_strength <= 1.0, "in [0, 1]"),
+                regime=(self.regime in REGIMES, f"one of {REGIMES}"),
+                start=(self.start < self.end, "before end"))
         days = (self.end - self.start).days + 1
-        if self.n_stocks * days > _MAX_STOCK_DAYS:
-            raise ConfigError(f"n_stocks times the {days} calendar days of start..end "
-                              f"must be <= {_MAX_STOCK_DAYS:,}")
-        if len(_weekday_dates(self.start, self.end)) < 40:
-            raise ConfigError("date range too short to generate a market")
-        if not self.noise_level >= 0:  # so that a NaN fails too
-            raise ConfigError("noise_level must be >= 0")
+        require(n_stocks=(self.n_stocks * days <= _MAX_STOCK_DAYS,
+                          f"<= {_MAX_STOCK_DAYS:,} over the {days} calendar days of start..end"))
+        # require evaluates all its rules before it checks any, and counting
+        # the weekdays steps through every day: so only once days is bounded
+        require(end=(len(_weekday_dates(self.start, self.end)) >= 40,
+                     "at least 40 weekdays after start"),
+                noise_level=(self.noise_level >= 0, ">= 0"))
 
 
 def _weekday_dates(start: Date, end: Date):

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test or more per criterion.
 
 Each test prints a single "CRITERION n (<name>): PASS|FAIL" line before its
 assertions so a -s run reads as a checklist.
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import bars_of, build_market, make_bar, make_snapshot, snapshot_column, weekdays
-from rollingquant.backtest import CostModel, ScenarioConfig, run_scenario
+from rollingquant import strategies
+from rollingquant.backtest import CostModel, ScenarioConfig, run_scenario, scenario, trade
 from rollingquant.cli import cmd_backtest
 from rollingquant.config import load_run_config
 from rollingquant.factors import (
@@ -34,6 +35,7 @@ from rollingquant.numerics import (
     mse,
     train,
 )
+from rollingquant.strategies import Ranking
 from rollingquant.synthetic import SyntheticMarketConfig, generate_synthetic_market
 
 
@@ -149,24 +151,70 @@ def test_criterion_5_no_lookahead_end_to_end():
     assert verdict(5, "no lookahead end to end", ok)
 
 
-def test_criterion_6_accounting_identities(crash_market):
-    config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
-                            holdings=5, train_config=TrainConfig(seed=6),
-                            costs=CostModel(commission_rate=0.001,
-                                            sell_tax_rate=0.001))
-    result = run_scenario(MarketStore(crash_market), "linreg", config)
+def _mutate_after(dataset, d):
+    """Write into the data after d: closes, prev closes and market caps x7,
+    later snapshots' net_profit -1e9 and the benchmark x0.1. No bar is
+    suspended: a market suspended after d has no eligible stock on the next
+    action day."""
+    for stock_id in dataset.stocks:
+        bars = bars_of(dataset, stock_id)
+        after = np.array(bars.dates) > d
+        bars.close[after] *= 7.0
+        bars.prev_close[after] *= 7.0
+        bars.market_cap[after] *= 7.0
+    snapshot_column(dataset, "net_profit")[dataset.snapshot_days > d.toordinal()] = -1e9
+    dataset.benchmark[np.array(dataset.calendar.dates) > d] *= 0.1
 
+
+def _up_to(result, d):
+    """The rankings, trades and values of result dated on or before d."""
+    return ([(r.date, r.entries) for r in result.rankings if r.date <= d],
+            [(t.date, t.stock_id, t.side, t.shares, t.price, t.cost)
+             for t in result.trades if t.date <= d],
+            [v for day, v in zip(result.dates, result.values) if day <= d])
+
+
+@pytest.mark.parametrize("strategy", ["linreg", "fcnn", "lstm"])
+def test_criterion_5_no_lookahead_per_action_day(strategy):
+    # criterion 5 mutates only the data after the scenario's end; a ranking
+    # that read the next month's closes would pass it, and fails here
+    config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 10, 30),
+                            holdings=5, train_config=TrainConfig(seed=5))
+    synth = SyntheticMarketConfig(seed=5, n_stocks=40, start=Date(2014, 1, 1),
+                                  end=Date(2015, 12, 31), regime="crash",
+                                  planted_signal_strength=0.5)
+    before = run_scenario(MarketStore(generate_synthetic_market(synth)[0]), strategy, config)
+    days = [r.date for r in before.rankings]
+    moved, unseen = [], []
+    for d in days:
+        mutated, _ = generate_synthetic_market(synth)
+        _mutate_after(mutated, d)
+        after = run_scenario(MarketStore(mutated), strategy, config)
+        if _up_to(after, d) != _up_to(before, d):
+            moved.append(d)
+        # the mutation reaches every run that goes on past d
+        if d < before.dates[-1] and after.values == before.values:
+            unseen.append(d)
+    ok = len(days) == 5 and moved == [] and unseen == []
+    assert verdict(5, f"no lookahead per action day, {strategy}", ok), \
+        f"{len(days)} action days; changed up to {moved}; mutation unseen after {unseen}"
+
+
+def _accounting_errors(dataset, result, initial_capital):
+    """(worst rebalance error, growth error) of criterion 6: each action
+    day's trades, replayed at the closes the loop saw, change the value by
+    their costs alone, and the daily returns compound to the value's growth."""
     by_day = {}
     for t in result.trades:
         by_day.setdefault(t.date, []).append(t)
 
-    cash = config.initial_capital
+    cash = initial_capital
     holdings = {}
     last_close = {}
     worst_rebalance = 0.0
     for d in result.dates:
         for stock_id in list(holdings) + [t.stock_id for t in by_day.get(d, [])]:
-            close = crash_market.tradeable_close(stock_id, d)
+            close = dataset.tradeable_close(stock_id, d)
             if close is not None:
                 last_close[stock_id] = close
         if d in by_day:
@@ -187,9 +235,50 @@ def test_criterion_6_accounting_identities(crash_market):
                 value_after - (value_before - total_cost)) / value_before)
 
     compounded = float(np.prod(1.0 + np.asarray(result.daily_returns)))
-    growth_error = abs(compounded - result.values[-1] / result.values[0])
+    return worst_rebalance, abs(compounded - result.values[-1] / result.values[0])
+
+
+def test_criterion_6_accounting_identities(crash_market):
+    config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
+                            holdings=5, train_config=TrainConfig(seed=6),
+                            costs=CostModel(commission_rate=0.001,
+                                            sell_tax_rate=0.001))
+    result = run_scenario(MarketStore(crash_market), "linreg", config)
+    worst_rebalance, growth_error = _accounting_errors(crash_market, result,
+                                                       config.initial_capital)
     ok = worst_rebalance <= 1e-9 and growth_error <= 1e-9
     assert verdict(6, "accounting identities", ok), \
+        f"rebalance error {worst_rebalance:.3e}, growth error {growth_error:.3e}"
+
+
+def test_criterion_6_on_a_random_ranking(monkeypatch):
+    # a control ranker: seeded random scores over each action day's
+    # eligible universe, traded under the strategies' rule with nothing trained
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained")
+
+    monkeypatch.setattr(strategies, "train", no_training)
+    monkeypatch.setattr(strategies, "least_squares_fit", no_training)
+    dataset, _ = generate_synthetic_market(SyntheticMarketConfig(
+        seed=6, n_stocks=300, start=Date(2014, 1, 1), end=Date(2015, 12, 31),
+        regime="crash"))
+    store = MarketStore(dataset)
+    config = ScenarioConfig(start=Date(2015, 7, 1), end=Date(2015, 12, 31),
+                            costs=CostModel(commission_rate=0.0003, sell_tax_rate=0.001,
+                                            lot_size=100))
+    rng = np.random.default_rng(6)
+    rankings = []
+    for d, universe in scenario(store, config)[2]:
+        stocks = sorted(universe)
+        scores = rng.random(len(stocks)).tolist()
+        rankings.append(Ranking(d, sorted(zip(stocks, scores), key=lambda kv: -kv[1])))
+    result = trade(store, rankings, config)
+    worst_rebalance, growth_error = _accounting_errors(dataset, result, config.initial_capital)
+    whole_lots = all(t.shares % 100 == 0 for t in result.trades)
+    ok = (len(result.trades) > 50 and whole_lots
+          and worst_rebalance <= 1e-9 and growth_error <= 1e-9)
+    assert verdict(6, "accounting identities on a random ranking", ok), \
+        f"{len(result.trades)} trades, whole lots {whole_lots}, " \
         f"rebalance error {worst_rebalance:.3e}, growth error {growth_error:.3e}"
 
 

@@ -16,6 +16,7 @@ from rollingquant.backtest import (
     rebalance,
     run_scenario,
     scenario,
+    trade,
 )
 from rollingquant.errors import ConfigError, RebalanceError, StrategyError, ValidationError
 from rollingquant.exports import read_series_csv, write_ranking_csv, write_series_csv
@@ -311,29 +312,23 @@ class TestRunScenario:
     def test_each_stock_is_priced_once_a_day(self, crash_market, monkeypatch):
         # the trading loop's lookups, after the ranking pass
         lookups = []
-        ranked = []
         tradeable_close = MarketDataset.tradeable_close
-        rank_stocks = backtest.rank_stocks
 
         def record(dataset, stock_id, d):
-            if ranked:
-                lookups.append((stock_id, d))
+            lookups.append((stock_id, d))
             return tradeable_close(dataset, stock_id, d)
 
-        def rank_then_record(*args):
-            rankings = rank_stocks(*args)
-            ranked.append(True)
-            return rankings
-
-        monkeypatch.setattr(MarketDataset, "tradeable_close", record)
-        monkeypatch.setattr(backtest, "rank_stocks", rank_then_record)
+        store = MarketStore(crash_market)
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 12, 31),
                                 holdings=5, train_config=TrainConfig(seed=3))
-        result = run_scenario(MarketStore(crash_market), "linreg", config)
+        rankings = rank_stocks("linreg", store, scenario(store, config)[2],
+                               config.window, config.train_config)
+        monkeypatch.setattr(MarketDataset, "tradeable_close", record)
+        result = trade(store, rankings, config)
         assert {(t.stock_id, t.date) for t in result.trades} <= set(lookups)
         assert [key for key, n in Counter(lookups).items() if n > 1] == []
 
-    def test_untradeable_holdings_keep_their_shares(self, monkeypatch):
+    def test_untradeable_holdings_keep_their_shares(self):
         july, august = Date(2015, 7, 31), Date(2015, 8, 31)
         flat = flat_market({f"S{i}": 50.0 + i for i in range(6)})
         # S1's bars stop in mid-July, while it is held
@@ -344,14 +339,13 @@ class TestRunScenario:
         bars = bars_of(market, "S0")
         bars.suspended[bars.dates.index(Date(2015, 7, 27)):bars.dates.index(Date(2015, 8, 7))] = True
 
-        def fixed_ranking(kind, store, days, *args):
-            return [Ranking(date=d, entries=[
-                (s, 1.0) for s in (["S0", "S1", "S2", "S3"] if d < july
-                                   else ["S2", "S3", "S4", "S5"])]) for d, _ in days]
-
-        monkeypatch.setattr(backtest, "rank_stocks", fixed_ranking)
+        store = MarketStore(market)
         config = ScenarioConfig(start=Date(2015, 6, 1), end=Date(2015, 10, 31), holdings=4)
-        result = run_scenario(MarketStore(market), "linreg", config)
+        rankings = [Ranking(date=d, entries=[
+            (s, 1.0) for s in (["S0", "S1", "S2", "S3"] if d < july
+                               else ["S2", "S3", "S4", "S5"])])
+                    for d, _ in scenario(store, config)[2]]
+        result = trade(store, rankings, config)
 
         def trades_of(stock_id):
             return [(t.date, t.side, t.shares) for t in result.trades if t.stock_id == stock_id]

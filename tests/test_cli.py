@@ -625,20 +625,22 @@ class TestBadInputExitCodes:
             f"\n[data]\nsource = synthetic\nn_stocks = {n_stocks}\nstart = 2014-01-01\n"
             "end = 2015-12-31\n", encoding="utf-8")
         assert main([command, "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "config error: [data] n_stocks times the 730 " \
-                                          "calendar days of start..end must be <= 10,000,000\n"
+        assert capsys.readouterr().err == "config error: [data] n_stocks: must be <= " \
+                                          "10,000,000 over the 730 calendar days of start..end\n"
         assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("command", ["gen-data", "backtest"])
     @pytest.mark.parametrize("key, value, message", [
-        ("n_stocks", 5, "n_stocks must be >= 10"),
-        ("planted_signal_strength", 1.5, "planted_signal_strength must be in [0, 1]"),
-        ("regime", "boom", "unknown regime 'boom'; choose one of "),
-        ("start", "2016-01-01", "start must precede end"),
-        ("noise_level", -1, "noise_level must be >= 0"),
-        ("n_stocks", 20_000, "n_stocks times the 730 calendar days "),
+        ("n_stocks", 5, "n_stocks: must be >= 10"),
+        ("planted_signal_strength", 1.5, "planted_signal_strength: must be in [0, 1]"),
+        ("regime", "boom",
+         "regime: must be one of ('inflection', 'fluctuating-decline', 'crash')"),
+        ("start", "2016-01-01", "start: must be before end"),
+        ("noise_level", -1, "noise_level: must be >= 0"),
+        ("n_stocks", 20_000,
+         "n_stocks: must be <= 10,000,000 over the 730 calendar days of start..end"),
         # 23 weekdays in January and 15 to February 20
-        ("end", "2014-02-20", "date range too short to generate a market"),
+        ("end", "2014-02-20", "end: must be at least 40 weekdays after start"),
     ], ids=["n_stocks", "strength", "regime", "dates", "noise", "stock-days", "short-range"])
     def test_synthetic_market_error_names_data_section(self, tmp_path, capsys, command,
                                                        key, value, message):

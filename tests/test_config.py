@@ -389,17 +389,17 @@ RANGE_RULES = [
     (SCENARIO, "holdings", 0, "holdings: must be >= 1"),
     (SCENARIO, "initial_capital", 0.0, "initial_capital: must be > 0"),
     (SCENARIO, "initial_capital", math.nan, "initial_capital: must be > 0"),
-    (SYNTHETIC, "n_stocks", 9, "n_stocks must be >= 10"),
-    *((SYNTHETIC, "planted_signal_strength", value, "planted_signal_strength must be in [0, 1]")
+    (SYNTHETIC, "n_stocks", 9, "n_stocks: must be >= 10"),
+    *((SYNTHETIC, "planted_signal_strength", value, "planted_signal_strength: must be in [0, 1]")
       for value in (-0.1, 1.1, math.nan)),
     (SYNTHETIC, "regime", "sideways",
-     "unknown regime 'sideways'; choose one of ('inflection', 'fluctuating-decline', 'crash')"),
-    (SYNTHETIC, "start", Date(2015, 12, 31), "start must precede end"),
+     "regime: must be one of ('inflection', 'fluctuating-decline', 'crash')"),
+    (SYNTHETIC, "start", Date(2015, 12, 31), "start: must be before end"),
     (SYNTHETIC, "n_stocks", 13_699,
-     "n_stocks times the 730 calendar days of start..end must be <= 10,000,000"),
-    (SYNTHETIC, "start", Date(2015, 11, 7), "date range too short to generate a market"),
-    (SYNTHETIC, "noise_level", -0.01, "noise_level must be >= 0"),
-    (SYNTHETIC, "noise_level", math.nan, "noise_level must be >= 0"),
+     "n_stocks: must be <= 10,000,000 over the 730 calendar days of start..end"),
+    (SYNTHETIC, "start", Date(2015, 11, 7), "end: must be at least 40 weekdays after start"),
+    (SYNTHETIC, "noise_level", -0.01, "noise_level: must be >= 0"),
+    (SYNTHETIC, "noise_level", math.nan, "noise_level: must be >= 0"),
 ]
 
 
