@@ -1,17 +1,18 @@
 """Run configuration parsed from an INI-style config file.
 
-Sections and keys mirror the run-config fields; see README for a full
-example. Every section is parsed first; then each dataclass checks its own
-ranges as it is built, and a value it rejects is reported under its
-section. A master seed drives every random stream through fixed offsets,
-so a run is a pure function of (config bytes, input data bytes).
+Most keys are the fields of the run-config dataclasses, parsed by their
+types, with their defaults; see README for a full example. Every section is
+parsed first; then each dataclass checks its own ranges as it is built, and
+a value it rejects is reported under its section. A master seed drives every
+random stream through fixed offsets, so a run is a pure function of (config
+bytes, input data bytes).
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .backtest import CostModel, ScenarioConfig
@@ -29,10 +30,10 @@ SEED_OFFSET_STRATEGY = {"linreg": 100_000, "fcnn": 200_000, "lstm": 300_000}
 
 @dataclass
 class RunConfig:
-    strategies: list[str]
-    out_dir: Path
     # scenario.train_config.seed is the master seed
     scenario: ScenarioConfig
+    strategies: list[str] = field(default_factory=lambda: list(STRATEGY_KINDS))
+    out_dir: Path = Path("out")
     risk_free_annual: float = DEFAULT_RISK_FREE_ANNUAL
     bars_path: Path | None = None
     fundamentals_path: Path | None = None
@@ -92,39 +93,31 @@ def _strategies(text: str) -> list[str]:
     return strategies
 
 
-# One key -> parser table per dataclass. Only the keys a file sets are passed
-# on, so an absent key takes its dataclass default.
+# A dataclass's keys are its fields, each parsed by its annotation's parser,
+# but for nested configs and the seed, which only [run] seed sets. An absent
+# key is not passed on, so it takes the field's default.
+_PARSERS = {"int": int, "float": _finite_float, "Date": iso_date, "str": str}
+
+
+def _keys(cls) -> dict:
+    return {f.name: _PARSERS[f.type] for f in fields(cls)
+            if f.name != "seed" and f.type in _PARSERS}
+
+
 _RUN_KEYS = {  # RunConfig, and the master seed
     "seed": _seed,
     "strategies": _strategies,
     "out_dir": _path,
     "risk_free_annual": _finite_float,
 }
-_SCENARIO_KEYS = {
-    "start": iso_date,
-    "end": iso_date,
-    "window": int,
-    "holdings": int,
-    "initial_capital": _finite_float,
-}
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rate": _finite_float,
-               "beta1": _finite_float, "beta2": _finite_float}
-_COST_KEYS = {"commission_rate": _finite_float, "sell_tax_rate": _finite_float,
-              "lot_size": _finite_float}
+_SCENARIO_KEYS = _keys(ScenarioConfig)
 _FILE_KEYS = {"bars": _path, "fundamentals": _path, "benchmark": _path}
-_SYNTHETIC_KEYS = {
-    "n_stocks": int,
-    "start": iso_date,
-    "end": iso_date,
-    "regime": str,
-    "planted_signal_strength": _finite_float,
-    "noise_level": _finite_float,
-}
+_SYNTHETIC_KEYS = _keys(SyntheticMarketConfig)
 _SECTION_KEYS = {  # in the order load_run_config reads them
     "run": _RUN_KEYS | _SCENARIO_KEYS,
     "data": {"source": _source} | _FILE_KEYS | _SYNTHETIC_KEYS,
-    "train": _TRAIN_KEYS,
-    "costs": _COST_KEYS,
+    "train": _keys(TrainConfig),
+    "costs": _keys(CostModel),
 }
 
 
@@ -200,19 +193,18 @@ def load_run_config(path, seed_override: int | None = None,
     scenario = _build("run", ScenarioConfig, **scenario,
                       train_config=_build("train", TrainConfig, **train),
                       costs=_build("costs", CostModel, **costs))
-    options = {"strategies": list(STRATEGY_KINDS), "out_dir": Path("out")} | run
     if out_override is not None:
         try:
-            options["out_dir"] = _path(str(out_override))
+            run["out_dir"] = _path(str(out_override))
         except ValueError as exc:
             raise ConfigError(f"--out: {exc}") from None
 
     if data.get("source", "synthetic") == "csv":
         _require(data, "data", _FILE_KEYS)
-        options.update({f"{key}_path": Path(path).parent / data[key] for key in _FILE_KEYS})
+        run.update({f"{key}_path": Path(path).parent / data[key] for key in _FILE_KEYS})
     else:
         _require(data, "data", ("start", "end"))
-        options["synthetic"] = _build(
+        run["synthetic"] = _build(
             "data", SyntheticMarketConfig, seed=scenario.train_config.seed + SEED_OFFSET_DATA,
-            **{"n_stocks": 300} | {key: data[key] for key in _SYNTHETIC_KEYS if key in data})
-    return RunConfig(scenario=scenario, **options)
+            **{key: data[key] for key in _SYNTHETIC_KEYS if key in data})
+    return RunConfig(scenario=scenario, **run)

@@ -62,9 +62,9 @@ _MAX_STOCK_DAYS = 10_000_000
 @dataclass(frozen=True)
 class SyntheticMarketConfig:
     seed: int
-    n_stocks: int
     start: Date
     end: Date
+    n_stocks: int = 300
     regime: str = "inflection"
     planted_signal_strength: float = 0.5
     noise_level: float = 0.01  # daily idiosyncratic log-return std

@@ -16,7 +16,7 @@ from conftest import run_cli
 from rollingquant import strategies
 from rollingquant.backtest import CostModel, ScenarioConfig
 from rollingquant.cli import cmd_backtest, main
-from rollingquant.config import RunConfig, load_run_config
+from rollingquant.config import _SECTION_KEYS, RunConfig, load_run_config
 from rollingquant.errors import ConfigError
 from rollingquant.numerics import TrainConfig
 from rollingquant.synthetic import SyntheticMarketConfig
@@ -39,8 +39,9 @@ def write_ini(tmp_path, **sections):
 
 
 def minimal_config():
-    """What MINIMAL parses to: the dataclass defaults, the master seed
-    at TrainConfig's default and the parser's own defaults."""
+    """What MINIMAL parses to: every field at its dataclass default, the
+    master seed at TrainConfig's default. The defaults of strategies, out_dir
+    and n_stocks are spelled out, so that moving one fails here."""
     return RunConfig(
         strategies=["linreg", "fcnn", "lstm"],
         out_dir=Path("out"),
@@ -127,12 +128,31 @@ def test_csv_keys_reach_their_fields(tmp_path):
     ("train", "epoch", "train"),
     ("costs", "commission", "costs"),
     ("DEFAULT", "holding", "run"),
+    ("train", "seed", "train"),  # only [run] seed sets the seeds
+    ("data", "seed", "data"),
+    ("run", "train_config", "run"),  # a nested config is a section
 ])
 def test_unknown_key_is_config_error(tmp_path, capsys, section, key, reported):
     path = write_ini(tmp_path, **{section: {key: "1"}})
     assert main(["backtest", "--config", str(path)]) == 1
     assert capsys.readouterr().err == \
         f"config error: unknown key '{key}' in [{reported}]\n"
+
+
+SECTION_KEYS = {
+    "run": {"seed", "strategies", "out_dir", "risk_free_annual",
+            "start", "end", "window", "holdings", "initial_capital"},
+    "data": {"source", "bars", "fundamentals", "benchmark", "start", "end", "n_stocks",
+             "regime", "planted_signal_strength", "noise_level"},
+    "train": {"epochs", "batch_size", "learning_rate", "beta1", "beta2"},
+    "costs": {"commission_rate", "sell_tax_rate", "lot_size"},
+}
+
+
+def test_each_section_accepts_exactly_its_keys():
+    # the [train], [costs], [data] synthetic and [run] scenario keys are
+    # derived from their dataclasses' fields; a field added there is a key
+    assert {name: set(keys) for name, keys in _SECTION_KEYS.items()} == SECTION_KEYS
 
 
 def test_unknown_section_is_config_error(tmp_path):
