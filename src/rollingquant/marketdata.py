@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date as Date
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -341,15 +341,15 @@ def _column(kind, texts, memo):
     return (codes == 1 if kind == FLAG else codes), codes < 0
 
 
-def _convert(table, checks, rows, memos):
-    """The keys of a chunk of the table's records, their columns and the
-    (checks, records) mask of the checks each fails, checks being
-    table.checks(), with no Python per record. The columns are in file
-    order, the numbers as one (numbers, records) array in the place of the
-    first; memos[kind] is the memo _column keeps for the column of that
-    kind."""
+def _convert(table, checks, chunk, memos):
+    """The keys of a chunk of the table's records, given as one sequence of
+    texts per column in file order, their columns and the (checks, records)
+    mask of the checks each fails, checks being table.checks(), with no
+    Python per record. The columns are in file order, the numbers as one
+    (numbers, records) array in the place of the first; memos[kind] is the
+    memo _column keeps for the column of that kind."""
     numbers = [column for column, kind in table.kinds.items() if kind == NUMBER]
-    texts = dict(zip(table.kinds, zip(*rows) if rows else [()] * len(table.kinds)))
+    texts = dict(zip(table.kinds, chunk))
     try:
         matrix = np.array([texts[column] for column in numbers], dtype=np.float64)
     except ValueError:  # only in a chunk that holds an error
@@ -371,25 +371,69 @@ def _convert(table, checks, rows, memos):
     return key, columns, np.array([failed[check] for check in checks])
 
 
+def _transposed(rows, width):
+    """Records of width fields each as width columns."""
+    return list(zip(*rows)) or [()] * width
+
+
+# the bytes a plain chunk's check deletes, leaving its commas and newlines
+_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
 def _chunks(path, columns, found):
-    """The file's records, CHUNK_RECORDS at a time, its blank rows left out,
-    with no Python per record up to a chunk that may hold a structural error
-    (a header other than columns, a record with another field count, or text
-    that is not UTF-8 or that csv refuses); from there, as one chunk, those
-    _read_rows gives before its error, the record of which goes into found."""
-    count = 0
+    """The file's records as columns of texts, a chunk at a time, its blank
+    lines left out, with no Python per record up to a chunk that may hold a
+    structural error (a header other than columns, a record with another
+    field count, or text that is not UTF-8 or that csv refuses); from there,
+    as one chunk, those _read_rows gives before its error, the record of
+    which goes into found.
+
+    The file is read CHUNK_RECORDS lines at a time, and a chunk of lines
+    that is plain is split with one str.split. A chunk is plain if
+    csv.reader cannot read it differently from a split at each comma: it
+    holds no '"', no carriage return and no NUL (which csv refuses before
+    Python 3.11 and reads after), each of its lines that is not blank holds
+    len(columns) - 1 commas, and none is longer than csv.field_size_limit().
+    From the first chunk that is not plain, csv.reader reads the rest of
+    the file, CHUNK_RECORDS records at a time."""
+    width, count, limit = len(columns), 0, csv.field_size_limit()
+    # a record's line with every byte deleted but its commas and newline
+    line_end = ("," * (width - 1) + "\n").encode()
     # strict: the decoder refuses a byte that is not UTF-8 in the block it
     # reads ahead, and so also the records of that block before the byte
     with _open(path, "strict") as fh, suppress(UnicodeDecodeError, csv.Error):
-        reader = csv.reader(fh)
-        if [h.strip() for h in next(reader, ())] == columns:
+        if [h.strip() for h in next(csv.reader(fh), ())] == columns:
+            while lines := list(islice(fh, CHUNK_RECORDS)):
+                text = "".join(lines)
+                if '"' in text or "\r" in text or "\0" in text:
+                    break
+                if "\n" in lines:  # a blank line holds no record
+                    lines = [line for line in lines if line != "\n"]
+                    text = "".join(lines)
+                if not text.endswith("\n"):  # the file's last line
+                    text += "\n"
+                n = len(lines)
+                if text.encode().translate(None, _NOT_COMMA_OR_NEWLINE) != line_end * n or (
+                        len(text) > limit and max(map(len, lines)) > limit):
+                    break
+                del lines
+                text = text.replace("\n", ",")
+                fields = text.split(",")
+                del text
+                # up to the empty text after the last newline
+                chunk = [fields[i:n * width:width] for i in range(width)]
+                del fields
+                yield chunk
+                del chunk  # and _read_table drops its own: freed before the next read
+                count += n
+            reader = csv.reader(chain(lines, fh))
             while rows := list(islice(reader, CHUNK_RECORDS)):
                 widths = set(map(len, rows))
-                if widths - {0, len(columns)}:
+                if widths - {0, width}:
                     break
                 if 0 in widths:  # a blank line holds no record
                     rows = list(filter(None, rows))
-                yield rows
+                yield _transposed(rows, width)
                 count += len(rows)
             else:
                 return
@@ -399,7 +443,7 @@ def _chunks(path, columns, found):
             rows.append(row)
     except ParseError:  # any check: _read_rows raises the error again at its record
         found.append((count + len(rows), 0))
-    yield rows
+    yield _transposed(rows, width)
 
 
 def _raise_error(path, table, checks, record, check):
@@ -429,17 +473,18 @@ def _read_table(path, table, days):
     memos = {ID: {}, DATE: days, FLAG: {}}
     checks = table.checks()
     keys, parts, found, count = [], [], [], 0
-    for rows in _chunks(path, list(table.kinds), found):
-        key, part, failed = _convert(table, checks, rows, memos)
+    for chunk in _chunks(path, list(table.kinds), found):
+        key, part, failed = _convert(table, checks, chunk, memos)
+        del chunk  # so that _chunks frees its texts before it reads the next
         keys.append(key)
         parts.append(part)
         if failed.any():  # no record after the first that fails holds an earlier error
             record, check = np.argwhere(failed.T)[0]
             found.append((count + int(record), int(check)))
             break
-        count += len(rows)
+        count += len(key)
     if not keys:  # no record: an empty chunk gives the columns' dtypes and shapes
-        key, part, _ = _convert(table, checks, [], memos)
+        key, part, _ = _convert(table, checks, _transposed([], len(table.kinds)), memos)
         keys, parts = [key], [part]
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")

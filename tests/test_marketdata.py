@@ -897,6 +897,144 @@ class TestChunkBoundaries:
         assert kind == "ok" and got.stocks == ["B", "Ä股"]
 
 
+# a field limit short enough for generated fields to pass it
+FIELD_LIMIT = 24
+# a field of what csv reads specially (comma, quote, carriage return,
+# newline, NUL), space and non-ASCII text, a date, or a field over FIELD_LIMIT
+_any_field = st.one_of(
+    st.sampled_from(SWEEP_DAYS), st.just("9" * (FIELD_LIMIT + 1)),
+    st.text(st.sampled_from([",", '"', "\r", "\n", "\x00", " ", "é", "股", "7"]), max_size=3))
+# a line before a record: mostly blank, else a date and a close, or such
+# fields, some of them quoted
+_inserted = st.one_of(
+    st.just(""), st.just(""),
+    st.builds("{},{}".format, st.sampled_from(SWEEP_DAYS),
+              st.sampled_from(["3000", "oops", "9" * (FIELD_LIMIT + 1)])),
+    st.lists(st.one_of(_any_field, _any_field.map(lambda field: '"{}"'.format(
+        field.replace('"', '""')))), min_size=1, max_size=3).map(",".join))
+_line_end = st.sampled_from(["\n"] * 5 + ["\r\n", "\r"])
+# the lines of the sweep's benchmark.csv past its header, each with its end:
+# the four records, their fields quoted or not, with lines put before them
+BENCHMARK_LINES = st.lists(st.tuples(
+    st.lists(st.tuples(_inserted, _line_end), max_size=2),
+    st.sampled_from(["{},{}"] * 3 + ['"{}",{}', '{},"{}"']), _line_end), min_size=4, max_size=4,
+).map(lambda records: [line for (inserted, form, end), (day, close) in zip(
+    records, sweep_tables()[2][1:]) for line in [*inserted, (form.format(day, close), end)]])
+
+
+class TestPlainChunks:
+    """_chunks splits a plain chunk at its commas and reads one that is not
+    plain with csv.reader: either way, the records _read_rows reads."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(BENCHMARK_LINES, _line_end, st.booleans(), st.sampled_from([2, 3]))
+    def test_chunks_read_what_read_rows_reads(self, tmp_path_factory, lines, header_end,
+                                              last_newline, chunk_records):
+        """In chunks of 2 or 3 lines, plain and not plain mixed: a file's
+        columns, concatenated, are its records, transposed; and load_dataset
+        raises the error its per-row oracle raises, or loads what it loads."""
+        text = "date,close" + header_end + "".join(line + end for line, end in lines)
+        if lines and not last_newline:
+            text = text[:-len(lines[-1][1])]
+        paths = write_sweep_case(tmp_path_factory.mktemp("plain"), [])
+        paths[2].write_bytes(text.encode())
+        limit = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(marketdata, "CHUNK_RECORDS", chunk_records)
+                try:
+                    records = [row for _, row in _read_rows(paths[2], BENCHMARK_COLUMNS)]
+                except ParseError:
+                    records = None
+                if records is not None:
+                    found = []
+                    chunks = list(marketdata._chunks(paths[2], BENCHMARK_COLUMNS, found))
+                    assert not found and all(len(chunk) == 2 for chunk in chunks)
+                    assert [[field for chunk in chunks for field in chunk[i]] for i in range(2)] \
+                        == [[row[i] for row in records] for i in range(2)]
+                assert_matches_oracle(paths)
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("lines,error", [
+        # commas that add up to a chunk's records: 2 on one line, 0 on the next
+        (["2015-06-01,3000,2015-06-02", "3001", "2015-06-03,3002"], "2: expected 2 fields, got 3"),
+        # a close over the field limit that float() reads
+        (["2015-06-01,3000", "2015-06-02," + "9" * 33, "2015-06-03,3002"],
+         "3: field larger than field limit (32)"),
+    ], ids=["commas-adding-up", "over-the-field-limit"])
+    def test_chunk_that_splits_into_records_is_not_plain(self, tmp_path, monkeypatch, lines,
+                                                         error):
+        """A chunk whose fields at its commas would make valid records is
+        not plain when one of its lines holds another comma count or is
+        longer than csv's field limit, here 32: csv.reader refuses the line."""
+        monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+        paths = write_sweep_case(tmp_path, [])
+        paths[2].write_text("\n".join(["date,close", *lines, "2015-06-04,3003"]) + "\n")
+        limit = csv.field_size_limit(32)
+        try:
+            assert assert_matches_oracle(paths) == (ParseError, f"{paths[2]}:{error}")
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_blank_lines_and_no_last_newline_keep_chunks_plain(self, tmp_path, monkeypatch):
+        """Files with a blank line after each line and none at their end load
+        as they would without, and csv.reader reads nothing past their
+        headers."""
+        monkeypatch.setattr(marketdata, "CHUNK_RECORDS", 3)
+        want = load_dataset(*write_sweep_case(tmp_path, []))
+        paths = write_sweep_case(tmp_path, [])
+        for path in paths:
+            path.write_text("\n\n".join(path.read_text().splitlines()))
+        rows = []
+
+        def reader(lines, read=csv.reader):
+            for row in read(lines):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(marketdata.csv, "reader", reader)
+        got = load_dataset(*paths)
+        assert rows == [BARS_COLUMNS, FUNDAMENTALS_COLUMNS, BENCHMARK_COLUMNS]
+        assert_same_dataset(got, as_rows(want))
+
+    @pytest.mark.parametrize("copy", ["crlf", "quoted-ids", "quoted-ids-past-the-first-chunk"])
+    def test_crlf_and_quoted_copies_load_as_the_plain_file(self, tmp_path, monkeypatch,
+                                                            gapped_market, copy):
+        """A copy of a 4,745-bar bars.csv with CRLF line ends, or with its
+        ids quoted from its first record or from one in its second chunk
+        on, loads to the dataset the plain LF file loads to, in chunks of
+        at most CHUNK_RECORDS records: csv.reader does not read the rest of
+        the file as one chunk."""
+        names = ("bars.csv", "fundamentals.csv", "benchmark.csv")
+        write_dataset(gapped_market, tmp_path / "lf")
+        lines = (tmp_path / "lf" / "bars.csv").read_text().splitlines(keepends=True)
+        assert len(lines) > 4 * marketdata.CHUNK_RECORDS
+        if copy == "crlf":
+            lines = [line.replace("\n", "\r\n") for line in lines]
+        else:
+            first = 1 if copy == "quoted-ids" else 1 + marketdata.CHUNK_RECORDS + 7
+            lines[first:] = [re.sub(r"^([^,]*),", r'"\1",', line) for line in lines[first:]]
+        (tmp_path / copy).mkdir()
+        (tmp_path / copy / "bars.csv").write_bytes("".join(lines).encode())
+        for name in names[1:]:
+            (tmp_path / copy / name).write_bytes((tmp_path / "lf" / name).read_bytes())
+        sizes = []
+
+        def convert(table, checks, chunk, memos, convert=marketdata._convert):
+            sizes.append(len(chunk[0]))
+            return convert(table, checks, chunk, memos)
+
+        monkeypatch.setattr(marketdata, "_convert", convert)
+        loaded = [load_dataset(*(tmp_path / part / name for name in names))
+                  for part in ("lf", copy)]
+        assert max(sizes) <= marketdata.CHUNK_RECORDS
+        records = len(lines) - 1 + len(snapshots(gapped_market)) + len(benchmark_of(gapped_market))
+        assert sum(sizes) == 2 * records
+        assert_same_dataset(loaded[0], as_rows(gapped_market))
+        assert_same_dataset(loaded[1], as_rows(gapped_market))
+
+
 @pytest.mark.parametrize("edit,error,calls", [
     (("field", 0, 7, 1, SWEEP_DAYS[2]), "9: duplicate bar for (B, 2015-06-03)", 0),
     (("field", 0, 7, 2, "oops"), "9: column 'close': bad number 'oops'", 1),
